@@ -18,7 +18,6 @@ from .forcing import (
     ExpForcing,
     Forcing,
     PolyForcing,
-    SampledForcing,
     ZeroForcing,
     default_probes,
     load_probes,
@@ -33,9 +32,6 @@ from .operators import (
     load_operator,
     parse_operator_text,
     random_normal_operator,
-    resolvent_norm,
-    resolvent_solve,
-    semigroup_apply_oracle,
     spectrum_and_bound,
 )
 from .theorem import (

@@ -7,6 +7,16 @@ A = 0 this reduces to the classical panel Gauss-Legendre rule; for stiff
 spectra it keeps boundary layers accurate, which the surjectivity-identity
 checks need.
 
+Every solve runs through one panel propagator. For a shift s and a panel
+width h it reads tables built once and cached on the solver: the
+propagators e^{h r (A - s)} from the panel start to each output point r
+(the q Gauss nodes, then the right edge), the weights that map the q
+forcing samples to each output point, and the weights of the integral over
+the panel. When A has a trustworthy diagonalization the tables are (dim, 1)
+columns in eigen coordinates, built from scalar phi functions and applied
+elementwise; otherwise they are dim x dim matrices built from the augmented
+matrix exponential and applied by matrix products.
+
 The solver doubles as the black-box K_A interface of the resolvent
 reconstruction: it exposes solutions and solution functionals (weighted
 integrals, endpoint values) but never hands out the matrix.
@@ -33,6 +43,9 @@ from .util import map_indexed
 # panel width * profile rate above which panels are split, keeping the
 # polynomial interpolation error of the forcing profile near 1e-11
 _RATE_BUDGET = 0.6
+# panel tables a solver keeps, one entry per (shift, panel width); bounded so
+# that a solver driven over many shifts (a mu scan) does not keep them all
+_TABLE_CACHE = 8
 
 
 @lru_cache(maxsize=16)
@@ -58,7 +71,7 @@ class CauchySolver:
     def __init__(self, op, grid):
         self.op = op
         self.grid = grid
-        self._dense_tables = {}
+        self._tables = {}
 
     @property
     def dim(self):
@@ -87,150 +100,58 @@ class CauchySolver:
     def norm0(self, x):
         return self.op.norm0(x)
 
-    # -- eigen-coordinate path ------------------------------------------------
+    # -- the panel propagator ---------------------------------------------------
 
-    def _eigen_coeffs(self, a, profile, want_integral):
-        """Coefficient arrays for the separable problem
-        v' = diag(a) v + profile(t) * y:
-        v(t) = alpha(t).x0 + beta(t).y (elementwise), and when requested the
-        running integral w(T) = int_0^T v dt = wa.x0 + wb.y."""
-        grid = self.grid
-        q = grid.nodes_per_panel
-        xi, _ = gauss_legendre_01(q)
-        C = _lagrange_monomial(q)
-        pf = np.array([math.factorial(p) for p in range(q)], dtype=float)
-        rs = np.append(xi, 1.0)
-        n = len(grid.nodes)
-        dim = a.shape[0]
-
-        alpha = np.exp(np.multiply.outer(grid.nodes, a))
-        beta = np.zeros((n, dim), dtype=complex)
-        wa = np.zeros(dim, dtype=complex)
-        wb = np.zeros(dim, dtype=complex)
-        kmax = q + 1
-
-        rp = rs[None, :] ** (np.arange(1, q + 1)[:, None])   # r^{p+1}, (q, q+1)
-        for k in range(grid.panels):
-            e = grid.edges[k]
-            h = grid.edges[k + 1] - grid.edges[k]
-            Z = np.multiply.outer(h * rs, a)                 # (q+1, dim)
-            P = phi_scalar(kmax, Z)                          # (kmax+1, q+1, dim)
-            d = C.T @ profile(e + h * xi)                    # (q,)
-            F = np.zeros((q + 1, dim), dtype=complex)
-            for p in range(q):
-                F += (d[p] * pf[p]) * rp[p][:, None] * P[p + 1]
-            F *= h
-            i_edge = grid.node_index_of_edge(k)
-            b_edge = beta[i_edge]
-            out = P[0] * b_edge[None, :] + F
-            for j in range(q):
-                beta[grid.node_index_of_gl(k, j)] = out[j]
-            beta[grid.node_index_of_edge(k + 1)] = out[q]
-            if want_integral:
-                phi1 = P[1, q]
-                G = np.zeros(dim, dtype=complex)
-                for p in range(q):
-                    G += (d[p] * pf[p]) * P[p + 2, q]
-                wa = wa + h * phi1 * alpha[i_edge]
-                wb = wb + h * phi1 * b_edge + h * h * G
-        return alpha, beta, wa, wb
-
-    def _eigen_general(self, a, Qinv, forcing, x0h):
-        """Node values (eigen coordinates) for a non-separable forcing."""
-        grid = self.grid
-        q = grid.nodes_per_panel
-        xi, _ = gauss_legendre_01(q)
-        C = _lagrange_monomial(q)
-        pf = np.array([math.factorial(p) for p in range(q)], dtype=float)
-        rs = np.append(xi, 1.0)
-        n = len(grid.nodes)
-        dim = a.shape[0]
-        vhat = np.zeros((n, dim), dtype=complex)
-        vhat[0] = x0h
-        rp = rs[None, :] ** (np.arange(1, q + 1)[:, None])
-        for k in range(grid.panels):
-            e = grid.edges[k]
-            h = grid.edges[k + 1] - grid.edges[k]
-            Z = np.multiply.outer(h * rs, a)
-            P = phi_scalar(q + 1, Z)
-            fhat = np.array([Qinv @ forcing.eval(e + h * x) for x in xi])
-            Dp = C.T @ fhat                                   # (q, dim)
-            F = np.zeros((q + 1, dim), dtype=complex)
-            for p in range(q):
-                F += pf[p] * rp[p][:, None] * P[p + 1] * Dp[p][None, :]
-            F *= h
-            v_edge = vhat[grid.node_index_of_edge(k)]
-            out = P[0] * v_edge[None, :] + F
-            for j in range(q):
-                vhat[grid.node_index_of_gl(k, j)] = out[j]
-            vhat[grid.node_index_of_edge(k + 1)] = out[q]
-        return vhat
-
-    # -- dense path -------------------------------------------------------------
-
-    def _dense_tables_for(self, shift, h):
+    def _panel_tables(self, shift, h):
+        """(P, W, H1, G) for v' = Bv + f, B = A - shift, on a panel of width
+        h, with r_j the q Gauss nodes of [0, 1] and then 1:
+        P[j] = e^{h r_j B}, W[j, m] the weight of the m-th forcing sample in
+        v(h r_j), H1 = h phi_1(hB) and G[m] the weight of the m-th forcing
+        sample in the integral of v over the panel. Eigen backend: (dim, 1)
+        columns; dense backend: dim x dim matrices."""
         key = (complex(shift), float(h))
-        tab = self._dense_tables.get(key)
+        tab = self._tables.get(key)
         if tab is not None:
             return tab
         q = self.grid.nodes_per_panel
         xi, _ = gauss_legendre_01(q)
-        C = _lagrange_monomial(q)
         rs = np.append(xi, 1.0)
-        B = self.op.matrix - shift * np.eye(self.dim)
-        props, W = [], []
-        G = None
-        for j, r in enumerate(rs):
-            PHI = phi_matrices((h * r) * B, q + 1)
-            props.append(PHI[0])
-            Wj = []
-            for m in range(q):
-                acc = np.zeros_like(B)
-                for p in range(q):
-                    acc += C[m, p] * math.factorial(p) * r ** (p + 1) * PHI[p + 1]
-                Wj.append(h * acc)
-            W.append(Wj)
-            if j == q:
-                G = []
-                for m in range(q):
-                    acc = np.zeros_like(B)
-                    for p in range(q):
-                        acc += C[m, p] * math.factorial(p) * PHI[p + 2]
-                    G.append(h * h * acc)
-                phi1_full = h * PHI[1]
-        tab = (props, W, G, phi1_full)
-        self._dense_tables[key] = tab
+        diag = self.op.diagonalization
+        if diag is not None:
+            # PHI[k, j] = phi_k(h r_j B), shape (q+2, q+1, dim, 1 | dim)
+            PHI = phi_scalar(q + 1, np.multiply.outer(h * rs, diag[1] - shift))[..., None]
+        else:
+            B = self.op.matrix - shift * np.eye(self.dim)
+            PHI = np.array([phi_matrices((h * r) * B, q + 1) for r in rs]).swapaxes(0, 1)
+        # the interpolant of the samples f_m is sum_p c_p sigma^p with
+        # c_p = sum_m C[m, p] f_m, and int_0^{hr} e^{(hr-s)B} (s/h)^p ds
+        # = h r^{p+1} p! phi_{p+1}(h r B)
+        coef = _lagrange_monomial(q) * np.array([math.factorial(p) for p in range(q)])
+        rpow = rs[None, :] ** np.arange(1, q + 1)[:, None]          # r_j^{p+1}
+        W = h * np.einsum("mp,pj,pj...->jm...", coef, rpow, PHI[1:q + 1])
+        G = (h * h) * np.einsum("mp,p...->m...", coef, PHI[2:, q])
+        tab = (PHI[0], W, h * PHI[1, q], G)
+        if len(self._tables) >= _TABLE_CACHE:
+            self._tables.clear()
+        self._tables[key] = tab
         return tab
 
-    def _dense_run(self, shift, forcing_vals, x0, want_integral):
-        """forcing_vals(k) -> (q, dim[, cols]) samples on panel k."""
+    def _propagate(self, shift, F, v0):
+        """Node values and integral over [0, T] of v' = (A - shift) v + f,
+        v(0) = v0, in backend coordinates. F holds the forcing samples at
+        the Gauss nodes, shape (panels, q, dim, cols); v0 is (dim, cols)."""
         grid = self.grid
         q = grid.nodes_per_panel
-        n = len(grid.nodes)
-        x0 = np.asarray(x0, dtype=complex)
-        shape = (n,) + x0.shape
-        vals = np.zeros(shape, dtype=complex)
-        vals[0] = x0
-        w = np.zeros_like(x0)
-        for k in range(grid.panels):
-            h = grid.edges[k + 1] - grid.edges[k]
-            props, W, G, phi1_full = self._dense_tables_for(shift, h)
-            fv = forcing_vals(k)
-            i_edge = grid.node_index_of_edge(k)
-            v_edge = vals[i_edge]
-            for j in range(q + 1):
-                out = props[j] @ v_edge
-                for m in range(q):
-                    out += W[j][m] @ fv[m]
-                if j < q:
-                    vals[grid.node_index_of_gl(k, j)] = out
-                else:
-                    vals[grid.node_index_of_edge(k + 1)] = out
-            if want_integral:
-                w = w + phi1_full @ v_edge
-                for m in range(q):
-                    w = w + G[m] @ fv[m]
-        return vals, w
+        apply = np.multiply if self.op.diagonalization is not None else np.matmul
+        vals = np.empty((len(grid.nodes),) + v0.shape, dtype=complex)
+        vals[0] = v0
+        integral = np.zeros(v0.shape, dtype=complex)
+        for k, h in enumerate(np.diff(grid.edges)):
+            P, W, H1, G = self._panel_tables(shift, h)
+            v = vals[k * (q + 1)]
+            vals[k * (q + 1) + 1:(k + 1) * (q + 1) + 1] = apply(P, v) + apply(W, F[k]).sum(axis=1)
+            integral += apply(H1, v) + apply(G, F[k]).sum(axis=0)
+        return vals, integral
 
     # -- public solves ----------------------------------------------------------
 
@@ -246,27 +167,17 @@ class CauchySolver:
         if x0 is None:
             x0 = np.zeros(self.dim, dtype=complex)
         x0 = np.asarray(x0, dtype=complex)
+        F = forcing.sample(grid.gl_times.ravel()).reshape(grid.panels, -1, self.dim)
         diag = self.op.diagonalization
         if diag is not None:
-            Q, lam, Qinv = diag
-            if forcing.separable:
-                alpha, beta, _, _ = self._eigen_coeffs(lam, forcing.profile, False)
-                vhat = alpha * (Qinv @ x0)[None, :] + beta * (Qinv @ forcing.y)[None, :]
-            else:
-                vhat = self._eigen_general(lam, Qinv, forcing, Qinv @ x0)
-            values = vhat @ Q.T
+            Q, _, Qinv = diag
+            v, _ = self._propagate(0.0, (F @ Qinv.T)[..., None], (Qinv @ x0)[:, None])
+            values = v[..., 0] @ Q.T
         else:
-            xi, _ = gauss_legendre_01(grid.nodes_per_panel)
-
-            def forcing_vals(k):
-                e = grid.edges[k]
-                h = grid.edges[k + 1] - grid.edges[k]
-                return np.array([forcing.eval(e + h * x) for x in xi])
-
-            values, _ = self._dense_run(0.0, forcing_vals, x0, False)
+            v, _ = self._propagate(0.0, F[..., None], x0[:, None])
+            values = v[..., 0]
         values[0] = x0
-        fvals = np.array([forcing.eval(t) for t in grid.nodes])
-        derivative = values @ self.op.matrix.T + fvals
+        derivative = values @ self.op.matrix.T + forcing.sample(grid.nodes)
         return GridFunction(grid, values, derivative)
 
     def solve_ka(self, forcing, auto_refine=True):
@@ -287,25 +198,20 @@ class CauchySolver:
             if solver is not self:
                 return solver.exp_functionals(mu, auto_refine=False)
         grid = self.grid
-        profile = lambda t: np.exp(-2.0 * mu.real * np.asarray(t))
+        profile = np.exp(-2.0 * mu.real * grid.gl_times)[..., None, None]
         diag = self.op.diagonalization
         if diag is not None:
-            Q, lam, Qinv = diag
-            a = lam - mu
-            _, beta, _, wb = self._eigen_coeffs(a, profile, True)
-            W = (Q * wb[None, :]) @ Qinv
-            UT = np.exp(mu * grid.T) * (Q * beta[-1][None, :]) @ Qinv
+            # the response to profile(t) I is diagonal in eigen coordinates:
+            # one column of ones carries all of it
+            Q, _, Qinv = diag
+            ones = np.ones((self.dim, 1), dtype=complex)
+            v, w = self._propagate(mu, profile * ones, np.zeros_like(ones))
+            W = (Q * w[:, 0]) @ Qinv
+            UT = np.exp(mu * grid.T) * (Q * v[-1, :, 0]) @ Qinv
             return W, UT
-        xi, _ = gauss_legendre_01(grid.nodes_per_panel)
         I = np.eye(self.dim, dtype=complex)
-
-        def forcing_vals(k):
-            e = grid.edges[k]
-            h = grid.edges[k + 1] - grid.edges[k]
-            return np.array([np.exp(-2.0 * mu.real * (e + h * x)) * I for x in xi])
-
-        vals, w = self._dense_run(mu, forcing_vals, np.zeros((self.dim, self.dim), complex), True)
-        return w, np.exp(mu * grid.T) * vals[-1]
+        v, w = self._propagate(mu, profile * I, np.zeros_like(I))
+        return w, np.exp(mu * grid.T) * v[-1]
 
 
 def solve_ivp(op, f, x, grid, verify=False):
@@ -337,8 +243,7 @@ def solution_operator_KA(op, f, grid, report_ratio=False):
     u = CauchySolver(op, grid).solve_ka(f)
     if not report_ratio:
         return u
-    fgf = GridFunction(u.grid, np.array([f.eval(t) for t in u.grid.nodes]))
-    nf = e0_norm_J(op, fgf)
+    nf = e0_norm_J(op, GridFunction(u.grid, f.sample(u.grid.nodes)))
     return u, (e1_norm_J(op, u) / nf if nf > 0 else 0.0)
 
 
@@ -367,8 +272,7 @@ def estimate_M(op, grid, probes):
     def run(probe):
         f, x = probe
         u = solver.solve(f, x)
-        fgf = GridFunction(u.grid, np.array([f.eval(t) for t in u.grid.nodes]))
-        nf = e0_norm_J(op, fgf)
+        nf = e0_norm_J(op, GridFunction(u.grid, f.sample(u.grid.nodes)))
         nx1 = op.norm1(x)
         denom = nf + nx1
         if denom == 0:
@@ -397,8 +301,8 @@ def ode_residuals(op, u, forcing=None):
         du = np.gradient(u.values, u.grid.nodes, axis=0)
     res = du - u.values @ op.matrix.T
     if forcing is not None:
-        res = res - np.array([forcing.eval(t) for t in u.grid.nodes])
-    return np.array([op.norm0(r) for r in res])
+        res = res - forcing.sample(u.grid.nodes)
+    return op.norm0_rows(res)
 
 
 @dataclass

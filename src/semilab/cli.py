@@ -16,9 +16,9 @@ import sys
 import numpy as np
 
 from .cauchy import CauchySolver, estimate_M
-from .errors import SemilabError, SingularResolvent
+from .errors import ConfigError, SemilabError
 from .forcing import default_probes, load_probes
-from .operators import load_operator
+from .operators import load_operator, parse_vector
 from .theorem import (
     assemble_U_V,
     default_mu_grid,
@@ -46,28 +46,21 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _parse_complex(tok):
-    try:
-        return complex(tok.replace("i", "j"))
-    except ValueError:
-        raise _UsageError(f"cannot parse complex number {tok!r}") from None
-
-
 def parse_mu_grid(spec):
     """Either a comma-separated list of complex numbers or
     ``grid:RE_LO:RE_HI:NRE:IM_LO:IM_HI:NIM`` (log-spaced real parts,
     linear imaginary parts)."""
     if spec.startswith("grid:"):
-        parts = spec.split(":")[1:]
-        if len(parts) != 6:
-            raise _UsageError(f"bad mu-grid spec {spec!r}")
-        re_lo, re_hi, n_re, im_lo, im_hi, n_im = (float(p) for p in parts)
+        try:
+            re_lo, re_hi, n_re, im_lo, im_hi, n_im = (float(p) for p in spec.split(":")[1:])
+        except ValueError:
+            raise ConfigError(f"bad mu-grid spec {spec!r}") from None
         if re_lo <= 0:
-            raise _UsageError("mu-grid real parts must be positive (log spacing)")
+            raise ConfigError("mu-grid real parts must be positive (log spacing)")
         res = np.logspace(np.log10(re_lo), np.log10(re_hi), int(n_re))
         ims = np.linspace(im_lo, im_hi, int(n_im))
         return [complex(r, i) for r in res for i in ims]
-    return [_parse_complex(t) for t in spec.split(",") if t]
+    return [complex(m) for m in parse_vector(spec)]
 
 
 def _csv(path, header, rows):
@@ -275,7 +268,6 @@ def build_parser():
     p.add_argument("--T", type=float, default=1.0)
     p.add_argument("--sigma", type=float, default=1.0)
     p.add_argument("--theta", type=float, default=None)
-    p.add_argument("--p", type=float, default=2.0)
     p.add_argument("--mu-grid", default=None)
     p.add_argument("--out", default=".")
     p.add_argument("--seed", type=int, default=0)
@@ -291,26 +283,20 @@ def main(argv=None):
         if not 0.0 < args.sigma <= 1.0:
             raise _UsageError("--sigma must lie in (0, 1]")
         op = load_operator(args.operator)
-    except _UsageError as exc:
-        print(f"semilab: error: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, SemilabError, ValueError) as exc:
+    except (_UsageError, OSError, SemilabError, ValueError) as exc:
         print(f"semilab: error: {exc}", file=sys.stderr)
         return 1
 
     os.makedirs(args.out, exist_ok=True)
     try:
         report, ok = _RUNNERS[args.experiment](op, args, args.out)
-    except _UsageError as exc:
-        print(f"semilab: error: {exc}", file=sys.stderr)
-        return 1
-    except SingularResolvent as exc:
+    except (_UsageError, SemilabError) as exc:
         print(f"semilab: error: {exc}", file=sys.stderr)
         return 1
     report["config"] = {
         "experiment": args.experiment, "operator": os.path.basename(args.operator),
         "probes": os.path.basename(args.probes) if args.probes else None,
-        "T": args.T, "sigma": args.sigma, "theta": args.theta, "p": args.p,
+        "T": args.T, "sigma": args.sigma, "theta": args.theta,
         "mu_grid": args.mu_grid, "seed": args.seed, "panels": args.panels,
     }
     report["pass"] = bool(ok)

@@ -1,43 +1,41 @@
-"""Closed-form and sampled forcing terms f(t) for the inhomogeneous problem.
+"""Forcing terms f(t) for the inhomogeneous problem, and probe files.
 
-Separable forcings f(t) = profile(t) * y keep the solver fast (one scalar
-profile shared by all coordinates); sampled forcings are interpolated
-panel-wise at the quadrature nodes.
+Every forcing is sampled through one vectorised primitive,
+``sample(ts) -> (len(ts), dim)``: the Cauchy solver calls it once for all
+quadrature nodes of a grid and once for all grid nodes, and the scalar
+``eval(t)`` is derived from it.
 """
 
 from __future__ import annotations
 
-import re
-
 import numpy as np
 
 from .errors import ConfigError
+from .operators import parse_complex, parse_vector
 
 
 class Forcing:
-    """Base class. ``rate`` is a bound on the profile's exponential/oscillation
+    """Base class. ``rate`` is a bound on the forcing's exponential/oscillation
     rate, used to pick the panel resolution."""
 
-    separable = False
     rate = 0.0
+
+    def sample(self, ts):
+        """Values f(t) for a 1-D array of times, as rows of a (len(ts), dim)
+        complex array."""
+        raise NotImplementedError
 
     def eval(self, t):
         """Vector value f(t); t scalar."""
-        raise NotImplementedError
+        return self.sample(np.array([t]))[0]
 
 
 class ZeroForcing(Forcing):
-    separable = True
-
     def __init__(self, dim):
         self.dim = dim
-        self.y = np.zeros(dim, dtype=complex)
 
-    def profile(self, t):
-        return np.zeros_like(np.asarray(t, dtype=complex))
-
-    def eval(self, t):
-        return np.zeros(self.dim, dtype=complex)
+    def sample(self, ts):
+        return np.zeros((len(ts), self.dim), dtype=complex)
 
     def describe(self):
         return "zero"
@@ -45,8 +43,6 @@ class ZeroForcing(Forcing):
 
 class ExpForcing(Forcing):
     """f(t) = e^{-mu t} y (the proof's probe family f_mu)."""
-
-    separable = True
 
     def __init__(self, mu, y):
         self.mu = complex(mu)
@@ -57,11 +53,8 @@ class ExpForcing(Forcing):
     def rate(self):
         return abs(self.mu)
 
-    def profile(self, t):
-        return np.exp(-self.mu * np.asarray(t, dtype=complex))
-
-    def eval(self, t):
-        return np.exp(-self.mu * t) * self.y
+    def sample(self, ts):
+        return np.exp(-self.mu * np.asarray(ts))[:, None] * self.y[None, :]
 
     def describe(self):
         return f"exp mu={self.mu}"
@@ -70,19 +63,14 @@ class ExpForcing(Forcing):
 class PolyForcing(Forcing):
     """f(t) = (c_0 + c_1 t + ... ) y."""
 
-    separable = True
-
     def __init__(self, coeffs, y):
         self.coeffs = np.asarray(coeffs, dtype=complex)
         self.y = np.asarray(y, dtype=complex)
         self.dim = self.y.shape[0]
 
-    def profile(self, t):
-        return np.polynomial.polynomial.polyval(np.asarray(t, dtype=complex),
-                                                self.coeffs)
-
-    def eval(self, t):
-        return complex(np.polynomial.polynomial.polyval(t, self.coeffs)) * self.y
+    def sample(self, ts):
+        p = np.polynomial.polynomial.polyval(np.asarray(ts), self.coeffs)
+        return p[:, None] * self.y[None, :]
 
     def describe(self):
         return f"poly deg={len(self.coeffs) - 1}"
@@ -96,55 +84,14 @@ class CallableForcing(Forcing):
         self.dim = dim
         self.rate = float(rate)
 
-    def eval(self, t):
-        return np.asarray(self.fn(t), dtype=complex)
+    def sample(self, ts):
+        return np.array([self.fn(t) for t in ts], dtype=complex).reshape(len(ts), self.dim)
 
     def describe(self):
         return "callable"
 
 
-class SampledForcing(Forcing):
-    """Forcing given by samples on a TimeGrid; evaluated anywhere by
-    polynomial interpolation on the enclosing panel's quadrature nodes."""
-
-    def __init__(self, gridfunction):
-        self.gf = gridfunction
-        self.dim = gridfunction.dim
-
-    def eval(self, t):
-        grid = self.gf.grid
-        k = int(np.searchsorted(grid.edges, t, side="right") - 1)
-        k = min(max(k, 0), grid.panels - 1)
-        ts = grid.gl_times[k]
-        idx = grid.gl_node_indices[k]
-        vals = self.gf.values[idx]
-        # Lagrange interpolation on the panel's Gauss-Legendre nodes
-        out = np.zeros(self.dim, dtype=complex)
-        for m in range(len(ts)):
-            L = 1.0
-            for i in range(len(ts)):
-                if i != m:
-                    L *= (t - ts[i]) / (ts[m] - ts[i])
-            out += L * vals[m]
-        return out
-
-    def describe(self):
-        return "sampled"
-
-
 # -- probe description files -------------------------------------------------
-
-
-def _parse_complex(tok):
-    try:
-        return complex(tok.replace("i", "j"))
-    except ValueError:
-        raise ConfigError(f"cannot parse complex number {tok!r}") from None
-
-
-def _parse_vector(text):
-    toks = [t for t in re.split(r"[,;]+", text.strip()) if t]
-    return np.array([_parse_complex(t) for t in toks])
 
 
 def parse_probe_line(line, dim):
@@ -154,19 +101,19 @@ def parse_probe_line(line, dim):
     kind, args = parts[0], dict(p.split("=", 1) for p in parts[1:] if "=" in p)
     ones = np.ones(dim, dtype=complex)
     if kind == "exp":
-        y = _parse_vector(args["y"]) if "y" in args else ones
-        f = ExpForcing(_parse_complex(args["mu"]), y)
-        x = _parse_vector(args["x"]) if "x" in args else np.zeros(dim, complex)
+        y = parse_vector(args["y"]) if "y" in args else ones
+        f = ExpForcing(parse_complex(args["mu"]), y)
+        x = parse_vector(args["x"]) if "x" in args else np.zeros(dim, complex)
     elif kind == "poly":
-        y = _parse_vector(args["y"]) if "y" in args else ones
-        f = PolyForcing(_parse_vector(args["coeffs"]), y)
-        x = _parse_vector(args["x"]) if "x" in args else np.zeros(dim, complex)
+        y = parse_vector(args["y"]) if "y" in args else ones
+        f = PolyForcing(parse_vector(args["coeffs"]), y)
+        x = parse_vector(args["x"]) if "x" in args else np.zeros(dim, complex)
     elif kind == "ic":
         f = ZeroForcing(dim)
-        x = _parse_vector(args["x"])
+        x = parse_vector(args["x"])
     else:
         raise ConfigError(f"unknown probe kind {kind!r}")
-    if f.separable and f.y.shape[0] != dim:
+    if kind != "ic" and f.y.shape[0] != dim:
         raise ConfigError(f"probe vector length {f.y.shape[0]} != dim {dim}")
     if x.shape[0] != dim:
         raise ConfigError(f"initial value length {x.shape[0]} != dim {dim}")

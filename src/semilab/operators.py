@@ -61,19 +61,19 @@ class OperatorPair:
 
     # -- norms -------------------------------------------------------------
 
-    def norm0(self, x):
-        """E0 norm of a vector (euclidean or sup)."""
-        x = np.asarray(x)
-        if self.e0_norm == "euclidean":
-            return float(np.linalg.norm(x))
-        return float(np.max(np.abs(x))) if x.size else 0.0
-
-    def norm0_cols(self, X):
-        """E0 norm of each column of a (dim, k) array."""
+    def norm0_rows(self, X):
+        """E0 norm (euclidean or sup) along the last axis of X: one norm per
+        row of a (n, dim) array, a 0-d array for a vector. Every E0 norm in
+        the laboratory goes through here, so equal vectors get bit-equal
+        norms whichever routine asks."""
         X = np.asarray(X)
         if self.e0_norm == "euclidean":
-            return np.linalg.norm(X, axis=0)
-        return np.max(np.abs(X), axis=0)
+            return np.linalg.norm(X, axis=-1)
+        return np.max(np.abs(X), axis=-1, initial=0.0)
+
+    def norm0(self, x):
+        """E0 norm of a vector."""
+        return float(self.norm0_rows(x))
 
     def norm1(self, x):
         """Graph norm ||x||_1 = ||x||_0 + ||Ax||_0."""
@@ -201,23 +201,11 @@ class SpectralReport:
     diagnostics: dict = field(default_factory=dict)
 
 
-def resolvent_solve(op, mu, y):
-    return op.resolvent_solve(mu, y)
-
-
-def resolvent_norm(op, mu):
-    return op.resolvent_norm(mu)
-
-
 def spectrum_and_bound(op):
     """SpectralReport with eigenvalues and spectral bound only."""
     ev = op.eigenvalues
     return SpectralReport(eigenvalues=ev, spectral_bound=float(np.max(ev.real)),
                           e0_norm=op.e0_norm)
-
-
-def semigroup_apply_oracle(op, t, x):
-    return op.semigroup_apply_oracle(t, x)
 
 
 # -- canned operator constructors ------------------------------------------
@@ -253,16 +241,18 @@ def random_normal_operator(dim, seed, bound=-0.5, spread=8.0, e0_norm="euclidean
 # -- operator description files ---------------------------------------------
 
 
-def _parse_complex(tok):
+def parse_complex(tok):
+    """One complex token such as ``2.5-1i`` or ``3j``; ConfigError if malformed."""
     try:
         return complex(tok.replace("i", "j"))
     except ValueError:
         raise ConfigError(f"cannot parse complex number {tok!r}") from None
 
 
-def _parse_vector(text):
-    toks = [t for t in re.split(r"[,\s]+", text.strip()) if t]
-    return np.array([_parse_complex(t) for t in toks])
+def parse_vector(text):
+    """Complex tokens separated by commas, semicolons or whitespace."""
+    toks = [t for t in re.split(r"[,;\s]+", text.strip()) if t]
+    return np.array([parse_complex(t) for t in toks])
 
 
 def parse_operator_text(text):
@@ -270,7 +260,8 @@ def parse_operator_text(text):
 
     Recognized keys: dim, structure, e0_norm, matrix (generator spec), row
     (repeatable, inline matrix rows). Generators: ``laplacian1d n=<int>``,
-    ``diag <list>``, ``jordan lambda=<complex> size=<int>``.
+    ``diag <list>``, ``jordan lambda=<complex> size=<int>``,
+    ``random-normal dim=<int> seed=<int>``.
     """
     kv = {}
     rows = []
@@ -282,7 +273,7 @@ def parse_operator_text(text):
             raise ConfigError(f"expected 'key = value', got {line!r}")
         key, val = (s.strip() for s in line.split("=", 1))
         if key == "row":
-            rows.append(_parse_vector(val))
+            rows.append(parse_vector(val))
         else:
             kv[key] = val
 
@@ -298,10 +289,10 @@ def parse_operator_text(text):
         if name == "laplacian1d":
             op = laplacian_1d(int(args["n"]), e0_norm=e0_norm)
         elif name == "diag":
-            entries = _parse_vector(gen[len("diag"):])
+            entries = parse_vector(gen[len("diag"):])
             op = diagonal_operator(entries, e0_norm=e0_norm)
         elif name == "jordan":
-            op = jordan_block(_parse_complex(args["lambda"]), int(args["size"]),
+            op = jordan_block(parse_complex(args["lambda"]), int(args["size"]),
                               e0_norm=e0_norm)
         elif name == "random-normal":
             op = random_normal_operator(int(args["dim"]), int(args.get("seed", 0)),

@@ -60,10 +60,10 @@ def make_proof_probe(op, grid, mu, x, c2_hat=None):
     solver = CauchySolver(op, grid)
     u = solver.solve_ka(ExpForcing(mu, x))
     res = v.derivative_values - v.values @ op.matrix.T - g.values
-    v_residual = float(np.max([op.norm0(r) for r in res]))
+    v_residual = float(np.max(op.norm0_rows(res)))
     u_bound_ok = None
     if c2_hat is not None:
-        sup_u = float(np.max([op.norm0(row) for row in u.values]))
+        sup_u = float(np.max(op.norm0_rows(u.values)))
         u_bound_ok = sup_u <= c2_hat * op.norm0(x) * (1 + 1e-6)
     return ProofProbe(mu=mu, x=x, v_mu=v, g_mu=g, f_mu=f, u_mu=u,
                       v_residual=v_residual, u_bound_ok=u_bound_ok)

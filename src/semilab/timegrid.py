@@ -151,25 +151,18 @@ class GridFunction:
     __rmul__ = __mul__
 
 
-def _vec_norms(op, values):
-    vals = np.atleast_2d(values) if values.ndim == 1 else values
-    if op.e0_norm == "euclidean":
-        return np.linalg.norm(vals, axis=-1)
-    return np.max(np.abs(vals), axis=-1)
-
-
 def e0_norm_J(op, f):
     """sup over grid nodes of ||f(t)||_0."""
-    return float(np.max(_vec_norms(op, f.values)))
+    return float(np.max(op.norm0_rows(f.values)))
 
 
 def e1_norm_J(op, u):
     """sup over grid nodes of ||u'(t)||_0 + ||u(t)||_1 (graph norm)."""
     if u.derivative_values is None:
         raise MissingDerivative("e1_norm_J needs derivative samples")
-    n_du = _vec_norms(op, u.derivative_values)
-    n_u = _vec_norms(op, u.values)
-    n_Au = _vec_norms(op, u.values @ op.matrix.T)
+    n_du = op.norm0_rows(u.derivative_values)
+    n_u = op.norm0_rows(u.values)
+    n_Au = op.norm0_rows(u.values @ op.matrix.T)
     return float(np.max(n_du + n_u + n_Au))
 
 

@@ -45,10 +45,6 @@ class WeightedNorm:
     membership_ok: bool        # little-o condition plausible on the samples
 
 
-def _node_norms(op, u):
-    return np.array([op.norm0(row) for row in u.values])
-
-
 def _extrapolate_to_zero(ts, ws):
     """Quadratic (Neville) extrapolation of the three smallest samples to
     t = 0; a diagnostic, not a certificate."""
@@ -67,7 +63,7 @@ def weighted_norm(op, u, sigma):
     sigma = 1 gives the plain sup norm over all nodes (weight 1 everywhere).
     """
     grid = u.grid
-    norms = _node_norms(op, u)
+    norms = op.norm0_rows(u.values)
     w = time_weights(grid, sigma)
     value = float(np.max(w * norms))
     pos = np.nonzero(grid.nodes > 0)[0][:3]
@@ -178,10 +174,10 @@ def lp_norms(op, u, p):
     if u.derivative_values is None:
         raise MissingDerivative("lp e1-norm needs derivative samples")
     grid = u.grid
-    n0 = _node_norms(op, u)
+    n0 = op.norm0_rows(u.values)
     e0_lp = float(grid.integrate_samples(n0**p) ** (1.0 / p))
-    du = np.array([op.norm0(row) for row in u.derivative_values])
-    au = np.array([op.norm0(row) for row in u.values @ op.matrix.T])
+    du = op.norm0_rows(u.derivative_values)
+    au = op.norm0_rows(u.values @ op.matrix.T)
     e1_lp = float(grid.integrate_samples((du + n0 + au) ** p) ** (1.0 / p))
     return e0_lp, e1_lp
 
@@ -216,7 +212,7 @@ def theta_sweep(op, grid, thetas, probes, mu_grid=None, sigma=1.0):
     and computed once.
     """
     if op.structure != "diagonal":
-        raise NotDiagonal(f"structure={op.structure!r}")
+        raise NotDiagonal(f"theta sweep needs a diagonal operator, got structure={op.structure!r}")
     if mu_grid is None:
         mu_grid = [complex(r, i)
                    for r in np.logspace(np.log10(0.5), 2, 3)

@@ -171,3 +171,38 @@ class TestGlueCheck:
         u = sl.GridFunction(grid, np.zeros((len(grid.nodes), 2)))
         with pytest.raises(NotANode):
             sl.glue_check(diag_12, u, 0.3, ext)
+
+
+class TestBackendsAgree:
+    """The eigen backend against the dense one (phi_matrices, no
+    diagonalization) on operators where both apply."""
+
+    @staticmethod
+    def _pair(make):
+        eig, dense = make(), make()
+        dense.__dict__["diagonalization"] = None  # forces the dense backend
+        return eig, dense
+
+    MAKERS = {
+        "diag": lambda: sl.diagonal_operator([-1.0, -2.0]),
+        "lap16": lambda: sl.laplacian_1d(16),
+        "normal16": lambda: sl.random_normal_operator(16, seed=7),
+    }
+
+    @pytest.mark.parametrize("name", sorted(MAKERS))
+    def test_exp_functionals(self, grid, name):
+        eig, dense = self._pair(self.MAKERS[name])
+        se, sd = sl.CauchySolver(eig, grid), sl.CauchySolver(dense, grid)
+        for mu in (0.5, 2.0 + 4.0j, 32.0 - 16.0j):  # the last one refines the grid
+            for a, b in zip(se.exp_functionals(mu), sd.exp_functionals(mu)):
+                assert np.linalg.norm(a - b) <= 1e-10 * np.linalg.norm(a), (name, mu)
+
+    @pytest.mark.parametrize("name", sorted(MAKERS))
+    def test_solve(self, grid, name, rng):
+        eig, dense = self._pair(self.MAKERS[name])
+        f = sl.ExpForcing(3.0 + 2.0j, random_vector(rng, eig.dim))
+        x0 = random_vector(rng, eig.dim)
+        ue = sl.CauchySolver(eig, grid).solve(f, x0)
+        ud = sl.CauchySolver(dense, grid).solve(f, x0)
+        for a, b in ((ue.values, ud.values), (ue.derivative_values, ud.derivative_values)):
+            assert np.max(np.abs(a - b)) <= 1e-10 * np.max(np.abs(a)), name

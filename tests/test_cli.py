@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 
 from semilab.cli import main, parse_mu_grid
+from semilab.errors import ConfigError
+from semilab.forcing import parse_probe_line
+from semilab.operators import parse_operator_text
 
 
 @pytest.fixture()
@@ -43,6 +46,20 @@ class TestMuGridSpec:
         code = main(["identity-check", "--operator", diag_file,
                      "--mu-grid", "grid:1:100", "--out", str(tmp_path / "o")])
         assert code == 1
+
+
+PARSERS = {
+    "operator-row": lambda text: parse_operator_text(f"row = {text}\nrow = 0,1\n").matrix[0],
+    "probe-y": lambda text: parse_probe_line(f"exp mu=1 y={text}", 2)[0].y,
+    "mu-grid": parse_mu_grid,
+}
+
+
+@pytest.mark.parametrize("parser", sorted(PARSERS))
+def test_one_token_parser(parser):
+    assert list(PARSERS[parser]("1,2.5-1i")) == [1 + 0j, 2.5 - 1j]
+    with pytest.raises(ConfigError):
+        PARSERS[parser]("1,2.5-1q")
 
 
 class TestExperiments:
@@ -129,6 +146,20 @@ class TestExitCodes:
 
     def test_unknown_experiment(self, diag_file):
         assert main(["frobnicate", "--operator", diag_file]) == 1
+
+    def test_bad_mu_token(self, tmp_path, diag_file):
+        assert main(["identity-check", "--operator", diag_file, "--mu-grid", "1,2.5-1q",
+                     "--out", str(tmp_path / "o")]) == 1
+
+    @pytest.mark.parametrize("matrix", ["laplacian1d n=8", "jordan lambda=-1 size=3"])
+    def test_theta_sweep_needs_diagonal(self, tmp_path, capsys, matrix):
+        f = tmp_path / "op.op"
+        f.write_text(f"matrix = {matrix}\n")
+        code, report, _ = run(tmp_path, "theta-sweep", "--operator", str(f))
+        assert code == 1
+        assert report is None
+        err = capsys.readouterr().err
+        assert err.startswith("semilab: error: ") and err.count("\n") == 1
 
 
 class TestDeterminism:
