@@ -131,7 +131,8 @@ def run_resolvent_scan(op, args, out):
          "re_mu,im_mu,resolvent_norm,weighted_norm", rows)
     ok = bool(np.isfinite(rep.bound_constant))
     return {"N": rep.bound_constant, "omega": rep.half_plane_offset,
-            "s_A": float(op.spectral_bound)}, ok
+            "s_A": float(op.spectral_bound),
+            "resolvent_backend": op.resolvent_backend}, ok
 
 
 def run_maxreg_estimate(op, args, out):
@@ -243,7 +244,8 @@ def run_verdict(op, args, out):
     report = {"s_A": verdict.s_A, "uniform_bound": verdict.uniform_bound,
               "singular_betas": verdict.singular_betas,
               "M_hat": est.M_hat, "omega1": w1, "omega2": w2,
-              "omega": max(w1, w2), "rplus_pass": verdict.passed}
+              "omega": max(w1, w2), "rplus_pass": verdict.passed,
+              "resolvent_backend": op.resolvent_backend}
     return report, bool(verdict.passed)
 
 

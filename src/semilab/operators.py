@@ -93,13 +93,18 @@ class OperatorPair:
     # -- spectrum ----------------------------------------------------------
 
     @cached_property
+    def is_hermitian(self):
+        A = self.matrix
+        return bool(np.allclose(A, A.conj().T, rtol=0, atol=1e-14 * (1 + self.matrix_norm)))
+
+    @cached_property
     def eigenvalues(self):
         A = self.matrix
         if self.structure == "diagonal":
             return np.diag(A).copy()
-        if self.structure == "tridiagonal" and np.allclose(A, A.conj().T, rtol=0, atol=0):
-            d = np.real(np.diag(A))
-            e = np.real(np.diag(A, 1))
+        if self.structure == "tridiagonal" and self.is_hermitian:
+            # a diagonal unitary similarity makes the off-diagonal |e|
+            d, e = np.real(np.diag(A)), np.abs(np.diag(A, 1))
             return scipy.linalg.eigh_tridiagonal(d, e, eigvals_only=True).astype(complex)
         try:
             return np.linalg.eigvals(A)
@@ -126,24 +131,50 @@ class OperatorPair:
             raise DimensionMismatch(f"vector of length {y.shape[0]} for dim {self.dim}")
         return y
 
+    @cached_property
+    def resolvent_factor(self):
+        """(Z, T, normal) with A = Z T Z*, Z unitary: T is the 1-D eigenvalue
+        vector if A is normal, else the upper-triangular complex Schur factor."""
+        A = self.matrix
+        if self.structure == "diagonal":
+            return np.eye(self.dim, dtype=complex), np.diag(A).copy(), True
+        if self.structure == "tridiagonal" and self.is_hermitian:
+            e = np.diag(A, 1)
+            lam, V = scipy.linalg.eigh_tridiagonal(np.real(np.diag(A)), np.abs(e))
+            # A = P V diag(lam) V^T P*, P = diag(p) carrying the phases of e
+            p = np.cumprod(np.divide(np.conj(e), np.abs(e), out=np.ones_like(e), where=e != 0))
+            return np.concatenate([[1.0], p])[:, None] * V, lam.astype(complex), True
+        if self.is_hermitian:
+            lam, Z = np.linalg.eigh(A)
+            return Z, lam.astype(complex), True
+        T, Z = scipy.linalg.schur(A, output="complex")
+        # Weyl: dropping N = triu(T, 1) moves each singular value of mu - T by <= ||N||
+        if np.linalg.norm(np.triu(T, 1)) <= self.singular_tol:
+            return Z, np.diag(T).copy(), True
+        return Z, T, False
+
+    @property
+    def resolvent_backend(self):
+        return "normal" if self.resolvent_factor[2] else "schur"
+
     def resolvent_solve(self, mu, y):
-        """Solve (mu - A)x = y."""
+        """Solve (mu - A)x = y through the cached factor A = Z T Z*."""
         mu = complex(mu)
         y = self.check_vector(y)
         if self.spectral_distance(mu) <= self.singular_tol:
             raise SingularResolvent(f"mu={mu} within tolerance of the spectrum")
-        if self.structure == "diagonal":
-            diag = np.diag(self.matrix)
-            return (y.T / (mu - diag)).T
-        return np.linalg.solve(mu * np.eye(self.dim) - self.matrix, y)
+        Z, T, normal = self.resolvent_factor
+        w = np.conj(Z.T @ np.conj(y))  # Z* y without a conjugated copy of Z
+        if normal:
+            return Z @ (w.T / (mu - T)).T
+        return Z @ scipy.linalg.solve_triangular(mu * np.eye(self.dim) - T, w)
 
     def resolvent_norm(self, mu):
-        """E0 operator norm of (mu - A)^-1."""
+        """E0 operator norm of (mu - A)^-1 (1/dist(mu, sigma(A)) if normal)."""
         mu = complex(mu)
         if self.spectral_distance(mu) <= self.singular_tol:
             raise SingularResolvent(f"mu={mu} within tolerance of the spectrum")
-        if self.structure == "diagonal":
-            # normal operator: both norms reduce to 1/dist(mu, sigma(A))
+        if self.e0_norm == "euclidean" and self.resolvent_factor[2]:
             return 1.0 / self.spectral_distance(mu)
         R = mu * np.eye(self.dim) - self.matrix
         if self.e0_norm == "euclidean":
@@ -175,7 +206,7 @@ class OperatorPair:
         if self.structure == "diagonal":
             I = np.eye(self.dim)
             return I, np.diag(A).copy(), I
-        if np.allclose(A, A.conj().T, rtol=0, atol=1e-14 * (1 + self.matrix_norm)):
+        if self.is_hermitian:
             lam, Q = np.linalg.eigh(A)
             return Q, lam.astype(complex), Q.conj().T
         lam, Q = np.linalg.eig(A)

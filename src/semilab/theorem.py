@@ -26,7 +26,6 @@ from .errors import (
 from .forcing import ExpForcing
 from .operators import SpectralReport
 from .timegrid import GridFunction, TimeGrid
-from .util import map_indexed
 
 
 # -- a-priori inequality -------------------------------------------------------------------
@@ -252,14 +251,12 @@ def halfplane_scan(op, omega, mu_grid, M_hat=None):
     if any(m.real <= omega for m in mu_grid):
         raise ConfigError("all scan points must satisfy Re mu > omega")
 
-    def probe(mu):
+    scan = []
+    for mu in mu_grid:
         try:
-            return op.resolvent_norm(mu)
+            scan.append((mu, op.resolvent_norm(mu)))
         except SingularResolvent:
-            return math.inf
-
-    norms = map_indexed(probe, mu_grid)
-    scan = list(zip(mu_grid, norms))
+            scan.append((mu, math.inf))
     weighted = [(1.0 + abs(m)) * r for m, r in scan]
     N = max(weighted) if weighted else math.inf
     report = SpectralReport(eigenvalues=op.eigenvalues,

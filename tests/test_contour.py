@@ -68,6 +68,18 @@ class TestAgreementWithOracle:
         true_err = diag_12.norm0(r.value - diag_12.semigroup_apply_oracle(1.0, x))
         assert true_err <= max(10.0 * r.error_estimate, 1e-12)
 
+    def test_error_estimate_flags_spectrum_outside_sector(self, rng):
+        # the box spectrum of random_normal_operator reaches |Im| = 8 at
+        # Re = s(A), outside the sector the contour is designed for: the
+        # result misses 1e-8, and the estimate must not claim otherwise
+        op = sl.random_normal_operator(64, seed=2)
+        x = random_vector(rng, 64)
+        c = sl.build_contour(op, 1.0, node_count=64)
+        r = sl.semigroup_apply_contour(op, c, 1.0, x)
+        true_err = op.norm0(r.value - op.semigroup_apply_oracle(1.0, x))
+        assert true_err > 1e-8
+        assert r.error_estimate >= true_err
+
 
 class TestSpectrumGuards:
     def test_eigenvalue_outside_contour(self):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -94,6 +95,104 @@ class TestResolvent:
         lhs = op.resolvent_solve(mu, y) - op.resolvent_solve(nu, y)
         rhs = (nu - mu) * op.resolvent_solve(mu, op.resolvent_solve(nu, y))
         assert op.norm0(lhs - rhs) <= 1e-10 * max(op.norm0(lhs), 1.0)
+
+
+def _nonnormal_dense(n, seed):
+    """Q (D + N) Q*: real spectrum in [-9, -1], strictly upper triangular N."""
+    rng = np.random.default_rng(seed)
+    d = -(1.0 + 8.0 * rng.random(n))
+    N = np.triu(rng.standard_normal((n, n)), 1) * (2.0 / np.sqrt(n))
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    return sl.OperatorPair(Q @ (np.diag(d) + N) @ Q.conj().T)
+
+
+def _svd_norm(op, mu):
+    return 1.0 / scipy.linalg.svdvals(mu * np.eye(op.dim) - op.matrix)[-1]
+
+
+MUS = [0.3, 1j, 2.0 - 4.0j, 0.5 + 40.0j, 7.0]
+
+
+class TestResolventFactor:
+    """The cached factor A = Z T Z* against independent dense oracles."""
+
+    @pytest.mark.parametrize("name", ["diag", "lap16", "lap64", "normal16"])
+    def test_normal_norm_matches_svd(self, corpus, name):
+        op = corpus[name]
+        assert op.resolvent_backend == "normal"
+        for mu in MUS:
+            assert op.resolvent_norm(mu) == pytest.approx(_svd_norm(op, mu), rel=1e-10)
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(min_value=0, max_value=10_000),
+           st.complex_numbers(max_magnitude=50.0, allow_nan=False, allow_infinity=False))
+    def test_normal_norm_property(self, seed, mu):
+        op = sl.random_normal_operator(16, seed=seed)
+        mu = complex(abs(mu.real), mu.imag)   # Re mu >= 0 > -0.5 >= s(A)
+        assert op.resolvent_backend == "normal"
+        assert op.resolvent_norm(mu) == pytest.approx(_svd_norm(op, mu), rel=1e-10)
+
+    @pytest.mark.parametrize("make", [lambda: sl.jordan_block(-1.0, 3),
+                                      lambda: sl.jordan_block(-2.0, 8),
+                                      lambda: _nonnormal_dense(32, seed=4)],
+                             ids=["jordan3", "jordan8", "nonnormal32"])
+    def test_solve_matches_dense_solve(self, make, rng):
+        op = make()
+        assert op.resolvent_backend == "schur"
+        Y = random_vector(rng, op.dim)[:, None] * np.ones(3) + np.eye(op.dim, 3)
+        for mu in MUS:
+            ref = np.linalg.solve(mu * np.eye(op.dim) - op.matrix, Y)
+            got = op.resolvent_solve(mu, Y)
+            assert np.linalg.norm(got - ref) <= 1e-10 * np.linalg.norm(ref)
+            assert np.linalg.norm(op.resolvent_solve(mu, Y[:, 0]) - ref[:, 0]) \
+                <= 1e-10 * np.linalg.norm(ref[:, 0])
+
+    def test_perturbed_normal_is_schur(self):
+        base = sl.random_normal_operator(16, seed=7)
+        G = np.random.default_rng(5).standard_normal((16, 16))
+        op = sl.OperatorPair(base.matrix + 1e-6 * np.triu(G, 1))
+        assert op.resolvent_backend == "schur"
+        for mu in MUS:
+            assert op.resolvent_norm(mu) == pytest.approx(_svd_norm(op, mu), rel=1e-12)
+
+    def test_factor_computed_once(self, monkeypatch, rng):
+        calls = []
+        schur = scipy.linalg.schur
+        monkeypatch.setattr(scipy.linalg, "schur",
+                            lambda *a, **k: calls.append(1) or schur(*a, **k))
+        for op in (sl.random_normal_operator(16, seed=3), _nonnormal_dense(16, seed=3)):
+            y = random_vector(rng, 16)
+            for mu in MUS:
+                op.resolvent_norm(mu)
+                op.resolvent_solve(mu, y)
+        assert len(calls) == 2
+
+    def test_normal_norms_and_contour_need_no_svd_or_solve(self, monkeypatch, rng):
+        op = sl.random_normal_operator(32, seed=5)
+        calls = []
+        for name in ("svd", "solve"):
+            fn = getattr(np.linalg, name)
+            monkeypatch.setattr(np.linalg, name,
+                                lambda *a, _fn=fn, **k: calls.append(1) or _fn(*a, **k))
+        sl.halfplane_scan(op, -0.5, MUS)
+        c = sl.build_contour(op, 0.1, node_count=32)
+        sl.semigroup_apply_contour(op, c, 0.1, random_vector(rng, 32))
+        assert op.resolvent_backend == "normal"
+        assert calls == []
+
+    def test_complex_hermitian_tridiagonal(self):
+        rng = np.random.default_rng(6)
+        d = rng.standard_normal(6)
+        e = rng.standard_normal(5) + 1j * rng.standard_normal(5)
+        A = np.diag(d) + np.diag(e, 1) + np.diag(e.conj(), -1)
+        op = sl.OperatorPair(A, structure="tridiagonal")
+        ref = np.linalg.eigvalsh(A)
+        assert np.allclose(np.sort(op.eigenvalues.real), ref, rtol=0, atol=1e-13)
+        assert op.spectral_bound == pytest.approx(ref[-1], abs=1e-13)
+        Z, lam, normal = op.resolvent_factor
+        assert normal
+        assert np.allclose(Z @ np.diag(lam) @ Z.conj().T, A, rtol=0, atol=1e-13)
+        assert np.allclose(Z.conj().T @ Z, np.eye(6), rtol=0, atol=1e-14)
 
 
 class TestSemigroupOracle:
