@@ -88,6 +88,8 @@ class OperatorPair:
 
     @cached_property
     def matrix_norm(self):
+        if self.structure == "diagonal":  # both E0 operator norms are max |a_kk|
+            return float(np.max(np.abs(np.diag(self.matrix)), initial=0.0))
         return self.operator_norm(self.matrix)
 
     # -- spectrum ----------------------------------------------------------
@@ -134,10 +136,11 @@ class OperatorPair:
     @cached_property
     def resolvent_factor(self):
         """(Z, T, normal) with A = Z T Z*, Z unitary: T is the 1-D eigenvalue
-        vector if A is normal, else the upper-triangular complex Schur factor."""
+        vector if A is normal, else the upper-triangular complex Schur factor.
+        Z is None for structure=diagonal, where Z = I is never formed."""
         A = self.matrix
         if self.structure == "diagonal":
-            return np.eye(self.dim, dtype=complex), np.diag(A).copy(), True
+            return None, np.diag(A).copy(), True
         if self.structure == "tridiagonal" and self.is_hermitian:
             e = np.diag(A, 1)
             lam, V = scipy.linalg.eigh_tridiagonal(np.real(np.diag(A)), np.abs(e))
@@ -164,6 +167,8 @@ class OperatorPair:
         if self.spectral_distance(mu) <= self.singular_tol:
             raise SingularResolvent(f"mu={mu} within tolerance of the spectrum")
         Z, T, normal = self.resolvent_factor
+        if Z is None:
+            return (y.T / (mu - T)).T
         w = np.conj(Z.T @ np.conj(y))  # Z* y without a conjugated copy of Z
         if normal:
             return Z @ (w.T / (mu - T)).T
@@ -207,8 +212,8 @@ class OperatorPair:
             I = np.eye(self.dim)
             return I, np.diag(A).copy(), I
         if self.is_hermitian:
-            lam, Q = np.linalg.eigh(A)
-            return Q, lam.astype(complex), Q.conj().T
+            Z, lam, _ = self.resolvent_factor
+            return Z, lam, Z.conj().T
         lam, Q = np.linalg.eig(A)
         cond = np.linalg.cond(Q)
         if not np.isfinite(cond) or cond > 1e6:

@@ -14,7 +14,7 @@ import numpy as np
 
 from .cauchy import CauchySolver, estimate_M
 from .errors import ConfigError, MissingDerivative, NotDiagonal
-from .forcing import ExpForcing
+from .forcing import ExpForcing, PolyForcing, ZeroForcing
 from .theorem import (
     halfplane_scan,
     maxreg_inequality_check,
@@ -110,21 +110,17 @@ def weighted_maxreg_check(op, grid, sigma, mu, x, M_hat, c2_hat=None):
 
 
 def trace_norm_upper(op, x, grid, sigma=1.0):
-    """Weighted E1(J)-norm of t -> e^{tA}x: an upper bound for the trace
-    norm inf{||u||_{E1(J)} : u(0) = x}, since the semigroup orbit is one
-    admissible extension (the true infimum is not computed)."""
+    """Weighted E1(J)-norm of the orbit t -> e^{tA}x: an upper bound for
+    the trace norm inf{||u||_{E1(J)} : u(0) = x}, since the orbit is one
+    admissible extension (the true infimum is not computed). The orbit u
+    and Au come from one zero-forcing solve on the grid, and the bound is
+    sup_t t^{1-sigma} (2||Au(t)||_0 + ||u(t)||_0) over the nodes."""
     x = op.check_vector(x)
     if op.norm0(x) == 0:
         raise ConfigError("trace norm upper bound requires x != 0")
-    w = time_weights(grid, sigma)
-    best = 0.0
-    for t, wt in zip(grid.nodes, w):
-        if wt == 0.0:
-            continue
-        u = op.semigroup_apply_oracle(t, x)
-        au = op.matrix @ u
-        best = max(best, wt * (2.0 * op.norm0(au) + op.norm0(u)))
-    return float(best)
+    u = CauchySolver(op, grid).solve(ZeroForcing(op.dim), x)
+    graph = 2.0 * op.norm0_rows(u.derivative_values) + op.norm0_rows(u.values)
+    return float(np.max(time_weights(grid, sigma) * graph))
 
 
 def interp_norm_diag(op, x, theta):
@@ -183,7 +179,6 @@ def lp_norms(op, u, p):
 
 
 def _scale_probe(probe, w):
-    from .forcing import PolyForcing, ZeroForcing
     f, x = probe
     xs = w * np.asarray(x, dtype=complex)
     if isinstance(f, ExpForcing):

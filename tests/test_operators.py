@@ -167,6 +167,27 @@ class TestResolventFactor:
                 op.resolvent_solve(mu, y)
         assert len(calls) == 2
 
+    def test_diagonal_solve_is_elementwise(self, rng):
+        lam = -np.arange(1.0, 257.0) + 1j * np.linspace(-3.0, 3.0, 256)
+        op = sl.diagonal_operator(lam)
+        assert all(np.ndim(part) < 2 for part in op.resolvent_factor)
+        Y = np.stack([random_vector(rng, 256) for _ in range(3)], axis=1)
+        for mu in MUS:
+            assert np.array_equal(op.resolvent_solve(mu, Y[:, 0]), Y[:, 0] / (mu - lam))
+            assert np.array_equal(op.resolvent_solve(mu, Y), Y / (mu - lam)[:, None])
+
+    def test_hermitian_diagonalization_is_the_factor(self, monkeypatch):
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda *a, **k: calls.append(1) or eigh(*a, **k))
+        G = np.random.default_rng(8).standard_normal((12, 12))
+        for op in (sl.laplacian_1d(16), sl.OperatorPair(G + G.T)):
+            Q, lam, Qinv = op.diagonalization
+            Z, T, normal = op.resolvent_factor
+            assert Q is Z and lam is T and normal
+            assert np.array_equal(Qinv, Z.conj().T)
+        assert len(calls) == 1  # the dense Hermitian one; the Laplacian is tridiagonal
+
     def test_normal_norms_and_contour_need_no_svd_or_solve(self, monkeypatch, rng):
         op = sl.random_normal_operator(32, seed=5)
         calls = []

@@ -3,6 +3,7 @@ import pytest
 
 import semilab as sl
 from semilab.errors import ConfigError, MissingDerivative, NotDiagonal
+from semilab.theorem import time_weights
 from semilab.weighted import theta_sweep
 
 from conftest import random_vector
@@ -101,6 +102,38 @@ class TestTraceNorm:
     def test_rejects_zero_vector(self, grid, diag_12):
         with pytest.raises(ConfigError):
             sl.trace_norm_upper(diag_12, np.zeros(2), grid, 1.0)
+
+    ORBIT_OPERATORS = {
+        "diag": lambda: sl.diagonal_operator([-1.0, -2.0]),
+        "lap16": lambda: sl.laplacian_1d(16),
+        "lap64": lambda: sl.laplacian_1d(64),
+        "jordan8": lambda: sl.jordan_block(-2.0, 8),
+        "normal16": lambda: sl.random_normal_operator(16, seed=7),
+    }
+
+    @pytest.mark.parametrize("name", sorted(ORBIT_OPERATORS))
+    def test_matches_expm_orbit(self, grid, name, rng):
+        # differential test: the solver's orbit against one expm per node
+        op = self.ORBIT_OPERATORS[name]()
+        x = random_vector(rng, op.dim)
+        orbit = [op.semigroup_apply_oracle(t, x) for t in grid.nodes]
+        for sigma in (1.0, 0.5):
+            ref = 0.0
+            for u, wt in zip(orbit, time_weights(grid, sigma)):
+                if wt > 0.0:
+                    ref = max(ref, wt * (2.0 * op.norm0(op.matrix @ u) + op.norm0(u)))
+            got = sl.trace_norm_upper(op, x, grid, sigma)
+            assert abs(got - ref) <= 1e-12 * ref, (name, sigma, got, ref)
+
+    def test_needs_no_expm_oracle(self, grid, rng, monkeypatch):
+        def refuse(self, t, x):
+            raise AssertionError("semigroup_apply_oracle called")
+
+        monkeypatch.setattr(sl.OperatorPair, "semigroup_apply_oracle", refuse)
+        for op in (sl.diagonal_operator([-1.0, -2.0]), sl.laplacian_1d(16),
+                   sl.jordan_block(-2.0, 8)):
+            for sigma in (1.0, 0.5):
+                assert sl.trace_norm_upper(op, random_vector(rng, op.dim), grid, sigma) > 0
 
     def test_upper_bounds_interp_norm(self, grid):
         # regression-style inequality with a recorded equivalence constant
