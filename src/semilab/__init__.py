@@ -55,7 +55,6 @@ from .theorem import (
 from .timegrid import GridFunction, TimeGrid, e0_norm_J, e1_norm_J, extend_constant, restrict
 from .weighted import (
     DPGScale,
-    WeightParams,
     dpg_scale,
     interp_norm_diag,
     lp_norms,

@@ -12,10 +12,11 @@ width h it reads tables built once and cached on the solver: the
 propagators e^{h r (A - s)} from the panel start to each output point r
 (the q Gauss nodes, then the right edge), the weights that map the q
 forcing samples to each output point, and the weights of the integral over
-the panel. When A has a trustworthy diagonalization the tables are (dim, 1)
-columns in eigen coordinates, built from scalar phi functions and applied
-elementwise; otherwise they are dim x dim matrices built from the augmented
-matrix exponential and applied by matrix products.
+the panel. When A is normal the tables are (dim, 1) columns in the
+coordinates of the unitary eigenbasis Z of the operator's resolvent factor,
+built from scalar phi functions and applied elementwise; otherwise
+(defective or non-normal A) they are dim x dim matrices built from the
+augmented matrix exponential and applied by matrix products.
 
 The solver doubles as the black-box K_A interface of the resolvent
 reconstruction: it exposes solutions and solution functionals (weighted
@@ -81,9 +82,6 @@ class CauchySolver:
     def T(self):
         return self.grid.T
 
-    def with_grid(self, grid):
-        return CauchySolver(self.op, grid)
-
     def refined_for(self, rate):
         """Solver on a panel-split grid fine enough for a profile with the
         given exponential/oscillation rate."""
@@ -91,7 +89,7 @@ class CauchySolver:
         factor = int(np.ceil(rate * width / _RATE_BUDGET))
         if factor <= 1:
             return self
-        return self.with_grid(self.grid.refined(factor))
+        return CauchySolver(self.op, self.grid.refined(factor))
 
     def operator_norm(self, B):
         # norm-tag plumbing only; does not reveal the operator
@@ -169,13 +167,14 @@ class CauchySolver:
         x0 = np.asarray(x0, dtype=complex)
         F = forcing.sample(grid.gl_times.ravel()).reshape(grid.panels, -1, self.dim)
         diag = self.op.diagonalization
-        if diag is not None:
-            Q, _, Qinv = diag
-            v, _ = self._propagate(0.0, (F @ Qinv.T)[..., None], (Qinv @ x0)[:, None])
-            values = v[..., 0] @ Q.T
-        else:
+        Z = None if diag is None else diag[0]
+        if Z is None:  # dense backend, or a diagonal A: no change of basis
             v, _ = self._propagate(0.0, F[..., None], x0[:, None])
             values = v[..., 0]
+        else:
+            ZH = Z.conj().T
+            v, _ = self._propagate(0.0, (F @ ZH.T)[..., None], (ZH @ x0)[:, None])
+            values = v[..., 0] @ Z.T
         values[0] = x0
         derivative = values @ self.op.matrix.T + forcing.sample(grid.nodes)
         return GridFunction(grid, values, derivative)
@@ -203,12 +202,14 @@ class CauchySolver:
         if diag is not None:
             # the response to profile(t) I is diagonal in eigen coordinates:
             # one column of ones carries all of it
-            Q, _, Qinv = diag
+            Z = diag[0]
             ones = np.ones((self.dim, 1), dtype=complex)
             v, w = self._propagate(mu, profile * ones, np.zeros_like(ones))
-            W = (Q * w[:, 0]) @ Qinv
-            UT = np.exp(mu * grid.T) * (Q * v[-1, :, 0]) @ Qinv
-            return W, UT
+            w, vT, eT = w[:, 0], v[-1, :, 0], np.exp(mu * grid.T)
+            if Z is None:
+                return np.diag(w), np.diag(eT * vT)
+            ZH = Z.conj().T
+            return (Z * w) @ ZH, eT * (Z * vT) @ ZH
         I = np.eye(self.dim, dtype=complex)
         v, w = self._propagate(mu, profile * I, np.zeros_like(I))
         return w, np.exp(mu * grid.T) * v[-1]

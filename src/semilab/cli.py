@@ -57,6 +57,8 @@ def parse_mu_grid(spec):
             raise ConfigError(f"bad mu-grid spec {spec!r}") from None
         if re_lo <= 0:
             raise ConfigError("mu-grid real parts must be positive (log spacing)")
+        if min(int(n_re), int(n_im)) < 1:
+            raise ConfigError(f"mu-grid {spec!r} has no points")
         res = np.logspace(np.log10(re_lo), np.log10(re_hi), int(n_re))
         ims = np.linspace(im_lo, im_hi, int(n_im))
         return [complex(r, i) for r in res for i in ims]
@@ -194,10 +196,7 @@ def run_weighted(op, args, out):
     x = _random_unit(op, args.seed)
     chk = weighted_maxreg_check(op, grid, args.sigma, mu, x, est.M_hat,
                                 c2_hat=est.c2_hat)
-    solver = CauchySolver(op, grid)
-    from .forcing import ExpForcing
-    u = solver.solve_ka(ExpForcing(mu, x))
-    wn = weighted_norm(op, u, args.sigma)
+    wn = weighted_norm(op, chk.u, args.sigma)
     tr = trace_norm_upper(op, x, grid, args.sigma)
     report = {"sigma": args.sigma, "lhs": chk.lhs, "rhs": chk.rhs,
               "inequality_pass": chk.passed,
@@ -284,6 +283,10 @@ def main(argv=None):
             raise _UsageError("--T must be positive")
         if not 0.0 < args.sigma <= 1.0:
             raise _UsageError("--sigma must lie in (0, 1]")
+        if args.panels < 2:
+            raise _UsageError("--panels must be at least 2")
+        if args.seed < 0:
+            raise _UsageError("--seed must be nonnegative")
         op = load_operator(args.operator)
     except (_UsageError, OSError, SemilabError, ValueError) as exc:
         print(f"semilab: error: {exc}", file=sys.stderr)

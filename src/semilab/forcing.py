@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError
-from .operators import parse_complex, parse_vector
+from .operators import parse_complex, parse_spec, parse_vector
 
 
 class Forcing:
@@ -37,9 +37,6 @@ class ZeroForcing(Forcing):
     def sample(self, ts):
         return np.zeros((len(ts), self.dim), dtype=complex)
 
-    def describe(self):
-        return "zero"
-
 
 class ExpForcing(Forcing):
     """f(t) = e^{-mu t} y (the proof's probe family f_mu)."""
@@ -56,9 +53,6 @@ class ExpForcing(Forcing):
     def sample(self, ts):
         return np.exp(-self.mu * np.asarray(ts))[:, None] * self.y[None, :]
 
-    def describe(self):
-        return f"exp mu={self.mu}"
-
 
 class PolyForcing(Forcing):
     """f(t) = (c_0 + c_1 t + ... ) y."""
@@ -72,9 +66,6 @@ class PolyForcing(Forcing):
         p = np.polynomial.polynomial.polyval(np.asarray(ts), self.coeffs)
         return p[:, None] * self.y[None, :]
 
-    def describe(self):
-        return f"poly deg={len(self.coeffs) - 1}"
-
 
 class CallableForcing(Forcing):
     """General vector-valued forcing given as a callable t -> C^dim."""
@@ -87,9 +78,6 @@ class CallableForcing(Forcing):
     def sample(self, ts):
         return np.array([self.fn(t) for t in ts], dtype=complex).reshape(len(ts), self.dim)
 
-    def describe(self):
-        return "callable"
-
 
 # -- probe description files -------------------------------------------------
 
@@ -97,8 +85,7 @@ class CallableForcing(Forcing):
 def parse_probe_line(line, dim):
     """One probe per line: ``exp mu=<complex> y=<vec>`` | ``poly
     coeffs=<list> [y=<vec>]`` | ``ic x=<vec>``. Returns (forcing, x)."""
-    parts = line.split()
-    kind, args = parts[0], dict(p.split("=", 1) for p in parts[1:] if "=" in p)
+    kind, args = parse_spec(line, "probe")
     ones = np.ones(dim, dtype=complex)
     if kind == "exp":
         y = parse_vector(args["y"]) if "y" in args else ones
@@ -149,10 +136,11 @@ def default_probes(op, seed=0, n_exp=6, n_poly=2, n_ic=4):
         probes.append((PolyForcing(coeffs, y / np.linalg.norm(y)),
                        np.zeros(dim, complex)))
     diag = op.diagonalization
-    eigvecs = None if diag is None else diag[0]
     for k in range(n_ic):
-        if eigvecs is not None and k < min(2, dim):
-            x = eigvecs[:, k].astype(complex)
+        if diag is not None and k < min(2, dim):
+            # eigenvector k: column k of the unitary Z, or e_k when Z = I
+            Z = diag[0]
+            x = np.eye(1, dim, k, dtype=complex)[0] if Z is None else Z[:, k].astype(complex)
         else:
             x = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
             x = x / np.linalg.norm(x)

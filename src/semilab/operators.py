@@ -34,8 +34,8 @@ class OperatorPair:
 
     def __init__(self, matrix, e0_norm="euclidean", structure="dense"):
         matrix = np.array(matrix, dtype=complex)
-        if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-            raise DimensionMismatch(f"matrix must be square, got {matrix.shape}")
+        if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1] or matrix.size == 0:
+            raise DimensionMismatch(f"matrix must be square and nonempty, got {matrix.shape}")
         if e0_norm not in E0_NORMS:
             raise ConfigError(f"unknown e0_norm {e0_norm!r}")
         if structure not in STRUCTURES:
@@ -141,16 +141,19 @@ class OperatorPair:
         A = self.matrix
         if self.structure == "diagonal":
             return None, np.diag(A).copy(), True
-        if self.structure == "tridiagonal" and self.is_hermitian:
-            e = np.diag(A, 1)
-            lam, V = scipy.linalg.eigh_tridiagonal(np.real(np.diag(A)), np.abs(e))
-            # A = P V diag(lam) V^T P*, P = diag(p) carrying the phases of e
-            p = np.cumprod(np.divide(np.conj(e), np.abs(e), out=np.ones_like(e), where=e != 0))
-            return np.concatenate([[1.0], p])[:, None] * V, lam.astype(complex), True
-        if self.is_hermitian:
-            lam, Z = np.linalg.eigh(A)
-            return Z, lam.astype(complex), True
-        T, Z = scipy.linalg.schur(A, output="complex")
+        try:
+            if self.structure == "tridiagonal" and self.is_hermitian:
+                e = np.diag(A, 1)
+                lam, V = scipy.linalg.eigh_tridiagonal(np.real(np.diag(A)), np.abs(e))
+                # A = P V diag(lam) V^T P*, P = diag(p) carrying the phases of e
+                p = np.cumprod(np.divide(e.conj(), np.abs(e), out=np.ones_like(e), where=e != 0))
+                return np.concatenate([[1.0], p])[:, None] * V, lam.astype(complex), True
+            if self.is_hermitian:
+                lam, Z = np.linalg.eigh(A)
+                return Z, lam.astype(complex), True
+            T, Z = scipy.linalg.schur(A, output="complex")
+        except np.linalg.LinAlgError as exc:
+            raise EigenFailure(str(exc)) from None
         # Weyl: dropping N = triu(T, 1) moves each singular value of mu - T by <= ||N||
         if np.linalg.norm(np.triu(T, 1)) <= self.singular_tol:
             return Z, np.diag(T).copy(), True
@@ -205,23 +208,11 @@ class OperatorPair:
 
     @cached_property
     def diagonalization(self):
-        """(Q, lam, Qinv) with A = Q diag(lam) Qinv when this is numerically
-        trustworthy, else None (defective / badly conditioned eigenbasis)."""
-        A = self.matrix
-        if self.structure == "diagonal":
-            I = np.eye(self.dim)
-            return I, np.diag(A).copy(), I
-        if self.is_hermitian:
-            Z, lam, _ = self.resolvent_factor
-            return Z, lam, Z.conj().T
-        lam, Q = np.linalg.eig(A)
-        cond = np.linalg.cond(Q)
-        if not np.isfinite(cond) or cond > 1e6:
-            return None
-        Qinv = np.linalg.inv(Q)
-        if np.linalg.norm(Q @ np.diag(lam) @ Qinv - A) > 1e-12 * (1 + self.matrix_norm):
-            return None
-        return Q, lam, Qinv
+        """(Z, lam) with A = Z diag(lam) Z*, read from the resolvent factor of
+        a normal A (Z is None for structure=diagonal); None otherwise, which
+        sends the Cauchy solver to its dense backend."""
+        Z, lam, normal = self.resolvent_factor
+        return (Z, lam) if normal else None
 
 
 @dataclass
@@ -286,9 +277,30 @@ def parse_complex(tok):
 
 
 def parse_vector(text):
-    """Complex tokens separated by commas, semicolons or whitespace."""
+    """Complex tokens separated by commas, semicolons or whitespace; at
+    least one, since no vector of the laboratory is empty."""
     toks = [t for t in re.split(r"[,;\s]+", text.strip()) if t]
+    if not toks:
+        raise ConfigError(f"expected a list of numbers, got {text!r}")
     return np.array([parse_complex(t) for t in toks])
+
+
+class _SpecArgs(dict):
+    """The key=value arguments of one spec line; a missing key is a ConfigError."""
+
+    def __missing__(self, key):
+        raise ConfigError(f"{self.what} needs {key}=<value>")
+
+
+def parse_spec(text, what):
+    """``name key=value ...`` as (name, args), the shared form of generator
+    specs and probe lines; ConfigError if empty."""
+    parts = text.split()
+    if not parts:
+        raise ConfigError(f"empty {what}")
+    args = _SpecArgs(p.split("=", 1) for p in parts[1:] if "=" in p)
+    args.what = f"{what} {parts[0]!r}"
+    return parts[0], args
 
 
 def parse_operator_text(text):
@@ -320,8 +332,7 @@ def parse_operator_text(text):
     if gen is not None and rows:
         raise ConfigError("give either 'matrix = <generator>' or 'row =' lines, not both")
     if gen is not None:
-        parts = gen.split()
-        name, args = parts[0], dict(p.split("=", 1) for p in parts[1:] if "=" in p)
+        name, args = parse_spec(gen, "matrix generator")
         if name == "laplacian1d":
             op = laplacian_1d(int(args["n"]), e0_norm=e0_norm)
         elif name == "diag":

@@ -69,15 +69,6 @@ class TimeGrid:
     def node_index_of_edge(self, k):
         return k * (self.nodes_per_panel + 1)
 
-    def node_index_of_gl(self, k, j):
-        return k * (self.nodes_per_panel + 1) + 1 + j
-
-    @property
-    def gl_node_indices(self):
-        q = self.nodes_per_panel
-        return np.array([[self.node_index_of_gl(k, j) for j in range(q)]
-                         for k in range(self.panels)])
-
     def edge_index(self, t, tol=1e-12):
         """Index into ``edges`` of the panel edge equal to t, or None."""
         hits = np.nonzero(np.abs(self.edges - t) <= tol * (1.0 + self.T))[0]
@@ -87,9 +78,8 @@ class TimeGrid:
         """Integrate over [0, T] a function given by its values at all grid
         nodes (first axis), using the panel Gauss-Legendre rule."""
         samples = np.asarray(samples)
-        gl = samples[self.gl_node_indices.ravel()]
-        w = self.gl_weights.ravel()
-        return np.tensordot(w, gl, axes=(0, 0))
+        gl = samples[np.arange(len(self.nodes)) % (self.nodes_per_panel + 1) != 0]  # no edges
+        return np.tensordot(self.gl_weights.ravel(), gl, axes=(0, 0))
 
     def refined(self, factor=2):
         """Same interval and node count per panel, each panel split in two
@@ -124,31 +114,6 @@ class GridFunction:
     @property
     def dim(self):
         return self.values.shape[1]
-
-    @classmethod
-    def from_callable(cls, grid, fn, dfn=None):
-        vals = np.array([fn(t) for t in grid.nodes], dtype=complex)
-        dvals = None if dfn is None else np.array([dfn(t) for t in grid.nodes],
-                                                  dtype=complex)
-        return cls(grid, vals, dvals)
-
-    def value_at(self, t, tol=1e-12):
-        hits = np.nonzero(np.abs(self.grid.nodes - t) <= tol * (1.0 + self.grid.T))[0]
-        if not hits.size:
-            raise BadEndpoint(f"t={t} is not a grid node")
-        return self.values[int(hits[0])]
-
-    def __add__(self, other):
-        dv = None
-        if self.derivative_values is not None and other.derivative_values is not None:
-            dv = self.derivative_values + other.derivative_values
-        return GridFunction(self.grid, self.values + other.values, dv)
-
-    def __mul__(self, c):
-        dv = None if self.derivative_values is None else c * self.derivative_values
-        return GridFunction(self.grid, c * self.values, dv)
-
-    __rmul__ = __mul__
 
 
 def e0_norm_J(op, f):

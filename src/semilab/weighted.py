@@ -21,21 +21,7 @@ from .theorem import (
     omega1_weighted,
     time_weights,
 )
-
-
-@dataclass(frozen=True)
-class WeightParams:
-    sigma: float = 1.0
-    theta: float = 0.5
-    p: float = 2.0
-
-    def __post_init__(self):
-        if not 0.0 < self.sigma <= 1.0:
-            raise ConfigError(f"sigma={self.sigma} outside (0, 1]")
-        if not 0.0 < self.theta < 1.0:
-            raise ConfigError(f"theta={self.theta} outside (0, 1)")
-        if not 1.0 < self.p < np.inf:
-            raise ConfigError(f"p={self.p} outside (1, inf)")
+from .timegrid import GridFunction
 
 
 @dataclass
@@ -85,12 +71,14 @@ class WeightedMaxregCheck:
     endpoint_value: float
     endpoint_bound: float | None
     endpoint_ok: bool | None
+    u: GridFunction            # u_mu, whose endpoint value is checked
 
 
 def weighted_maxreg_check(op, grid, sigma, mu, x, M_hat, c2_hat=None):
     """Weighted a-priori inequality plus the endpoint estimate
     T^{1-sigma} ||u_mu(T)||_0 <= c2_hat T^{1-sigma} ||x||_0, where
-    u_mu solves the zero-initial-data problem with forcing e^{-mu t}x."""
+    u_mu solves the zero-initial-data problem with forcing e^{-mu t}x
+    (returned with the check)."""
     lhs, rhs, passed = maxreg_inequality_check(op, grid, mu, x, M_hat, sigma)
     mu = complex(mu)
     x = op.check_vector(x)
@@ -106,7 +94,7 @@ def weighted_maxreg_check(op, grid, sigma, mu, x, M_hat, c2_hat=None):
     return WeightedMaxregCheck(lhs=lhs, rhs=rhs, passed=passed,
                                endpoint_value=endpoint_value,
                                endpoint_bound=endpoint_bound,
-                               endpoint_ok=endpoint_ok)
+                               endpoint_ok=endpoint_ok, u=u)
 
 
 def trace_norm_upper(op, x, grid, sigma=1.0):
@@ -144,15 +132,6 @@ class DPGScale:
     theta: float
     weights: np.ndarray         # (1+|lam_k|)^theta
     graph_weights: np.ndarray   # (1+|lam_k|)^{1+theta}
-
-    def scale_vector(self, x):
-        return self.weights * np.asarray(x, dtype=complex)
-
-    def norm_theta(self, x):
-        return float(np.max(np.abs(self.scale_vector(x))))
-
-    def norm_one_plus_theta(self, x):
-        return float(np.max(self.graph_weights * np.abs(np.asarray(x))))
 
 
 def dpg_scale(op, theta):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 import semilab as sl
 from semilab.errors import EmptyProbeSet, HypothesisViolation, NotANode
@@ -206,3 +207,48 @@ class TestBackendsAgree:
         ud = sl.CauchySolver(dense, grid).solve(f, x0)
         for a, b in ((ue.values, ud.values), (ue.derivative_values, ud.derivative_values)):
             assert np.max(np.abs(a - b)) <= 1e-10 * np.max(np.abs(a)), name
+
+
+class TestOneFactorization:
+    """The eigen backend reads the operator's resolvent factor; operators
+    whose factor is not normal take the dense backend."""
+
+    def test_normal_solves_reuse_the_schur_factor(self, grid, monkeypatch, rng):
+        schurs, others = [], []
+        schur = scipy.linalg.schur
+        monkeypatch.setattr(scipy.linalg, "schur",
+                            lambda *a, **k: schurs.append(1) or schur(*a, **k))
+        for name in ("eig", "inv", "cond"):
+            fn = getattr(np.linalg, name)
+            monkeypatch.setattr(np.linalg, name,
+                                lambda *a, _fn=fn, **k: others.append(1) or _fn(*a, **k))
+        op = sl.random_normal_operator(16, seed=7)
+        x = random_vector(rng, 16)
+        op.resolvent_norm(2.0)
+        op.resolvent_solve(2.0, x)
+        solver = sl.CauchySolver(op, grid)
+        solver.solve(sl.ExpForcing(3.0 + 2.0j, x), x)
+        for mu in (0.5, 2.0 + 4.0j, 32.0 - 16.0j):
+            solver.exp_functionals(mu)
+        sl.default_probes(op)
+        assert op.diagonalization is not None
+        assert len(schurs) == 1
+        assert others == []
+
+    def test_nonnormal_diagonalizable_is_dense(self, grid, rng):
+        # Q (D + N) Q*: distinct real eigenvalues, strictly upper triangular N
+        g = np.random.default_rng(12)
+        d = -(1.0 + 8.0 * g.random(12))
+        N = np.triu(g.standard_normal((12, 12)), 1) * (2.0 / np.sqrt(12))
+        Q, _ = np.linalg.qr(g.standard_normal((12, 12)) + 1j * g.standard_normal((12, 12)))
+        op = sl.OperatorPair(Q @ (np.diag(d) + N) @ Q.conj().T)
+        assert np.linalg.cond(np.linalg.eig(op.matrix)[1]) < 1e6  # diagonalizable
+        assert op.diagonalization is None
+        x = random_vector(rng, 12)
+        u = sl.solve_ivp(op, sl.ZeroForcing(12), x, grid)
+        for i in (len(u.grid.nodes) // 2, -1):
+            exact = op.semigroup_apply_oracle(u.grid.nodes[i], x)
+            assert op.norm0(u.values[i] - exact) <= 1e-10 * op.norm0(exact)
+        solver = sl.CauchySolver(op, grid)
+        for mu in (0.5, 2.0 + 4.0j, 32.0 - 16.0j):
+            assert sl.surjectivity_identity_check(op, sl.assemble_U_V(solver, mu), x) <= 1e-8

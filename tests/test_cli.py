@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from semilab.cli import main, parse_mu_grid
 from semilab.errors import ConfigError
@@ -160,6 +161,46 @@ class TestExitCodes:
         assert report is None
         err = capsys.readouterr().err
         assert err.startswith("semilab: error: ") and err.count("\n") == 1
+
+    @staticmethod
+    def _one_line_error(tmp_path, capsys, *argv):
+        code, report, _ = run(tmp_path, *argv)
+        assert code == 1
+        assert report is None
+        err = capsys.readouterr().err
+        assert err.startswith("semilab: error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("matrix", ["laplacian1d", "jordan lambda=-1", "", "diag",
+                                        "random-normal dim=0"],
+                             ids=["laplacian-no-n", "jordan-no-size", "empty", "diag-no-entries",
+                                  "dim-zero"])
+    def test_malformed_generator(self, tmp_path, capsys, matrix):
+        f = tmp_path / "op.op"
+        f.write_text(f"matrix = {matrix}\n")
+        self._one_line_error(tmp_path, capsys, "spectrum", "--operator", str(f))
+
+    @pytest.mark.parametrize("line", ["exp y=1,1", "poly coeffs="],
+                             ids=["exp-no-mu", "poly-no-coeffs"])
+    def test_malformed_probe(self, tmp_path, capsys, diag_file, line):
+        pf = tmp_path / "probes.txt"
+        pf.write_text(line + "\n")
+        self._one_line_error(tmp_path, capsys, "maxreg-estimate", "--operator", diag_file,
+                             "--probes", str(pf))
+
+    @pytest.mark.parametrize("flag", [["--panels", "1"], ["--seed", "-1"],
+                                      ["--mu-grid", "grid:1:2:0:0:1:1"]],
+                             ids=["panels", "seed", "empty-mu-grid"])
+    def test_bad_run_setting(self, tmp_path, capsys, diag_file, flag):
+        self._one_line_error(tmp_path, capsys, "identity-check", "--operator", diag_file,
+                             *flag)
+
+    def test_factorization_failure(self, tmp_path, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("schur form not found")
+        monkeypatch.setattr(scipy.linalg, "schur", fail)
+        f = tmp_path / "op.op"
+        f.write_text("matrix = jordan lambda=-1 size=3\n")
+        self._one_line_error(tmp_path, capsys, "identity-check", "--operator", str(f))
 
 
 class TestDeterminism:

@@ -9,17 +9,6 @@ from semilab.weighted import theta_sweep
 from conftest import random_vector
 
 
-class TestWeightParams:
-    def test_validation(self):
-        sl.WeightParams(sigma=1.0, theta=0.5, p=2.0)
-        with pytest.raises(ConfigError):
-            sl.WeightParams(sigma=0.0)
-        with pytest.raises(ConfigError):
-            sl.WeightParams(theta=1.0)
-        with pytest.raises(ConfigError):
-            sl.WeightParams(p=1.0)
-
-
 class TestWeightedNorm:
     def test_sigma_one_is_plain_sup(self, grid, diag_12, rng):
         vals = rng.standard_normal((len(grid.nodes), 2))
