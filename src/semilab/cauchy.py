@@ -15,8 +15,8 @@ forcing samples to each output point, and the weights of the integral over
 the panel. When A is normal the tables are (dim, 1) columns in the
 coordinates of the unitary eigenbasis Z of the operator's resolvent factor,
 built from scalar phi functions and applied elementwise; otherwise
-(defective or non-normal A) they are dim x dim matrices built from the
-augmented matrix exponential and applied by matrix products.
+(defective or non-normal A) they are dim x dim matrices, a table's q+1 built
+at once by batched Taylor sums and modified squarings, applied by products.
 
 The solver doubles as the black-box K_A interface of the resolvent
 reconstruction: it exposes solutions and solution functionals (weighted
@@ -120,7 +120,7 @@ class CauchySolver:
             PHI = phi_scalar(q + 1, np.multiply.outer(h * rs, diag[1] - shift))[..., None]
         else:
             B = self.op.matrix - shift * np.eye(self.dim)
-            PHI = np.array([phi_matrices((h * r) * B, q + 1) for r in rs]).swapaxes(0, 1)
+            PHI = phi_matrices(np.multiply.outer(h * rs, B), q + 1)
         # the interpolant of the samples f_m is sum_p c_p sigma^p with
         # c_p = sum_m C[m, p] f_m, and int_0^{hr} e^{(hr-s)B} (s/h)^p ds
         # = h r^{p+1} p! phi_{p+1}(h r B)

@@ -69,13 +69,8 @@ def _csv(path, header, rows):
     with open(path, "w") as fh:
         fh.write(header + "\n")
         for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
-
-
-def _fmt(v):
-    if isinstance(v, float):
-        return format(v, ".17g")
-    return str(v)
+            fh.write(",".join(format(v, ".17g") if isinstance(v, float) else str(v)
+                              for v in row) + "\n")
 
 
 def _json_ready(obj):

@@ -291,6 +291,13 @@ class _SpecArgs(dict):
     def __missing__(self, key):
         raise ConfigError(f"{self.what} needs {key}=<value>")
 
+    def integer(self, key, low=1):
+        """self[key] as an int >= low; otherwise a ConfigError naming the key."""
+        raw = self[key].strip()
+        if not re.fullmatch(r"[+-]?\d+", raw) or int(raw) < low:
+            raise ConfigError(f"{self.what}: {key}={raw!r} is not an integer >= {low}")
+        return int(raw)
+
 
 def parse_spec(text, what):
     """``name key=value ...`` as (name, args), the shared form of generator
@@ -311,8 +318,8 @@ def parse_operator_text(text):
     ``diag <list>``, ``jordan lambda=<complex> size=<int>``,
     ``random-normal dim=<int> seed=<int>``.
     """
-    kv = {}
-    rows = []
+    kv, rows = _SpecArgs(), []
+    kv.what = "operator description"
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -334,16 +341,16 @@ def parse_operator_text(text):
     if gen is not None:
         name, args = parse_spec(gen, "matrix generator")
         if name == "laplacian1d":
-            op = laplacian_1d(int(args["n"]), e0_norm=e0_norm)
+            op = laplacian_1d(args.integer("n"), e0_norm=e0_norm)
         elif name == "diag":
             entries = parse_vector(gen[len("diag"):])
             op = diagonal_operator(entries, e0_norm=e0_norm)
         elif name == "jordan":
-            op = jordan_block(parse_complex(args["lambda"]), int(args["size"]),
+            op = jordan_block(parse_complex(args["lambda"]), args.integer("size"),
                               e0_norm=e0_norm)
         elif name == "random-normal":
-            op = random_normal_operator(int(args["dim"]), int(args.get("seed", 0)),
-                                        e0_norm=e0_norm)
+            seed = args.integer("seed", low=0) if "seed" in args else 0
+            op = random_normal_operator(args.integer("dim"), seed, e0_norm=e0_norm)
         else:
             raise ConfigError(f"unknown matrix generator {name!r}")
     elif rows:
@@ -357,7 +364,7 @@ def parse_operator_text(text):
 
     if structure is not None and op.structure != structure:
         op = OperatorPair(op.matrix, e0_norm=e0_norm, structure=structure)
-    if "dim" in kv and int(kv["dim"]) != op.dim:
+    if "dim" in kv and kv.integer("dim") != op.dim:
         raise ConfigError(f"declared dim {kv['dim']} != actual dim {op.dim}")
     return op
 

@@ -6,19 +6,15 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 
 
-def worker_count():
-    """Worker cap from SEMILAB_THREADS (default 1 = serial)."""
-    try:
-        return max(1, int(os.environ.get("SEMILAB_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def map_indexed(fn, items):
     """Map preserving input order; parallel over threads when
-    SEMILAB_THREADS > 1. Order-stable, so reductions stay deterministic."""
+    SEMILAB_THREADS > 1 (default 1 = serial). Order-stable, so reductions
+    stay deterministic."""
     items = list(items)
-    workers = worker_count()
+    try:
+        workers = int(os.environ.get("SEMILAB_THREADS", "1"))
+    except ValueError:
+        workers = 1
     if workers <= 1 or len(items) <= 1:
         return [fn(it) for it in items]
     with ThreadPoolExecutor(max_workers=workers) as ex:

@@ -252,3 +252,17 @@ class TestOneFactorization:
         solver = sl.CauchySolver(op, grid)
         for mu in (0.5, 2.0 + 4.0j, 32.0 - 16.0j):
             assert sl.surjectivity_identity_check(op, sl.assemble_U_V(solver, mu), x) <= 1e-8
+
+    def test_dense_backend_needs_no_expm(self, grid, monkeypatch, rng):
+        def refuse(*args, **kwargs):
+            raise AssertionError("scipy.linalg.expm called")
+
+        monkeypatch.setattr(scipy.linalg, "expm", refuse)
+        op = sl.jordan_block(-2.0, 8)
+        assert op.diagonalization is None  # the dense backend
+        solver = sl.CauchySolver(op, grid)
+        u = solver.solve(sl.ExpForcing(3.0 + 2.0j, random_vector(rng, 8)), random_vector(rng, 8))
+        assert np.all(np.isfinite(u.values))
+        for mu in (0.5, 2.0 + 4.0j, 32.0 - 16.0j):  # the last one refines the grid
+            W, UT = solver.exp_functionals(mu)
+            assert np.all(np.isfinite(W)) and np.all(np.isfinite(UT))

@@ -169,15 +169,28 @@ class TestExitCodes:
         assert report is None
         err = capsys.readouterr().err
         assert err.startswith("semilab: error: ") and err.count("\n") == 1
+        return err
 
-    @pytest.mark.parametrize("matrix", ["laplacian1d", "jordan lambda=-1", "", "diag",
-                                        "random-normal dim=0"],
-                             ids=["laplacian-no-n", "jordan-no-size", "empty", "diag-no-entries",
-                                  "dim-zero"])
-    def test_malformed_generator(self, tmp_path, capsys, matrix):
+    @pytest.mark.parametrize(
+        "matrix, key",
+        [("laplacian1d", "n="), ("jordan lambda=-1", "size="), ("", "matrix"), ("diag", ""),
+         ("random-normal dim=0", "dim="), ("laplacian1d n=0", "n="),
+         ("jordan lambda=-1 size=0", "size="), ("random-normal dim=-3", "dim="),
+         ("laplacian1d n=abc", "n="), ("laplacian1d n=2.5", "n="),
+         ("random-normal dim=2 seed=x", "seed="), ("random-normal dim=2 seed=-1", "seed=")],
+        ids=["laplacian-no-n", "jordan-no-size", "empty", "diag-no-entries", "dim-zero",
+             "n-zero", "size-zero", "dim-negative", "n-not-int", "n-fraction", "seed-not-int",
+             "seed-negative"])
+    def test_malformed_generator(self, tmp_path, capsys, matrix, key):
         f = tmp_path / "op.op"
         f.write_text(f"matrix = {matrix}\n")
-        self._one_line_error(tmp_path, capsys, "spectrum", "--operator", str(f))
+        assert key in self._one_line_error(tmp_path, capsys, "spectrum", "--operator", str(f))
+
+    @pytest.mark.parametrize("dim", ["x", "2.5", "0"])
+    def test_malformed_declared_dim(self, tmp_path, capsys, dim):
+        f = tmp_path / "op.op"
+        f.write_text(f"dim = {dim}\nmatrix = laplacian1d n=3\n")
+        assert "dim=" in self._one_line_error(tmp_path, capsys, "spectrum", "--operator", str(f))
 
     @pytest.mark.parametrize("line", ["exp y=1,1", "poly coeffs="],
                              ids=["exp-no-mu", "poly-no-coeffs"])
