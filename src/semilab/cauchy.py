@@ -153,37 +153,32 @@ class CauchySolver:
 
     # -- public solves ----------------------------------------------------------
 
-    def solve(self, forcing, x0=None, auto_refine=True):
+    def solve(self, forcing, x0=None):
         """GridFunction solution of u' - Au = f, u(0) = x0, with derivative
         samples filled from u' = Au + f. Steep forcing profiles trigger a
         panel split; the returned GridFunction carries the grid in use."""
-        if auto_refine and forcing.rate:
-            solver = self.refined_for(forcing.rate)
-            if solver is not self:
-                return solver.solve(forcing, x0, auto_refine=False)
-        grid = self.grid
-        if x0 is None:
-            x0 = np.zeros(self.dim, dtype=complex)
-        x0 = np.asarray(x0, dtype=complex)
+        solver = self.refined_for(forcing.rate) if forcing.rate else self
+        grid = solver.grid
+        x0 = np.zeros(self.dim, dtype=complex) if x0 is None else np.asarray(x0, dtype=complex)
         F = forcing.sample(grid.gl_times.ravel()).reshape(grid.panels, -1, self.dim)
         diag = self.op.diagonalization
         Z = None if diag is None else diag[0]
         if Z is None:  # dense backend, or a diagonal A: no change of basis
-            v, _ = self._propagate(0.0, F[..., None], x0[:, None])
+            v, _ = solver._propagate(0.0, F[..., None], x0[:, None])
             values = v[..., 0]
         else:
             ZH = Z.conj().T
-            v, _ = self._propagate(0.0, (F @ ZH.T)[..., None], (ZH @ x0)[:, None])
+            v, _ = solver._propagate(0.0, (F @ ZH.T)[..., None], (ZH @ x0)[:, None])
             values = v[..., 0] @ Z.T
         values[0] = x0
         derivative = values @ self.op.matrix.T + forcing.sample(grid.nodes)
         return GridFunction(grid, values, derivative)
 
-    def solve_ka(self, forcing, auto_refine=True):
+    def solve_ka(self, forcing):
         """K_A f: the zero-initial-data solution."""
-        return self.solve(forcing, None, auto_refine=auto_refine)
+        return self.solve(forcing)
 
-    def exp_functionals(self, mu, auto_refine=True):
+    def exp_functionals(self, mu):
         """For the forcing f(t) = e^{-conj(mu) t} (columnwise identity),
         return (W, UT) with W = int_0^T e^{-mu t} u(t) dt and UT = u(T),
         both as dim x dim matrices (u(., x) depends linearly on x).
@@ -192,11 +187,8 @@ class CauchySolver:
         profile e^{-2 Re mu t} is smooth, so oscillation in mu never meets
         the interpolation."""
         mu = complex(mu)
-        if auto_refine:
-            solver = self.refined_for(2.0 * mu.real)
-            if solver is not self:
-                return solver.exp_functionals(mu, auto_refine=False)
-        grid = self.grid
+        solver = self.refined_for(2.0 * mu.real)
+        grid = solver.grid
         profile = np.exp(-2.0 * mu.real * grid.gl_times)[..., None, None]
         diag = self.op.diagonalization
         if diag is not None:
@@ -204,14 +196,14 @@ class CauchySolver:
             # one column of ones carries all of it
             Z = diag[0]
             ones = np.ones((self.dim, 1), dtype=complex)
-            v, w = self._propagate(mu, profile * ones, np.zeros_like(ones))
+            v, w = solver._propagate(mu, profile * ones, np.zeros_like(ones))
             w, vT, eT = w[:, 0], v[-1, :, 0], np.exp(mu * grid.T)
             if Z is None:
                 return np.diag(w), np.diag(eT * vT)
             ZH = Z.conj().T
             return (Z * w) @ ZH, eT * (Z * vT) @ ZH
         I = np.eye(self.dim, dtype=complex)
-        v, w = self._propagate(mu, profile * I, np.zeros_like(I))
+        v, w = solver._propagate(mu, profile * I, np.zeros_like(I))
         return w, np.exp(mu * grid.T) * v[-1]
 
 
@@ -224,7 +216,7 @@ def solve_ivp(op, f, x, grid, verify=False):
     solver = CauchySolver(op, grid)
     u = solver.solve(f, x)
     if verify:
-        fine = CauchySolver(op, u.grid.refined(2)).solve(f, x, auto_refine=False)
+        fine = CauchySolver(op, u.grid.refined(2)).solve(f, x)
         # the shared nodes of the two grids are the coarse panel edges
         coarse_idx = [u.grid.node_index_of_edge(k) for k in range(u.grid.panels + 1)]
         fine_idx = [fine.grid.node_index_of_edge(2 * k) for k in range(u.grid.panels + 1)]

@@ -23,6 +23,7 @@ from .theorem import (
     assemble_U_V,
     default_mu_grid,
     halfplane_scan,
+    mu_box,
     omega1,
     omega2_search,
     resolvent_from_solver,
@@ -59,9 +60,7 @@ def parse_mu_grid(spec):
             raise ConfigError("mu-grid real parts must be positive (log spacing)")
         if min(int(n_re), int(n_im)) < 1:
             raise ConfigError(f"mu-grid {spec!r} has no points")
-        res = np.logspace(np.log10(re_lo), np.log10(re_hi), int(n_re))
-        ims = np.linspace(im_lo, im_hi, int(n_im))
-        return [complex(r, i) for r in res for i in ims]
+        return mu_box(re_lo, re_hi, int(n_re), im_lo, im_hi, int(n_im))
     return [complex(m) for m in parse_vector(spec)]
 
 
@@ -146,9 +145,7 @@ def run_maxreg_estimate(op, args, out):
 
 
 def run_identity_check(op, args, out):
-    mu_grid = (parse_mu_grid(args.mu_grid) if args.mu_grid else
-               [complex(r, i) for r in np.logspace(np.log10(0.5), np.log10(32), 5)
-                for i in np.linspace(-16, 16, 5)])
+    mu_grid = parse_mu_grid(args.mu_grid) if args.mu_grid else mu_box(0.5, 32, 5, -16, 16, 5)
     solver = CauchySolver(op, _grid(args))
     x = _random_unit(op, args.seed)
     rows, worst = [], 0.0
@@ -166,8 +163,7 @@ def run_reconstruct(op, args, out):
     solver = CauchySolver(op, _grid(args))
     w2 = omega2_search(solver)
     mu_grid = (parse_mu_grid(args.mu_grid) if args.mu_grid else
-               [complex(r, i) for r in np.logspace(np.log10(w2 + 0.5), np.log10(w2 + 16), 3)
-                for i in (-4.0, 0.0, 4.0)])
+               mu_box(w2 + 0.5, w2 + 16, 3, -4.0, 4.0, 3))
     y = _random_unit(op, args.seed)
     rows, worst = [], 0.0
     for mu in mu_grid:

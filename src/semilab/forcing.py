@@ -13,6 +13,10 @@ import numpy as np
 from .errors import ConfigError
 from .operators import parse_complex, parse_spec, parse_vector
 
+# keys of each probe kind; probes per family in default_probes
+_PROBE_KEYS = {"exp": ("mu", "y", "x"), "poly": ("coeffs", "y", "x"), "ic": ("x",)}
+_EXP_PROBES, _POLY_PROBES, _IC_PROBES = 6, 2, 4
+
 
 class Forcing:
     """Base class. ``rate`` is a bound on the forcing's exponential/oscillation
@@ -83,23 +87,17 @@ class CallableForcing(Forcing):
 
 
 def parse_probe_line(line, dim):
-    """One probe per line: ``exp mu=<complex> y=<vec>`` | ``poly
-    coeffs=<list> [y=<vec>]`` | ``ic x=<vec>``. Returns (forcing, x)."""
-    kind, args = parse_spec(line, "probe")
-    ones = np.ones(dim, dtype=complex)
+    """One probe per line: ``exp mu=<complex> [y=<vec>] [x=<vec>]`` | ``poly
+    coeffs=<list> [y=<vec>] [x=<vec>]`` | ``ic x=<vec>``. Returns (forcing, x)."""
+    kind, args = parse_spec(line, "probe", _PROBE_KEYS)
+    y = parse_vector(args["y"]) if "y" in args else np.ones(dim, dtype=complex)
+    x = parse_vector(args["x"]) if "x" in args or kind == "ic" else np.zeros(dim, complex)
     if kind == "exp":
-        y = parse_vector(args["y"]) if "y" in args else ones
         f = ExpForcing(parse_complex(args["mu"]), y)
-        x = parse_vector(args["x"]) if "x" in args else np.zeros(dim, complex)
     elif kind == "poly":
-        y = parse_vector(args["y"]) if "y" in args else ones
         f = PolyForcing(parse_vector(args["coeffs"]), y)
-        x = parse_vector(args["x"]) if "x" in args else np.zeros(dim, complex)
-    elif kind == "ic":
-        f = ZeroForcing(dim)
-        x = parse_vector(args["x"])
     else:
-        raise ConfigError(f"unknown probe kind {kind!r}")
+        f = ZeroForcing(dim)
     if kind != "ic" and f.y.shape[0] != dim:
         raise ConfigError(f"probe vector length {f.y.shape[0]} != dim {dim}")
     if x.shape[0] != dim:
@@ -117,26 +115,25 @@ def load_probes(path, dim):
     return probes
 
 
-def default_probes(op, seed=0, n_exp=6, n_poly=2, n_ic=4):
+def default_probes(op, seed=0):
     """Probe family for the maximal-regularity estimator: exponential probes
     over a log-spaced rate grid with random directions, low-order polynomial
     probes, and initial values aligned with eigenvectors plus random ones."""
     rng = np.random.default_rng(seed)
     dim = op.dim
     probes = []
-    mus = np.logspace(-1, 1.5, n_exp)
-    for mu in mus:
+    for mu in np.logspace(-1, 1.5, _EXP_PROBES):
         y = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
         probes.append((ExpForcing(mu, y / np.linalg.norm(y)),
                        np.zeros(dim, complex)))
-    for k in range(n_poly):
+    for k in range(_POLY_PROBES):
         coeffs = np.zeros(k + 2)
         coeffs[-1] = 1.0
         y = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
         probes.append((PolyForcing(coeffs, y / np.linalg.norm(y)),
                        np.zeros(dim, complex)))
     diag = op.diagonalization
-    for k in range(n_ic):
+    for k in range(_IC_PROBES):
         if diag is not None and k < min(2, dim):
             # eigenvector k: column k of the unitary Z, or e_k when Z = I
             Z = diag[0]

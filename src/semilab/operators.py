@@ -22,7 +22,12 @@ from .errors import (
 )
 
 E0_NORMS = ("euclidean", "sup")
-STRUCTURES = ("dense", "diagonal", "tridiagonal")
+# random_normal_operator's spectrum: Re in (BOUND - SPREAD, BOUND], |Im| < SPREAD
+_NORMAL_BOUND, _NORMAL_SPREAD = -0.5, 8.0
+# keys of an operator file and of each matrix generator (None: a bare number list)
+_OPERATOR_KEYS = ("dim", "e0_norm", "matrix", "row")
+_GENERATOR_KEYS = {"laplacian1d": ("n",), "diag": None, "jordan": ("lambda", "size"),
+                   "random-normal": ("dim", "seed")}
 
 
 class OperatorPair:
@@ -32,28 +37,30 @@ class OperatorPair:
     is cached lazily and never mutated afterwards.
     """
 
-    def __init__(self, matrix, e0_norm="euclidean", structure="dense"):
+    def __init__(self, matrix, e0_norm="euclidean"):
         matrix = np.array(matrix, dtype=complex)
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1] or matrix.size == 0:
             raise DimensionMismatch(f"matrix must be square and nonempty, got {matrix.shape}")
         if e0_norm not in E0_NORMS:
             raise ConfigError(f"unknown e0_norm {e0_norm!r}")
-        if structure not in STRUCTURES:
-            raise ConfigError(f"unknown structure {structure!r}")
-        if structure == "diagonal" and np.any(matrix != np.diag(np.diag(matrix))):
-            raise ConfigError("structure=diagonal requires exactly zero off-diagonal entries")
-        if structure == "tridiagonal":
-            off = np.triu(matrix, 2) + np.tril(matrix, -2)
-            if np.any(off != 0):
-                raise ConfigError("structure=tridiagonal requires a tridiagonal matrix")
         matrix.setflags(write=False)
         self.matrix = matrix
         self.e0_norm = e0_norm
-        self.structure = structure
 
     @property
     def dim(self):
         return self.matrix.shape[0]
+
+    @cached_property
+    def structure(self):
+        """Read from the zeros of the matrix: "diagonal", "tridiagonal" (zero off
+        the three central diagonals) or "dense". Picks the spectral and resolvent paths."""
+        A = self.matrix
+        nonzero = np.count_nonzero(A)
+        if nonzero == np.count_nonzero(np.diagonal(A)):
+            return "diagonal"
+        band = sum(np.count_nonzero(np.diagonal(A, k)) for k in (-1, 0, 1))
+        return "tridiagonal" if nonzero == band else "dense"
 
     def __repr__(self):
         return (f"OperatorPair(dim={self.dim}, structure={self.structure!r}, "
@@ -239,8 +246,7 @@ def spectrum_and_bound(op):
 
 
 def diagonal_operator(entries, e0_norm="euclidean"):
-    return OperatorPair(np.diag(np.asarray(entries, dtype=complex)),
-                        e0_norm=e0_norm, structure="diagonal")
+    return OperatorPair(np.diag(np.asarray(entries, dtype=complex)), e0_norm=e0_norm)
 
 
 def laplacian_1d(n, e0_norm="euclidean"):
@@ -248,21 +254,22 @@ def laplacian_1d(n, e0_norm="euclidean"):
     h = 1.0 / (n + 1)
     A = (np.diag(-2.0 * np.ones(n)) + np.diag(np.ones(n - 1), 1)
          + np.diag(np.ones(n - 1), -1)) / h**2
-    return OperatorPair(A, e0_norm=e0_norm, structure="tridiagonal")
+    return OperatorPair(A, e0_norm=e0_norm)
 
 
 def jordan_block(lam, size, e0_norm="euclidean"):
     A = np.diag(np.full(size, complex(lam))) + np.diag(np.ones(size - 1), 1)
-    return OperatorPair(A, e0_norm=e0_norm, structure="dense")
+    return OperatorPair(A, e0_norm=e0_norm)
 
 
-def random_normal_operator(dim, seed, bound=-0.5, spread=8.0, e0_norm="euclidean"):
-    """Random normal operator with spectrum in {Re < bound}, unitarily mixed."""
+def random_normal_operator(dim, seed, e0_norm="euclidean"):
+    """Random normal operator with spectrum in {Re <= -0.5}, unitarily mixed."""
     rng = np.random.default_rng(seed)
-    lam = (bound - spread * rng.random(dim)) + 1j * spread * (2 * rng.random(dim) - 1)
+    lam = ((_NORMAL_BOUND - _NORMAL_SPREAD * rng.random(dim))
+           + 1j * _NORMAL_SPREAD * (2 * rng.random(dim) - 1))
     G = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     Q, _ = np.linalg.qr(G)
-    return OperatorPair(Q @ np.diag(lam) @ Q.conj().T, e0_norm=e0_norm, structure="dense")
+    return OperatorPair(Q @ np.diag(lam) @ Q.conj().T, e0_norm=e0_norm)
 
 
 # -- operator description files ---------------------------------------------
@@ -299,25 +306,32 @@ class _SpecArgs(dict):
         return int(raw)
 
 
-def parse_spec(text, what):
+def parse_spec(text, what, keys):
     """``name key=value ...`` as (name, args), the shared form of generator
-    specs and probe lines; ConfigError if empty."""
+    specs and probe lines; ``keys[name]`` holds the keys a name takes. Bare
+    tokens are left to the caller where it is None, else ConfigErrors, as
+    are an empty spec, an unknown name and an unknown key."""
     parts = text.split()
     if not parts:
         raise ConfigError(f"empty {what}")
-    args = _SpecArgs(p.split("=", 1) for p in parts[1:] if "=" in p)
-    args.what = f"{what} {parts[0]!r}"
-    return parts[0], args
+    name = parts[0]
+    if name not in keys:
+        raise ConfigError(f"unknown {what} {name!r}")
+    args = _SpecArgs()
+    args.what = f"{what} {name!r}"
+    for tok in parts[1:]:
+        key, eq, value = tok.partition("=")
+        if eq and key in (keys[name] or ()):
+            args[key] = value
+        elif eq or keys[name] is not None:
+            raise ConfigError(f"{args.what}: unknown key {key!r}")
+    return name, args
 
 
 def parse_operator_text(text):
-    """Parse an operator description (key = value lines) into an OperatorPair.
-
-    Recognized keys: dim, structure, e0_norm, matrix (generator spec), row
-    (repeatable, inline matrix rows). Generators: ``laplacian1d n=<int>``,
-    ``diag <list>``, ``jordan lambda=<complex> size=<int>``,
-    ``random-normal dim=<int> seed=<int>``.
-    """
+    """Parse an operator description, ``key = value`` lines with the keys
+    of _OPERATOR_KEYS (``row`` repeatable, ``matrix`` a generator spec with
+    the keys of _GENERATOR_KEYS), into an OperatorPair."""
     kv, rows = _SpecArgs(), []
     kv.what = "operator description"
     for raw in text.splitlines():
@@ -327,43 +341,38 @@ def parse_operator_text(text):
         if "=" not in line:
             raise ConfigError(f"expected 'key = value', got {line!r}")
         key, val = (s.strip() for s in line.split("=", 1))
+        if key not in _OPERATOR_KEYS:
+            raise ConfigError(f"{kv.what}: unknown key {key!r}")
         if key == "row":
             rows.append(parse_vector(val))
         else:
             kv[key] = val
 
     e0_norm = kv.get("e0_norm", "euclidean")
-    structure = kv.get("structure")
-
     gen = kv.get("matrix")
     if gen is not None and rows:
         raise ConfigError("give either 'matrix = <generator>' or 'row =' lines, not both")
     if gen is not None:
-        name, args = parse_spec(gen, "matrix generator")
+        name, args = parse_spec(gen, "matrix generator", _GENERATOR_KEYS)
         if name == "laplacian1d":
             op = laplacian_1d(args.integer("n"), e0_norm=e0_norm)
         elif name == "diag":
-            entries = parse_vector(gen[len("diag"):])
-            op = diagonal_operator(entries, e0_norm=e0_norm)
+            op = diagonal_operator(parse_vector(gen[len("diag"):]), e0_norm=e0_norm)
         elif name == "jordan":
             op = jordan_block(parse_complex(args["lambda"]), args.integer("size"),
                               e0_norm=e0_norm)
-        elif name == "random-normal":
+        else:
             seed = args.integer("seed", low=0) if "seed" in args else 0
             op = random_normal_operator(args.integer("dim"), seed, e0_norm=e0_norm)
-        else:
-            raise ConfigError(f"unknown matrix generator {name!r}")
     elif rows:
         try:
             A = np.vstack(rows)
         except ValueError:
             raise ConfigError("inline rows have inconsistent lengths") from None
-        op = OperatorPair(A, e0_norm=e0_norm, structure=structure or "dense")
+        op = OperatorPair(A, e0_norm=e0_norm)
     else:
         raise ConfigError("no matrix specified")
 
-    if structure is not None and op.structure != structure:
-        op = OperatorPair(op.matrix, e0_norm=e0_norm, structure=structure)
     if "dim" in kv and kv.integer("dim") != op.dim:
         raise ConfigError(f"declared dim {kv['dim']} != actual dim {op.dim}")
     return op

@@ -13,9 +13,7 @@ import math
 
 import numpy as np
 
-# |z| < R: Horner for phi_kmax, then down by phi_k = z phi_{k+1} + 1/k!; else up
-# from e^z. Either way phi_9's error grows ~R^8/9! ~ 1 at R = 5. The N-term tail
-# is below 1.2 R^N k!/(N+k)! relative to 1/k!, under 2^-53 at N = 35 for k >= 1.
+# Smallest radius and term count of the scalar series; see _scalar_series.
 _SCALAR_RADIUS, _SCALAR_TERMS = 5.0, 35
 # Matrices are scaled to inf-norm <= THETA. Past degree m, the Taylor tail of
 # phi_k is below THETA^(m+1) / ((m+1)! k! (1 - THETA/(m+2))) = 2.3e-18 / k! at
@@ -25,16 +23,30 @@ _SCALAR_RADIUS, _SCALAR_TERMS = 5.0, 35
 _THETA, _TAYLOR_DEGREE = 2.0, 24
 
 
+def _scalar_series(kmax):
+    """(R, N): |z| < R sums N terms of phi_kmax and recurs down by phi_k =
+    z phi_{k+1} + 1/k!, growing its error up to R^(kmax-1)/kmax! times in phi_1;
+    else up from e^z, growing it up to kmax!/R^kmax times in phi_kmax. Both
+    stay near 1 at R = (kmax!)^(1/(kmax-1)), or 5 if larger. N >= 35 puts the
+    tail, below 2 R^N kmax!/(N+kmax)! relative to 1/kmax!, under 2^-53."""
+    lg = math.lgamma(kmax + 1)
+    R, N = max(_SCALAR_RADIUS, math.exp(lg / max(kmax - 1, 1))), _SCALAR_TERMS
+    while N * math.log(R) + lg - math.lgamma(N + kmax + 1) > -54 * math.log(2):
+        N += 1
+    return R, N
+
+
 def phi_scalar(kmax, z):
     """phi_0..phi_kmax elementwise over the array z, shape (kmax+1,) + z.shape."""
     z = np.asarray(z, dtype=complex)
     out = np.empty((kmax + 1,) + z.shape, dtype=complex)
     flat, z = out.reshape(kmax + 1, -1), z.reshape(-1)
     flat[0] = np.exp(z)
-    inv_fact = np.array([1 / math.factorial(i) for i in range(kmax + _SCALAR_TERMS)])
-    small = np.abs(z) < _SCALAR_RADIUS
+    radius, terms = _scalar_series(kmax)
+    inv_fact = np.array([1 / math.factorial(i) for i in range(kmax + terms)])
+    small = np.abs(z) < radius
     zs, acc = z[small], inv_fact[-1]
-    for j in range(kmax + _SCALAR_TERMS - 2, kmax - 1, -1):
+    for j in range(kmax + terms - 2, kmax - 1, -1):
         acc = acc * zs + inv_fact[j]
     for k in range(kmax, 0, -1):
         flat[k, small] = acc

@@ -27,6 +27,11 @@ from .forcing import ExpForcing
 from .operators import SpectralReport
 from .timegrid import GridFunction, TimeGrid
 
+# resolvent_from_solver ends its Neumann series at terms below NEUMANN_TOL ||y||
+# and refuses one that needs more than NEUMANN_MAX_TERMS; omega2_search
+# bisects on [OMEGA2_TOL, 64 / T] down to a bracket of width OMEGA2_TOL
+_NEUMANN_TOL, _NEUMANN_MAX_TERMS, _OMEGA2_TOL = 1e-12, 200, 1e-6
+
 
 # -- a-priori inequality -------------------------------------------------------------------
 
@@ -168,7 +173,7 @@ def surjectivity_identity_check(op, sdata, x):
     return float(op.norm0(lhs - rhs) / nx)
 
 
-def resolvent_from_solver(solver, mu, y, sdata=None, term_tol=1e-12, max_terms=200):
+def resolvent_from_solver(solver, mu, y, sdata=None):
     """Solve (mu - A)x = y using only the black-box solver: Neumann series
     x = U_mu (1 - e^{-2 Re mu T})^{-1} sum_k V_mu^k y."""
     mu = complex(mu)
@@ -184,37 +189,33 @@ def resolvent_from_solver(solver, mu, y, sdata=None, term_tol=1e-12, max_terms=2
     # y decay faster than ||V||^k
     n_min = 0
     if 0.0 < sdata.V_norm < 1.0:
-        n_min = int(math.ceil(math.log(term_tol) / math.log(sdata.V_norm)))
-    if n_min > max_terms:
+        n_min = int(math.ceil(math.log(_NEUMANN_TOL) / math.log(sdata.V_norm)))
+    if n_min > _NEUMANN_MAX_TERMS:
         raise SlowConvergence(
-            f"||V_mu|| = {sdata.V_norm:.3f} needs > {max_terms} Neumann terms")
-    total = y.copy()
-    term = y
-    k = 0
+            f"||V_mu|| = {sdata.V_norm:.3f} needs > {_NEUMANN_MAX_TERMS} Neumann terms")
+    total, term, k = y.copy(), y, 0
     while True:
         term = sdata.V @ term
         k += 1
-        if solver.norm0(term) <= term_tol * ny and k >= n_min:
+        if solver.norm0(term) <= _NEUMANN_TOL * ny and k >= n_min:
             break
         total += term
-        if k > max_terms:
-            raise SlowConvergence(f"Neumann series needed > {max_terms} terms")
+        if k > _NEUMANN_MAX_TERMS:
+            raise SlowConvergence(f"Neumann series needed > {_NEUMANN_MAX_TERMS} terms")
     sdata.neumann_terms = k
     return sdata.U @ total / (1.0 - math.exp(-2.0 * mu.real * sdata.T))
 
 
-def omega2_search(solver, tol=1e-6, hi=None):
+def omega2_search(solver):
     """Sharp numerical threshold omega_2: smallest real part above which
-    ||V_mu|| < 1/2, found by bisection on real mu."""
-    T = solver.T
-    lo = min(1e-6, tol)
-    hi = 64.0 / T if hi is None else hi
+    ||V_mu|| < 1/2, found by bisection on real mu in [1e-6, 64 / T]."""
+    lo, hi = _OMEGA2_TOL, 64.0 / solver.T
     v = lambda r: assemble_U_V(solver, complex(r)).V_norm
     if v(lo) < 0.5:
         return 0.0
     if v(hi) >= 0.5:
         raise SlowConvergence(f"||V_mu|| >= 1/2 even at Re mu = {hi}")
-    while hi - lo > tol:
+    while hi - lo > _OMEGA2_TOL:
         mid = 0.5 * (lo + hi)
         if v(mid) < 0.5:
             hi = mid
@@ -223,24 +224,26 @@ def omega2_search(solver, tol=1e-6, hi=None):
     return hi
 
 
-def vnorm_decay(op, mu, T_values, panels=16, nodes_per_panel=8):
+def vnorm_decay(op, mu, T_values, panels=16):
     """||V_mu|| for a sequence of horizons T (should decay to 0)."""
-    out = []
-    for T in T_values:
-        solver = CauchySolver(op, TimeGrid.uniform(T, panels, nodes_per_panel))
-        out.append(assemble_U_V(solver, mu).V_norm)
-    return out
+    return [assemble_U_V(CauchySolver(op, TimeGrid.uniform(T, panels)), mu).V_norm
+            for T in T_values]
 
 
 # -- half-plane scan and final verdict -------------------------------------------------
 
 
-def default_mu_grid(omega, re_points=5, im_points=21, re_max=1e3, im_max=1e2):
-    """Log-spaced real parts in [omega + 0.5, re_max], linear imaginary
-    parts in [-im_max, im_max]."""
-    res = np.logspace(math.log10(omega + 0.5), math.log10(re_max), re_points)
-    ims = np.linspace(-im_max, im_max, im_points)
-    return [complex(r, i) for r in res for i in ims]
+def mu_box(re_lo, re_hi, n_re, im_lo, im_hi, n_im):
+    """n_re log-spaced real parts in [re_lo, re_hi] times n_im linear
+    imaginary parts in [im_lo, im_hi], real part outermost."""
+    return [complex(r, i)
+            for r in np.logspace(np.log10(re_lo), np.log10(re_hi), n_re)
+            for i in np.linspace(im_lo, im_hi, n_im)]
+
+
+def default_mu_grid(omega):
+    """mu_box from omega + 0.5 to 1e3 (5 points) by -1e2 to 1e2 (21 points)."""
+    return mu_box(omega + 0.5, 1e3, 5, -1e2, 1e2, 21)
 
 
 def halfplane_scan(op, omega, mu_grid, M_hat=None):
@@ -282,7 +285,7 @@ class RPlusVerdict:
     singular_betas: list = field(default_factory=list)
 
 
-def rplus_verdict(op, scan_imag_axis=None, N_reference=None):
+def rplus_verdict(op, scan_imag_axis=None):
     """Final verdict: s(A) < 0 and a finite uniform bound
     (1 + |beta|) ||(i beta - A)^{-1}|| along the imaginary axis."""
     if scan_imag_axis is None:
@@ -299,8 +302,6 @@ def rplus_verdict(op, scan_imag_axis=None, N_reference=None):
             continue
         bound = max(bound, (1.0 + abs(beta)) * rn)
     passed = (s_A < 0) and not singular and math.isfinite(bound)
-    if N_reference is not None:
-        passed = passed and bound <= N_reference * (1 + 1e-6)
     return RPlusVerdict(s_A=float(s_A),
                         uniform_bound=float(bound if not singular else math.inf),
                         passed=bool(passed), singular_betas=singular)

@@ -69,9 +69,9 @@ class TimeGrid:
     def node_index_of_edge(self, k):
         return k * (self.nodes_per_panel + 1)
 
-    def edge_index(self, t, tol=1e-12):
-        """Index into ``edges`` of the panel edge equal to t, or None."""
-        hits = np.nonzero(np.abs(self.edges - t) <= tol * (1.0 + self.T))[0]
+    def edge_index(self, t):
+        """Index into ``edges`` of the panel edge within 1e-12 (1 + T) of t, or None."""
+        hits = np.nonzero(np.abs(self.edges - t) <= 1e-12 * (1.0 + self.T))[0]
         return int(hits[0]) if hits.size else None
 
     def integrate_samples(self, samples):

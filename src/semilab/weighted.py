@@ -15,12 +15,7 @@ import numpy as np
 from .cauchy import CauchySolver, estimate_M
 from .errors import ConfigError, MissingDerivative, NotDiagonal
 from .forcing import ExpForcing, PolyForcing, ZeroForcing
-from .theorem import (
-    halfplane_scan,
-    maxreg_inequality_check,
-    omega1_weighted,
-    time_weights,
-)
+from .theorem import halfplane_scan, maxreg_inequality_check, mu_box, omega1, time_weights
 from .timegrid import GridFunction
 
 
@@ -177,7 +172,7 @@ class ThetaSweepRow:
     N: float
 
 
-def theta_sweep(op, grid, thetas, probes, mu_grid=None, sigma=1.0):
+def theta_sweep(op, grid, thetas, probes):
     """M_hat along the diagonal interpolation scale.
 
     The diagonal operator commutes with the coordinate weights, so the sweep
@@ -187,17 +182,13 @@ def theta_sweep(op, grid, thetas, probes, mu_grid=None, sigma=1.0):
     """
     if op.structure != "diagonal":
         raise NotDiagonal(f"theta sweep needs a diagonal operator, got structure={op.structure!r}")
-    if mu_grid is None:
-        mu_grid = [complex(r, i)
-                   for r in np.logspace(np.log10(0.5), 2, 3)
-                   for i in (-4.0, 0.0, 4.0)]
-    N = halfplane_scan(op, 0.0, mu_grid).bound_constant
+    N = halfplane_scan(op, 0.0, mu_box(0.5, 1e2, 3, -4.0, 4.0, 3)).bound_constant
     rows = []
     for theta in thetas:
         scale, _ = dpg_scale(op, theta)
         scaled = [_scale_probe(pr, scale.weights) for pr in probes]
         est = estimate_M(op, grid, scaled)
         rows.append(ThetaSweepRow(theta=float(theta), M_hat=est.M_hat,
-                                  omega1=omega1_weighted(est.M_hat, grid.T, sigma),
+                                  omega1=omega1(est.M_hat, grid.T),
                                   N=float(N)))
     return rows

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from semilab.cli import main, parse_mu_grid
+from semilab.cli import EXPERIMENTS, main, parse_mu_grid
 from semilab.errors import ConfigError
 from semilab.forcing import parse_probe_line
 from semilab.operators import parse_operator_text
@@ -13,7 +13,7 @@ from semilab.operators import parse_operator_text
 @pytest.fixture()
 def diag_file(tmp_path):
     f = tmp_path / "diag.op"
-    f.write_text("structure=diagonal\nmatrix=diag -1,-2\n")
+    f.write_text("matrix=diag -1,-2\n")
     return str(f)
 
 
@@ -177,10 +177,14 @@ class TestExitCodes:
          ("random-normal dim=0", "dim="), ("laplacian1d n=0", "n="),
          ("jordan lambda=-1 size=0", "size="), ("random-normal dim=-3", "dim="),
          ("laplacian1d n=abc", "n="), ("laplacian1d n=2.5", "n="),
-         ("random-normal dim=2 seed=x", "seed="), ("random-normal dim=2 seed=-1", "seed=")],
+         ("random-normal dim=2 seed=x", "seed="), ("random-normal dim=2 seed=-1", "seed="),
+         ("laplacian1d n=8 m=3", "'m'"), ("laplacian1d n=8 m3", "'m3'"),
+         ("jordan lambda=-1 size=3 n=2", "'n'"), ("random-normal dim=2 sead=1", "'sead'"),
+         ("diag -1,-2 n=3", "'n'")],
         ids=["laplacian-no-n", "jordan-no-size", "empty", "diag-no-entries", "dim-zero",
              "n-zero", "size-zero", "dim-negative", "n-not-int", "n-fraction", "seed-not-int",
-             "seed-negative"])
+             "seed-negative", "unknown-key", "bare-token", "jordan-unknown-key",
+             "random-normal-unknown-key", "diag-key"])
     def test_malformed_generator(self, tmp_path, capsys, matrix, key):
         f = tmp_path / "op.op"
         f.write_text(f"matrix = {matrix}\n")
@@ -192,13 +196,26 @@ class TestExitCodes:
         f.write_text(f"dim = {dim}\nmatrix = laplacian1d n=3\n")
         assert "dim=" in self._one_line_error(tmp_path, capsys, "spectrum", "--operator", str(f))
 
-    @pytest.mark.parametrize("line", ["exp y=1,1", "poly coeffs="],
-                             ids=["exp-no-mu", "poly-no-coeffs"])
-    def test_malformed_probe(self, tmp_path, capsys, diag_file, line):
+    @pytest.mark.parametrize(
+        "line, key",
+        [("exp y=1,1", "mu="), ("poly coeffs=", ""), ("exp mu=1 yy=1,0", "'yy'"),
+         ("poly coeffs=1 mu=2", "'mu'"), ("ic x=1,0 y=1,0", "'y'"), ("exp mu=1 1,0", "'1,0'")],
+        ids=["exp-no-mu", "poly-no-coeffs", "exp-unknown-key", "poly-unknown-key",
+             "ic-unknown-key", "bare-token"])
+    def test_malformed_probe(self, tmp_path, capsys, diag_file, line, key):
         pf = tmp_path / "probes.txt"
         pf.write_text(line + "\n")
-        self._one_line_error(tmp_path, capsys, "maxreg-estimate", "--operator", diag_file,
-                             "--probes", str(pf))
+        assert key in self._one_line_error(tmp_path, capsys, "maxreg-estimate", "--operator",
+                                           diag_file, "--probes", str(pf))
+
+    @pytest.mark.parametrize("line", ["e0norm = sup", "structure = diagonal"],
+                             ids=["e0norm", "structure"])
+    def test_unknown_operator_key(self, tmp_path, capsys, line):
+        f = tmp_path / "op.op"
+        f.write_text(f"matrix = diag -1,-2\n{line}\n")
+        key = line.split()[0]
+        assert f"'{key}'" in self._one_line_error(tmp_path, capsys, "spectrum",
+                                                  "--operator", str(f))
 
     @pytest.mark.parametrize("flag", [["--panels", "1"], ["--seed", "-1"],
                                       ["--mu-grid", "grid:1:2:0:0:1:1"]],
@@ -214,6 +231,32 @@ class TestExitCodes:
         f = tmp_path / "op.op"
         f.write_text("matrix = jordan lambda=-1 size=3\n")
         self._one_line_error(tmp_path, capsys, "identity-check", "--operator", str(f))
+
+
+SAME_MATRIX = {
+    "diag": ("matrix = diag -1,-2.5,-4\n", "row = -1 0 0\nrow = 0 -2.5 0\nrow = 0 0 -4\n"),
+    "laplacian": ("matrix = laplacian1d n=3\n",
+                  "row = -32 16 0\nrow = 16 -32 16\nrow = 0 16 -32\n"),
+}
+
+
+@pytest.mark.parametrize("matrix", sorted(SAME_MATRIX))
+@pytest.mark.parametrize("experiment", EXPERIMENTS)
+def test_same_matrix_same_report(tmp_path, experiment, matrix):
+    # a generator and the same matrix written as rows: the report depends
+    # only on the matrix
+    results = []
+    for name, text in zip(("generator", "rows"), SAME_MATRIX[matrix]):
+        f = tmp_path / f"{name}.op"
+        f.write_text(text)
+        out = tmp_path / name
+        code = main([experiment, "--operator", str(f), "--seed", "61", "--out", str(out)])
+        rp = out / "report.json"
+        report = json.loads(rp.read_text()) if rp.exists() else None
+        if report is not None:
+            report["config"].pop("operator")
+        results.append((code, report))
+    assert results[0] == results[1]
 
 
 class TestDeterminism:

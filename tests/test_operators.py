@@ -210,7 +210,7 @@ class TestResolventFactor:
         d = rng.standard_normal(6)
         e = rng.standard_normal(5) + 1j * rng.standard_normal(5)
         A = np.diag(d) + np.diag(e, 1) + np.diag(e.conj(), -1)
-        op = sl.OperatorPair(A, structure="tridiagonal")
+        op = sl.OperatorPair(A)
         ref = np.linalg.eigvalsh(A)
         assert np.allclose(np.sort(op.eigenvalues.real), ref, rtol=0, atol=1e-13)
         assert op.spectral_bound == pytest.approx(ref[-1], abs=1e-13)
@@ -218,6 +218,33 @@ class TestResolventFactor:
         assert normal
         assert np.allclose(Z @ np.diag(lam) @ Z.conj().T, A, rtol=0, atol=1e-13)
         assert np.allclose(Z.conj().T @ Z, np.eye(6), rtol=0, atol=1e-14)
+
+
+def _hermitian_tridiagonal(n, seed):
+    rng = np.random.default_rng(seed)
+    e = rng.standard_normal(n - 1) + 1j * rng.standard_normal(n - 1)
+    return np.diag(rng.standard_normal(n)) + np.diag(e, 1) + np.diag(e.conj(), -1)
+
+
+class TestStructure:
+    """The structure, which picks the spectral and resolvent paths, is read
+    from the matrix."""
+
+    @pytest.mark.parametrize("matrix, structure", [
+        (np.diag([-1.0, 0.0, -2.5 + 1j]), "diagonal"),
+        (_hermitian_tridiagonal(5, 6), "tridiagonal"),
+        (np.diag([-1.0, -1.0, -1.0]) + np.diag([1.0, 1.0], 1), "tridiagonal"),
+        (np.arange(1.0, 10.0).reshape(3, 3), "dense"),
+        (np.array([[-3.0 + 2j]]), "diagonal"),
+    ], ids=["diagonal", "hermitian-tridiagonal", "upper-bidiagonal", "full", "1x1"])
+    def test_read_from_matrix(self, matrix, structure):
+        assert sl.OperatorPair(matrix).structure == structure
+
+    def test_generators_and_rows_agree(self):
+        text = "row = -1 0 0\nrow = 0 -2.5 0\nrow = 0 0 -4\n"
+        assert sl.parse_operator_text(text).structure == "diagonal"
+        assert sl.jordan_block(-2.0, 8).structure == "tridiagonal"
+        assert not sl.jordan_block(-2.0, 8).is_hermitian
 
 
 class TestSemigroupOracle:

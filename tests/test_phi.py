@@ -129,6 +129,21 @@ class TestPhiScalar:
             exact = phi_exact(9, zi)
             assert np.max(np.abs(got[:, i] - exact) / np.abs(exact)) <= 1e-13, zi
 
+    @pytest.mark.parametrize("kmax", [13, 17])
+    @pytest.mark.parametrize("ray", sorted(RAYS))
+    def test_higher_kmax_against_exact_rationals(self, ray, kmax):
+        # finer grids (nodes_per_panel 12, 16) on both sides of their own
+        # Horner radius, which grows with kmax
+        R = phi._scalar_series(kmax)[0]
+        radii = [0.5, 1.0, 2.0, 3.0, 5.0, R * (1 - 1e-9), R * (1 + 1e-9), 10.0, 12.0]
+        z = np.array([r * np.exp(1j * np.pi * self.RAYS[ray]) for r in radii])
+        if ray == "negative-real":
+            z = -np.array(radii, dtype=complex)
+        got = phi_scalar(kmax, z)
+        for i, zi in enumerate(z):
+            exact = phi_exact(kmax, zi)
+            assert np.max(np.abs(got[:, i] - exact) / np.abs(exact)) <= 2e-13, zi
+
     def test_lower_kmax_against_exact_rationals(self):
         z = np.array([-4.5, 2.0 + 3.0j, -5.5 + 0.5j, 0.7j])
         for kmax in (1, 2, 5):
