@@ -10,17 +10,19 @@ checks need.
 Every solve runs through one panel propagator. For a shift s and a panel
 width h it reads tables built once and cached on the solver: the
 propagators e^{h r (A - s)} from the panel start to each output point r
-(the q Gauss nodes, then the right edge), the weights that map the q
-forcing samples to each output point, and the weights of the integral over
-the panel. When A is normal the tables are (dim, 1) columns in the
-coordinates of the unitary eigenbasis Z of the operator's resolvent factor,
-built from scalar phi functions and applied elementwise; otherwise
-(defective or non-normal A) they are dim x dim matrices, a table's q+1 built
-at once by batched Taylor sums and modified squarings, applied by products.
+(the q Gauss nodes and the right edge, or the right edge alone), the
+weights that map the q forcing samples to each output point, and the
+weights of the integral over the panel. When A is normal the tables are
+(dim, 1) columns in the coordinates of the unitary eigenbasis Z of the
+operator's resolvent factor, built from scalar phi functions and applied
+elementwise; otherwise (defective or non-normal A) they are dim x dim
+matrices, all output points at once by batched Taylor sums and modified
+squarings, applied by products.
 
 The solver doubles as the black-box K_A interface of the resolvent
-reconstruction: it exposes solutions and solution functionals (weighted
-integrals, endpoint values) but never hands out the matrix.
+reconstruction: it exposes solutions and solution functionals (panel
+integrals and u(T) with its E0 norm, from panel edges only) but never
+hands out the matrix.
 """
 
 from __future__ import annotations
@@ -91,32 +93,28 @@ class CauchySolver:
             return self
         return CauchySolver(self.op, self.grid.refined(factor))
 
-    def operator_norm(self, B):
-        # norm-tag plumbing only; does not reveal the operator
-        return self.op.operator_norm(B)
-
     def norm0(self, x):
         return self.op.norm0(x)
 
     # -- the panel propagator ---------------------------------------------------
 
-    def _panel_tables(self, shift, h):
+    def _panel_tables(self, shift, h, nodes):
         """(P, W, H1, G) for v' = Bv + f, B = A - shift, on a panel of width
-        h, with r_j the q Gauss nodes of [0, 1] and then 1:
-        P[j] = e^{h r_j B}, W[j, m] the weight of the m-th forcing sample in
-        v(h r_j), H1 = h phi_1(hB) and G[m] the weight of the m-th forcing
+        h, with r_j the q Gauss nodes of [0, 1] and then 1 if nodes, else 1
+        alone: P[j] = e^{h r_j B}, W[j, m] the weight of the m-th forcing sample
+        in v(h r_j), H1 = h phi_1(hB) and G[m] the weight of the m-th forcing
         sample in the integral of v over the panel. Eigen backend: (dim, 1)
         columns; dense backend: dim x dim matrices."""
-        key = (complex(shift), float(h))
+        key = (complex(shift), float(h), nodes)
         tab = self._tables.get(key)
         if tab is not None:
             return tab
         q = self.grid.nodes_per_panel
         xi, _ = gauss_legendre_01(q)
-        rs = np.append(xi, 1.0)
+        rs = np.append(xi, 1.0) if nodes else np.ones(1)
         diag = self.op.diagonalization
         if diag is not None:
-            # PHI[k, j] = phi_k(h r_j B), shape (q+2, q+1, dim, 1 | dim)
+            # PHI[k, j] = phi_k(h r_j B), shape (q+2, len(rs), dim, 1 | dim)
             PHI = phi_scalar(q + 1, np.multiply.outer(h * rs, diag[1] - shift))[..., None]
         else:
             B = self.op.matrix - shift * np.eye(self.dim)
@@ -127,27 +125,27 @@ class CauchySolver:
         coef = _lagrange_monomial(q) * np.array([math.factorial(p) for p in range(q)])
         rpow = rs[None, :] ** np.arange(1, q + 1)[:, None]          # r_j^{p+1}
         W = h * np.einsum("mp,pj,pj...->jm...", coef, rpow, PHI[1:q + 1])
-        G = (h * h) * np.einsum("mp,p...->m...", coef, PHI[2:, q])
-        tab = (PHI[0], W, h * PHI[1, q], G)
+        G = (h * h) * np.einsum("mp,p...->m...", coef, PHI[2:, -1])
+        tab = (PHI[0], W, h * PHI[1, -1], G)
         if len(self._tables) >= _TABLE_CACHE:
             self._tables.clear()
         self._tables[key] = tab
         return tab
 
-    def _propagate(self, shift, F, v0):
-        """Node values and integral over [0, T] of v' = (A - shift) v + f,
-        v(0) = v0, in backend coordinates. F holds the forcing samples at
-        the Gauss nodes, shape (panels, q, dim, cols); v0 is (dim, cols)."""
+    def _propagate(self, shift, F, v0, nodes):
+        """Node values (panel edges only unless nodes) and integral over [0, T]
+        of v' = (A - shift) v + f, v(0) = v0, in backend coordinates. F holds
+        the forcing samples at the Gauss nodes, shape (panels, q, dim, cols)."""
         grid = self.grid
-        q = grid.nodes_per_panel
+        step = grid.nodes_per_panel + 1 if nodes else 1
         apply = np.multiply if self.op.diagonalization is not None else np.matmul
-        vals = np.empty((len(grid.nodes),) + v0.shape, dtype=complex)
+        vals = np.empty((grid.panels * step + 1,) + v0.shape, dtype=complex)
         vals[0] = v0
         integral = np.zeros(v0.shape, dtype=complex)
         for k, h in enumerate(np.diff(grid.edges)):
-            P, W, H1, G = self._panel_tables(shift, h)
-            v = vals[k * (q + 1)]
-            vals[k * (q + 1) + 1:(k + 1) * (q + 1) + 1] = apply(P, v) + apply(W, F[k]).sum(axis=1)
+            P, W, H1, G = self._panel_tables(shift, h, nodes)
+            v = vals[k * step]
+            vals[k * step + 1:(k + 1) * step + 1] = apply(P, v) + apply(W, F[k]).sum(axis=1)
             integral += apply(H1, v) + apply(G, F[k]).sum(axis=0)
         return vals, integral
 
@@ -164,11 +162,11 @@ class CauchySolver:
         diag = self.op.diagonalization
         Z = None if diag is None else diag[0]
         if Z is None:  # dense backend, or a diagonal A: no change of basis
-            v, _ = solver._propagate(0.0, F[..., None], x0[:, None])
+            v, _ = solver._propagate(0.0, F[..., None], x0[:, None], nodes=True)
             values = v[..., 0]
         else:
             ZH = Z.conj().T
-            v, _ = solver._propagate(0.0, (F @ ZH.T)[..., None], (ZH @ x0)[:, None])
+            v, _ = solver._propagate(0.0, (F @ ZH.T)[..., None], (ZH @ x0)[:, None], nodes=True)
             values = v[..., 0] @ Z.T
         values[0] = x0
         derivative = values @ self.op.matrix.T + forcing.sample(grid.nodes)
@@ -180,31 +178,38 @@ class CauchySolver:
 
     def exp_functionals(self, mu):
         """For the forcing f(t) = e^{-conj(mu) t} (columnwise identity),
-        return (W, UT) with W = int_0^T e^{-mu t} u(t) dt and UT = u(T),
-        both as dim x dim matrices (u(., x) depends linearly on x).
+        return (W, UT, ut_norm) with W = int_0^T e^{-mu t} u(t) dt and
+        UT = u(T), both as dim x dim matrices (u(., x) depends linearly on
+        x), and ut_norm the E0 operator norm of UT.
 
         Internally solves the tilted system v = e^{-mu t} u, whose forcing
         profile e^{-2 Re mu t} is smooth, so oscillation in mu never meets
-        the interpolation."""
+        the interpolation. Only panel edges are propagated; Z being unitary,
+        the eigen backend's euclidean ut_norm is the largest |eigenvalue| of UT."""
         mu = complex(mu)
         solver = self.refined_for(2.0 * mu.real)
         grid = solver.grid
         profile = np.exp(-2.0 * mu.real * grid.gl_times)[..., None, None]
+        eT = np.exp(mu * grid.T)
         diag = self.op.diagonalization
-        if diag is not None:
-            # the response to profile(t) I is diagonal in eigen coordinates:
-            # one column of ones carries all of it
-            Z = diag[0]
-            ones = np.ones((self.dim, 1), dtype=complex)
-            v, w = solver._propagate(mu, profile * ones, np.zeros_like(ones))
-            w, vT, eT = w[:, 0], v[-1, :, 0], np.exp(mu * grid.T)
-            if Z is None:
-                return np.diag(w), np.diag(eT * vT)
+        if diag is None:
+            I = np.eye(self.dim, dtype=complex)
+            v, w = solver._propagate(mu, profile * I, np.zeros_like(I), nodes=False)
+            UT = eT * v[-1]
+            return w, UT, self.op.operator_norm(UT)
+        # the response to profile(t) I is diagonal in eigen coordinates:
+        # one column of ones carries all of it
+        Z = diag[0]
+        ones = np.ones((self.dim, 1), dtype=complex)
+        v, w = solver._propagate(mu, profile * ones, np.zeros_like(ones), nodes=False)
+        w, vT = w[:, 0], v[-1, :, 0]
+        if Z is None:
+            W, UT = np.diag(w), np.diag(eT * vT)
+        else:
             ZH = Z.conj().T
-            return (Z * w) @ ZH, eT * (Z * vT) @ ZH
-        I = np.eye(self.dim, dtype=complex)
-        v, w = solver._propagate(mu, profile * I, np.zeros_like(I))
-        return w, np.exp(mu * grid.T) * v[-1]
+            W, UT = (Z * w) @ ZH, eT * (Z * vT) @ ZH
+        euclidean = self.op.e0_norm == "euclidean"
+        return W, UT, float(np.max(np.abs(eT * vT))) if euclidean else self.op.operator_norm(UT)
 
 
 def solve_ivp(op, f, x, grid, verify=False):

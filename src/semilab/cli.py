@@ -61,7 +61,7 @@ def parse_mu_grid(spec):
         if min(int(n_re), int(n_im)) < 1:
             raise ConfigError(f"mu-grid {spec!r} has no points")
         return mu_box(re_lo, re_hi, int(n_re), im_lo, im_hi, int(n_im))
-    return [complex(m) for m in parse_vector(spec)]
+    return [complex(m) for m in parse_vector(spec, "--mu-grid")]
 
 
 def _csv(path, header, rows):

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError
-from .operators import parse_complex, parse_spec, parse_vector
+from .operators import parse_complex, parse_spec
 
 # keys of each probe kind; probes per family in default_probes
 _PROBE_KEYS = {"exp": ("mu", "y", "x"), "poly": ("coeffs", "y", "x"), "ic": ("x",)}
@@ -90,12 +90,12 @@ def parse_probe_line(line, dim):
     """One probe per line: ``exp mu=<complex> [y=<vec>] [x=<vec>]`` | ``poly
     coeffs=<list> [y=<vec>] [x=<vec>]`` | ``ic x=<vec>``. Returns (forcing, x)."""
     kind, args = parse_spec(line, "probe", _PROBE_KEYS)
-    y = parse_vector(args["y"]) if "y" in args else np.ones(dim, dtype=complex)
-    x = parse_vector(args["x"]) if "x" in args or kind == "ic" else np.zeros(dim, complex)
+    y = args.vector("y") if "y" in args else np.ones(dim, dtype=complex)
+    x = args.vector("x") if "x" in args or kind == "ic" else np.zeros(dim, complex)
     if kind == "exp":
         f = ExpForcing(parse_complex(args["mu"]), y)
     elif kind == "poly":
-        f = PolyForcing(parse_vector(args["coeffs"]), y)
+        f = PolyForcing(args.vector("coeffs"), y)
     else:
         f = ZeroForcing(dim)
     if kind != "ic" and f.y.shape[0] != dim:

@@ -283,20 +283,25 @@ def parse_complex(tok):
         raise ConfigError(f"cannot parse complex number {tok!r}") from None
 
 
-def parse_vector(text):
-    """Complex tokens separated by commas, semicolons or whitespace; at
-    least one, since no vector of the laboratory is empty."""
+def parse_vector(text, what):
+    """Complex tokens separated by commas, semicolons or whitespace; at least
+    one, since no vector of the laboratory is empty, else a ConfigError naming what."""
     toks = [t for t in re.split(r"[,;\s]+", text.strip()) if t]
     if not toks:
-        raise ConfigError(f"expected a list of numbers, got {text!r}")
+        raise ConfigError(f"{what} expects a list of numbers, got {text!r}")
     return np.array([parse_complex(t) for t in toks])
 
 
 class _SpecArgs(dict):
-    """The key=value arguments of one spec line; a missing key is a ConfigError."""
+    """The key=value arguments of one spec line; a missing or repeated key is a ConfigError."""
 
     def __missing__(self, key):
         raise ConfigError(f"{self.what} needs {key}=<value>")
+
+    def __setitem__(self, key, value):
+        if key in self:
+            raise ConfigError(f"{self.what}: repeated key {key!r}")
+        super().__setitem__(key, value)
 
     def integer(self, key, low=1):
         """self[key] as an int >= low; otherwise a ConfigError naming the key."""
@@ -305,12 +310,16 @@ class _SpecArgs(dict):
             raise ConfigError(f"{self.what}: {key}={raw!r} is not an integer >= {low}")
         return int(raw)
 
+    def vector(self, key):
+        """parse_vector(self[key]), its error naming the key."""
+        return parse_vector(self[key], f"{self.what}: {key}=")
+
 
 def parse_spec(text, what, keys):
     """``name key=value ...`` as (name, args), the shared form of generator
     specs and probe lines; ``keys[name]`` holds the keys a name takes. Bare
     tokens are left to the caller where it is None, else ConfigErrors, as
-    are an empty spec, an unknown name and an unknown key."""
+    are an empty spec, an unknown name, an unknown key and a repeated key."""
     parts = text.split()
     if not parts:
         raise ConfigError(f"empty {what}")
@@ -330,7 +339,7 @@ def parse_spec(text, what, keys):
 
 def parse_operator_text(text):
     """Parse an operator description, ``key = value`` lines with the keys
-    of _OPERATOR_KEYS (``row`` repeatable, ``matrix`` a generator spec with
+    of _OPERATOR_KEYS (only ``row`` repeatable, ``matrix`` a generator spec with
     the keys of _GENERATOR_KEYS), into an OperatorPair."""
     kv, rows = _SpecArgs(), []
     kv.what = "operator description"
@@ -344,7 +353,7 @@ def parse_operator_text(text):
         if key not in _OPERATOR_KEYS:
             raise ConfigError(f"{kv.what}: unknown key {key!r}")
         if key == "row":
-            rows.append(parse_vector(val))
+            rows.append(parse_vector(val, "row"))
         else:
             kv[key] = val
 
@@ -357,7 +366,7 @@ def parse_operator_text(text):
         if name == "laplacian1d":
             op = laplacian_1d(args.integer("n"), e0_norm=e0_norm)
         elif name == "diag":
-            op = diagonal_operator(parse_vector(gen[len("diag"):]), e0_norm=e0_norm)
+            op = diagonal_operator(parse_vector(gen[len("diag"):], args.what), e0_norm=e0_norm)
         elif name == "jordan":
             op = jordan_block(parse_complex(args["lambda"]), args.integer("size"),
                               e0_norm=e0_norm)

@@ -147,17 +147,17 @@ def assemble_U_V(solver, mu):
       V_mu x = 2 Re mu e^{-mu T} / (1 - e^{-2 Re mu T}) * u(T, x),
 
     with u(., x) the zero-initial-data solution for f(t) = e^{-conj(mu) t}x.
-    Only solution functionals are requested from the solver.
+    Only solution functionals are requested from the solver; ||V_mu|| is the
+    scalar factor's modulus times the E0 norm of u(T) the solver returns.
     """
     mu = complex(mu)
     if mu.real <= 0:
         raise DegenerateReMu(f"Re mu = {mu.real} must be positive")
-    W, UT = solver.exp_functionals(mu)
+    W, UT, ut_norm = solver.exp_functionals(mu)
     T = solver.T
     U = 2.0 * mu.real * W
-    V = (2.0 * mu.real * np.exp(-mu * T) / (1.0 - math.exp(-2.0 * mu.real * T))) * UT
-    return SurjectivityData(mu=mu, T=T, U=U, V=V,
-                            V_norm=float(solver.operator_norm(V)))
+    c = 2.0 * mu.real * np.exp(-mu * T) / (1.0 - math.exp(-2.0 * mu.real * T))
+    return SurjectivityData(mu=mu, T=T, U=U, V=c * UT, V_norm=float(abs(c) * ut_norm))
 
 
 def surjectivity_identity_check(op, sdata, x):

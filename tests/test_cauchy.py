@@ -3,6 +3,7 @@ import pytest
 import scipy.linalg
 
 import semilab as sl
+from semilab import cauchy
 from semilab.errors import EmptyProbeSet, HypothesisViolation, NotANode
 
 from conftest import random_vector
@@ -209,6 +210,81 @@ class TestBackendsAgree:
             assert np.max(np.abs(a - b)) <= 1e-10 * np.max(np.abs(a)), name
 
 
+class TestEdgeFunctionals:
+    """exp_functionals propagates panel edges only and, for a normal operator
+    in the euclidean norm, reads ||u(T)|| from eigen coordinates; checked
+    against all-node tables, against solve and against the SVD / row-sum norm."""
+
+    MAKERS = {
+        "diag": lambda e0: sl.diagonal_operator([-1.0, -2.0], e0_norm=e0),
+        "lap16": lambda e0: sl.laplacian_1d(16, e0_norm=e0),
+        "lap64": lambda e0: sl.laplacian_1d(64, e0_norm=e0),
+        "normal16": lambda e0: sl.random_normal_operator(16, seed=7, e0_norm=e0),
+        "jordan8": lambda e0: sl.jordan_block(-2.0, 8, e0_norm=e0),
+    }
+    MUS = (0.5, 2.0 + 4.0j, 32.0 - 16.0j)  # the last one refines the grid
+
+    @classmethod
+    def _op(cls, name, backend, e0_norm="euclidean"):
+        op = cls.MAKERS[name](e0_norm)
+        if backend == "dense":
+            op.__dict__["diagonalization"] = None
+        return op
+
+    @pytest.mark.parametrize("backend", ["eigen", "dense"])
+    @pytest.mark.parametrize("name", sorted(MAKERS))
+    def test_edges_match_node_path(self, grid, rng, monkeypatch, name, backend):
+        op = self._op(name, backend)
+        x = random_vector(rng, op.dim)
+        edges = [sl.CauchySolver(op, grid).exp_functionals(mu) for mu in self.MUS]
+        # the same functionals from tables at every node, keeping the edges
+        propagate = cauchy.CauchySolver._propagate
+
+        def node_path(self, shift, F, v0, nodes):
+            vals, integral = propagate(self, shift, F, v0, nodes=True)
+            return (vals if nodes else vals[::self.grid.nodes_per_panel + 1]), integral
+
+        monkeypatch.setattr(cauchy.CauchySolver, "_propagate", node_path)
+        solver = sl.CauchySolver(op, grid)
+        for mu, (W, UT, ut_norm) in zip(self.MUS, edges):
+            Wn, UTn, ut_norm_n = solver.exp_functionals(mu)
+            assert np.array_equal(W, Wn) and np.array_equal(UT, UTn) and ut_norm == ut_norm_n
+            # against an independent discretization: the untilted solve on
+            # its own grid; both sit within about 2e-12 of the closed form
+            ref = solver.solve(sl.ExpForcing(np.conj(mu), x)).values[-1]
+            assert np.linalg.norm(UT @ x - ref) <= 1e-11 * np.linalg.norm(ref), mu
+
+    @pytest.mark.parametrize("e0_norm", ["euclidean", "sup"])
+    @pytest.mark.parametrize("backend", ["eigen", "dense"])
+    @pytest.mark.parametrize("name", sorted(MAKERS))
+    def test_vnorm_matches_operator_norm(self, grid, name, backend, e0_norm):
+        op = self._op(name, backend, e0_norm)
+        solver = sl.CauchySolver(op, grid)
+        for mu in self.MUS:
+            sd = sl.assemble_U_V(solver, mu)
+            assert sd.V_norm == pytest.approx(op.operator_norm(sd.V), rel=1e-12, abs=0), mu
+
+    def test_work(self, grid, monkeypatch):
+        op = sl.laplacian_1d(64)
+        assert op.diagonalization is not None  # the factor is built before counting
+        norms, shapes = [], []
+        operator_norm = sl.OperatorPair.operator_norm
+        monkeypatch.setattr(sl.OperatorPair, "operator_norm",
+                            lambda self, B: norms.append(1) or operator_norm(self, B))
+        phi_scalar = cauchy.phi_scalar
+        monkeypatch.setattr(cauchy, "phi_scalar",
+                            lambda kmax, z: shapes.append((kmax, np.shape(z)))
+                            or phi_scalar(kmax, z))
+        solver = sl.CauchySolver(op, grid)
+        for mu in self.MUS:
+            sl.assemble_U_V(solver, mu)
+        assert norms == []
+        # phi_0..phi_{q+1} at r = 1 alone, for each mode: (q+2) x dim values
+        q = grid.nodes_per_panel
+        assert len(shapes) >= len(self.MUS)
+        assert set(shapes) == {(q + 1, (1, op.dim))}
+
+
 class TestOneFactorization:
     """The eigen backend reads the operator's resolvent factor; operators
     whose factor is not normal take the dense backend."""
@@ -264,5 +340,5 @@ class TestOneFactorization:
         u = solver.solve(sl.ExpForcing(3.0 + 2.0j, random_vector(rng, 8)), random_vector(rng, 8))
         assert np.all(np.isfinite(u.values))
         for mu in (0.5, 2.0 + 4.0j, 32.0 - 16.0j):  # the last one refines the grid
-            W, UT = solver.exp_functionals(mu)
-            assert np.all(np.isfinite(W)) and np.all(np.isfinite(UT))
+            W, UT, ut_norm = solver.exp_functionals(mu)
+            assert np.all(np.isfinite(W)) and np.all(np.isfinite(UT)) and np.isfinite(ut_norm)

@@ -173,17 +173,19 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "matrix, key",
-        [("laplacian1d", "n="), ("jordan lambda=-1", "size="), ("", "matrix"), ("diag", ""),
+        [("laplacian1d", "n="), ("jordan lambda=-1", "size="), ("", "matrix"), ("diag", "'diag'"),
          ("random-normal dim=0", "dim="), ("laplacian1d n=0", "n="),
          ("jordan lambda=-1 size=0", "size="), ("random-normal dim=-3", "dim="),
          ("laplacian1d n=abc", "n="), ("laplacian1d n=2.5", "n="),
          ("random-normal dim=2 seed=x", "seed="), ("random-normal dim=2 seed=-1", "seed="),
+         ("laplacian1d n=3 n=5", "'n'"), ("jordan lambda=-1 size=3 lambda=-2", "'lambda'"),
          ("laplacian1d n=8 m=3", "'m'"), ("laplacian1d n=8 m3", "'m3'"),
          ("jordan lambda=-1 size=3 n=2", "'n'"), ("random-normal dim=2 sead=1", "'sead'"),
          ("diag -1,-2 n=3", "'n'")],
         ids=["laplacian-no-n", "jordan-no-size", "empty", "diag-no-entries", "dim-zero",
              "n-zero", "size-zero", "dim-negative", "n-not-int", "n-fraction", "seed-not-int",
-             "seed-negative", "unknown-key", "bare-token", "jordan-unknown-key",
+             "seed-negative", "repeated-n", "repeated-lambda", "unknown-key", "bare-token",
+             "jordan-unknown-key",
              "random-normal-unknown-key", "diag-key"])
     def test_malformed_generator(self, tmp_path, capsys, matrix, key):
         f = tmp_path / "op.op"
@@ -198,10 +200,11 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "line, key",
-        [("exp y=1,1", "mu="), ("poly coeffs=", ""), ("exp mu=1 yy=1,0", "'yy'"),
-         ("poly coeffs=1 mu=2", "'mu'"), ("ic x=1,0 y=1,0", "'y'"), ("exp mu=1 1,0", "'1,0'")],
-        ids=["exp-no-mu", "poly-no-coeffs", "exp-unknown-key", "poly-unknown-key",
-             "ic-unknown-key", "bare-token"])
+        [("exp y=1,1", "mu="), ("poly coeffs=", "coeffs="), ("exp mu=1 y=", "y="),
+         ("exp mu=1 yy=1,0", "'yy'"), ("poly coeffs=1 mu=2", "'mu'"), ("ic x=1,0 y=1,0", "'y'"),
+         ("exp mu=1 1,0", "'1,0'"), ("exp mu=1 mu=2", "'mu'"), ("ic x=1,0 x=0,1", "'x'")],
+        ids=["exp-no-mu", "poly-no-coeffs", "exp-empty-y", "exp-unknown-key", "poly-unknown-key",
+             "ic-unknown-key", "bare-token", "repeated-mu", "repeated-x"])
     def test_malformed_probe(self, tmp_path, capsys, diag_file, line, key):
         pf = tmp_path / "probes.txt"
         pf.write_text(line + "\n")
@@ -216,6 +219,19 @@ class TestExitCodes:
         key = line.split()[0]
         assert f"'{key}'" in self._one_line_error(tmp_path, capsys, "spectrum",
                                                   "--operator", str(f))
+
+    @pytest.mark.parametrize(
+        "text, key",
+        [("matrix = laplacian1d n=3\nmatrix = laplacian1d n=5\n", "'matrix'"),
+         ("e0_norm = sup\nmatrix = diag -1,-2\ne0_norm = euclidean\n", "'e0_norm'"),
+         ("dim = 2\ndim = 2\nmatrix = diag -1,-2\n", "'dim'"),
+         ("row = -1 0\nrow =\n", "row")],
+        ids=["matrix", "e0_norm", "dim", "empty-row"])
+    def test_repeated_or_empty_operator_line(self, tmp_path, capsys, text, key):
+        # only row may repeat; an empty list names the key it came from
+        f = tmp_path / "op.op"
+        f.write_text(text)
+        assert key in self._one_line_error(tmp_path, capsys, "spectrum", "--operator", str(f))
 
     @pytest.mark.parametrize("flag", [["--panels", "1"], ["--seed", "-1"],
                                       ["--mu-grid", "grid:1:2:0:0:1:1"]],
