@@ -25,16 +25,15 @@ from .forcing import (
 )
 from .operators import (
     OperatorPair,
-    SpectralReport,
     diagonal_operator,
     jordan_block,
     laplacian_1d,
     load_operator,
     parse_operator_text,
     random_normal_operator,
-    spectrum_and_bound,
 )
 from .theorem import (
+    HalfPlaneScan,
     ProofProbe,
     RPlusVerdict,
     SurjectivityData,

@@ -7,12 +7,14 @@ A = 0 this reduces to the classical panel Gauss-Legendre rule; for stiff
 spectra it keeps boundary layers accurate, which the surjectivity-identity
 checks need.
 
-Every solve runs through one panel propagator. For a shift s and a panel
-width h it reads tables built once and cached on the solver: the
+Every solve runs through one panel propagator. For a shift s it builds,
+once per call and per distinct panel width h, the tables of a panel: the
 propagators e^{h r (A - s)} from the panel start to each output point r
 (the q Gauss nodes and the right edge, or the right edge alone), the
 weights that map the q forcing samples to each output point, and the
-weights of the integral over the panel. When A is normal the tables are
+weights of the integral over the panel. The solver keeps the unshifted
+(s = 0) tables, which all its solves share; a shifted table serves one mu
+and is dropped with its call. When A is normal the tables are
 (dim, 1) columns in the coordinates of the unitary eigenbasis Z of the
 operator's resolvent factor, built from scalar phi functions and applied
 elementwise; otherwise (defective or non-normal A) they are dim x dim
@@ -41,14 +43,10 @@ from .errors import (
 )
 from .phi import phi_matrices, phi_scalar
 from .timegrid import GridFunction, TimeGrid, e0_norm_J, e1_norm_J, gauss_legendre_01
-from .util import map_indexed
 
 # panel width * profile rate above which panels are split, keeping the
 # polynomial interpolation error of the forcing profile near 1e-11
 _RATE_BUDGET = 0.6
-# panel tables a solver keeps, one entry per (shift, panel width); bounded so
-# that a solver driven over many shifts (a mu scan) does not keep them all
-_TABLE_CACHE = 8
 
 
 @lru_cache(maxsize=16)
@@ -104,11 +102,11 @@ class CauchySolver:
         alone: P[j] = e^{h r_j B}, W[j, m] the weight of the m-th forcing sample
         in v(h r_j), H1 = h phi_1(hB) and G[m] the weight of the m-th forcing
         sample in the integral of v over the panel. Eigen backend: (dim, 1)
-        columns; dense backend: dim x dim matrices."""
-        key = (complex(shift), float(h), nodes)
-        tab = self._tables.get(key)
-        if tab is not None:
-            return tab
+        columns; dense backend: dim x dim matrices. Unshifted tables are kept
+        on the solver."""
+        key = (h, nodes)
+        if shift == 0 and key in self._tables:
+            return self._tables[key]
         q = self.grid.nodes_per_panel
         xi, _ = gauss_legendre_01(q)
         rs = np.append(xi, 1.0) if nodes else np.ones(1)
@@ -127,9 +125,8 @@ class CauchySolver:
         W = h * np.einsum("mp,pj,pj...->jm...", coef, rpow, PHI[1:q + 1])
         G = (h * h) * np.einsum("mp,p...->m...", coef, PHI[2:, -1])
         tab = (PHI[0], W, h * PHI[1, -1], G)
-        if len(self._tables) >= _TABLE_CACHE:
-            self._tables.clear()
-        self._tables[key] = tab
+        if shift == 0:
+            self._tables[key] = tab
         return tab
 
     def _propagate(self, shift, F, v0, nodes):
@@ -142,8 +139,10 @@ class CauchySolver:
         vals = np.empty((grid.panels * step + 1,) + v0.shape, dtype=complex)
         vals[0] = v0
         integral = np.zeros(v0.shape, dtype=complex)
-        for k, h in enumerate(np.diff(grid.edges)):
-            P, W, H1, G = self._panel_tables(shift, h, nodes)
+        widths = np.diff(grid.edges).tolist()
+        tables = {h: self._panel_tables(shift, h, nodes) for h in dict.fromkeys(widths)}
+        for k, h in enumerate(widths):
+            P, W, H1, G = tables[h]
             v = vals[k * step]
             vals[k * step + 1:(k + 1) * step + 1] = apply(P, v) + apply(W, F[k]).sum(axis=1)
             integral += apply(H1, v) + apply(G, F[k]).sum(axis=0)
@@ -266,22 +265,16 @@ def estimate_M(op, grid, probes):
     if not probes:
         raise EmptyProbeSet("estimate_M needs at least one probe")
     solver = CauchySolver(op, grid)
-
-    def run(probe):
-        f, x = probe
+    ratios, c2s = [], []
+    for f, x in probes:
         u = solver.solve(f, x)
         nf = e0_norm_J(op, GridFunction(u.grid, f.sample(u.grid.nodes)))
         nx1 = op.norm1(x)
         denom = nf + nx1
         if denom == 0:
             raise EmptyProbeSet("degenerate probe: ||f||_E0 + ||x||_1 = 0")
-        ratio = e1_norm_J(op, u) / denom
-        c2 = e1_norm_J(op, u) / nf if (nf > 0 and nx1 == 0) else 0.0
-        return ratio, c2
-
-    results = map_indexed(run, list(probes))
-    ratios = [r for r, _ in results]
-    c2s = [c for _, c in results]
+        ratios.append(e1_norm_J(op, u) / denom)
+        c2s.append(e1_norm_J(op, u) / nf if (nf > 0 and nx1 == 0) else 0.0)
     return MaxRegEstimate(M_hat=float(max(ratios)), c2_hat=float(max(c2s, default=0.0)),
                           probe_count=len(probes), grid=grid, ratios=ratios)
 

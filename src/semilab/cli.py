@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -56,10 +57,12 @@ def parse_mu_grid(spec):
             re_lo, re_hi, n_re, im_lo, im_hi, n_im = (float(p) for p in spec.split(":")[1:])
         except ValueError:
             raise ConfigError(f"bad mu-grid spec {spec!r}") from None
-        if re_lo <= 0:
+        if not all(map(math.isfinite, (re_lo, re_hi, im_lo, im_hi))):
+            raise ConfigError(f"mu-grid {spec!r} has a bound that is not finite")
+        if not (n_re.is_integer() and n_im.is_integer() and min(n_re, n_im) >= 1):
+            raise ConfigError(f"mu-grid {spec!r}: point counts must be integers >= 1")
+        if min(re_lo, re_hi) <= 0:
             raise ConfigError("mu-grid real parts must be positive (log spacing)")
-        if min(int(n_re), int(n_im)) < 1:
-            raise ConfigError(f"mu-grid {spec!r} has no points")
         return mu_box(re_lo, re_hi, int(n_re), im_lo, im_hi, int(n_im))
     return [complex(m) for m in parse_vector(spec, "--mu-grid")]
 
@@ -270,8 +273,10 @@ def build_parser():
 def main(argv=None):
     try:
         args = build_parser().parse_args(argv)
-        if args.T <= 0:
-            raise _UsageError("--T must be positive")
+        if not 0 < args.T < math.inf:
+            raise _UsageError("--T must be positive and finite")
+        if args.theta is not None and not math.isfinite(args.theta):
+            raise _UsageError("--theta must be finite")
         if not 0.0 < args.sigma <= 1.0:
             raise _UsageError("--sigma must lie in (0, 1]")
         if args.panels < 2:

@@ -7,9 +7,9 @@ the embedding constant c1 equals 1 exactly.
 
 from __future__ import annotations
 
+import cmath
 import re
 from functools import cached_property
-from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
@@ -222,26 +222,6 @@ class OperatorPair:
         return (Z, lam) if normal else None
 
 
-@dataclass
-class SpectralReport:
-    """Spectrum, resolvent-set scan, spectral bound and half-plane constants."""
-
-    eigenvalues: np.ndarray
-    spectral_bound: float
-    scan: list = field(default_factory=list)  # (mu, resolvent_norm) pairs
-    bound_constant: float | None = None       # N with ||R(mu)|| <= N/(1+|mu|)
-    half_plane_offset: float | None = None    # omega
-    e0_norm: str = "euclidean"
-    diagnostics: dict = field(default_factory=dict)
-
-
-def spectrum_and_bound(op):
-    """SpectralReport with eigenvalues and spectral bound only."""
-    ev = op.eigenvalues
-    return SpectralReport(eigenvalues=ev, spectral_bound=float(np.max(ev.real)),
-                          e0_norm=op.e0_norm)
-
-
 # -- canned operator constructors ------------------------------------------
 
 
@@ -276,11 +256,15 @@ def random_normal_operator(dim, seed, e0_norm="euclidean"):
 
 
 def parse_complex(tok):
-    """One complex token such as ``2.5-1i`` or ``3j``; ConfigError if malformed."""
+    """One finite complex token such as ``2.5-1i`` or ``3j``; ConfigError if
+    malformed or not finite."""
     try:
-        return complex(tok.replace("i", "j"))
+        z = complex(tok.replace("i", "j"))
     except ValueError:
         raise ConfigError(f"cannot parse complex number {tok!r}") from None
+    if not cmath.isfinite(z):
+        raise ConfigError(f"complex number {tok!r} is not finite")
+    return z
 
 
 def parse_vector(text, what):

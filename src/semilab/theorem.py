@@ -24,7 +24,6 @@ from .errors import (
     SlowConvergence,
 )
 from .forcing import ExpForcing
-from .operators import SpectralReport
 from .timegrid import GridFunction, TimeGrid
 
 # resolvent_from_solver ends its Neumann series at terms below NEUMANN_TOL ||y||
@@ -246,6 +245,25 @@ def default_mu_grid(omega):
     return mu_box(omega + 0.5, 1e3, 5, -1e2, 1e2, 21)
 
 
+def _resolvent_norms(op, mus):
+    """||(mu - A)^{-1}|| at each mu, inf where mu - A is singular."""
+    norms = []
+    for mu in mus:
+        try:
+            norms.append(op.resolvent_norm(mu))
+        except SingularResolvent:
+            norms.append(math.inf)
+    return norms
+
+
+@dataclass
+class HalfPlaneScan:
+    scan: list                  # (mu, resolvent_norm) pairs
+    bound_constant: float       # N with ||R(mu)|| <= N/(1+|mu|)
+    half_plane_offset: float    # omega
+    diagnostics: dict = field(default_factory=dict)
+
+
 def halfplane_scan(op, omega, mu_grid, M_hat=None):
     """Resolvent norms over a grid in {Re mu > omega} and the constant
     N = max (1 + |mu|) ||(mu - A)^{-1}||. Singular grid points are recorded
@@ -253,20 +271,10 @@ def halfplane_scan(op, omega, mu_grid, M_hat=None):
     mu_grid = [complex(m) for m in mu_grid]
     if any(m.real <= omega for m in mu_grid):
         raise ConfigError("all scan points must satisfy Re mu > omega")
-
-    scan = []
-    for mu in mu_grid:
-        try:
-            scan.append((mu, op.resolvent_norm(mu)))
-        except SingularResolvent:
-            scan.append((mu, math.inf))
+    scan = list(zip(mu_grid, _resolvent_norms(op, mu_grid)))
     weighted = [(1.0 + abs(m)) * r for m, r in scan]
-    N = max(weighted) if weighted else math.inf
-    report = SpectralReport(eigenvalues=op.eigenvalues,
-                            spectral_bound=op.spectral_bound,
-                            scan=scan, bound_constant=float(N),
-                            half_plane_offset=float(omega),
-                            e0_norm=op.e0_norm)
+    report = HalfPlaneScan(scan=scan, bound_constant=float(max(weighted, default=math.inf)),
+                           half_plane_offset=float(omega))
     if M_hat is not None:
         # diagnostic only: M_hat is a lower bound of M, so a violation of
         # the 2M(1 v c1) bound is inconclusive
@@ -291,17 +299,9 @@ def rplus_verdict(op, scan_imag_axis=None):
     if scan_imag_axis is None:
         pos = np.logspace(-2, 3, 41)
         scan_imag_axis = np.concatenate([-pos[::-1], [0.0], pos])
+    norms = _resolvent_norms(op, [1j * beta for beta in scan_imag_axis])
+    singular = [float(b) for b, r in zip(scan_imag_axis, norms) if math.isinf(r)]
+    bound = max(((1.0 + abs(b)) * r for b, r in zip(scan_imag_axis, norms)), default=0.0)
     s_A = op.spectral_bound
-    singular = []
-    bound = 0.0
-    for beta in scan_imag_axis:
-        try:
-            rn = op.resolvent_norm(1j * beta)
-        except SingularResolvent:
-            singular.append(float(beta))
-            continue
-        bound = max(bound, (1.0 + abs(beta)) * rn)
-    passed = (s_A < 0) and not singular and math.isfinite(bound)
-    return RPlusVerdict(s_A=float(s_A),
-                        uniform_bound=float(bound if not singular else math.inf),
-                        passed=bool(passed), singular_betas=singular)
+    return RPlusVerdict(s_A=float(s_A), uniform_bound=float(bound),
+                        passed=bool(s_A < 0 and math.isfinite(bound)), singular_betas=singular)

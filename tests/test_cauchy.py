@@ -7,6 +7,7 @@ from semilab import cauchy
 from semilab.errors import EmptyProbeSet, HypothesisViolation, NotANode
 
 from conftest import random_vector
+from test_acceptance import MU_GRID_25
 
 
 class TestSolveIVP:
@@ -342,3 +343,29 @@ class TestOneFactorization:
         for mu in (0.5, 2.0 + 4.0j, 32.0 - 16.0j):  # the last one refines the grid
             W, UT, ut_norm = solver.exp_functionals(mu)
             assert np.all(np.isfinite(W)) and np.all(np.isfinite(UT)) and np.isfinite(ut_norm)
+
+
+class TestPanelTables:
+    """The solver keeps the unshifted tables that its solves share and drops
+    the shifted ones, which serve one mu each."""
+
+    @pytest.mark.parametrize("name, kernel",
+                             [("lap16", "phi_scalar"), ("jordan8", "phi_matrices")])
+    def test_two_solves_build_one_table(self, corpus, grid, monkeypatch, rng, name, kernel):
+        op = corpus[name]
+        calls = []
+        fn = getattr(cauchy, kernel)
+        monkeypatch.setattr(cauchy, kernel, lambda *a: calls.append(1) or fn(*a))
+        solver = sl.CauchySolver(op, grid)
+        for _ in range(2):
+            solver.solve(sl.ZeroForcing(op.dim), random_vector(rng, op.dim))
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("name", ["lap16", "jordan8"])
+    def test_no_shifted_table_is_kept(self, corpus, grid, name):
+        solver = sl.CauchySolver(corpus[name], grid)
+        for mu in MU_GRID_25:
+            solver.exp_functionals(mu)
+        assert solver._tables == {}
+        solver.solve(sl.ZeroForcing(solver.dim))
+        assert list(solver._tables) == [(grid.edges[1] - grid.edges[0], True)]

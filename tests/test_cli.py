@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -56,11 +57,18 @@ PARSERS = {
 }
 
 
-@pytest.mark.parametrize("parser", sorted(PARSERS))
-def test_one_token_parser(parser):
+# id suffix: (text, the token its error names)
+BAD_TOKENS = {"": ("1,2.5-1q", "2.5-1q"), "-nan": ("1,nan", "nan"),
+              "-overflow": ("-1e999,1", "-1e999"), "-nan-imag": ("1+nanj,2", "1+nanj")}
+
+
+@pytest.mark.parametrize("parser, bad", [(p, b) for p in sorted(PARSERS) for b in BAD_TOKENS],
+                         ids=[p + b for p in sorted(PARSERS) for b in BAD_TOKENS])
+def test_one_token_parser(parser, bad):
     assert list(PARSERS[parser]("1,2.5-1i")) == [1 + 0j, 2.5 - 1j]
-    with pytest.raises(ConfigError):
-        PARSERS[parser]("1,2.5-1q")
+    text, token = BAD_TOKENS[bad]
+    with pytest.raises(ConfigError, match=re.escape(repr(token))):
+        PARSERS[parser](text)
 
 
 class TestExperiments:
@@ -181,12 +189,13 @@ class TestExitCodes:
          ("laplacian1d n=3 n=5", "'n'"), ("jordan lambda=-1 size=3 lambda=-2", "'lambda'"),
          ("laplacian1d n=8 m=3", "'m'"), ("laplacian1d n=8 m3", "'m3'"),
          ("jordan lambda=-1 size=3 n=2", "'n'"), ("random-normal dim=2 sead=1", "'sead'"),
-         ("diag -1,-2 n=3", "'n'")],
+         ("diag -1,-2 n=3", "'n'"), ("diag -1,nan", "'nan'"),
+         ("jordan lambda=1e999 size=3", "'1e999'")],
         ids=["laplacian-no-n", "jordan-no-size", "empty", "diag-no-entries", "dim-zero",
              "n-zero", "size-zero", "dim-negative", "n-not-int", "n-fraction", "seed-not-int",
              "seed-negative", "repeated-n", "repeated-lambda", "unknown-key", "bare-token",
              "jordan-unknown-key",
-             "random-normal-unknown-key", "diag-key"])
+             "random-normal-unknown-key", "diag-key", "diag-nan", "jordan-overflow-lambda"])
     def test_malformed_generator(self, tmp_path, capsys, matrix, key):
         f = tmp_path / "op.op"
         f.write_text(f"matrix = {matrix}\n")
@@ -233,9 +242,17 @@ class TestExitCodes:
         f.write_text(text)
         assert key in self._one_line_error(tmp_path, capsys, "spectrum", "--operator", str(f))
 
-    @pytest.mark.parametrize("flag", [["--panels", "1"], ["--seed", "-1"],
-                                      ["--mu-grid", "grid:1:2:0:0:1:1"]],
-                             ids=["panels", "seed", "empty-mu-grid"])
+    @pytest.mark.parametrize(
+        "flag",
+        [["--panels", "1"], ["--seed", "-1"], ["--mu-grid", "grid:1:2:0:0:1:1"],
+         ["--T", "nan"], ["--T", "inf"], ["--theta", "nan"], ["--theta", "inf"],
+         ["--mu-grid", "1+2j,nan"], ["--mu-grid", "nan,1+2j"],
+         ["--mu-grid", "grid:1:2:nan:-1:1:3"], ["--mu-grid", "grid:1:2:2.7:-1:1:3"],
+         ["--mu-grid", "grid:1:inf:2:-1:1:3"], ["--mu-grid", "grid:1:2:2:nan:1:3"],
+         ["--mu-grid", "grid:1:-2:2:-1:1:3"]],
+        ids=["panels", "seed", "empty-mu-grid", "T-nan", "T-inf", "theta-nan", "theta-inf",
+             "mu-nan-last", "mu-nan-first", "grid-nan-count", "grid-fractional-count",
+             "grid-inf-bound", "grid-nan-bound", "grid-negative-re-hi"])
     def test_bad_run_setting(self, tmp_path, capsys, diag_file, flag):
         self._one_line_error(tmp_path, capsys, "identity-check", "--operator", diag_file,
                              *flag)

@@ -54,9 +54,8 @@ class TestSpectrum:
         assert np.allclose(got, np.sort(exact), rtol=1e-10, atol=1e-8)
 
     def test_spectrum_report(self, diag_12):
-        rep = sl.spectrum_and_bound(diag_12)
-        assert rep.spectral_bound == -1.0
-        assert rep.e0_norm == "euclidean"
+        assert diag_12.spectral_bound == -1.0
+        assert diag_12.e0_norm == "euclidean"
 
 
 class TestResolvent:
@@ -218,6 +217,30 @@ class TestResolventFactor:
         assert normal
         assert np.allclose(Z @ np.diag(lam) @ Z.conj().T, A, rtol=0, atol=1e-13)
         assert np.allclose(Z.conj().T @ Z, np.eye(6), rtol=0, atol=1e-14)
+
+
+
+class TestScansMatchSVD:
+    """halfplane_scan and rplus_verdict share one resolvent-norm loop; both
+    against a direct 1/sigma_min loop."""
+
+    BETAS = np.concatenate([-np.logspace(-2, 3, 9)[::-1], [0.0], np.logspace(-2, 3, 9)])
+
+    @pytest.mark.parametrize("make", [lambda: sl.jordan_block(-2.0, 8),
+                                      lambda: _nonnormal_dense(12, seed=2),
+                                      lambda: _nonnormal_dense(12, seed=9)],
+                             ids=["jordan8", "nonnormal12-2", "nonnormal12-9"])
+    def test_scan_and_verdict_match_svd(self, make):
+        op = make()
+        mus = MUS + [-0.8 + 0.2j, -0.5 - 3.0j]
+        rep = sl.halfplane_scan(op, -0.9, mus)
+        assert [m for m, _ in rep.scan] == [complex(m) for m in mus]
+        for mu, norm in rep.scan:
+            assert norm == pytest.approx(_svd_norm(op, mu), rel=1e-12, abs=0)
+        direct = max((1.0 + abs(b)) * _svd_norm(op, 1j * b) for b in self.BETAS)
+        verdict = sl.rplus_verdict(op, scan_imag_axis=self.BETAS)
+        assert verdict.uniform_bound == pytest.approx(direct, rel=1e-12, abs=0)
+        assert verdict.passed and verdict.singular_betas == []
 
 
 def _hermitian_tridiagonal(n, seed):

@@ -223,6 +223,7 @@ class TestScansAndVerdict:
         op = sl.diagonal_operator([1.0])  # unstable: eigenvalue at +1
         rep = sl.halfplane_scan(op, 0.0, [1.0 + 0.0j, 2.0 + 0.0j])
         assert np.isinf(rep.bound_constant)
+        assert rep.scan == [(1.0 + 0j, np.inf), (2.0 + 0j, 1.0)]
 
     def test_diagnostic_bound_flag(self, diag_12, grid):
         probes = sl.default_probes(diag_12, seed=0)
@@ -235,6 +236,7 @@ class TestScansAndVerdict:
         assert good.s_A == -1.0 and good.passed
         bad = sl.rplus_verdict(sl.diagonal_operator([0.0, -1.0]))
         assert bad.s_A == 0.0 and not bad.passed
+        assert bad.singular_betas == [0.0] and bad.uniform_bound == np.inf
 
     def test_vnorm_decay_to_zero(self, scalar_minus_one):
         Ts = [2.0**k for k in range(6)]
