@@ -275,8 +275,8 @@ def main(argv=None):
         args = build_parser().parse_args(argv)
         if not 0 < args.T < math.inf:
             raise _UsageError("--T must be positive and finite")
-        if args.theta is not None and not math.isfinite(args.theta):
-            raise _UsageError("--theta must be finite")
+        if args.theta is not None and not 0.0 < args.theta < 1.0:
+            raise _UsageError("--theta must lie in (0, 1)")
         if not 0.0 < args.sigma <= 1.0:
             raise _UsageError("--sigma must lie in (0, 1]")
         if args.panels < 2:

@@ -13,6 +13,7 @@ from functools import cached_property
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.blas import dznrm2, zgemv, ztrsv
 
 from .errors import (
     ConfigError,
@@ -28,6 +29,12 @@ _NORMAL_BOUND, _NORMAL_SPREAD = -0.5, 8.0
 _OPERATOR_KEYS = ("dim", "e0_norm", "matrix", "row")
 _GENERATOR_KEYS = {"laplacian1d": ("n",), "diag": None, "jordan": ("lambda", "size"),
                    "random-normal": ("dim", "seed")}
+# from this dimension on, a euclidean resolvent norm of a non-normal operator
+# comes from Golub-Kahan-Lanczos on the Schur factor, below it from a dense
+# SVD: the measured crossover (README, "Resolvent backend") lies near n = 90
+_GKL_MIN_DIM = 92
+# the Ritz value is read every _GKL_CHECK steps; it stops once it moves by <= _GKL_RTOL
+_GKL_CHECK, _GKL_RTOL = 4, 1e-10
 
 
 class OperatorPair:
@@ -182,15 +189,20 @@ class OperatorPair:
         w = np.conj(Z.T @ np.conj(y))  # Z* y without a conjugated copy of Z
         if normal:
             return Z @ (w.T / (mu - T)).T
-        return Z @ scipy.linalg.solve_triangular(mu * np.eye(self.dim) - T, w)
+        M = _shifted_schur(mu, T)
+        return Z @ np.apply_along_axis(lambda col: ztrsv(M, col), 0, w)
 
     def resolvent_norm(self, mu):
         """E0 operator norm of (mu - A)^-1 (1/dist(mu, sigma(A)) if normal)."""
         mu = complex(mu)
         if self.spectral_distance(mu) <= self.singular_tol:
             raise SingularResolvent(f"mu={mu} within tolerance of the spectrum")
-        if self.e0_norm == "euclidean" and self.resolvent_factor[2]:
-            return 1.0 / self.spectral_distance(mu)
+        if self.e0_norm == "euclidean":
+            _, T, normal = self.resolvent_factor
+            if normal:
+                return 1.0 / self.spectral_distance(mu)
+            if self.dim >= _GKL_MIN_DIM:  # ||(mu - A)^-1|| = ||(mu - T)^-1||, Z unitary
+                return _inverse_norm(_shifted_schur(mu, T))
         R = mu * np.eye(self.dim) - self.matrix
         if self.e0_norm == "euclidean":
             smin = np.linalg.svd(R, compute_uv=False)[-1]
@@ -220,6 +232,79 @@ class OperatorPair:
         sends the Cauchy solver to its dense backend."""
         Z, lam, normal = self.resolvent_factor
         return (Z, lam) if normal else None
+
+
+# -- triangular kernels on the Schur factor ----------------------------------
+
+
+def _shifted_schur(mu, T):
+    """mu - T in Fortran order, the layout ztrsv reads without a copy."""
+    M = np.zeros_like(T, order="F")
+    M[np.diag_indices_from(M)] = mu
+    M -= T
+    return M
+
+
+def _orthogonalize(w, Q):
+    """(w - Q Q* w, its norm) for orthonormal columns Q, projected a second
+    time when the first pass removes most of w (twice is enough); a
+    non-finite w means (mu - T)^-1 overflows."""
+    norm = dznrm2(w)
+    if not np.isfinite(norm):
+        raise SingularResolvent("resolvent norm overflows")
+    for _ in range(2 if Q.shape[1] else 0):  # zgemv takes no empty Q
+        w = zgemv(-1.0, Q, zgemv(1.0, Q, w, trans=2), beta=1.0, y=w, overwrite_y=True)
+        norm, before = dznrm2(w), norm
+        if norm > 0.5 ** 0.5 * before:
+            break
+    return w, norm
+
+
+def _top_singular_value(e):
+    """Largest singular value of the bidiagonal with entries e = (alpha_1,
+    beta_1, alpha_2, ...): the top eigenvalue of the zero-diagonal tridiagonal
+    with off-diagonal e, read on e scaled by its largest entry so that no
+    square in the eigensolver overflows."""
+    s, m = e.max(), len(e)
+    top = scipy.linalg.eigvalsh_tridiagonal(np.zeros(m + 1), e / s, select="i",
+                                            select_range=(m, m), check_finite=False)
+    return float(s * top[0])
+
+
+def _inverse_norm(M):
+    """||M^-1||_2 for an upper-triangular M in Fortran order: Golub-Kahan-
+    Lanczos bidiagonalization of M^-1 with full reorthogonalization, two
+    O(n^2) triangular solves a step, from a fixed start vector so that equal
+    inputs give bit-equal norms. It works on M^-1 itself, not on (M* M)^-1,
+    whose norm squares and overflows from 1e154 on. A residual that is zero
+    to working precision ends it early: the Ritz value is then exact."""
+    n = M.shape[0]
+    U = np.empty((n, n), dtype=complex, order="F")
+    V = np.empty_like(U)
+    e = np.zeros(2 * n)  # alpha_1, beta_1, alpha_2, beta_2, ...
+    rng = np.random.default_rng(0)
+    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    v /= dznrm2(v)
+    eps, sigma = np.finfo(float).eps, 0.0
+    for k in range(n):
+        V[:, k] = v
+        u = ztrsv(M, v)
+        if k:
+            u -= e[2 * k - 1] * U[:, k - 1]
+        u, e[2 * k] = _orthogonalize(u, U[:, :k])
+        if e[2 * k] <= eps * e.max():
+            break
+        U[:, k] = u / e[2 * k]
+        v, e[2 * k + 1] = _orthogonalize(ztrsv(M, U[:, k], trans=2) - e[2 * k] * v,
+                                         V[:, :k + 1])
+        if e[2 * k + 1] <= eps * e.max():
+            break
+        v /= e[2 * k + 1]
+        if k % _GKL_CHECK == _GKL_CHECK - 1:
+            sigma, last = _top_singular_value(e[:2 * k + 2]), sigma
+            if sigma - last <= _GKL_RTOL * sigma:
+                return sigma
+    return _top_singular_value(e[:2 * k + 2])
 
 
 # -- canned operator constructors ------------------------------------------

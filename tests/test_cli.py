@@ -246,11 +246,13 @@ class TestExitCodes:
         "flag",
         [["--panels", "1"], ["--seed", "-1"], ["--mu-grid", "grid:1:2:0:0:1:1"],
          ["--T", "nan"], ["--T", "inf"], ["--theta", "nan"], ["--theta", "inf"],
+         ["--theta", "5"], ["--theta", "-3"], ["--theta", "0"],
          ["--mu-grid", "1+2j,nan"], ["--mu-grid", "nan,1+2j"],
          ["--mu-grid", "grid:1:2:nan:-1:1:3"], ["--mu-grid", "grid:1:2:2.7:-1:1:3"],
          ["--mu-grid", "grid:1:inf:2:-1:1:3"], ["--mu-grid", "grid:1:2:2:nan:1:3"],
          ["--mu-grid", "grid:1:-2:2:-1:1:3"]],
         ids=["panels", "seed", "empty-mu-grid", "T-nan", "T-inf", "theta-nan", "theta-inf",
+             "theta-5", "theta-neg3", "theta-0",
              "mu-nan-last", "mu-nan-first", "grid-nan-count", "grid-fractional-count",
              "grid-inf-bound", "grid-nan-bound", "grid-negative-re-hi"])
     def test_bad_run_setting(self, tmp_path, capsys, diag_file, flag):

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 import semilab as sl
 from semilab.errors import ConfigError, DimensionMismatch, SingularResolvent
+from semilab.operators import _GKL_MIN_DIM
 
 from conftest import random_vector
 
@@ -133,8 +134,9 @@ class TestResolventFactor:
 
     @pytest.mark.parametrize("make", [lambda: sl.jordan_block(-1.0, 3),
                                       lambda: sl.jordan_block(-2.0, 8),
-                                      lambda: _nonnormal_dense(32, seed=4)],
-                             ids=["jordan3", "jordan8", "nonnormal32"])
+                                      lambda: _nonnormal_dense(32, seed=4),
+                                      lambda: _nonnormal_dense(128, seed=4)],
+                             ids=["jordan3", "jordan8", "nonnormal32", "nonnormal128"])
     def test_solve_matches_dense_solve(self, make, rng):
         op = make()
         assert op.resolvent_backend == "schur"
@@ -218,6 +220,56 @@ class TestResolventFactor:
         assert np.allclose(Z @ np.diag(lam) @ Z.conj().T, A, rtol=0, atol=1e-13)
         assert np.allclose(Z.conj().T @ Z, np.eye(6), rtol=0, atol=1e-14)
 
+
+class TestGKLNorm:
+    """Golub-Kahan-Lanczos on the Schur factor, the euclidean resolvent norm
+    of a non-normal operator of dim >= _GKL_MIN_DIM, against scipy's SVD of
+    mu - A."""
+
+    @staticmethod
+    def _rtol(op, mu, ref):
+        # 1e-10, or what a backward error eps ||mu - A|| in either method
+        # moves sigma_min by: the SVDs of mu - A and of mu - T themselves
+        # differ by 5e-9 relative at norms near 1e7
+        return max(1e-10, np.finfo(float).eps * np.linalg.norm(mu * np.eye(op.dim) - op.matrix, 2)
+                   * ref)
+
+    @pytest.mark.parametrize("seed", [4, 11])
+    def test_matches_svd(self, seed):
+        op = _nonnormal_dense(128, seed)
+        assert op.dim >= _GKL_MIN_DIM and op.resolvent_backend == "schur"
+        lam = op.eigenvalues[np.argmax(op.eigenvalues.real)]
+        mus = MUS + [lam + 1e-2j, lam + 1e-4j, 1e3, 1e3j, -1e3 - 1e3j]
+        for mu in mus:
+            ref = _svd_norm(op, mu)
+            assert op.resolvent_norm(mu) == pytest.approx(ref, rel=self._rtol(op, mu, ref), abs=0)
+
+    @pytest.mark.parametrize("dist, log10_norm", [(0.1, 128), (0.01, 256)])
+    def test_jordan_beyond_squaring_range(self, dist, log10_norm):
+        # ||(mu - J)^-1|| ~ dist^-128; at 1e256 its square, the norm of
+        # ((mu - J)* (mu - J))^-1, overflows
+        op = sl.jordan_block(-1.0, 128)
+        norm = op.resolvent_norm(-1.0 + dist)
+        assert 10.0 ** (log10_norm - 1) < norm < 10.0 ** (log10_norm + 1)
+        assert norm == pytest.approx(_svd_norm(op, -1.0 + dist), rel=1e-10, abs=0)
+
+    def test_no_svd_from_the_gate_on(self, monkeypatch):
+        above, below = _nonnormal_dense(_GKL_MIN_DIM, 3), _nonnormal_dense(_GKL_MIN_DIM - 1, 3)
+        for op in (above, below):
+            op.resolvent_factor  # the factor's own norms may take SVDs
+        calls = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+        sl.halfplane_scan(above, -0.5, MUS)
+        sl.rplus_verdict(above, scan_imag_axis=[-1.0, 0.0, 1.0])
+        assert calls == []
+        below.resolvent_norm(MUS[0])  # below the gate the dense SVD stays
+        assert calls == [1]
+
+    def test_bit_equal_across_calls(self):
+        op, again = _nonnormal_dense(128, 4), _nonnormal_dense(128, 4)
+        for mu in MUS:
+            assert op.resolvent_norm(mu) == op.resolvent_norm(mu) == again.resolvent_norm(mu)
 
 
 class TestScansMatchSVD:
