@@ -7,19 +7,19 @@ A = 0 this reduces to the classical panel Gauss-Legendre rule; for stiff
 spectra it keeps boundary layers accurate, which the surjectivity-identity
 checks need.
 
-Every solve runs through one panel propagator. For a shift s it builds,
-once per call and per distinct panel width h, the tables of a panel: the
-propagators e^{h r (A - s)} from the panel start to each output point r
-(the q Gauss nodes and the right edge, or the right edge alone), the
-weights that map the q forcing samples to each output point, and the
-weights of the integral over the panel. The solver keeps the unshifted
-(s = 0) tables, which all its solves share; a shifted table serves one mu
-and is dropped with its call. When A is normal the tables are
-(dim, 1) columns in the coordinates of the unitary eigenbasis Z of the
-operator's resolvent factor, built from scalar phi functions and applied
-elementwise; otherwise (defective or non-normal A) they are dim x dim
-matrices, all output points at once by batched Taylor sums and modified
-squarings, applied by products.
+Every solve runs through one panel propagator. For a shift s it builds, once
+per call and per nominal panel width h (widths within 1e-12 relative share
+one), the tables of a panel: the propagators e^{h r (A - s)} from the panel
+start to each output point r (the q Gauss nodes and the right edge, or the
+right edge alone), the weights that map the q forcing samples to each output
+point, and the weights of the integral over the panel. The solver keeps the
+unshifted (s = 0) tables for all its solves; a shifted table serves one mu
+and is dropped with its call. The forcing terms of a run of panels on one
+table are one product. When A is normal the tables are (dim, 1) columns in
+the unitary eigenbasis Z of the operator's resolvent factor, from scalar phi
+functions, applied elementwise, and W and UT stay EigenMaps; for non-normal
+A they are dim x dim matrices, all output points at once by batched Taylor
+sums and modified squarings, applied by products.
 
 The solver doubles as the black-box K_A interface of the resolvent
 reconstruction: it exposes solutions and solution functionals (panel
@@ -66,6 +66,34 @@ def _lagrange_monomial(q):
     return C
 
 
+class EigenMap:
+    """The matrix Z diag(d) Z* (diag(d) when Z is None) of a normal operator's
+    solution functional, kept in eigen coordinates: @ applies it in O(dim^2)
+    per column (Z* x as conj(Z^T conj(x)), which copies no dim x dim array),
+    a scalar * scales d, and np.asarray alone makes it dense."""
+
+    __array_ufunc__ = None  # so c * map with a numpy scalar c defers to __rmul__
+
+    def __init__(self, Z, d):
+        self.Z, self.d = Z, d
+
+    def __matmul__(self, x):
+        d = self.d.reshape(self.d.shape + (1,) * (np.ndim(x) - 1))
+        return d * x if self.Z is None else self.Z @ (d * (self.Z.T @ np.conj(x)).conj())
+
+    def __mul__(self, c):
+        return EigenMap(self.Z, c * self.d) if np.ndim(c) == 0 else NotImplemented
+
+    __rmul__ = __mul__
+
+    def __array__(self, dtype=None, copy=None):
+        Z = self.Z
+        return np.asarray(np.diag(self.d) if Z is None else (Z * self.d) @ Z.conj().T, dtype)
+
+    def __getitem__(self, index):
+        return np.asarray(self)[index]
+
+
 class CauchySolver:
     """Exponential-integrator IVP solver bound to one operator and grid."""
 
@@ -102,8 +130,8 @@ class CauchySolver:
         alone: P[j] = e^{h r_j B}, W[j, m] the weight of the m-th forcing sample
         in v(h r_j), H1 = h phi_1(hB) and G[m] the weight of the m-th forcing
         sample in the integral of v over the panel. Eigen backend: (dim, 1)
-        columns; dense backend: dim x dim matrices. Unshifted tables are kept
-        on the solver."""
+        columns; dense backend: dim x dim matrices, W and G flattened to
+        (len(r) dim, q dim) and (dim, q dim). Unshifted tables are kept."""
         key = (h, nodes)
         if shift == 0 and key in self._tables:
             return self._tables[key]
@@ -124,6 +152,9 @@ class CauchySolver:
         rpow = rs[None, :] ** np.arange(1, q + 1)[:, None]          # r_j^{p+1}
         W = h * np.einsum("mp,pj,pj...->jm...", coef, rpow, PHI[1:q + 1])
         G = (h * h) * np.einsum("mp,p...->m...", coef, PHI[2:, -1])
+        if diag is None:
+            W = W.transpose(0, 2, 1, 3).reshape(len(rs) * self.dim, q * self.dim)
+            G = G.transpose(1, 0, 2).reshape(self.dim, q * self.dim)
         tab = (PHI[0], W, h * PHI[1, -1], G)
         if shift == 0:
             self._tables[key] = tab
@@ -132,20 +163,34 @@ class CauchySolver:
     def _propagate(self, shift, F, v0, nodes):
         """Node values (panel edges only unless nodes) and integral over [0, T]
         of v' = (A - shift) v + f, v(0) = v0, in backend coordinates. F holds
-        the forcing samples at the Gauss nodes, shape (panels, q, dim, cols)."""
+        the forcing samples at the Gauss nodes, shape (panels, q, dim, cols),
+        or (panels, q, 1, 1) for all of v0's entries in the eigen backend."""
         grid = self.grid
         step = grid.nodes_per_panel + 1 if nodes else 1
-        apply = np.multiply if self.op.diagonalization is not None else np.matmul
+        eigen = self.op.diagonalization is not None
+        apply = np.multiply if eigen else np.matmul
         vals = np.empty((grid.panels * step + 1,) + v0.shape, dtype=complex)
         vals[0] = v0
         integral = np.zeros(v0.shape, dtype=complex)
-        widths = np.diff(grid.edges).tolist()
-        tables = {h: self._panel_tables(shift, h, nodes) for h in dict.fromkeys(widths)}
-        for k, h in enumerate(widths):
-            P, W, H1, G = tables[h]
-            v = vals[k * step]
-            vals[k * step + 1:(k + 1) * step + 1] = apply(P, v) + apply(W, F[k]).sum(axis=1)
-            integral += apply(H1, v) + apply(G, F[k]).sum(axis=0)
+        widths, tables, k = np.diff(grid.edges).tolist(), {}, 0
+        while k < grid.panels:
+            h = next((g for g in tables if abs(widths[k] - g) <= 1e-12 * g), widths[k])
+            stop = next((i for i in range(k + 1, grid.panels)
+                         if abs(widths[i] - h) > 1e-12 * h), grid.panels)
+            P, W, H1, G = tables[h] = tables.get(h) or self._panel_tables(shift, h, nodes)
+            # out and F[k:stop] are views: B_k goes straight into vals, F is not copied
+            out = vals[k * step + 1:stop * step + 1].reshape((stop - k, step) + v0.shape)
+            if eigen:
+                np.einsum("jm...,km...->kj...", W, F[k:stop], out=out)
+                integral += np.einsum("m...,km...->...", G, F[k:stop])
+            else:
+                np.matmul(W, F[k:stop].reshape(stop - k, G.shape[1], -1),
+                          out=out.reshape(stop - k, len(W), -1))
+                integral += G @ F[k:stop].sum(axis=0).reshape(G.shape[1], -1)
+            for i in range(k, stop):
+                vals[i * step + 1:(i + 1) * step + 1] += apply(P, vals[i * step])
+            integral += apply(H1, vals[k * step:stop * step:step].sum(axis=0))
+            k = stop
         return vals, integral
 
     # -- public solves ----------------------------------------------------------
@@ -178,8 +223,8 @@ class CauchySolver:
     def exp_functionals(self, mu):
         """For the forcing f(t) = e^{-conj(mu) t} (columnwise identity),
         return (W, UT, ut_norm) with W = int_0^T e^{-mu t} u(t) dt and
-        UT = u(T), both as dim x dim matrices (u(., x) depends linearly on
-        x), and ut_norm the E0 operator norm of UT.
+        UT = u(T), both dim x dim (u(., x) depends linearly on x; EigenMaps
+        in the eigen backend), and ut_norm the E0 operator norm of UT.
 
         Internally solves the tilted system v = e^{-mu t} u, whose forcing
         profile e^{-2 Re mu t} is smooth, so oscillation in mu never meets
@@ -197,18 +242,11 @@ class CauchySolver:
             UT = eT * v[-1]
             return w, UT, self.op.operator_norm(UT)
         # the response to profile(t) I is diagonal in eigen coordinates:
-        # one column of ones carries all of it
-        Z = diag[0]
-        ones = np.ones((self.dim, 1), dtype=complex)
-        v, w = solver._propagate(mu, profile * ones, np.zeros_like(ones), nodes=False)
-        w, vT = w[:, 0], v[-1, :, 0]
-        if Z is None:
-            W, UT = np.diag(w), np.diag(eT * vT)
-        else:
-            ZH = Z.conj().T
-            W, UT = (Z * w) @ ZH, eT * (Z * vT) @ ZH
+        # one column carries all of it
+        v, w = solver._propagate(mu, profile, np.zeros((self.dim, 1), dtype=complex), nodes=False)
+        W, UT = EigenMap(diag[0], w[:, 0]), EigenMap(diag[0], eT * v[-1, :, 0])
         euclidean = self.op.e0_norm == "euclidean"
-        return W, UT, float(np.max(np.abs(eT * vT))) if euclidean else self.op.operator_norm(UT)
+        return W, UT, float(np.max(np.abs(UT.d))) if euclidean else self.op.operator_norm(UT)
 
 
 def solve_ivp(op, f, x, grid, verify=False):

@@ -205,8 +205,10 @@ class OperatorPair:
                 return _inverse_norm(_shifted_schur(mu, T))
         R = mu * np.eye(self.dim) - self.matrix
         if self.e0_norm == "euclidean":
-            smin = np.linalg.svd(R, compute_uv=False)[-1]
-            return float(1.0 / smin)
+            smin = float(np.linalg.svd(R, compute_uv=False)[-1])
+            if smin == 0.0 or not np.isfinite(1.0 / smin):
+                raise SingularResolvent("resolvent norm overflows")
+            return 1.0 / smin
         return self.operator_norm(np.linalg.inv(R))
 
     # -- semigroup oracle ----------------------------------------------------

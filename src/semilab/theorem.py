@@ -128,7 +128,7 @@ def omega1_weighted(M_hat, T, sigma):
 
 @dataclass
 class SurjectivityData:
-    """U_mu, V_mu and the constants of the surjectivity construction."""
+    """U_mu, V_mu (EigenMaps when A is normal) and the surjectivity constants."""
 
     mu: complex
     T: float

@@ -198,6 +198,7 @@ class TestBackendsAgree:
         se, sd = sl.CauchySolver(eig, grid), sl.CauchySolver(dense, grid)
         for mu in (0.5, 2.0 + 4.0j, 32.0 - 16.0j):  # the last one refines the grid
             for a, b in zip(se.exp_functionals(mu), sd.exp_functionals(mu)):
+                a, b = np.asarray(a), np.asarray(b)
                 assert np.linalg.norm(a - b) <= 1e-10 * np.linalg.norm(a), (name, mu)
 
     @pytest.mark.parametrize("name", sorted(MAKERS))
@@ -282,7 +283,7 @@ class TestEdgeFunctionals:
         assert norms == []
         # phi_0..phi_{q+1} at r = 1 alone, for each mode: (q+2) x dim values
         q = grid.nodes_per_panel
-        assert len(shapes) >= len(self.MUS)
+        assert len(shapes) == len(self.MUS)
         assert set(shapes) == {(q + 1, (1, op.dim))}
 
 
@@ -361,6 +362,20 @@ class TestPanelTables:
             solver.solve(sl.ZeroForcing(op.dim), random_vector(rng, op.dim))
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("name, kernel",
+                             [("lap64", "phi_scalar"), ("jordan8", "phi_matrices")])
+    def test_refined_call_builds_one_table(self, corpus, grid, monkeypatch, name, kernel):
+        # 32 - 16j splits each of the 16 panels in 7, and the 112 widths
+        # differ in the last bits: one nominal width, so one table
+        solver = sl.CauchySolver(corpus[name], grid)
+        refined = solver.refined_for(64.0).grid
+        assert refined.panels == 7 * grid.panels and len(set(np.diff(refined.edges))) > 1
+        calls = []
+        fn = getattr(cauchy, kernel)
+        monkeypatch.setattr(cauchy, kernel, lambda *a: calls.append(1) or fn(*a))
+        solver.exp_functionals(32.0 - 16.0j)
+        assert len(calls) == 1
+
     @pytest.mark.parametrize("name", ["lap16", "jordan8"])
     def test_no_shifted_table_is_kept(self, corpus, grid, name):
         solver = sl.CauchySolver(corpus[name], grid)
@@ -369,3 +384,68 @@ class TestPanelTables:
         assert solver._tables == {}
         solver.solve(sl.ZeroForcing(solver.dim))
         assert list(solver._tables) == [(grid.edges[1] - grid.edges[0], True)]
+
+
+class TestMixedWidths:
+    """A non-uniform grid refined by 3: four nominal widths, so four tables,
+    each serving a run of three panels whose widths differ in the last bits."""
+
+    GRID = sl.TimeGrid([0.0, 0.1, 0.3, 0.35, 1.0]).refined(3)
+
+    @pytest.mark.parametrize("name", sorted(TestBackendsAgree.MAKERS))
+    def test_backends_and_oracle_agree(self, monkeypatch, rng, name):
+        eig, dense = TestBackendsAgree._pair(TestBackendsAgree.MAKERS[name])
+        se, sd = sl.CauchySolver(eig, self.GRID), sl.CauchySolver(dense, self.GRID)
+        f = sl.ExpForcing(3.0 + 2.0j, random_vector(rng, eig.dim))
+        x0 = random_vector(rng, eig.dim)
+        calls = []
+        phi_scalar = cauchy.phi_scalar
+        monkeypatch.setattr(cauchy, "phi_scalar", lambda *a: calls.append(1) or phi_scalar(*a))
+        ue, ud = se.solve(f, x0), sd.solve(f, x0)
+        assert len(calls) == 4
+        for a, b in ((ue.values, ud.values), (ue.derivative_values, ud.derivative_values)):
+            assert np.max(np.abs(a - b)) <= 1e-10 * np.max(np.abs(a))
+        edges = [self.GRID.node_index_of_edge(k) for k in range(self.GRID.panels + 1)]
+        exact = np.array([eig.semigroup_apply_oracle(t, x0) for t in self.GRID.edges])
+        for u in (se.solve(sl.ZeroForcing(eig.dim), x0), sd.solve(sl.ZeroForcing(eig.dim), x0)):
+            assert np.max(np.abs(u.values[edges] - exact)) <= 1e-10 * np.max(np.abs(exact))
+        for mu in (0.5, 2.0 + 4.0j, 32.0 - 16.0j):  # the last one refines the grid again
+            for a, b in zip(se.exp_functionals(mu), sd.exp_functionals(mu)):
+                a, b = np.asarray(a), np.asarray(b)
+                assert np.linalg.norm(a - b) <= 1e-10 * np.linalg.norm(a), mu
+
+
+class TestEigenMap:
+    """A normal operator's W, UT and so U_mu, V_mu stay Z diag(d) Z* maps."""
+
+    def test_identity_check_takes_no_dense_map(self, corpus, grid, monkeypatch, rng):
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("EigenMap made dense")
+
+        monkeypatch.setattr(cauchy.EigenMap, "__array__", refuse)
+        op = corpus["lap256"]
+        solver = sl.CauchySolver(op, grid)
+        x = random_vector(rng, op.dim)
+        for mu in (0.5, 2.0 + 4.0j, 32.0 - 16.0j):
+            sd = sl.assemble_U_V(solver, mu)
+            assert isinstance(sd.U, cauchy.EigenMap) and isinstance(sd.V, cauchy.EigenMap)
+            assert sl.surjectivity_identity_check(op, sd, x) <= 1e-8
+
+    @pytest.mark.parametrize("name", ["diag", "lap64", "normal16"])
+    def test_dense_form_is_the_product(self, corpus, grid, rng, name):
+        op = corpus[name]
+        Z = op.diagonalization[0]
+        assert (Z is None) == (name == "diag")
+        mu = 2.0 + 4.0j
+        solver = sl.CauchySolver(op, grid)
+        W, UT, _ = solver.exp_functionals(mu)
+        sd = sl.assemble_U_V(solver, mu)
+        # the dense products exp_functionals and assemble_U_V used to form
+        dense = np.diag if Z is None else (lambda d: (Z * d) @ Z.conj().T)
+        W_old, UT_old = dense(W.d), dense(UT.d)
+        c = 2.0 * mu.real * np.exp(-mu * grid.T) / (1.0 - np.exp(-2.0 * mu.real * grid.T))
+        x = random_vector(rng, op.dim)
+        U_old, V_old = 2.0 * mu.real * W_old, c * UT_old
+        for M, old in ((W, W_old), (UT, UT_old), (sd.U, U_old), (sd.V, V_old)):
+            assert np.linalg.norm(np.asarray(M) - old) <= 1e-13 * np.linalg.norm(old)
+            assert np.linalg.norm(M @ x - old @ x) <= 1e-13 * np.linalg.norm(old @ x)

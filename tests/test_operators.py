@@ -266,6 +266,16 @@ class TestGKLNorm:
         below.resolvent_norm(MUS[0])  # below the gate the dense SVD stays
         assert calls == [1]
 
+    def test_dense_path_raises_where_sigma_min_underflows(self):
+        # below the gate, sigma_min of mu - J underflows to 0 at distance 1e-5
+        # (||(mu - J)^-1|| ~ 1e400): SingularResolvent, as on the GKL path
+        op = sl.jordan_block(-1.0, 80)
+        assert op.dim < _GKL_MIN_DIM and op.resolvent_backend == "schur"
+        with pytest.raises(SingularResolvent):
+            op.resolvent_norm(-1.0 + 1e-5)
+        scan = sl.halfplane_scan(op, -1.0, [-1.0 + 1e-5, 1.0])
+        assert scan.scan[0][1] == np.inf and np.isfinite(scan.scan[1][1])
+
     def test_bit_equal_across_calls(self):
         op, again = _nonnormal_dense(128, 4), _nonnormal_dense(128, 4)
         for mu in MUS:
