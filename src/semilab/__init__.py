@@ -2,19 +2,9 @@
 semigroups on finite-dimensional operators."""
 
 from . import errors
-from .cauchy import (
-    CauchySolver,
-    GlueReport,
-    MaxRegEstimate,
-    estimate_M,
-    glue_check,
-    ode_residuals,
-    solution_operator_KA,
-    solve_ivp,
-)
+from .cauchy import CauchySolver, MaxRegEstimate, estimate_M
 from .contour import Contour, ContourResult, build_contour, semigroup_apply_contour
 from .forcing import (
-    CallableForcing,
     ExpForcing,
     Forcing,
     PolyForcing,
@@ -34,14 +24,12 @@ from .operators import (
 )
 from .theorem import (
     HalfPlaneScan,
-    ProofProbe,
     RPlusVerdict,
     SurjectivityData,
     assemble_U_V,
     apriori_inequality_check,
     default_mu_grid,
     halfplane_scan,
-    make_proof_probe,
     maxreg_inequality_check,
     omega1,
     omega1_weighted,
@@ -51,12 +39,8 @@ from .theorem import (
     surjectivity_identity_check,
     vnorm_decay,
 )
-from .timegrid import GridFunction, TimeGrid, e0_norm_J, e1_norm_J, extend_constant, restrict
+from .timegrid import GridFunction, TimeGrid, e0_norm_J, e1_norm_J
 from .weighted import (
-    DPGScale,
-    dpg_scale,
-    interp_norm_diag,
-    lp_norms,
     theta_sweep,
     trace_norm_upper,
     weighted_maxreg_check,

@@ -35,12 +35,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import (
-    EmptyProbeSet,
-    HypothesisViolation,
-    NotANode,
-    QuadratureUnderResolved,
-)
+from .errors import EmptyProbeSet
 from .phi import phi_matrices, phi_scalar
 from .timegrid import GridFunction, TimeGrid, e0_norm_J, e1_norm_J, gauss_legendre_01
 
@@ -216,10 +211,6 @@ class CauchySolver:
         derivative = values @ self.op.matrix.T + forcing.sample(grid.nodes)
         return GridFunction(grid, values, derivative)
 
-    def solve_ka(self, forcing):
-        """K_A f: the zero-initial-data solution."""
-        return self.solve(forcing)
-
     def exp_functionals(self, mu):
         """For the forcing f(t) = e^{-conj(mu) t} (columnwise identity),
         return (W, UT, ut_norm) with W = int_0^T e^{-mu t} u(t) dt and
@@ -249,39 +240,6 @@ class CauchySolver:
         return W, UT, float(np.max(np.abs(UT.d))) if euclidean else self.op.operator_norm(UT)
 
 
-def solve_ivp(op, f, x, grid, verify=False):
-    """u(t) = e^{tA}x + int_0^t e^{(t-tau)A} f(tau) dtau on the grid.
-
-    With verify=True the solve is repeated on a panel-doubled grid and
-    QuadratureUnderResolved is raised if any shared node value moves by more
-    than 1e-9 relative."""
-    solver = CauchySolver(op, grid)
-    u = solver.solve(f, x)
-    if verify:
-        fine = CauchySolver(op, u.grid.refined(2)).solve(f, x)
-        # the shared nodes of the two grids are the coarse panel edges
-        coarse_idx = [u.grid.node_index_of_edge(k) for k in range(u.grid.panels + 1)]
-        fine_idx = [fine.grid.node_index_of_edge(2 * k) for k in range(u.grid.panels + 1)]
-        scale = 1.0 + float(np.max(np.abs(u.values)))
-        drift = np.max(np.abs(fine.values[fine_idx] - u.values[coarse_idx])) / scale
-        if drift > 1e-9:
-            raise QuadratureUnderResolved(
-                f"panel doubling moved node values by {drift:.3e} relative")
-    return u
-
-
-def solution_operator_KA(op, f, grid, report_ratio=False):
-    """K_A f = (d/dt - A, trace)^{-1}(f, 0).
-
-    With report_ratio=True also returns ||K_A f||_E1(J) / ||f||_E0(J), the
-    per-probe contribution to the solver continuity constant c2_hat."""
-    u = CauchySolver(op, grid).solve_ka(f)
-    if not report_ratio:
-        return u
-    nf = e0_norm_J(op, GridFunction(u.grid, f.sample(u.grid.nodes)))
-    return u, (e1_norm_J(op, u) / nf if nf > 0 else 0.0)
-
-
 @dataclass
 class MaxRegEstimate:
     """Probe-based lower estimate of the maximal-regularity constant."""
@@ -295,7 +253,8 @@ class MaxRegEstimate:
 
 def estimate_M(op, grid, probes):
     """Lower estimate of M: max over probes of
-    ||u||_{E1(J)} / (||f||_{E0(J)} + ||x||_1) with u = solve_ivp(op, f, x).
+    ||u||_{E1(J)} / (||f||_{E0(J)} + ||x||_1) with u the solution of
+    u' - Au = f, u(0) = x.
 
     Also accumulates c2_hat = max ||K_A f||_{E1(J)} / ||f||_{E0(J)} over the
     zero-initial-value probes (the solver continuity constant).
@@ -316,71 +275,3 @@ def estimate_M(op, grid, probes):
     return MaxRegEstimate(M_hat=float(max(ratios)), c2_hat=float(max(c2s, default=0.0)),
                           probe_count=len(probes), grid=grid, ratios=ratios)
 
-
-# -- residuals and the gluing falsifier ---------------------------------------
-
-
-def ode_residuals(op, u, forcing=None):
-    """||u'(t) - Au(t) - f(t)||_0 per node. Uses the stored derivative
-    samples when present, otherwise second-order finite differences on the
-    (nonuniform) node set."""
-    if u.derivative_values is not None:
-        du = u.derivative_values
-    else:
-        du = np.gradient(u.values, u.grid.nodes, axis=0)
-    res = du - u.values @ op.matrix.T
-    if forcing is not None:
-        res = res - forcing.sample(u.grid.nodes)
-    return op.norm0_rows(res)
-
-
-@dataclass
-class GlueReport:
-    t1: float
-    precondition_residual: float
-    initial_norm: float
-    w_t1_norm: float
-    max_residual: float
-
-
-def glue_check(op, u_tilde, t1, grid_ext):
-    """Falsifier for the uniqueness argument: glue w := u_tilde on [0, t1]
-    with v(t - t1) := e^{(t-t1)A} u_tilde(t1) on [t1, T_ext] and report the
-    homogeneous-equation residual of w together with ||w(t1)||_0.
-
-    u_tilde must claim to solve u' = Au with u(0) = 0; a nonzero initial
-    value is rejected (HypothesisViolation), a residual violation on
-    [0, t1] is reported, not raised.
-    """
-    grid = u_tilde.grid
-    k1 = grid.edge_index(t1)
-    if k1 is None or not 0.0 < t1 < grid.T:
-        raise NotANode(f"t1={t1} must be an interior panel edge")
-    if grid_ext.edge_index(t1) is None:
-        raise NotANode(f"t1={t1} must be a panel edge of the extended grid")
-    prefix = grid_ext.nodes[grid_ext.nodes <= t1 + 1e-14 * (1 + grid.T)]
-    n_pre = len(prefix)
-    if not np.allclose(prefix, grid.nodes[:n_pre], rtol=0, atol=1e-12 * (1 + grid.T)):
-        raise NotANode("extended grid must refine u_tilde's grid up to t1")
-
-    scale = 1.0 + float(np.max(np.abs(u_tilde.values)))
-    x0_norm = op.norm0(u_tilde.values[0])
-    if x0_norm > 1e-9 * scale:
-        raise HypothesisViolation(f"u_tilde(0) has norm {x0_norm:.3e}, expected 0")
-
-    res_pre = ode_residuals(op, u_tilde)
-    k1_node = grid.node_index_of_edge(k1)
-    precondition_residual = float(np.max(res_pre[: k1_node + 1]))
-
-    x1 = u_tilde.values[k1_node]
-    w_vals = np.empty((len(grid_ext.nodes), op.dim), dtype=complex)
-    w_vals[:n_pre] = u_tilde.values[:n_pre]
-    for i, t in enumerate(grid_ext.nodes[n_pre:], start=n_pre):
-        w_vals[i] = op.semigroup_apply_oracle(t - t1, x1)
-    w = GridFunction(grid_ext, w_vals)
-    max_residual = float(np.max(ode_residuals(op, w)))
-    return GlueReport(t1=float(t1),
-                      precondition_residual=precondition_residual,
-                      initial_norm=float(x0_norm),
-                      w_t1_norm=float(op.norm0(x1)),
-                      max_residual=max_residual)

@@ -25,24 +25,8 @@ class MissingDerivative(SemilabError):
     pass
 
 
-class QuadratureUnderResolved(SemilabError):
-    pass
-
-
 class EmptyProbeSet(SemilabError):
     pass
-
-
-class BadEndpoint(SemilabError):
-    pass
-
-
-class NotANode(SemilabError):
-    pass
-
-
-class HypothesisViolation(SemilabError):
-    """Input fails the precondition of a uniqueness/gluing argument."""
 
 
 class NonpositiveM(SemilabError):

@@ -2,8 +2,7 @@
 
 Every forcing is sampled through one vectorised primitive,
 ``sample(ts) -> (len(ts), dim)``: the Cauchy solver calls it once for all
-quadrature nodes of a grid and once for all grid nodes, and the scalar
-``eval(t)`` is derived from it.
+quadrature nodes of a grid and once for all grid nodes.
 """
 
 from __future__ import annotations
@@ -28,10 +27,6 @@ class Forcing:
         """Values f(t) for a 1-D array of times, as rows of a (len(ts), dim)
         complex array."""
         raise NotImplementedError
-
-    def eval(self, t):
-        """Vector value f(t); t scalar."""
-        return self.sample(np.array([t]))[0]
 
 
 class ZeroForcing(Forcing):
@@ -69,18 +64,6 @@ class PolyForcing(Forcing):
     def sample(self, ts):
         p = np.polynomial.polynomial.polyval(np.asarray(ts), self.coeffs)
         return p[:, None] * self.y[None, :]
-
-
-class CallableForcing(Forcing):
-    """General vector-valued forcing given as a callable t -> C^dim."""
-
-    def __init__(self, fn, dim, rate=0.0):
-        self.fn = fn
-        self.dim = dim
-        self.rate = float(rate)
-
-    def sample(self, ts):
-        return np.array([self.fn(t) for t in ts], dtype=complex).reshape(len(ts), self.dim)
 
 
 # -- probe description files -------------------------------------------------

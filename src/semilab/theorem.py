@@ -23,8 +23,7 @@ from .errors import (
     SingularResolvent,
     SlowConvergence,
 )
-from .forcing import ExpForcing
-from .timegrid import GridFunction, TimeGrid
+from .timegrid import TimeGrid
 
 # resolvent_from_solver ends its Neumann series at terms below NEUMANN_TOL ||y||
 # and refuses one that needs more than NEUMANN_MAX_TERMS; omega2_search
@@ -33,43 +32,6 @@ _NEUMANN_TOL, _NEUMANN_MAX_TERMS, _OMEGA2_TOL = 1e-12, 200, 1e-6
 
 
 # -- a-priori inequality -------------------------------------------------------------------
-
-
-@dataclass
-class ProofProbe:
-    """The proof's probe functions for one (mu, x):
-    v(t) = e^{mu t}x, g(t) = e^{mu t}(mu - A)x, f(t) = e^{-mu t}x and
-    u = K_A f."""
-
-    mu: complex
-    x: np.ndarray
-    v_mu: GridFunction
-    g_mu: GridFunction
-    f_mu: GridFunction
-    u_mu: GridFunction
-    v_residual: float
-    u_bound_ok: bool | None
-
-
-def make_proof_probe(op, grid, mu, x, c2_hat=None):
-    mu = complex(mu)
-    x = op.check_vector(x)
-    ts = grid.nodes
-    ex = np.exp(mu * ts)[:, None]
-    v = GridFunction(grid, ex * x[None, :], mu * ex * x[None, :])
-    gx = mu * x - op.matrix @ x
-    g = GridFunction(grid, ex * gx[None, :])
-    f = GridFunction(grid, np.exp(-mu * ts)[:, None] * x[None, :])
-    solver = CauchySolver(op, grid)
-    u = solver.solve_ka(ExpForcing(mu, x))
-    res = v.derivative_values - v.values @ op.matrix.T - g.values
-    v_residual = float(np.max(op.norm0_rows(res)))
-    u_bound_ok = None
-    if c2_hat is not None:
-        sup_u = float(np.max(op.norm0_rows(u.values)))
-        u_bound_ok = sup_u <= c2_hat * op.norm0(x) * (1 + 1e-6)
-    return ProofProbe(mu=mu, x=x, v_mu=v, g_mu=g, f_mu=f, u_mu=u,
-                      v_residual=v_residual, u_bound_ok=u_bound_ok)
 
 
 def time_weights(grid, sigma):
@@ -261,10 +223,9 @@ class HalfPlaneScan:
     scan: list                  # (mu, resolvent_norm) pairs
     bound_constant: float       # N with ||R(mu)|| <= N/(1+|mu|)
     half_plane_offset: float    # omega
-    diagnostics: dict = field(default_factory=dict)
 
 
-def halfplane_scan(op, omega, mu_grid, M_hat=None):
+def halfplane_scan(op, omega, mu_grid):
     """Resolvent norms over a grid in {Re mu > omega} and the constant
     N = max (1 + |mu|) ||(mu - A)^{-1}||. Singular grid points are recorded
     with infinite norm and the scan continues."""
@@ -273,16 +234,8 @@ def halfplane_scan(op, omega, mu_grid, M_hat=None):
         raise ConfigError("all scan points must satisfy Re mu > omega")
     scan = list(zip(mu_grid, _resolvent_norms(op, mu_grid)))
     weighted = [(1.0 + abs(m)) * r for m, r in scan]
-    report = HalfPlaneScan(scan=scan, bound_constant=float(max(weighted, default=math.inf)),
-                           half_plane_offset=float(omega))
-    if M_hat is not None:
-        # diagnostic only: M_hat is a lower bound of M, so a violation of
-        # the 2M(1 v c1) bound is inconclusive
-        bound = 2.0 * M_hat
-        report.diagnostics["theorem_bound"] = bound
-        report.diagnostics["theorem_bound_satisfied"] = bool(
-            all(w <= bound * (1 + 1e-6) for w in weighted if math.isfinite(w)))
-    return report
+    return HalfPlaneScan(scan=scan, bound_constant=float(max(weighted, default=math.inf)),
+                         half_plane_offset=float(omega))
 
 
 @dataclass

@@ -7,7 +7,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import BadEndpoint, DimensionMismatch, MissingDerivative
+from .errors import DimensionMismatch, MissingDerivative
 
 
 @lru_cache(maxsize=32)
@@ -22,7 +22,7 @@ class TimeGrid:
 
     The node list is the sorted union of the panel edges (including 0 and T)
     and the per-panel quadrature nodes; sup norms over J are realized as the
-    max over this node list, integrals as panel-wise Gauss-Legendre sums.
+    max over this node list.
     """
 
     def __init__(self, edges, nodes_per_panel=8):
@@ -35,16 +35,12 @@ class TimeGrid:
             raise ValueError("nodes_per_panel must be >= 4")
         self.edges = edges
         self.nodes_per_panel = int(nodes_per_panel)
-        xi, w = gauss_legendre_01(self.nodes_per_panel)
-        widths = np.diff(edges)
-        # gl_times[k, j]: j-th quadrature node of panel k; gl_weights scaled
-        self.gl_times = edges[:-1, None] + widths[:, None] * xi[None, :]
-        self.gl_weights = widths[:, None] * w[None, :]
-        nodes = [0.0]
-        for k in range(self.panels):
-            nodes.extend(self.gl_times[k])
-            nodes.append(edges[k + 1])
-        self.nodes = np.array(nodes)
+        xi, _ = gauss_legendre_01(self.nodes_per_panel)
+        # gl_times[k, j]: j-th quadrature node of panel k
+        self.gl_times = edges[:-1, None] + np.diff(edges)[:, None] * xi[None, :]
+        # per panel k the node list holds edge_k at index k*(q+1), then the q
+        # quadrature nodes; T closes it
+        self.nodes = np.append(np.column_stack([edges[:-1], self.gl_times]).ravel(), edges[-1])
 
     @classmethod
     def uniform(cls, T, panels=16, nodes_per_panel=8):
@@ -64,30 +60,12 @@ class TimeGrid:
         return (f"TimeGrid(T={self.T}, panels={self.panels}, "
                 f"nodes_per_panel={self.nodes_per_panel})")
 
-    # node bookkeeping: per panel k the node list holds
-    #   edge_k at index k*(q+1), then the q quadrature nodes.
-    def node_index_of_edge(self, k):
-        return k * (self.nodes_per_panel + 1)
-
-    def edge_index(self, t):
-        """Index into ``edges`` of the panel edge within 1e-12 (1 + T) of t, or None."""
-        hits = np.nonzero(np.abs(self.edges - t) <= 1e-12 * (1.0 + self.T))[0]
-        return int(hits[0]) if hits.size else None
-
-    def integrate_samples(self, samples):
-        """Integrate over [0, T] a function given by its values at all grid
-        nodes (first axis), using the panel Gauss-Legendre rule."""
-        samples = np.asarray(samples)
-        gl = samples[np.arange(len(self.nodes)) % (self.nodes_per_panel + 1) != 0]  # no edges
-        return np.tensordot(self.gl_weights.ravel(), gl, axes=(0, 0))
-
     def refined(self, factor=2):
         """Same interval and node count per panel, each panel split in two
         (or ``factor``) equal parts."""
-        new_edges = [self.edges[0]]
-        for a, b in zip(self.edges[:-1], self.edges[1:]):
-            new_edges.extend(a + (b - a) * np.arange(1, factor + 1) / factor)
-        return TimeGrid(np.array(new_edges), self.nodes_per_panel)
+        a, b = self.edges[:-1, None], self.edges[1:, None]
+        splits = a + (b - a) * np.arange(1, factor + 1) / factor
+        return TimeGrid(np.append(self.edges[0], splits.ravel()), self.nodes_per_panel)
 
 
 class GridFunction:
@@ -129,38 +107,3 @@ def e1_norm_J(op, u):
     n_u = op.norm0_rows(u.values)
     n_Au = op.norm0_rows(u.values @ op.matrix.T)
     return float(np.max(n_du + n_u + n_Au))
-
-
-def extend_constant(f, T_new):
-    """Extend f from [0, T] to [0, T_new] by the constant value f(T)."""
-    grid = f.grid
-    if T_new <= grid.T:
-        raise BadEndpoint(f"T_new={T_new} must exceed T={grid.T}")
-    width = float(np.mean(np.diff(grid.edges)))
-    extra = max(2, int(np.ceil((T_new - grid.T) / width)))
-    new_edges = np.concatenate([grid.edges,
-                                grid.T + (T_new - grid.T) * np.arange(1, extra + 1) / extra])
-    new_grid = TimeGrid(new_edges, grid.nodes_per_panel)
-    n_old = len(grid.nodes)
-    tail = len(new_grid.nodes) - n_old
-    fT = f.values[-1]
-    values = np.concatenate([f.values, np.broadcast_to(fT, (tail,) + fT.shape)])
-    dv = None
-    if f.derivative_values is not None:
-        dv = np.concatenate([f.derivative_values,
-                             np.zeros((tail,) + fT.shape, dtype=complex)])
-    return GridFunction(new_grid, values, dv)
-
-
-def restrict(u, T_prime):
-    """Restrict u to [0, T'] where T' is a panel edge of the grid."""
-    grid = u.grid
-    if not 0.0 < T_prime < grid.T:
-        raise BadEndpoint(f"T'={T_prime} must lie in (0, T)")
-    k = grid.edge_index(T_prime)
-    if k is None:
-        raise BadEndpoint(f"T'={T_prime} is not a panel edge of the grid")
-    new_grid = TimeGrid(grid.edges[:k + 1], grid.nodes_per_panel)
-    n = len(new_grid.nodes)
-    dv = None if u.derivative_values is None else u.derivative_values[:n]
-    return GridFunction(new_grid, u.values[:n], dv)

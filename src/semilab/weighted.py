@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cauchy import CauchySolver, estimate_M
-from .errors import ConfigError, MissingDerivative, NotDiagonal
+from .errors import ConfigError, NotDiagonal
 from .forcing import ExpForcing, PolyForcing, ZeroForcing
 from .theorem import halfplane_scan, maxreg_inequality_check, mu_box, omega1, time_weights
 from .timegrid import GridFunction
@@ -29,7 +29,6 @@ class WeightedNorm:
 def _extrapolate_to_zero(ts, ws):
     """Quadratic (Neville) extrapolation of the three smallest samples to
     t = 0; a diagnostic, not a certificate."""
-    t1, t2, t3 = ts
     w = list(ws)
     for j in (1, 2):
         for i in range(3 - j):
@@ -78,7 +77,7 @@ def weighted_maxreg_check(op, grid, sigma, mu, x, M_hat, c2_hat=None):
     mu = complex(mu)
     x = op.check_vector(x)
     solver = CauchySolver(op, grid)
-    u = solver.solve_ka(ExpForcing(mu, x))
+    u = solver.solve(ExpForcing(mu, x))
     T = grid.T
     endpoint_value = float(T ** (1.0 - sigma) * op.norm0(u.values[-1]))
     endpoint_bound = None
@@ -104,52 +103,6 @@ def trace_norm_upper(op, x, grid, sigma=1.0):
     u = CauchySolver(op, grid).solve(ZeroForcing(op.dim), x)
     graph = 2.0 * op.norm0_rows(u.derivative_values) + op.norm0_rows(u.values)
     return float(np.max(time_weights(grid, sigma) * graph))
-
-
-def interp_norm_diag(op, x, theta):
-    """sup_k (1+|lam_k|)^theta |x_k| — the spectral representative of the
-    theta-interpolation norm between E0 and the graph norm, exact only in
-    the diagonal case."""
-    if op.structure != "diagonal":
-        raise NotDiagonal(f"structure={op.structure!r}")
-    x = op.check_vector(x)
-    lam = np.diag(op.matrix)
-    return float(np.max((1.0 + np.abs(lam)) ** theta * np.abs(x)))
-
-
-@dataclass
-class DPGScale:
-    """Diagonal interpolation scale: coordinate weights for the E_theta and
-    E_{1+theta} norms.  A diagonal matrix commutes with the weights, so the
-    operator itself is unchanged; only the norms (and hence probe data)
-    transform."""
-
-    theta: float
-    weights: np.ndarray         # (1+|lam_k|)^theta
-    graph_weights: np.ndarray   # (1+|lam_k|)^{1+theta}
-
-
-def dpg_scale(op, theta):
-    if op.structure != "diagonal":
-        raise NotDiagonal(f"structure={op.structure!r}")
-    lam = np.diag(op.matrix)
-    w = (1.0 + np.abs(lam)) ** theta
-    return DPGScale(theta=float(theta), weights=w,
-                    graph_weights=w * (1.0 + np.abs(lam))), op
-
-
-def lp_norms(op, u, p):
-    """(int ||u||_0^p)^{1/p} and (int (||u'||_0 + ||u||_1)^p)^{1/p} by the
-    panel quadrature of the grid."""
-    if u.derivative_values is None:
-        raise MissingDerivative("lp e1-norm needs derivative samples")
-    grid = u.grid
-    n0 = op.norm0_rows(u.values)
-    e0_lp = float(grid.integrate_samples(n0**p) ** (1.0 / p))
-    du = op.norm0_rows(u.derivative_values)
-    au = op.norm0_rows(u.values @ op.matrix.T)
-    e1_lp = float(grid.integrate_samples((du + n0 + au) ** p) ** (1.0 / p))
-    return e0_lp, e1_lp
 
 
 def _scale_probe(probe, w):
@@ -183,10 +136,11 @@ def theta_sweep(op, grid, thetas, probes):
     if op.structure != "diagonal":
         raise NotDiagonal(f"theta sweep needs a diagonal operator, got structure={op.structure!r}")
     N = halfplane_scan(op, 0.0, mu_box(0.5, 1e2, 3, -4.0, 4.0, 3)).bound_constant
+    lam = np.diag(op.matrix)
     rows = []
     for theta in thetas:
-        scale, _ = dpg_scale(op, theta)
-        scaled = [_scale_probe(pr, scale.weights) for pr in probes]
+        w = (1.0 + np.abs(lam)) ** theta  # coordinate weights of E_theta
+        scaled = [_scale_probe(pr, w) for pr in probes]
         est = estimate_M(op, grid, scaled)
         rows.append(ThetaSweepRow(theta=float(theta), M_hat=est.M_hat,
                                   omega1=omega1(est.M_hat, grid.T),

@@ -122,7 +122,7 @@ def test_criterion_7_contour_semigroup(rng):
 def test_criterion_8_sigma_one_bitwise(acceptance_grid, corpus, rng):
     grid = acceptance_grid
     for op in (corpus["diag"], corpus["lap16"]):
-        u = sl.CauchySolver(op, grid).solve_ka(
+        u = sl.CauchySolver(op, grid).solve(
             sl.ExpForcing(1.0, random_vector(rng, op.dim)))
         wn = sl.weighted_norm(op, u, 1.0)
         assert wn.value == sl.e0_norm_J(op, u)

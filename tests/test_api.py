@@ -1,0 +1,48 @@
+"""Every public function or class has a caller outside the tests.
+
+A name exported from ``semilab`` must occur in the library (``src/semilab``)
+or in the benchmark harness (``bench``) somewhere other than its own
+``def``/``class`` line and the package ``__init__``. Names that only an
+acceptance criterion calls are listed explicitly.
+"""
+
+import inspect
+import pathlib
+import re
+
+import pytest
+
+import semilab as sl
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+# (name, the acceptance criterion that calls it)
+CRITERION_ONLY = (
+    ("apriori_inequality_check", "criterion 8: the sigma = 1 weighted check is bitwise"),
+    ("omega1_weighted", "criteria 5 and 8: the weighted omega_1 formula"),
+)
+
+SOURCES = [p for d in (ROOT / "src" / "semilab", ROOT / "bench") for p in sorted(d.glob("*.py"))
+           if p.name != "__init__.py"]
+
+PUBLIC = sorted(name for name in sl.__all__
+                if inspect.isfunction(getattr(sl, name)) or inspect.isclass(getattr(sl, name)))
+
+
+def _used(name):
+    word = re.compile(rf"\b{re.escape(name)}\b")
+    definition = re.compile(rf"^\s*(def|class)\s+{re.escape(name)}\b")
+    return any(word.search(line) and not definition.match(line)
+               for path in SOURCES for line in path.read_text().splitlines())
+
+
+@pytest.mark.parametrize("name", [n for n in PUBLIC if n not in dict(CRITERION_ONLY)])
+def test_public_name_has_a_caller(name):
+    assert _used(name), f"semilab.{name} is called only from tests"
+
+
+@pytest.mark.parametrize("name, criterion", CRITERION_ONLY)
+def test_criterion_only_names_are_exported_and_used(name, criterion):
+    assert name in PUBLIC, name
+    tests = (ROOT / "tests" / "test_acceptance.py").read_text()
+    assert re.search(rf"\bsl\.{name}\(", tests), (name, criterion)

@@ -4,7 +4,7 @@ import scipy.linalg
 
 import semilab as sl
 from semilab import cauchy
-from semilab.errors import EmptyProbeSet, HypothesisViolation, NotANode
+from semilab.errors import EmptyProbeSet
 
 from conftest import random_vector
 from test_acceptance import MU_GRID_25
@@ -14,7 +14,7 @@ class TestSolveIVP:
     def test_homogeneous_matches_oracle(self, grid, corpus, rng):
         for name, op in corpus.items():
             x = random_vector(rng, op.dim)
-            u = sl.solve_ivp(op, sl.ZeroForcing(op.dim), x, grid)
+            u = sl.CauchySolver(op, grid).solve(sl.ZeroForcing(op.dim), x)
             for i in (0, len(u.grid.nodes) // 2, -1):
                 t = u.grid.nodes[i]
                 exact = op.semigroup_apply_oracle(t, x)
@@ -23,85 +23,107 @@ class TestSolveIVP:
     def test_scalar_exponential_forcing(self, grid):
         # A = -1, f = e^{-t}, x = 0 (resonant case: u(t) = t e^{-t})
         op = sl.diagonal_operator([-1.0])
-        u = sl.solve_ivp(op, sl.ExpForcing(1.0, np.array([1.0])), np.zeros(1), grid)
+        u = sl.CauchySolver(op, grid).solve(sl.ExpForcing(1.0, np.array([1.0])), np.zeros(1))
         exact = u.grid.nodes * np.exp(-u.grid.nodes)
         assert np.allclose(u.values[:, 0], exact, atol=1e-12)
 
     def test_scalar_nonresonant(self, grid):
         # A = -1, f = e^{-mub t}x, mu = 2: u = (e^{-t} - e^{-2t}) / 1
         op = sl.diagonal_operator([-1.0])
-        u = sl.solve_ivp(op, sl.ExpForcing(2.0, np.array([1.0])), np.zeros(1), grid)
+        u = sl.CauchySolver(op, grid).solve(sl.ExpForcing(2.0, np.array([1.0])), np.zeros(1))
         ts = u.grid.nodes
         exact = (np.exp(-ts) - np.exp(-2 * ts)) / 1.0
         assert np.allclose(u.values[:, 0], exact, atol=1e-12)
 
     def test_pure_integration(self, grid, scalar_zero):
-        u = sl.solve_ivp(scalar_zero, sl.PolyForcing([1.0], np.array([1.0])),
-                         np.zeros(1), grid)
+        u = sl.CauchySolver(scalar_zero, grid).solve(sl.PolyForcing([1.0], np.array([1.0])),
+                                                      np.zeros(1))
         assert np.allclose(u.values[:, 0], u.grid.nodes, atol=1e-13)
 
     def test_initial_value_exact(self, grid, corpus, rng):
         op = corpus["jordan8"]
         x = random_vector(rng, 8)
-        u = sl.solve_ivp(op, sl.ZeroForcing(8), x, grid)
+        u = sl.CauchySolver(op, grid).solve(sl.ZeroForcing(8), x)
         assert np.array_equal(u.values[0], x.astype(complex))
 
     def test_residual_post(self, grid, corpus, rng):
         for op in corpus.values():
             f = sl.ExpForcing(3.0 + 2.0j, random_vector(rng, op.dim))
             x = random_vector(rng, op.dim)
-            u = sl.solve_ivp(op, f, x, grid)
-            res = sl.ode_residuals(op, u, f)
+            u = sl.CauchySolver(op, grid).solve(f, x)
+            res = op.norm0_rows(u.derivative_values - u.values @ op.matrix.T
+                                - f.sample(u.grid.nodes))
             bound = 1e-9 * (1.0 + op.norm0(x) + 1.0)
             assert np.max(res) <= bound
 
     def test_verified_solve(self, grid, diag_12, rng):
+        # a panel-doubled solve moves no shared node value by more than 1e-9
         x = random_vector(rng, 2)
-        u = sl.solve_ivp(diag_12, sl.ExpForcing(1.0, x), np.zeros(2), grid,
-                         verify=True)
+        f = sl.ExpForcing(1.0, x)
+        u = sl.CauchySolver(diag_12, grid).solve(f, np.zeros(2))
+        fine = sl.CauchySolver(diag_12, grid.refined(2)).solve(f, np.zeros(2))
+        step = grid.nodes_per_panel + 1
+        drift = np.max(np.abs(fine.values[::2 * step] - u.values[::step]))
         assert u.grid.T == 1.0
+        assert drift / (1.0 + np.max(np.abs(u.values))) <= 1e-9
 
     def test_stiff_fixture(self, grid, rng):
         # boundary layers of the n=256 Laplacian are resolved by the
         # exponential quadrature even on the default grid
         op = sl.laplacian_1d(256)
         x = random_vector(rng, 256)
-        u = sl.solve_ivp(op, sl.ZeroForcing(256), x, grid)
+        u = sl.CauchySolver(op, grid).solve(sl.ZeroForcing(256), x)
         exact = op.semigroup_apply_oracle(1.0, x)
         assert op.norm0(u.values[-1] - exact) <= 1e-10
 
 
+class SumForcing(sl.Forcing):
+    """f + g for two forcings; the rate of the steeper one."""
+
+    rate = 1.5
+
+    def __init__(self, f, g):
+        self.f, self.g = f, g
+
+    def sample(self, ts):
+        return self.f.sample(ts) + self.g.sample(ts)
+
+
 class TestKA:
     def test_zero_forcing(self, grid, diag_12):
-        u = sl.solution_operator_KA(diag_12, sl.ZeroForcing(2), grid)
+        u = sl.CauchySolver(diag_12, grid).solve(sl.ZeroForcing(2))
         assert np.all(u.values == 0)
 
     def test_linearity(self, grid, diag_12, rng):
         y1, y2 = random_vector(rng, 2), random_vector(rng, 2)
         f = sl.ExpForcing(1.5, y1)
         g = sl.ExpForcing(0.5, y2)
-        uf = sl.solution_operator_KA(diag_12, f, grid)
-        ug = sl.solution_operator_KA(diag_12, g, grid)
-        fg = sl.CallableForcing(lambda t: f.eval(t) + g.eval(t), 2, rate=1.5)
-        both = sl.solution_operator_KA(diag_12, fg, grid)
+        solver = sl.CauchySolver(diag_12, grid)
+        uf, ug = solver.solve(f), solver.solve(g)
+        both = solver.solve(SumForcing(f, g))
         assert np.allclose(both.values, uf.values + ug.values, atol=1e-10)
 
     def test_scalar_closed_form(self, grid, scalar_zero):
         # A = 0: K_A(e^{-mub t} x) = (1 - e^{-mub t}) x / mub
         mub = 2.0
-        u = sl.solution_operator_KA(scalar_zero, sl.ExpForcing(mub, np.array([1.0])), grid)
+        u = sl.CauchySolver(scalar_zero, grid).solve(sl.ExpForcing(mub, np.array([1.0])))
         ts = u.grid.nodes
         assert np.allclose(u.values[:, 0], (1 - np.exp(-mub * ts)) / mub, atol=1e-13)
 
     def test_continuity_ratio_reported(self, grid, diag_12):
-        u, ratio = sl.solution_operator_KA(diag_12, sl.ExpForcing(1.0, np.ones(2)),
-                                           grid, report_ratio=True)
+        # estimate_M's c2_hat is ||K_A f||_E1(J) / ||f||_E0(J) for a probe with x = 0
+        f = sl.ExpForcing(1.0, np.ones(2))
+        u = sl.CauchySolver(diag_12, grid).solve(f)
+        ratio = sl.e1_norm_J(diag_12, u) / sl.e0_norm_J(
+            diag_12, sl.GridFunction(u.grid, f.sample(u.grid.nodes)))
+        est = sl.estimate_M(diag_12, grid, [(f, np.zeros(2))])
         assert ratio > 0
+        assert est.c2_hat == ratio
 
     def test_uniqueness_of_zero_solution(self, grid, corpus):
         # homogeneous problem with x = 0 stays at 0 in the E1(J)-norm
         for op in corpus.values():
-            u = sl.solve_ivp(op, sl.ZeroForcing(op.dim), np.zeros(op.dim), grid)
+            u = sl.CauchySolver(op, grid).solve(sl.ZeroForcing(op.dim), np.zeros(op.dim))
             assert sl.e1_norm_J(op, u) <= 1e-9
 
 
@@ -138,42 +160,6 @@ class TestEstimateM:
         coarse = sl.estimate_M(diag_12, sl.TimeGrid.uniform(1.0, panels=16), probes)
         fine = sl.estimate_M(diag_12, sl.TimeGrid.uniform(1.0, panels=32), probes)
         assert fine.M_hat == pytest.approx(coarse.M_hat, rel=5e-3)
-
-
-class TestGlueCheck:
-    def test_zero_solution(self, diag_12):
-        grid = sl.TimeGrid.uniform(1.0, panels=8)
-        ext = sl.TimeGrid.uniform(2.0, panels=16)
-        u = sl.GridFunction(grid, np.zeros((len(grid.nodes), 2)))
-        rep = sl.glue_check(diag_12, u, 0.5, ext)
-        assert rep.max_residual == 0.0
-        assert rep.w_t1_norm == 0.0
-
-    def test_nonzero_initial_value_rejected(self, diag_12, rng):
-        grid = sl.TimeGrid.uniform(1.0, panels=8)
-        ext = sl.TimeGrid.uniform(2.0, panels=16)
-        x0 = random_vector(rng, 2)
-        vals = np.array([diag_12.semigroup_apply_oracle(t, x0) for t in grid.nodes])
-        u = sl.GridFunction(grid, vals)
-        with pytest.raises(HypothesisViolation):
-            sl.glue_check(diag_12, u, 0.5, ext)
-
-    def test_single_node_perturbation_flagged(self, diag_12):
-        grid = sl.TimeGrid.uniform(1.0, panels=8)
-        ext = sl.TimeGrid.uniform(2.0, panels=16)
-        vals = np.zeros((len(grid.nodes), 2))
-        vals[10, 0] = 1e-6
-        u = sl.GridFunction(grid, vals)
-        rep = sl.glue_check(diag_12, u, 0.5, ext)
-        dt = np.min(np.diff(grid.nodes))
-        assert rep.precondition_residual >= 0.1 * 1e-6 / dt
-
-    def test_t1_must_be_edge(self, diag_12):
-        grid = sl.TimeGrid.uniform(1.0, panels=8)
-        ext = sl.TimeGrid.uniform(2.0, panels=16)
-        u = sl.GridFunction(grid, np.zeros((len(grid.nodes), 2)))
-        with pytest.raises(NotANode):
-            sl.glue_check(diag_12, u, 0.3, ext)
 
 
 class TestBackendsAgree:
@@ -323,7 +309,7 @@ class TestOneFactorization:
         assert np.linalg.cond(np.linalg.eig(op.matrix)[1]) < 1e6  # diagonalizable
         assert op.diagonalization is None
         x = random_vector(rng, 12)
-        u = sl.solve_ivp(op, sl.ZeroForcing(12), x, grid)
+        u = sl.CauchySolver(op, grid).solve(sl.ZeroForcing(12), x)
         for i in (len(u.grid.nodes) // 2, -1):
             exact = op.semigroup_apply_oracle(u.grid.nodes[i], x)
             assert op.norm0(u.values[i] - exact) <= 1e-10 * op.norm0(exact)
@@ -405,7 +391,7 @@ class TestMixedWidths:
         assert len(calls) == 4
         for a, b in ((ue.values, ud.values), (ue.derivative_values, ud.derivative_values)):
             assert np.max(np.abs(a - b)) <= 1e-10 * np.max(np.abs(a))
-        edges = [self.GRID.node_index_of_edge(k) for k in range(self.GRID.panels + 1)]
+        edges = [k * (self.GRID.nodes_per_panel + 1) for k in range(self.GRID.panels + 1)]
         exact = np.array([eig.semigroup_apply_oracle(t, x0) for t in self.GRID.edges])
         for u in (se.solve(sl.ZeroForcing(eig.dim), x0), sd.solve(sl.ZeroForcing(eig.dim), x0)):
             assert np.max(np.abs(u.values[edges] - exact)) <= 1e-10 * np.max(np.abs(exact))

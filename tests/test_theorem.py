@@ -199,14 +199,6 @@ class TestAprioriInequality:
         assert diag_12.norm0(mu * x - diag_12.matrix @ x) == pytest.approx(
             abs(mu + 1.0), rel=1e-14)
 
-    def test_proof_probe_invariants(self, grid, diag_12, rng):
-        x = random_vector(rng, 2)
-        probes = sl.default_probes(diag_12, seed=0)
-        est = sl.estimate_M(diag_12, grid, probes)
-        pp = sl.make_proof_probe(diag_12, grid, 1.0 + 2.0j, x, c2_hat=est.c2_hat)
-        assert pp.v_residual <= 1e-9 * (1 + np.max(np.abs(pp.v_mu.values)))
-        assert pp.u_bound_ok
-
 
 class TestScansAndVerdict:
     def test_resolvent_asymptotics(self, corpus):
@@ -224,12 +216,6 @@ class TestScansAndVerdict:
         rep = sl.halfplane_scan(op, 0.0, [1.0 + 0.0j, 2.0 + 0.0j])
         assert np.isinf(rep.bound_constant)
         assert rep.scan == [(1.0 + 0j, np.inf), (2.0 + 0j, 1.0)]
-
-    def test_diagnostic_bound_flag(self, diag_12, grid):
-        probes = sl.default_probes(diag_12, seed=0)
-        M_hat = sl.estimate_M(diag_12, grid, probes).M_hat
-        rep = sl.halfplane_scan(diag_12, 0.0, sl.default_mu_grid(0.0), M_hat=M_hat)
-        assert "theorem_bound_satisfied" in rep.diagnostics
 
     def test_verdict_examples(self, diag_12):
         good = sl.rplus_verdict(diag_12)

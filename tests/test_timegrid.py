@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import semilab as sl
-from semilab.errors import BadEndpoint, MissingDerivative
+from semilab.errors import MissingDerivative
+from semilab.timegrid import gauss_legendre_01
 
 
 class TestTimeGrid:
@@ -20,7 +21,8 @@ class TestTimeGrid:
     def test_integrate_polynomial_exactly(self):
         # 8-point Gauss-Legendre panels integrate t^7 exactly
         g = sl.TimeGrid.uniform(1.0, panels=3, nodes_per_panel=8)
-        val = g.integrate_samples(g.nodes**7)
+        _, w = gauss_legendre_01(8)
+        val = np.sum(np.diff(g.edges)[:, None] * w * g.gl_times**7)
         assert val == pytest.approx(1.0 / 8.0, rel=1e-14)
 
     def test_refined_preserves_interval(self):
@@ -28,6 +30,24 @@ class TestTimeGrid:
         g2 = g.refined(3)
         assert g2.panels == 12
         assert g2.T == g.T
+
+    @pytest.mark.parametrize("edges", [np.linspace(0.0, 1.0, 17),
+                                       [0.0, 0.1, 0.3, 0.35, 1.0],
+                                       [0.0, 1e-3, 0.7, 2.5]])
+    def test_nodes_and_edges_match_panel_loop(self, edges):
+        # the node list and the refined edges, built one panel at a time
+        g = sl.TimeGrid(edges, nodes_per_panel=6)
+        xi, _ = gauss_legendre_01(6)
+        nodes = [0.0]
+        for a, b in zip(g.edges[:-1], g.edges[1:]):
+            nodes.extend(a + (b - a) * xi)
+            nodes.append(b)
+        assert np.array_equal(g.nodes, nodes)
+        for factor in (2, 3, 7, 39):
+            split = [g.edges[0]]
+            for a, b in zip(g.edges[:-1], g.edges[1:]):
+                split.extend(a + (b - a) * np.arange(1, factor + 1) / factor)
+            assert np.array_equal(g.refined(factor).edges, split), factor
 
 
 class TestFunctionNorms:
@@ -52,30 +72,3 @@ class TestFunctionNorms:
         u = sl.GridFunction(grid, np.ones((len(grid.nodes), 2)))
         with pytest.raises(MissingDerivative):
             sl.e1_norm_J(diag_12, u)
-
-
-class TestExtendRestrict:
-    def test_constant_extension(self, grid):
-        f = sl.GridFunction(grid, np.full(len(grid.nodes), 2.5))
-        ext = sl.extend_constant(f, 2.0)
-        assert ext.grid.T == 2.0
-        assert np.allclose(ext.values, 2.5)
-
-    def test_ramp_extension_is_min(self, grid):
-        f = sl.GridFunction(grid, grid.nodes)
-        ext = sl.extend_constant(f, 2.0)
-        assert np.allclose(ext.values[:, 0], np.minimum(ext.grid.nodes, 1.0),
-                           atol=1e-14)
-
-    def test_round_trip(self, grid):
-        f = sl.GridFunction(grid, np.sin(grid.nodes))
-        back = sl.restrict(sl.extend_constant(f, 2.0), 1.0)
-        assert np.array_equal(back.values, f.values)
-        assert np.array_equal(back.grid.nodes, f.grid.nodes)
-
-    def test_restrict_needs_panel_edge(self, grid):
-        f = sl.GridFunction(grid, np.sin(grid.nodes))
-        with pytest.raises(BadEndpoint):
-            sl.restrict(f, 0.33)
-        with pytest.raises(BadEndpoint):
-            sl.extend_constant(f, 0.5)

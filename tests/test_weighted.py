@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import semilab as sl
-from semilab.errors import ConfigError, MissingDerivative, NotDiagonal
+from semilab.errors import ConfigError, NotDiagonal
 from semilab.theorem import time_weights
 from semilab.weighted import theta_sweep
 
@@ -132,28 +132,12 @@ class TestTraceNorm:
         for _ in range(10):
             x = random_vector(rng, 3)
             tr = sl.trace_norm_upper(op, x, grid, 1.0)
-            itp = sl.interp_norm_diag(op, x, 1.0 - 1e-12)
+            theta = 1.0 - 1e-12
+            itp = np.max((1.0 + np.abs(np.diag(op.matrix))) ** theta * np.abs(x))
             assert tr >= itp / C
 
 
 class TestInterpScale:
-    def test_endpoint_reductions(self):
-        op = sl.diagonal_operator([-1.0, -3.0])
-        x = np.array([1.0, 1.0])
-        assert sl.interp_norm_diag(op, x, 0.0) == 1.0           # sup |x_k|
-        assert sl.interp_norm_diag(op, x, 1.0) == 4.0           # sup (1+|l|)|x_k|
-
-    def test_half_theta_value(self):
-        op = sl.diagonal_operator([-1.0, -3.0])
-        assert sl.interp_norm_diag(op, np.array([1.0, 1.0]), 0.5) == pytest.approx(
-            2.0, rel=1e-14)
-
-    def test_monotone_in_theta(self, rng):
-        op = sl.diagonal_operator([-1.0, -4.0, -9.0])
-        x = random_vector(rng, 3)
-        vals = [sl.interp_norm_diag(op, x, th) for th in np.linspace(0.05, 0.95, 10)]
-        assert all(b >= a - 1e-14 for a, b in zip(vals, vals[1:]))
-
     def test_k_functional_cross_check(self):
         # sup_{t>0} t^{-theta} min(1, t(1+|l|)) = (1+|l|)^theta
         lam, theta = -3.0, 0.4
@@ -162,19 +146,27 @@ class TestInterpScale:
         vals = ts ** (-theta) * np.minimum(1.0, ts * (1 + abs(lam)))
         assert np.max(vals) == pytest.approx((1 + abs(lam)) ** theta, rel=1e-4)
 
-    def test_not_diagonal(self, rng):
+    def test_not_diagonal(self, grid):
         op = sl.jordan_block(-1.0, 2)
         with pytest.raises(NotDiagonal):
-            sl.interp_norm_diag(op, np.ones(2), 0.5)
-        with pytest.raises(NotDiagonal):
-            sl.dpg_scale(op, 0.5)
+            theta_sweep(op, grid, [0.5], sl.default_probes(op, seed=0))
 
-    def test_dpg_scale_weights(self):
-        op = sl.diagonal_operator([-1.0, -3.0])
-        scale, same_op = sl.dpg_scale(op, 0.5)
-        assert same_op is op
-        assert np.allclose(scale.weights, [np.sqrt(2), 2.0])
-        assert np.allclose(scale.graph_weights, [2 ** 1.5, 8.0])
+    def test_sweep_scales_probes_by_theta_weights(self, grid):
+        # M_hat at theta is estimate_M on the probes scaled by (1+|lam_k|)^theta;
+        # on this spectrum the largest ratio (a random initial value) moves with theta
+        op = sl.diagonal_operator([-1.0, -3.0, -10.0])
+        probes = sl.default_probes(op, seed=0)
+        theta = 0.5
+        w = (1.0 + np.abs(np.diag(op.matrix))) ** theta
+        scaled = []
+        for f, x in probes:
+            if isinstance(f, sl.ExpForcing):
+                f = sl.ExpForcing(f.mu, w * f.y)
+            elif isinstance(f, sl.PolyForcing):
+                f = sl.PolyForcing(f.coeffs, w * f.y)
+            scaled.append((f, w * x))
+        row, = theta_sweep(op, grid, [theta], probes)
+        assert row.M_hat == sl.estimate_M(op, grid, scaled).M_hat
 
     def test_theta_sweep_rows(self, grid):
         op = sl.diagonal_operator([-1.0, -2.0])
@@ -183,37 +175,3 @@ class TestInterpScale:
         assert len(rows) == 2
         assert all(np.isfinite(r.M_hat) and r.M_hat > 0 for r in rows)
         assert rows[0].N == rows[1].N  # diagonal A commutes with the weights
-
-
-class TestLpNorms:
-    def _gf(self, grid, vals, dvals):
-        return sl.GridFunction(grid, vals, dvals)
-
-    def test_constant(self, grid, scalar_zero):
-        u = self._gf(grid, np.full(len(grid.nodes), 3.0), np.zeros(len(grid.nodes)))
-        e0, e1 = sl.lp_norms(scalar_zero, u, 2.0)
-        assert e0 == pytest.approx(3.0, rel=1e-12)
-
-    def test_linear_ramp_exact(self, grid, scalar_zero):
-        u = self._gf(grid, grid.nodes, np.ones(len(grid.nodes)))
-        e0, _ = sl.lp_norms(scalar_zero, u, 2.0)
-        assert e0 == pytest.approx(1.0 / np.sqrt(3.0), rel=1e-12)
-
-    def test_large_p_approaches_sup(self, grid, scalar_zero):
-        u = self._gf(grid, np.sin(np.pi * grid.nodes), np.pi * np.cos(np.pi * grid.nodes))
-        e0, _ = sl.lp_norms(scalar_zero, u, 64.0)
-        sup = sl.e0_norm_J(scalar_zero, u)
-        assert abs(e0 - sup) / sup <= 0.05
-
-    def test_monotone_in_p(self, grid, scalar_zero):
-        u = self._gf(grid, np.sin(np.pi * grid.nodes), np.pi * np.cos(np.pi * grid.nodes))
-        prev = 0.0
-        for p in (1.5, 2.0, 4.0, 8.0, 16.0):
-            e0, _ = sl.lp_norms(scalar_zero, u, p)
-            assert e0 >= prev - 1e-12
-            prev = e0
-
-    def test_missing_derivative(self, grid, scalar_zero):
-        u = sl.GridFunction(grid, np.ones(len(grid.nodes)))
-        with pytest.raises(MissingDerivative):
-            sl.lp_norms(scalar_zero, u, 2.0)
