@@ -48,7 +48,7 @@ _RATE_BUDGET = 0.6
 def _lagrange_monomial(q):
     """C[m, p]: coefficient of sigma^p in the m-th Lagrange basis polynomial
     on the Gauss-Legendre nodes of [0, 1]."""
-    xi, _ = gauss_legendre_01(q)
+    xi = gauss_legendre_01(q)
     C = np.zeros((q, q))
     for m in range(q):
         poly = np.array([1.0])
@@ -131,7 +131,7 @@ class CauchySolver:
         if shift == 0 and key in self._tables:
             return self._tables[key]
         q = self.grid.nodes_per_panel
-        xi, _ = gauss_legendre_01(q)
+        xi = gauss_legendre_01(q)
         rs = np.append(xi, 1.0) if nodes else np.ones(1)
         diag = self.op.diagonalization
         if diag is not None:

@@ -8,12 +8,14 @@ the embedding constant c1 equals 1 exactly.
 from __future__ import annotations
 
 import cmath
+import math
 import re
 from functools import cached_property
 
 import numpy as np
 import scipy.linalg
 from scipy.linalg.blas import dznrm2, zgemv, ztrsv
+from scipy.linalg.lapack import dstebz
 
 from .errors import (
     ConfigError,
@@ -192,6 +194,31 @@ class OperatorPair:
         M = _shifted_schur(mu, T)
         return Z @ np.apply_along_axis(lambda col: ztrsv(M, col), 0, w)
 
+    def resolvent_sum(self, mus, weights, y):
+        """sum_k weights[k] (mus[k] - A)^{-1} y for a vector y through the
+        cached factor A = Z T Z*: one Z* y and one product with Z for all
+        shifts, and no mu - T is formed. SingularResolvent names the first
+        shift within singular_tol of the spectrum."""
+        mus, weights = np.asarray(mus, dtype=complex), np.asarray(weights)
+        y = self.check_vector(y)
+        near = np.min(np.abs(mus[:, None] - self.eigenvalues), axis=1) <= self.singular_tol
+        if near.any():
+            raise SingularResolvent(f"mu={mus[np.argmax(near)]} within tolerance of the spectrum")
+        Z, T, normal = self.resolvent_factor
+        w = y if Z is None else np.conj(Z.T @ np.conj(y))
+        if normal:
+            x = (weights @ (1.0 / (mus[:, None] - T))) * w
+        else:
+            # back substitution for every shift at once: row i of (mu - T) X = w
+            # gives X[i] = (w_i + T[i, i+1:] X[i+1:]) / (mu - T_ii), a column per mu
+            T = np.ascontiguousarray(T)
+            D = mus - np.diag(T)[:, None]
+            X = np.empty((self.dim, len(mus)), dtype=complex)
+            for i in range(self.dim - 1, -1, -1):
+                X[i] = (w[i] + T[i, i + 1:] @ X[i + 1:]) / D[i]
+            x = X @ weights
+        return x if Z is None else Z @ x
+
     def resolvent_norm(self, mu):
         """E0 operator norm of (mu - A)^-1 (1/dist(mu, sigma(A)) if normal)."""
         mu = complex(mu)
@@ -252,7 +279,7 @@ def _orthogonalize(w, Q):
     time when the first pass removes most of w (twice is enough); a
     non-finite w means (mu - T)^-1 overflows."""
     norm = dznrm2(w)
-    if not np.isfinite(norm):
+    if not math.isfinite(norm):
         raise SingularResolvent("resolvent norm overflows")
     for _ in range(2 if Q.shape[1] else 0):  # zgemv takes no empty Q
         w = zgemv(-1.0, Q, zgemv(1.0, Q, w, trans=2), beta=1.0, y=w, overwrite_y=True)
@@ -266,10 +293,13 @@ def _top_singular_value(e):
     """Largest singular value of the bidiagonal with entries e = (alpha_1,
     beta_1, alpha_2, ...): the top eigenvalue of the zero-diagonal tridiagonal
     with off-diagonal e, read on e scaled by its largest entry so that no
-    square in the eigensolver overflows."""
+    square in the eigensolver overflows. LAPACK dstebz is called with the
+    arguments scipy's eigvalsh_tridiagonal(select="i", select_range=(m, m))
+    passes it, without the wrapper's checks, which cost more than the call."""
     s, m = e.max(), len(e)
-    top = scipy.linalg.eigvalsh_tridiagonal(np.zeros(m + 1), e / s, select="i",
-                                            select_range=(m, m), check_finite=False)
+    _, top, _, _, info = dstebz(np.zeros(m + 1), e / s, 2, 0.0, 1.0, m + 1, m + 1, 0.0, "E")
+    if info:
+        raise EigenFailure(f"dstebz failed with info={info}")
     return float(s * top[0])
 
 

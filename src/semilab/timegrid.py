@@ -12,9 +12,8 @@ from .errors import DimensionMismatch, MissingDerivative
 
 @lru_cache(maxsize=32)
 def gauss_legendre_01(q):
-    """Gauss-Legendre nodes/weights on [0, 1]."""
-    x, w = np.polynomial.legendre.leggauss(q)
-    return (x + 1.0) / 2.0, w / 2.0
+    """Gauss-Legendre nodes on [0, 1]."""
+    return (np.polynomial.legendre.leggauss(q)[0] + 1.0) / 2.0
 
 
 class TimeGrid:
@@ -35,7 +34,7 @@ class TimeGrid:
             raise ValueError("nodes_per_panel must be >= 4")
         self.edges = edges
         self.nodes_per_panel = int(nodes_per_panel)
-        xi, _ = gauss_legendre_01(self.nodes_per_panel)
+        xi = gauss_legendre_01(self.nodes_per_panel)
         # gl_times[k, j]: j-th quadrature node of panel k
         self.gl_times = edges[:-1, None] + np.diff(edges)[:, None] * xi[None, :]
         # per panel k the node list holds edge_k at index k*(q+1), then the q

@@ -46,3 +46,12 @@ def rng():
 def random_vector(rng, dim):
     x = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return x / np.linalg.norm(x)
+
+
+def nonnormal_dense(n, seed):
+    """Q (D + N) Q*: real spectrum in [-9, -1], strictly upper triangular N."""
+    rng = np.random.default_rng(seed)
+    d = -(1.0 + 8.0 * rng.random(n))
+    N = np.triu(rng.standard_normal((n, n)), 1) * (2.0 / np.sqrt(n))
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    return sl.OperatorPair(Q @ (np.diag(d) + N) @ Q.conj().T)

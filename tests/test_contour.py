@@ -4,7 +4,7 @@ import pytest
 import semilab as sl
 from semilab.errors import ConfigError, ContourCrossesSpectrum
 
-from conftest import random_vector
+from conftest import nonnormal_dense, random_vector
 
 
 class TestContourType:
@@ -53,6 +53,20 @@ class TestAgreementWithOracle:
             errs[n] = op.norm0(r.value - exact) / op.norm0(exact)
         assert errs[32] <= 1e-8
         assert errs[64] <= errs[32] / 10.0
+
+    @pytest.mark.parametrize("t", [0.01, 0.1, 1.0])
+    @pytest.mark.parametrize("make", [lambda: sl.jordan_block(-2.0, 8),
+                                      lambda: nonnormal_dense(128, seed=5)],
+                             ids=["jordan8", "nonnormal128"])
+    def test_schur_operator(self, make, t, rng):
+        # the back substitution over all nodes on a non-normal Schur factor
+        op = make()
+        assert op.resolvent_backend == "schur"
+        x = random_vector(rng, op.dim)
+        exact = op.semigroup_apply_oracle(t, x)
+        c = sl.build_contour(op, t, node_count=64)
+        r = sl.semigroup_apply_contour(op, c, t, x)
+        assert op.norm0(r.value - exact) / op.norm0(exact) <= 1e-8
 
     def test_hyperbolic_kind(self, diag_12, rng):
         x = random_vector(rng, 2)

@@ -5,10 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import semilab as sl
+from semilab import operators
 from semilab.errors import ConfigError, DimensionMismatch, SingularResolvent
 from semilab.operators import _GKL_MIN_DIM
 
-from conftest import random_vector
+from conftest import nonnormal_dense, random_vector
 
 
 class TestNorms:
@@ -97,15 +98,6 @@ class TestResolvent:
         assert op.norm0(lhs - rhs) <= 1e-10 * max(op.norm0(lhs), 1.0)
 
 
-def _nonnormal_dense(n, seed):
-    """Q (D + N) Q*: real spectrum in [-9, -1], strictly upper triangular N."""
-    rng = np.random.default_rng(seed)
-    d = -(1.0 + 8.0 * rng.random(n))
-    N = np.triu(rng.standard_normal((n, n)), 1) * (2.0 / np.sqrt(n))
-    Q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-    return sl.OperatorPair(Q @ (np.diag(d) + N) @ Q.conj().T)
-
-
 def _svd_norm(op, mu):
     return 1.0 / scipy.linalg.svdvals(mu * np.eye(op.dim) - op.matrix)[-1]
 
@@ -134,8 +126,8 @@ class TestResolventFactor:
 
     @pytest.mark.parametrize("make", [lambda: sl.jordan_block(-1.0, 3),
                                       lambda: sl.jordan_block(-2.0, 8),
-                                      lambda: _nonnormal_dense(32, seed=4),
-                                      lambda: _nonnormal_dense(128, seed=4)],
+                                      lambda: nonnormal_dense(32, seed=4),
+                                      lambda: nonnormal_dense(128, seed=4)],
                              ids=["jordan3", "jordan8", "nonnormal32", "nonnormal128"])
     def test_solve_matches_dense_solve(self, make, rng):
         op = make()
@@ -161,7 +153,7 @@ class TestResolventFactor:
         schur = scipy.linalg.schur
         monkeypatch.setattr(scipy.linalg, "schur",
                             lambda *a, **k: calls.append(1) or schur(*a, **k))
-        for op in (sl.random_normal_operator(16, seed=3), _nonnormal_dense(16, seed=3)):
+        for op in (sl.random_normal_operator(16, seed=3), nonnormal_dense(16, seed=3)):
             y = random_vector(rng, 16)
             for mu in MUS:
                 op.resolvent_norm(mu)
@@ -236,7 +228,7 @@ class TestGKLNorm:
 
     @pytest.mark.parametrize("seed", [4, 11])
     def test_matches_svd(self, seed):
-        op = _nonnormal_dense(128, seed)
+        op = nonnormal_dense(128, seed)
         assert op.dim >= _GKL_MIN_DIM and op.resolvent_backend == "schur"
         lam = op.eigenvalues[np.argmax(op.eigenvalues.real)]
         mus = MUS + [lam + 1e-2j, lam + 1e-4j, 1e3, 1e3j, -1e3 - 1e3j]
@@ -254,7 +246,7 @@ class TestGKLNorm:
         assert norm == pytest.approx(_svd_norm(op, -1.0 + dist), rel=1e-10, abs=0)
 
     def test_no_svd_from_the_gate_on(self, monkeypatch):
-        above, below = _nonnormal_dense(_GKL_MIN_DIM, 3), _nonnormal_dense(_GKL_MIN_DIM - 1, 3)
+        above, below = nonnormal_dense(_GKL_MIN_DIM, 3), nonnormal_dense(_GKL_MIN_DIM - 1, 3)
         for op in (above, below):
             op.resolvent_factor  # the factor's own norms may take SVDs
         calls = []
@@ -277,9 +269,79 @@ class TestGKLNorm:
         assert scan.scan[0][1] == np.inf and np.isfinite(scan.scan[1][1])
 
     def test_bit_equal_across_calls(self):
-        op, again = _nonnormal_dense(128, 4), _nonnormal_dense(128, 4)
+        op, again = nonnormal_dense(128, 4), nonnormal_dense(128, 4)
         for mu in MUS:
             assert op.resolvent_norm(mu) == op.resolvent_norm(mu) == again.resolvent_norm(mu)
+
+    def test_top_singular_value_is_the_wrappers(self):
+        # the direct LAPACK dstebz call against scipy's eigvalsh_tridiagonal,
+        # bit for bit, on random bidiagonals of every length the loop reads
+        rng = np.random.default_rng(21)
+        for m in range(2, 121):
+            for scale in 10.0 ** rng.uniform(-5.0, 5.0, size=2):
+                e = scale * rng.random(m)
+                ref = scipy.linalg.eigvalsh_tridiagonal(np.zeros(m + 1), e / e.max(),
+                                                        select="i", select_range=(m, m))
+                assert operators._top_singular_value(e) == float(e.max() * ref[0]), (m, scale)
+
+    def test_norms_unchanged_under_the_wrapper(self, monkeypatch):
+        op = nonnormal_dense(128, 4)
+        mus = MUS + [1e3j, -1e3 - 1e3j, op.eigenvalues[0] + 1e-3]
+        direct = [op.resolvent_norm(mu) for mu in mus]
+
+        def wrapper(e):
+            s, m = e.max(), len(e)
+            return float(s * scipy.linalg.eigvalsh_tridiagonal(
+                np.zeros(m + 1), e / s, select="i", select_range=(m, m))[0])
+        monkeypatch.setattr(operators, "_top_singular_value", wrapper)
+        assert [op.resolvent_norm(mu) for mu in mus] == direct
+
+
+class TestResolventSum:
+    """resolvent_sum, one pass through the cached factor for all shifts,
+    against the sum of one resolvent_solve per shift."""
+
+    @pytest.mark.parametrize("make", [lambda: sl.diagonal_operator([-1.0, -2.5, -4.0 + 1j]),
+                                      lambda: sl.laplacian_1d(64),
+                                      lambda: sl.random_normal_operator(16, seed=3),
+                                      lambda: sl.jordan_block(-2.0, 8),
+                                      lambda: nonnormal_dense(128, seed=4)],
+                             ids=["diag", "lap64", "normal16", "jordan8", "nonnormal128"])
+    def test_matches_per_shift_sum(self, make, rng):
+        op = make()
+        x = random_vector(rng, op.dim)
+        c = sl.build_contour(op, 0.1, node_count=32)
+        contour_nodes = c.nodes_and_weights()
+        weights = rng.standard_normal(len(MUS)) + 1j * rng.standard_normal(len(MUS))
+        for mus, w in (contour_nodes, (MUS, weights)):
+            ref = sum(wk * op.resolvent_solve(mk, x) for mk, wk in zip(mus, w))
+            got = op.resolvent_sum(mus, w, x)
+            assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("make", [lambda: sl.diagonal_operator([-1.0, -2.0]),
+                                      lambda: sl.jordan_block(-2.0, 8)], ids=["diag", "jordan8"])
+    def test_shift_on_the_spectrum_raises(self, make):
+        op = make()
+        lam = op.eigenvalues[-1]
+        with pytest.raises(SingularResolvent, match="mu="):
+            op.resolvent_sum([1.0, lam + 0.5 * op.singular_tol], [1.0, 1.0], np.ones(op.dim))
+
+    @pytest.mark.parametrize("upper", [0.0, 1.0], ids=["normal", "schur"])
+    def test_half_rule_node_on_the_spectrum_raises(self, upper):
+        # an eigenvalue on a node of the half-node-count rule alone: it lies
+        # inside the full rule's contour and off its nodes, so the value is
+        # computed, and the error estimate's sum refuses the node
+        c = sl.build_contour(sl.diagonal_operator([-1.0]), 1.0, node_count=32)
+        half = sl.Contour(c.kind, 16, c.t, c.scale * 0.5, c.shift)
+        node = half.nodes_and_weights()[0][4]
+        assert node.real < -1.0 and c.contains_left(node)
+        op = sl.OperatorPair([[-1.0, upper], [0.0, node]])
+        assert op.resolvent_backend == ("schur" if upper else "normal")
+        x = np.ones(2)
+        value = sl.semigroup_apply_contour(op, c, 1.0, x, estimate_error=False).value
+        assert np.all(np.isfinite(value))
+        with pytest.raises(SingularResolvent):
+            sl.semigroup_apply_contour(op, c, 1.0, x)
 
 
 class TestScansMatchSVD:
@@ -289,8 +351,8 @@ class TestScansMatchSVD:
     BETAS = np.concatenate([-np.logspace(-2, 3, 9)[::-1], [0.0], np.logspace(-2, 3, 9)])
 
     @pytest.mark.parametrize("make", [lambda: sl.jordan_block(-2.0, 8),
-                                      lambda: _nonnormal_dense(12, seed=2),
-                                      lambda: _nonnormal_dense(12, seed=9)],
+                                      lambda: nonnormal_dense(12, seed=2),
+                                      lambda: nonnormal_dense(12, seed=9)],
                              ids=["jordan8", "nonnormal12-2", "nonnormal12-9"])
     def test_scan_and_verdict_match_svd(self, make):
         op = make()

@@ -68,7 +68,7 @@ def nonnormal_12(seed, d=None):
 
 def panel_stack(A, shift, h, q=8):
     """The matrices h r_j (A - shift) of one Cauchy-solver panel table."""
-    xi, _ = gauss_legendre_01(q)
+    xi = gauss_legendre_01(q)
     return np.multiply.outer(h * np.append(xi, 1.0), A - shift * np.eye(A.shape[0]))
 
 
