@@ -103,6 +103,20 @@ class TestSpectrumGuards:
         with pytest.raises(ContourCrossesSpectrum):
             sl.semigroup_apply_contour(op, c, 1.0, np.ones(2))
 
+    def test_node_touching_an_enclosed_eigenvalue(self):
+        # an eigenvalue 0.9 singular_tol up and left of the first node, where
+        # the parabola rises steeply: inside the contour by more than the
+        # margin, yet within singular_tol of that node
+        c = sl.Contour("parabolic", 32, 1.0, 16.0, 0.0)
+        mu0 = c.nodes_and_weights()[0][0]
+        margin = sl.diagonal_operator([-1.0, mu0]).singular_tol
+        lam = mu0 + 0.9 * margin * np.exp(0.75j * np.pi)
+        op = sl.diagonal_operator([-1.0, lam])
+        assert c.contains_left(lam, op.singular_tol)
+        assert abs(lam - mu0) <= op.singular_tol
+        with pytest.raises(ContourCrossesSpectrum, match="node touches the eigenvalue"):
+            sl.semigroup_apply_contour(op, c, 1.0, np.ones(2))
+
     def test_mismatched_time_rejected(self, diag_12):
         c = sl.build_contour(diag_12, 1.0)
         with pytest.raises(ConfigError):
