@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg.blas import dznrm2, zgemv, ztrsv
+from scipy.linalg.blas import dznrm2, zaxpy, zdscal, ztrsv
 from scipy.linalg.lapack import dstebz
 
 from .errors import (
@@ -104,9 +104,12 @@ class OperatorPair:
 
     @cached_property
     def matrix_norm(self):
+        A = self.matrix
         if self.structure == "diagonal":  # both E0 operator norms are max |a_kk|
-            return float(np.max(np.abs(np.diag(self.matrix)), initial=0.0))
-        return self.operator_norm(self.matrix)
+            return float(np.max(np.abs(np.diag(A)), initial=0.0))
+        if self.structure == "tridiagonal" and self.e0_norm == "euclidean":
+            return _tridiagonal_norm(np.diag(A, -1), np.diag(A), np.diag(A, 1))
+        return self.operator_norm(A)
 
     # -- spectrum ----------------------------------------------------------
 
@@ -229,7 +232,9 @@ class OperatorPair:
             if normal:
                 return 1.0 / self.spectral_distance(mu)
             if self.dim >= _GKL_MIN_DIM:  # ||(mu - A)^-1|| = ||(mu - T)^-1||, Z unitary
-                return _inverse_norm(_shifted_schur(mu, T))
+                norm = _inverse_norm(_shifted_schur(mu, T))
+                if norm is not None:  # else not settled in n steps: the dense SVD below
+                    return norm
         R = mu * np.eye(self.dim) - self.matrix
         if self.e0_norm == "euclidean":
             smin = float(np.linalg.svd(R, compute_uv=False)[-1])
@@ -263,6 +268,25 @@ class OperatorPair:
         return (Z, lam) if normal else None
 
 
+def _tridiagonal_norm(low, diag, up):
+    """||A||_2 of the tridiagonal A with sub-, main and superdiagonal low,
+    diag, up: the root of the top eigenvalue of the pentadiagonal A* A, whose
+    lower band (A* A)[i + k, i], k = 0, 1, 2, is built in O(n). A is first
+    scaled by a power of two near its largest entry, exactly, so that no
+    square overflows or underflows."""
+    s = 2.0 ** math.floor(math.log2(max(np.max(np.abs(d)) for d in (low, diag, up))))
+    low, diag, up = low / s, diag / s, up / s
+    n = len(diag)
+    band = np.zeros((3, n), dtype=complex)
+    band[0] = np.abs(diag) ** 2
+    band[0, 1:] += np.abs(up) ** 2
+    band[0, :-1] += np.abs(low) ** 2
+    band[1, :-1] = diag[:-1] * up.conj() + low * diag[1:].conj()
+    band[2, :-2] = low[:-1] * up[1:].conj()
+    top = scipy.linalg.eigvals_banded(band, lower=True, select="i", select_range=(n - 1, n - 1))
+    return s * math.sqrt(top[0])
+
+
 # -- triangular kernels on the Schur factor ----------------------------------
 
 
@@ -274,19 +298,12 @@ def _shifted_schur(mu, T):
     return M
 
 
-def _orthogonalize(w, Q):
-    """(w - Q Q* w, its norm) for orthonormal columns Q, projected a second
-    time when the first pass removes most of w (twice is enough); a
-    non-finite w means (mu - T)^-1 overflows."""
-    norm = dznrm2(w)
+def _finite_norm(x):
+    """dznrm2(x); a non-finite norm means (mu - T)^-1 overflows."""
+    norm = dznrm2(x)
     if not math.isfinite(norm):
         raise SingularResolvent("resolvent norm overflows")
-    for _ in range(2 if Q.shape[1] else 0):  # zgemv takes no empty Q
-        w = zgemv(-1.0, Q, zgemv(1.0, Q, w, trans=2), beta=1.0, y=w, overwrite_y=True)
-        norm, before = dznrm2(w), norm
-        if norm > 0.5 ** 0.5 * before:
-            break
-    return w, norm
+    return norm
 
 
 def _top_singular_value(e):
@@ -304,38 +321,42 @@ def _top_singular_value(e):
 
 
 def _inverse_norm(M):
-    """||M^-1||_2 for an upper-triangular M in Fortran order: Golub-Kahan-
-    Lanczos bidiagonalization of M^-1 with full reorthogonalization, two
-    O(n^2) triangular solves a step, from a fixed start vector so that equal
-    inputs give bit-equal norms. It works on M^-1 itself, not on (M* M)^-1,
-    whose norm squares and overflows from 1e154 on. A residual that is zero
-    to working precision ends it early: the Ritz value is then exact."""
+    """||M^-1||_2 for an upper-triangular M in Fortran order, or None if the
+    Ritz value has not settled within n steps. Golub-Kahan-Lanczos
+    bidiagonalization of M^-1 without reorthogonalization: a step is two
+    O(n^2) triangular solves and O(n) vector updates, and only the current
+    u and v are kept. Lost orthogonality only adds copies of converged Ritz
+    values; the largest still converges to working accuracy (Paige, Linear
+    Algebra Appl. 34, 1980). From a fixed start vector, so that equal inputs
+    give bit-equal norms. It works on M^-1 itself, not on (M* M)^-1, whose
+    norm squares and overflows from 1e154 on. A residual that is zero to
+    working precision ends it early: the Ritz value is then exact."""
     n = M.shape[0]
-    U = np.empty((n, n), dtype=complex, order="F")
-    V = np.empty_like(U)
     e = np.zeros(2 * n)  # alpha_1, beta_1, alpha_2, beta_2, ...
     rng = np.random.default_rng(0)
     v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     v /= dznrm2(v)
-    eps, sigma = np.finfo(float).eps, 0.0
+    u = np.zeros(n, dtype=complex)
+    eps, top, sigma, beta = np.finfo(float).eps, 0.0, 0.0, 0.0
     for k in range(n):
-        V[:, k] = v
-        u = ztrsv(M, v)
-        if k:
-            u -= e[2 * k - 1] * U[:, k - 1]
-        u, e[2 * k] = _orthogonalize(u, U[:, :k])
-        if e[2 * k] <= eps * e.max():
+        u = zaxpy(u, ztrsv(M, v), a=-beta)  # M^-1 v - beta u
+        e[2 * k] = alpha = _finite_norm(u)
+        top = max(top, alpha)
+        if alpha <= eps * top:
             break
-        U[:, k] = u / e[2 * k]
-        v, e[2 * k + 1] = _orthogonalize(ztrsv(M, U[:, k], trans=2) - e[2 * k] * v,
-                                         V[:, :k + 1])
-        if e[2 * k + 1] <= eps * e.max():
+        u = zdscal(1.0 / alpha, u, overwrite_x=1)
+        v = zaxpy(v, ztrsv(M, u, trans=2), a=-alpha)  # M^-* u - alpha v
+        e[2 * k + 1] = beta = _finite_norm(v)
+        top = max(top, beta)
+        if beta <= eps * top:
             break
-        v /= e[2 * k + 1]
+        v = zdscal(1.0 / beta, v, overwrite_x=1)
         if k % _GKL_CHECK == _GKL_CHECK - 1:
             sigma, last = _top_singular_value(e[:2 * k + 2]), sigma
             if sigma - last <= _GKL_RTOL * sigma:
                 return sigma
+    else:
+        return None
     return _top_singular_value(e[:2 * k + 2])
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -38,6 +40,31 @@ class TestNorms:
     def test_dimension_mismatch(self, diag_12):
         with pytest.raises(DimensionMismatch):
             diag_12.check_vector(np.ones(3))
+
+    @pytest.mark.parametrize("make", [
+        lambda: sl.laplacian_1d(16), lambda: sl.laplacian_1d(64), lambda: sl.laplacian_1d(256),
+        lambda: sl.laplacian_1d(512), lambda: sl.jordan_block(-1.0, 3),
+        lambda: sl.jordan_block(-2.0, 8),
+        lambda: sl.OperatorPair(sum(np.diag(random_vector(np.random.default_rng(k + 1),
+                                                          40 - abs(k)), k) for k in (-1, 0, 1))),
+        # squares of these entries overflow or underflow unless A is scaled first
+        lambda: sl.jordan_block(-1e160, 8),
+        lambda: sl.OperatorPair(1e-200 * sl.laplacian_1d(16).matrix)],
+        ids=["lap16", "lap64", "lap256", "lap512", "jordan3", "jordan8", "random-complex",
+             "jordan8-1e160", "lap16-1e-200"])
+    def test_tridiagonal_matrix_norm_from_the_band(self, monkeypatch, make):
+        op = make()
+        assert op.structure == "tridiagonal" and op.e0_norm == "euclidean"
+
+        def refuse(B):
+            raise AssertionError("dense operator_norm on a tridiagonal operator")
+        monkeypatch.setattr(op, "operator_norm", refuse)
+        ref = np.linalg.norm(op.matrix, 2)
+        assert op.matrix_norm == pytest.approx(ref, rel=1e-14, abs=0)
+
+    def test_sup_tridiagonal_matrix_norm_is_the_row_sum(self):
+        op = sl.jordan_block(-2.0, 8, e0_norm="sup")
+        assert op.structure == "tridiagonal" and op.matrix_norm == 3.0
 
 
 class TestSpectrum:
@@ -267,6 +294,49 @@ class TestGKLNorm:
             op.resolvent_norm(-1.0 + 1e-5)
         scan = sl.halfplane_scan(op, -1.0, [-1.0 + 1e-5, 1.0])
         assert scan.scan[0][1] == np.inf and np.isfinite(scan.scan[1][1])
+
+    def test_hard_operators_match_svd(self, monkeypatch):
+        grcar = sl.OperatorPair(  # Toeplitz: -1 below the diagonal, 1 on it and three above
+            -np.eye(128, k=-1) + sum(np.eye(128, k=k) for k in range(4)) - 5.0 * np.eye(128))
+        solves = []
+        ztrsv = operators.ztrsv
+        monkeypatch.setattr(operators, "ztrsv",
+                            lambda M, x, trans=0: solves.append(trans) or ztrsv(M, x, trans=trans))
+        steps = []
+        for op in (grcar, nonnormal_dense(128, 4, scale=25.0)):
+            assert op.dim >= _GKL_MIN_DIM and op.resolvent_backend == "schur"
+            for mu in MUS + [1e3, 1e3j, 20.0 + 20.0j]:
+                solves.clear()
+                norm = op.resolvent_norm(mu)
+                steps.append(solves.count(0))
+                ref = _svd_norm(op, mu)
+                assert norm == pytest.approx(ref, rel=self._rtol(op, mu, ref), abs=0)
+        # Grcar at 1e3j takes about 70 steps, past the 40-50 of the benchmark's points
+        assert max(steps) >= 60
+
+    def test_unsettled_ritz_value_falls_back_to_one_svd(self, monkeypatch):
+        op = nonnormal_dense(128, 4)
+        op.resolvent_factor  # the factor's own norms may take SVDs
+        monkeypatch.setattr(operators, "_GKL_RTOL", -1.0)  # the stop test never passes
+        calls = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+        mu = MUS[2]
+        norm = op.resolvent_norm(mu)
+        assert calls == [1]
+        assert norm == 1.0 / svd(mu * np.eye(op.dim) - op.matrix, compute_uv=False)[-1]
+
+    def test_memory_is_linear_in_n(self):
+        op = nonnormal_dense(256, 4)
+        n = op.dim
+        M = operators._shifted_schur(MUS[2], op.resolvent_factor[1])
+        tracemalloc.start()
+        try:
+            operators._inverse_norm(M)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * 16 / 8  # an n x n complex basis is n^2 * 16 bytes
 
     def test_bit_equal_across_calls(self):
         op, again = nonnormal_dense(128, 4), nonnormal_dense(128, 4)
