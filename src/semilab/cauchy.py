@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import EmptyProbeSet
 from .phi import phi_matrices, phi_scalar
-from .timegrid import GridFunction, TimeGrid, e0_norm_J, e1_norm_J, gauss_legendre_01
+from .timegrid import GridFunction, e0_norm_J, e1_norm_J, gauss_legendre_01
 
 # panel width * profile rate above which panels are split, keeping the
 # polynomial interpolation error of the forcing profile near 1e-11
@@ -247,7 +247,6 @@ class MaxRegEstimate:
     M_hat: float
     c2_hat: float
     probe_count: int
-    grid: TimeGrid
     ratios: list
 
 
@@ -270,8 +269,9 @@ def estimate_M(op, grid, probes):
         denom = nf + nx1
         if denom == 0:
             raise EmptyProbeSet("degenerate probe: ||f||_E0 + ||x||_1 = 0")
-        ratios.append(e1_norm_J(op, u) / denom)
-        c2s.append(e1_norm_J(op, u) / nf if (nf > 0 and nx1 == 0) else 0.0)
+        e1 = e1_norm_J(op, u)
+        ratios.append(e1 / denom)
+        c2s.append(e1 / nf if (nf > 0 and nx1 == 0) else 0.0)
     return MaxRegEstimate(M_hat=float(max(ratios)), c2_hat=float(max(c2s, default=0.0)),
-                          probe_count=len(probes), grid=grid, ratios=ratios)
+                          probe_count=len(probes), ratios=ratios)
 

@@ -75,23 +75,18 @@ def _csv(path, header, rows):
                               for v in row) + "\n")
 
 
-def _json_ready(obj):
-    if isinstance(obj, dict):
-        return {k: _json_ready(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_json_ready(v) for v in obj]
+def _json_default(obj):
+    """json.dump's hook for what json cannot encode itself."""
     if isinstance(obj, complex):
         return {"re": obj.real, "im": obj.imag}
-    if isinstance(obj, (np.floating, np.integer)):
+    if isinstance(obj, np.generic):
         return obj.item()
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    return obj
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def _write_report(out, report):
     with open(os.path.join(out, "report.json"), "w") as fh:
-        json.dump(_json_ready(report), fh, sort_keys=True, indent=2)
+        json.dump(report, fh, sort_keys=True, indent=2, default=_json_default)
         fh.write("\n")
 
 
@@ -129,7 +124,7 @@ def run_resolvent_scan(op, args, out):
     _csv(os.path.join(out, "resolvent_scan.csv"),
          "re_mu,im_mu,resolvent_norm,weighted_norm", rows)
     ok = bool(np.isfinite(rep.bound_constant))
-    return {"N": rep.bound_constant, "omega": rep.half_plane_offset,
+    return {"N": rep.bound_constant, "omega": omega,
             "s_A": float(op.spectral_bound),
             "resolvent_backend": op.resolvent_backend}, ok
 

@@ -110,7 +110,7 @@ class ContourResult:
     error_estimate: float
 
 
-def semigroup_apply_contour(op, contour, t, x, estimate_error=True):
+def semigroup_apply_contour(op, contour, t, x):
     """e^{tA}x by contour quadrature of the resolvent.
 
     Raises ContourCrossesSpectrum if a node fails to stay right of the
@@ -131,8 +131,6 @@ def semigroup_apply_contour(op, contour, t, x, estimate_error=True):
             f"eigenvalue {lam[k]:.6g} is not enclosed by the contour" if outside[k]
             else f"a contour node touches the eigenvalue {lam[k]:.6g}")
     value = op.resolvent_sum(mu, w, x)
-    if not estimate_error:
-        return ContourResult(value, float("nan"))
     half = Contour(contour.kind, contour.node_count // 2, contour.t,
                    contour.scale * 0.5, contour.shift)
     coarse = op.resolvent_sum(*half.nodes_and_weights(), x)

@@ -104,12 +104,9 @@ class OperatorPair:
 
     @cached_property
     def matrix_norm(self):
-        A = self.matrix
-        if self.structure == "diagonal":  # both E0 operator norms are max |a_kk|
-            return float(np.max(np.abs(np.diag(A)), initial=0.0))
-        if self.structure == "tridiagonal" and self.e0_norm == "euclidean":
-            return _tridiagonal_norm(np.diag(A, -1), np.diag(A), np.diag(A, 1))
-        return self.operator_norm(A)
+        """||A||_F, the scale of every tolerance: it bounds both E0 operator
+        norms within a factor sqrt(dim). One overflow-safe BLAS dznrm2."""
+        return float(dznrm2(self.matrix.ravel()))
 
     # -- spectrum ----------------------------------------------------------
 
@@ -266,25 +263,6 @@ class OperatorPair:
         sends the Cauchy solver to its dense backend."""
         Z, lam, normal = self.resolvent_factor
         return (Z, lam) if normal else None
-
-
-def _tridiagonal_norm(low, diag, up):
-    """||A||_2 of the tridiagonal A with sub-, main and superdiagonal low,
-    diag, up: the root of the top eigenvalue of the pentadiagonal A* A, whose
-    lower band (A* A)[i + k, i], k = 0, 1, 2, is built in O(n). A is first
-    scaled by a power of two near its largest entry, exactly, so that no
-    square overflows or underflows."""
-    s = 2.0 ** math.floor(math.log2(max(np.max(np.abs(d)) for d in (low, diag, up))))
-    low, diag, up = low / s, diag / s, up / s
-    n = len(diag)
-    band = np.zeros((3, n), dtype=complex)
-    band[0] = np.abs(diag) ** 2
-    band[0, 1:] += np.abs(up) ** 2
-    band[0, :-1] += np.abs(low) ** 2
-    band[1, :-1] = diag[:-1] * up.conj() + low * diag[1:].conj()
-    band[2, :-2] = low[:-1] * up[1:].conj()
-    top = scipy.linalg.eigvals_banded(band, lower=True, select="i", select_range=(n - 1, n - 1))
-    return s * math.sqrt(top[0])
 
 
 # -- triangular kernels on the Schur factor ----------------------------------

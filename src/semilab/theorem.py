@@ -97,7 +97,6 @@ class SurjectivityData:
     U: np.ndarray
     V: np.ndarray
     V_norm: float
-    omega2: float | None = None
     neumann_terms: int = 0
 
 
@@ -222,7 +221,6 @@ def _resolvent_norms(op, mus):
 class HalfPlaneScan:
     scan: list                  # (mu, resolvent_norm) pairs
     bound_constant: float       # N with ||R(mu)|| <= N/(1+|mu|)
-    half_plane_offset: float    # omega
 
 
 def halfplane_scan(op, omega, mu_grid):
@@ -234,8 +232,7 @@ def halfplane_scan(op, omega, mu_grid):
         raise ConfigError("all scan points must satisfy Re mu > omega")
     scan = list(zip(mu_grid, _resolvent_norms(op, mu_grid)))
     weighted = [(1.0 + abs(m)) * r for m, r in scan]
-    return HalfPlaneScan(scan=scan, bound_constant=float(max(weighted, default=math.inf)),
-                         half_plane_offset=float(omega))
+    return HalfPlaneScan(scan=scan, bound_constant=float(max(weighted, default=math.inf)))
 
 
 @dataclass

@@ -113,7 +113,7 @@ def test_criterion_7_contour_semigroup(rng):
             errs = {}
             for n in (32, 64):
                 c = sl.build_contour(op, t, node_count=n)
-                r = sl.semigroup_apply_contour(op, c, t, x, estimate_error=False)
+                r = sl.semigroup_apply_contour(op, c, t, x)
                 errs[n] = op.norm0(r.value - exact) / op.norm0(exact)
             assert errs[32] <= 1e-8, (op.dim, t, errs)
             assert errs[64] <= errs[32] / 10.0, (op.dim, t, errs)

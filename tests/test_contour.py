@@ -49,7 +49,7 @@ class TestAgreementWithOracle:
         errs = {}
         for n in (32, 64):
             c = sl.build_contour(op, t, node_count=n)
-            r = sl.semigroup_apply_contour(op, c, t, x, estimate_error=False)
+            r = sl.semigroup_apply_contour(op, c, t, x)
             errs[n] = op.norm0(r.value - exact) / op.norm0(exact)
         assert errs[32] <= 1e-8
         assert errs[64] <= errs[32] / 10.0
@@ -72,7 +72,7 @@ class TestAgreementWithOracle:
         x = random_vector(rng, 2)
         exact = diag_12.semigroup_apply_oracle(0.5, x)
         c = sl.build_contour(diag_12, 0.5, kind="hyperbolic", node_count=32)
-        r = sl.semigroup_apply_contour(diag_12, c, 0.5, x, estimate_error=False)
+        r = sl.semigroup_apply_contour(diag_12, c, 0.5, x)
         assert diag_12.norm0(r.value - exact) <= 1e-7
 
     def test_error_estimate_tracks_error(self, diag_12, rng):

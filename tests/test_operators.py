@@ -44,27 +44,34 @@ class TestNorms:
     @pytest.mark.parametrize("make", [
         lambda: sl.laplacian_1d(16), lambda: sl.laplacian_1d(64), lambda: sl.laplacian_1d(256),
         lambda: sl.laplacian_1d(512), lambda: sl.jordan_block(-1.0, 3),
-        lambda: sl.jordan_block(-2.0, 8),
+        lambda: sl.jordan_block(-2.0, 8), lambda: sl.diagonal_operator([-1.0, 2.5j, -7.0]),
+        lambda: sl.random_normal_operator(16, seed=3), lambda: nonnormal_dense(40, seed=2),
         lambda: sl.OperatorPair(sum(np.diag(random_vector(np.random.default_rng(k + 1),
                                                           40 - abs(k)), k) for k in (-1, 0, 1))),
-        # squares of these entries overflow or underflow unless A is scaled first
-        lambda: sl.jordan_block(-1e160, 8),
-        lambda: sl.OperatorPair(1e-200 * sl.laplacian_1d(16).matrix)],
-        ids=["lap16", "lap64", "lap256", "lap512", "jordan3", "jordan8", "random-complex",
-             "jordan8-1e160", "lap16-1e-200"])
-    def test_tridiagonal_matrix_norm_from_the_band(self, monkeypatch, make):
+        lambda: sl.jordan_block(-2.0, 8, e0_norm="sup")],
+        ids=["lap16", "lap64", "lap256", "lap512", "jordan3", "jordan8", "diag3", "normal16",
+             "nonnormal40", "random-complex", "jordan8-sup"])
+    def test_matrix_norm_is_the_frobenius_norm(self, monkeypatch, make):
+        # ||A||_2 <= ||A||_F: the tolerances it scales never shrink; and no
+        # SVD or banded eigensolver runs to compute it
         op = make()
-        assert op.structure == "tridiagonal" and op.e0_norm == "euclidean"
+        two_norm = np.linalg.norm(op.matrix, 2)
 
-        def refuse(B):
-            raise AssertionError("dense operator_norm on a tridiagonal operator")
-        monkeypatch.setattr(op, "operator_norm", refuse)
-        ref = np.linalg.norm(op.matrix, 2)
-        assert op.matrix_norm == pytest.approx(ref, rel=1e-14, abs=0)
+        def refuse(*args, **kwargs):
+            raise AssertionError("matrix_norm ran a decomposition")
+        monkeypatch.setattr(np.linalg, "svd", refuse)
+        monkeypatch.setattr(scipy.linalg, "eigvals_banded", refuse)
+        assert op.matrix_norm == pytest.approx(np.linalg.norm(op.matrix), rel=1e-14, abs=0)
+        assert op.matrix_norm >= two_norm
 
-    def test_sup_tridiagonal_matrix_norm_is_the_row_sum(self):
-        op = sl.jordan_block(-2.0, 8, e0_norm="sup")
-        assert op.structure == "tridiagonal" and op.matrix_norm == 3.0
+    @pytest.mark.parametrize("make", [lambda: sl.jordan_block(-1e160, 8),
+                                      lambda: sl.OperatorPair(1e-200 * sl.laplacian_1d(16).matrix)],
+                             ids=["jordan8-1e160", "lap16-1e-200"])
+    def test_matrix_norm_where_squares_overflow_or_underflow(self, make):
+        op = make()
+        s = np.max(np.abs(op.matrix))
+        assert 0 < op.matrix_norm < np.inf
+        assert op.matrix_norm == pytest.approx(s * np.linalg.norm(op.matrix / s), rel=1e-14, abs=0)
 
 
 class TestSpectrum:
@@ -399,8 +406,8 @@ class TestResolventSum:
     @pytest.mark.parametrize("upper", [0.0, 1.0], ids=["normal", "schur"])
     def test_half_rule_node_on_the_spectrum_raises(self, upper):
         # an eigenvalue on a node of the half-node-count rule alone: it lies
-        # inside the full rule's contour and off its nodes, so the value is
-        # computed, and the error estimate's sum refuses the node
+        # inside the full rule's contour and off its nodes, so the full rule's
+        # sum is finite, and the error estimate's sum refuses the node
         c = sl.build_contour(sl.diagonal_operator([-1.0]), 1.0, node_count=32)
         half = sl.Contour(c.kind, 16, c.t, c.scale * 0.5, c.shift)
         node = half.nodes_and_weights()[0][4]
@@ -408,7 +415,7 @@ class TestResolventSum:
         op = sl.OperatorPair([[-1.0, upper], [0.0, node]])
         assert op.resolvent_backend == ("schur" if upper else "normal")
         x = np.ones(2)
-        value = sl.semigroup_apply_contour(op, c, 1.0, x, estimate_error=False).value
+        value = op.resolvent_sum(*c.nodes_and_weights(), x)
         assert np.all(np.isfinite(value))
         with pytest.raises(SingularResolvent):
             sl.semigroup_apply_contour(op, c, 1.0, x)

@@ -1,8 +1,9 @@
 """Digest the output of every CLI experiment on a fixed operator corpus.
 
-Runs the 8 experiments of ``semilab.cli`` with ``--seed 61`` on four
+Runs the 8 experiments of ``semilab.cli`` with ``--seed 61`` on eight
 operator files (a diagonal n=4, lap64, jordan8 and a random normal
-operator of dim 16) and prints one line per (experiment, operator) pair:
+operator of dim 16, each with the euclidean and with the sup E0 norm)
+and prints one line per (experiment, operator) pair:
 the exit code and the sha256 of every file the run wrote. Two runs, or
 runs on two commits, agree byte for byte exactly when their outputs
 diff empty:
@@ -23,12 +24,14 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), os.p
 
 from semilab.cli import EXPERIMENTS, main  # noqa: E402
 
-OPERATORS = {
+EUCLIDEAN = {
     "diag4": "matrix = diag -1,-2.5,-4,-7\n",
     "lap64": "matrix = laplacian1d n=64\n",
     "jordan8": "matrix = jordan lambda=-2 size=8\n",
     "normal16": "matrix = random-normal dim=16 seed=3\n",
 }
+OPERATORS = {**EUCLIDEAN,
+             **{f"{name}-sup": text + "e0_norm = sup\n" for name, text in EUCLIDEAN.items()}}
 
 
 def digests(root):
