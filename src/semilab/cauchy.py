@@ -250,9 +250,9 @@ class MaxRegEstimate:
     ratios: list
 
 
-def estimate_M(op, grid, probes):
+def estimate_M(solver, probes):
     """Lower estimate of M: max over probes of
-    ||u||_{E1(J)} / (||f||_{E0(J)} + ||x||_1) with u the solution of
+    ||u||_{E1(J)} / (||f||_{E0(J)} + ||x||_1) with u the solver's solution of
     u' - Au = f, u(0) = x.
 
     Also accumulates c2_hat = max ||K_A f||_{E1(J)} / ||f||_{E0(J)} over the
@@ -260,7 +260,7 @@ def estimate_M(op, grid, probes):
     """
     if not probes:
         raise EmptyProbeSet("estimate_M needs at least one probe")
-    solver = CauchySolver(op, grid)
+    op = solver.op
     ratios, c2s = [], []
     for f, x in probes:
         u = solver.solve(f, x)

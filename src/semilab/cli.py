@@ -90,10 +90,6 @@ def _write_report(out, report):
         fh.write("\n")
 
 
-def _grid(args):
-    return TimeGrid.uniform(args.T, panels=args.panels)
-
-
 def _random_unit(op, seed):
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(op.dim) + 1j * rng.standard_normal(op.dim)
@@ -109,14 +105,16 @@ def _probes(op, args):
 # -- experiments -----------------------------------------------------------
 
 
-def run_spectrum(op, args, out):
+def run_spectrum(solver, args, out):
+    op = solver.op
     ev = op.eigenvalues
     _csv(os.path.join(out, "spectrum.csv"), "re_lambda,im_lambda",
          [(float(l.real), float(l.imag)) for l in ev])
     return {"s_A": float(op.spectral_bound), "dim": op.dim}, True
 
 
-def run_resolvent_scan(op, args, out):
+def run_resolvent_scan(solver, args, out):
+    op = solver.op
     omega = max(0.0, float(op.spectral_bound) + 1e-9)
     mu_grid = parse_mu_grid(args.mu_grid) if args.mu_grid else default_mu_grid(omega)
     rep = halfplane_scan(op, omega, mu_grid)
@@ -129,9 +127,8 @@ def run_resolvent_scan(op, args, out):
             "resolvent_backend": op.resolvent_backend}, ok
 
 
-def run_maxreg_estimate(op, args, out):
-    probes = _probes(op, args)
-    est = estimate_M(op, _grid(args), probes)
+def run_maxreg_estimate(solver, args, out):
+    est = estimate_M(solver, _probes(solver.op, args))
     rows, running = [], 0.0
     for i, r in enumerate(est.ratios):
         running = max(running, r)
@@ -142,9 +139,9 @@ def run_maxreg_estimate(op, args, out):
             "probe_count": est.probe_count}, bool(np.isfinite(est.M_hat))
 
 
-def run_identity_check(op, args, out):
+def run_identity_check(solver, args, out):
+    op = solver.op
     mu_grid = parse_mu_grid(args.mu_grid) if args.mu_grid else mu_box(0.5, 32, 5, -16, 16, 5)
-    solver = CauchySolver(op, _grid(args))
     x = _random_unit(op, args.seed)
     rows, worst = [], 0.0
     for mu in mu_grid:
@@ -157,8 +154,8 @@ def run_identity_check(op, args, out):
     return {"max_identity_residual": float(worst), "T": args.T}, worst <= 1e-8
 
 
-def run_reconstruct(op, args, out):
-    solver = CauchySolver(op, _grid(args))
+def run_reconstruct(solver, args, out):
+    op = solver.op
     w2 = omega2_search(solver)
     mu_grid = (parse_mu_grid(args.mu_grid) if args.mu_grid else
                mu_box(w2 + 0.5, w2 + 16, 3, -4.0, 4.0, 3))
@@ -177,36 +174,32 @@ def run_reconstruct(op, args, out):
     return {"omega2": float(w2), "max_reconstruction_error": float(worst)}, worst <= 1e-6
 
 
-def run_weighted(op, args, out):
-    grid = _grid(args)
-    probes = _probes(op, args)
-    est = estimate_M(op, grid, probes)
+def run_weighted(solver, args, out):
+    op = solver.op
+    est = estimate_M(solver, _probes(op, args))
     mu = parse_mu_grid(args.mu_grid)[0] if args.mu_grid else complex(1.0)
     x = _random_unit(op, args.seed)
-    chk = weighted_maxreg_check(op, grid, args.sigma, mu, x, est.M_hat,
+    chk = weighted_maxreg_check(solver, args.sigma, mu, x, est.M_hat,
                                 c2_hat=est.c2_hat)
     wn = weighted_norm(op, chk.u, args.sigma)
-    tr = trace_norm_upper(op, x, grid, args.sigma)
+    tr = trace_norm_upper(solver, x, args.sigma)
     report = {"sigma": args.sigma, "lhs": chk.lhs, "rhs": chk.rhs,
               "inequality_pass": chk.passed,
               "endpoint_value": chk.endpoint_value,
               "endpoint_bound": chk.endpoint_bound,
               "endpoint_pass": chk.endpoint_ok,
-              "weighted_norm_u": wn.value,
-              "zero_limit": wn.zero_limit,
-              "membership_ok": wn.membership_ok,
+              "weighted_norm_u": wn,
               "trace_norm_upper": tr}
     ok = bool(chk.passed and (chk.endpoint_ok is not False))
     _csv(os.path.join(out, "weighted.csv"),
          "sigma,lhs,rhs,endpoint_value,weighted_norm",
-         [(args.sigma, chk.lhs, chk.rhs, chk.endpoint_value, wn.value)])
+         [(args.sigma, chk.lhs, chk.rhs, chk.endpoint_value, wn)])
     return report, ok
 
 
-def run_theta_sweep(op, args, out):
+def run_theta_sweep(solver, args, out):
     thetas = [args.theta] if args.theta is not None else list(np.linspace(0.1, 0.9, 9))
-    probes = _probes(op, args)
-    rows = theta_sweep(op, _grid(args), thetas, probes)
+    rows = theta_sweep(solver, thetas, _probes(solver.op, args))
     _csv(os.path.join(out, "theta_sweep.csv"), "theta,M_hat,omega1,N",
          [(r.theta, r.M_hat, r.omega1, r.N) for r in rows])
     ok = all(np.isfinite(r.M_hat) for r in rows)
@@ -214,19 +207,19 @@ def run_theta_sweep(op, args, out):
             "M_hat": [r.M_hat for r in rows]}, bool(ok)
 
 
-def run_verdict(op, args, out):
+def run_verdict(solver, args, out):
+    op = solver.op
     verdict = rplus_verdict(op)
-    grid = _grid(args)
-    solver = CauchySolver(op, grid)
-    probes = _probes(op, args)
-    est = estimate_M(op, grid, probes)
+    est = estimate_M(solver, _probes(op, args))
     w1 = omega1(est.M_hat, args.T)
     try:
         w2 = omega2_search(solver)
     except SemilabError:
         w2 = float("inf")
     Ts = [args.T * 2**k for k in range(6)]
-    decay = vnorm_decay(op, complex(max(1.0, w2 + 0.5)), Ts, panels=args.panels)
+    # with no omega2 there is no mu to sample the decay at
+    decay = (vnorm_decay(op, complex(max(1.0, w2 + 0.5)), Ts, panels=args.panels)
+             if math.isfinite(w2) else [])
     _csv(os.path.join(out, "vnorm_decay.csv"), "T,V_norm",
          list(zip(Ts, decay)))
     report = {"s_A": verdict.s_A, "uniform_bound": verdict.uniform_bound,
@@ -278,14 +271,15 @@ def main(argv=None):
             raise _UsageError("--panels must be at least 2")
         if args.seed < 0:
             raise _UsageError("--seed must be nonnegative")
-        op = load_operator(args.operator)
+        solver = CauchySolver(load_operator(args.operator),
+                              TimeGrid.uniform(args.T, panels=args.panels))
+        os.makedirs(args.out, exist_ok=True)
     except (_UsageError, OSError, SemilabError, ValueError) as exc:
         print(f"semilab: error: {exc}", file=sys.stderr)
         return 1
 
-    os.makedirs(args.out, exist_ok=True)
     try:
-        report, ok = _RUNNERS[args.experiment](op, args, args.out)
+        report, ok = _RUNNERS[args.experiment](solver, args, args.out)
     except (_UsageError, SemilabError) as exc:
         print(f"semilab: error: {exc}", file=sys.stderr)
         return 1

@@ -3,7 +3,8 @@ interpolation scale.
 
 The weight is t^{1-sigma} with sigma in (0, 1]; sigma = 1 reproduces the
 unweighted norms exactly (the weight array is identically 1, so every
-reduction is bit-for-bit).
+reduction is bit-for-bit). Every helper that solves takes a CauchySolver
+and reads the operator and grid from it.
 """
 
 from __future__ import annotations
@@ -12,49 +13,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cauchy import CauchySolver, estimate_M
+from .cauchy import estimate_M
 from .errors import ConfigError, NotDiagonal
 from .forcing import ExpForcing, PolyForcing, ZeroForcing
 from .theorem import halfplane_scan, maxreg_inequality_check, mu_box, omega1, time_weights
 from .timegrid import GridFunction
 
 
-@dataclass
-class WeightedNorm:
-    value: float
-    zero_limit: float          # extrapolated lim_{t->0+} t^{1-sigma}||u(t)||
-    membership_ok: bool        # little-o condition plausible on the samples
-
-
-def _extrapolate_to_zero(ts, ws):
-    """Quadratic (Neville) extrapolation of the three smallest samples to
-    t = 0; a diagnostic, not a certificate."""
-    w = list(ws)
-    for j in (1, 2):
-        for i in range(3 - j):
-            w[i] = w[i] + (w[i + 1] - w[i]) * (0.0 - ts[i]) / (ts[i + j] - ts[i])
-    return w[0]
-
-
 def weighted_norm(op, u, sigma):
-    """sup over grid nodes t > 0 of t^{1-sigma} ||u(t)||_0, plus the
-    little-o membership diagnostic at t = 0+.
-
-    sigma = 1 gives the plain sup norm over all nodes (weight 1 everywhere).
-    """
-    grid = u.grid
-    norms = op.norm0_rows(u.values)
-    w = time_weights(grid, sigma)
-    value = float(np.max(w * norms))
-    pos = np.nonzero(grid.nodes > 0)[0][:3]
-    if len(pos) < 3 or sigma == 1.0:
-        zero_limit = 0.0
-    else:
-        zero_limit = float(_extrapolate_to_zero(grid.nodes[pos],
-                                                (w * norms)[pos]))
-    membership_ok = abs(zero_limit) <= 0.1 * max(value, 1e-300)
-    return WeightedNorm(value=value, zero_limit=zero_limit,
-                        membership_ok=membership_ok)
+    """sup over grid nodes t > 0 of t^{1-sigma} ||u(t)||_0; sigma = 1 gives
+    the plain sup norm over all nodes (weight 1 everywhere)."""
+    return float(np.max(time_weights(u.grid, sigma) * op.norm0_rows(u.values)))
 
 
 @dataclass
@@ -68,15 +37,15 @@ class WeightedMaxregCheck:
     u: GridFunction            # u_mu, whose endpoint value is checked
 
 
-def weighted_maxreg_check(op, grid, sigma, mu, x, M_hat, c2_hat=None):
-    """Weighted a-priori inequality plus the endpoint estimate
-    T^{1-sigma} ||u_mu(T)||_0 <= c2_hat T^{1-sigma} ||x||_0, where
+def weighted_maxreg_check(solver, sigma, mu, x, M_hat, c2_hat=None):
+    """Weighted a-priori inequality on the solver's grid plus the endpoint
+    estimate T^{1-sigma} ||u_mu(T)||_0 <= c2_hat T^{1-sigma} ||x||_0, where
     u_mu solves the zero-initial-data problem with forcing e^{-mu t}x
     (returned with the check)."""
+    op, grid = solver.op, solver.grid
     lhs, rhs, passed = maxreg_inequality_check(op, grid, mu, x, M_hat, sigma)
     mu = complex(mu)
     x = op.check_vector(x)
-    solver = CauchySolver(op, grid)
     u = solver.solve(ExpForcing(mu, x))
     T = grid.T
     endpoint_value = float(T ** (1.0 - sigma) * op.norm0(u.values[-1]))
@@ -91,18 +60,19 @@ def weighted_maxreg_check(op, grid, sigma, mu, x, M_hat, c2_hat=None):
                                endpoint_ok=endpoint_ok, u=u)
 
 
-def trace_norm_upper(op, x, grid, sigma=1.0):
+def trace_norm_upper(solver, x, sigma=1.0):
     """Weighted E1(J)-norm of the orbit t -> e^{tA}x: an upper bound for
     the trace norm inf{||u||_{E1(J)} : u(0) = x}, since the orbit is one
     admissible extension (the true infimum is not computed). The orbit u
     and Au come from one zero-forcing solve on the grid, and the bound is
     sup_t t^{1-sigma} (2||Au(t)||_0 + ||u(t)||_0) over the nodes."""
+    op = solver.op
     x = op.check_vector(x)
     if op.norm0(x) == 0:
         raise ConfigError("trace norm upper bound requires x != 0")
-    u = CauchySolver(op, grid).solve(ZeroForcing(op.dim), x)
+    u = solver.solve(ZeroForcing(op.dim), x)
     graph = 2.0 * op.norm0_rows(u.derivative_values) + op.norm0_rows(u.values)
-    return float(np.max(time_weights(grid, sigma) * graph))
+    return float(np.max(time_weights(u.grid, sigma) * graph))
 
 
 def _scale_probe(probe, w):
@@ -125,7 +95,7 @@ class ThetaSweepRow:
     N: float
 
 
-def theta_sweep(op, grid, thetas, probes):
+def theta_sweep(solver, thetas, probes):
     """M_hat along the diagonal interpolation scale.
 
     The diagonal operator commutes with the coordinate weights, so the sweep
@@ -133,6 +103,7 @@ def theta_sweep(op, grid, thetas, probes):
     in the weighted coordinates; N is theta-independent for the same reason
     and computed once.
     """
+    op = solver.op
     if op.structure != "diagonal":
         raise NotDiagonal(f"theta sweep needs a diagonal operator, got structure={op.structure!r}")
     N = halfplane_scan(op, 0.0, mu_box(0.5, 1e2, 3, -4.0, 4.0, 3)).bound_constant
@@ -141,8 +112,8 @@ def theta_sweep(op, grid, thetas, probes):
     for theta in thetas:
         w = (1.0 + np.abs(lam)) ** theta  # coordinate weights of E_theta
         scaled = [_scale_probe(pr, w) for pr in probes]
-        est = estimate_M(op, grid, scaled)
+        est = estimate_M(solver, scaled)
         rows.append(ThetaSweepRow(theta=float(theta), M_hat=est.M_hat,
-                                  omega1=omega1(est.M_hat, grid.T),
+                                  omega1=omega1(est.M_hat, solver.T),
                                   N=float(N)))
     return rows

@@ -113,10 +113,11 @@ class TestKA:
     def test_continuity_ratio_reported(self, grid, diag_12):
         # estimate_M's c2_hat is ||K_A f||_E1(J) / ||f||_E0(J) for a probe with x = 0
         f = sl.ExpForcing(1.0, np.ones(2))
-        u = sl.CauchySolver(diag_12, grid).solve(f)
+        solver = sl.CauchySolver(diag_12, grid)
+        u = solver.solve(f)
         ratio = sl.e1_norm_J(diag_12, u) / sl.e0_norm_J(
             diag_12, sl.GridFunction(u.grid, f.sample(u.grid.nodes)))
-        est = sl.estimate_M(diag_12, grid, [(f, np.zeros(2))])
+        est = sl.estimate_M(solver, [(f, np.zeros(2))])
         assert ratio > 0
         assert est.c2_hat == ratio
 
@@ -131,7 +132,7 @@ class TestEstimateM:
     def test_scalar_hand_value(self, grid, scalar_minus_one):
         # probe (f=0, x=1): u = e^{-t}, sup(|u'| + |u| + |Au|) = 3 at t=0,
         # denominator ||x||_1 = 2, ratio 3/2
-        est = sl.estimate_M(scalar_minus_one, grid,
+        est = sl.estimate_M(sl.CauchySolver(scalar_minus_one, grid),
                             [(sl.ZeroForcing(1), np.array([1.0]))])
         assert est.M_hat == pytest.approx(1.5, rel=1e-12)
         assert est.probe_count == 1
@@ -139,26 +140,30 @@ class TestEstimateM:
     def test_probe_scale_invariance(self, grid, diag_12, rng):
         y = random_vector(rng, 2)
         x = random_vector(rng, 2)
-        one = sl.estimate_M(diag_12, grid, [(sl.ExpForcing(1.0, y), x)])
-        two = sl.estimate_M(diag_12, grid, [(sl.ExpForcing(1.0, 2 * y), 2 * x)])
+        solver = sl.CauchySolver(diag_12, grid)
+        one = sl.estimate_M(solver, [(sl.ExpForcing(1.0, y), x)])
+        two = sl.estimate_M(solver, [(sl.ExpForcing(1.0, 2 * y), 2 * x)])
         assert one.M_hat == pytest.approx(two.M_hat, rel=1e-12)
 
     def test_monotone_in_probes(self, grid, diag_12):
         probes = sl.default_probes(diag_12, seed=5)
+        solver = sl.CauchySolver(diag_12, grid)
         prev = 0.0
         for k in range(1, len(probes) + 1):
-            est = sl.estimate_M(diag_12, grid, probes[:k])
+            est = sl.estimate_M(solver, probes[:k])
             assert est.M_hat >= prev
             prev = est.M_hat
 
     def test_empty_probes(self, grid, diag_12):
         with pytest.raises(EmptyProbeSet):
-            sl.estimate_M(diag_12, grid, [])
+            sl.estimate_M(sl.CauchySolver(diag_12, grid), [])
 
     def test_refinement_stability(self, diag_12):
         probes = sl.default_probes(diag_12, seed=5)
-        coarse = sl.estimate_M(diag_12, sl.TimeGrid.uniform(1.0, panels=16), probes)
-        fine = sl.estimate_M(diag_12, sl.TimeGrid.uniform(1.0, panels=32), probes)
+        coarse = sl.estimate_M(sl.CauchySolver(diag_12, sl.TimeGrid.uniform(1.0, panels=16)),
+                               probes)
+        fine = sl.estimate_M(sl.CauchySolver(diag_12, sl.TimeGrid.uniform(1.0, panels=32)),
+                             probes)
         assert fine.M_hat == pytest.approx(coarse.M_hat, rel=5e-3)
 
 

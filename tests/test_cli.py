@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from semilab.cauchy import CauchySolver
 from semilab.cli import EXPERIMENTS, main, parse_mu_grid
 from semilab.errors import ConfigError
 from semilab.forcing import parse_probe_line
@@ -129,6 +130,37 @@ class TestExperiments:
         code2, report2, _ = run(tmp_path, "verdict", "--operator", str(deg))
         assert code2 == 2
         assert report2["s_A"] == 0.0 and not report2["rplus_pass"]
+
+    @pytest.mark.filterwarnings("error")
+    def test_verdict_without_omega2(self, tmp_path):
+        # s(A) = 100: the bisection finds no omega2, so no decay is sampled
+        f = tmp_path / "unstable.op"
+        f.write_text("matrix = diag 100,-1\n")
+        code, report, out = run(tmp_path, "verdict", "--operator", str(f))
+        assert code == 2
+        assert report["omega2"] == report["omega"] == float("inf")
+        assert (out / "vnorm_decay.csv").read_text() == "T,V_norm\n"
+
+    @pytest.mark.parametrize("experiment, matrix, builds",
+                             [("weighted", "jordan lambda=-2 size=8", 3),
+                              ("theta-sweep", "diag -1,-2.5,-4,-7", 19)])
+    def test_one_solver_per_run(self, tmp_path, monkeypatch, experiment, matrix, builds):
+        # every helper of a run solves through the run's one CauchySolver,
+        # so an unshifted panel table is built once per solver, not per helper
+        built = []
+        tables = CauchySolver._panel_tables
+
+        def counting(self, shift, h, nodes):
+            if shift == 0 and (h, nodes) not in self._tables:
+                built.append(h)
+            return tables(self, shift, h, nodes)
+
+        monkeypatch.setattr(CauchySolver, "_panel_tables", counting)
+        f = tmp_path / "op.op"
+        f.write_text(f"matrix = {matrix}\n")
+        code, _, _ = run(tmp_path, experiment, "--operator", str(f), "--seed", "61")
+        assert code == 0
+        assert len(built) == builds
 
     def test_probe_file(self, tmp_path, diag_file):
         pf = tmp_path / "probes.txt"
@@ -258,6 +290,10 @@ class TestExitCodes:
     def test_bad_run_setting(self, tmp_path, capsys, diag_file, flag):
         self._one_line_error(tmp_path, capsys, "identity-check", "--operator", diag_file,
                              *flag)
+
+    def test_out_is_an_existing_file(self, tmp_path, capsys, diag_file):
+        (tmp_path / "out").write_text("")
+        self._one_line_error(tmp_path, capsys, "spectrum", "--operator", diag_file)
 
     def test_factorization_failure(self, tmp_path, capsys, monkeypatch):
         def fail(*args, **kwargs):
