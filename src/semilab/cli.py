@@ -75,18 +75,9 @@ def _csv(path, header, rows):
                               for v in row) + "\n")
 
 
-def _json_default(obj):
-    """json.dump's hook for what json cannot encode itself."""
-    if isinstance(obj, complex):
-        return {"re": obj.real, "im": obj.imag}
-    if isinstance(obj, np.generic):
-        return obj.item()
-    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
-
-
 def _write_report(out, report):
     with open(os.path.join(out, "report.json"), "w") as fh:
-        json.dump(report, fh, sort_keys=True, indent=2, default=_json_default)
+        json.dump(report, fh, sort_keys=True, indent=2)
         fh.write("\n")
 
 
@@ -94,12 +85,6 @@ def _random_unit(op, seed):
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(op.dim) + 1j * rng.standard_normal(op.dim)
     return x / np.linalg.norm(x)
-
-
-def _probes(op, args):
-    if args.probes:
-        return load_probes(args.probes, op.dim)
-    return default_probes(op, seed=args.seed)
 
 
 # -- experiments -----------------------------------------------------------
@@ -116,8 +101,7 @@ def run_spectrum(solver, args, out):
 def run_resolvent_scan(solver, args, out):
     op = solver.op
     omega = max(0.0, float(op.spectral_bound) + 1e-9)
-    mu_grid = parse_mu_grid(args.mu_grid) if args.mu_grid else default_mu_grid(omega)
-    rep = halfplane_scan(op, omega, mu_grid)
+    rep = halfplane_scan(op, omega, args.mus or default_mu_grid(omega))
     rows = [(m.real, m.imag, r, (1.0 + abs(m)) * r) for m, r in rep.scan]
     _csv(os.path.join(out, "resolvent_scan.csv"),
          "re_mu,im_mu,resolvent_norm,weighted_norm", rows)
@@ -128,7 +112,7 @@ def run_resolvent_scan(solver, args, out):
 
 
 def run_maxreg_estimate(solver, args, out):
-    est = estimate_M(solver, _probes(solver.op, args))
+    est = estimate_M(solver, args.probe_set or default_probes(solver.op, seed=args.seed))
     rows, running = [], 0.0
     for i, r in enumerate(est.ratios):
         running = max(running, r)
@@ -141,10 +125,9 @@ def run_maxreg_estimate(solver, args, out):
 
 def run_identity_check(solver, args, out):
     op = solver.op
-    mu_grid = parse_mu_grid(args.mu_grid) if args.mu_grid else mu_box(0.5, 32, 5, -16, 16, 5)
     x = _random_unit(op, args.seed)
     rows, worst = [], 0.0
-    for mu in mu_grid:
+    for mu in args.mus or mu_box(0.5, 32, 5, -16, 16, 5):
         sd = assemble_U_V(solver, mu)
         res = surjectivity_identity_check(op, sd, x)
         worst = max(worst, res)
@@ -157,11 +140,9 @@ def run_identity_check(solver, args, out):
 def run_reconstruct(solver, args, out):
     op = solver.op
     w2 = omega2_search(solver)
-    mu_grid = (parse_mu_grid(args.mu_grid) if args.mu_grid else
-               mu_box(w2 + 0.5, w2 + 16, 3, -4.0, 4.0, 3))
     y = _random_unit(op, args.seed)
     rows, worst = [], 0.0
-    for mu in mu_grid:
+    for mu in args.mus or mu_box(w2 + 0.5, w2 + 16, 3, -4.0, 4.0, 3):
         if mu.real <= w2:
             raise _UsageError(f"mu={mu} has Re mu <= omega2={w2:.6g}")
         sd = assemble_U_V(solver, mu)
@@ -176,8 +157,8 @@ def run_reconstruct(solver, args, out):
 
 def run_weighted(solver, args, out):
     op = solver.op
-    est = estimate_M(solver, _probes(op, args))
-    mu = parse_mu_grid(args.mu_grid)[0] if args.mu_grid else complex(1.0)
+    est = estimate_M(solver, args.probe_set or default_probes(op, seed=args.seed))
+    mu = args.mus[0] if args.mus else complex(1.0)
     x = _random_unit(op, args.seed)
     chk = weighted_maxreg_check(solver, args.sigma, mu, x, est.M_hat,
                                 c2_hat=est.c2_hat)
@@ -199,7 +180,8 @@ def run_weighted(solver, args, out):
 
 def run_theta_sweep(solver, args, out):
     thetas = [args.theta] if args.theta is not None else list(np.linspace(0.1, 0.9, 9))
-    rows = theta_sweep(solver, thetas, _probes(solver.op, args))
+    rows = theta_sweep(solver, thetas,
+                       args.probe_set or default_probes(solver.op, seed=args.seed))
     _csv(os.path.join(out, "theta_sweep.csv"), "theta,M_hat,omega1,N",
          [(r.theta, r.M_hat, r.omega1, r.N) for r in rows])
     ok = all(np.isfinite(r.M_hat) for r in rows)
@@ -210,7 +192,7 @@ def run_theta_sweep(solver, args, out):
 def run_verdict(solver, args, out):
     op = solver.op
     verdict = rplus_verdict(op)
-    est = estimate_M(solver, _probes(op, args))
+    est = estimate_M(solver, args.probe_set or default_probes(op, seed=args.seed))
     w1 = omega1(est.M_hat, args.T)
     try:
         w2 = omega2_search(solver)
@@ -271,8 +253,11 @@ def main(argv=None):
             raise _UsageError("--panels must be at least 2")
         if args.seed < 0:
             raise _UsageError("--seed must be nonnegative")
-        solver = CauchySolver(load_operator(args.operator),
-                              TimeGrid.uniform(args.T, panels=args.panels))
+        op = load_operator(args.operator)
+        # parsed here, so that a bad grid or probe file leaves no --out directory
+        args.mus = parse_mu_grid(args.mu_grid) if args.mu_grid else None
+        args.probe_set = load_probes(args.probes, op.dim) if args.probes else None
+        solver = CauchySolver(op, TimeGrid.uniform(args.T, panels=args.panels))
         os.makedirs(args.out, exist_ok=True)
     except (_UsageError, OSError, SemilabError, ValueError) as exc:
         print(f"semilab: error: {exc}", file=sys.stderr)

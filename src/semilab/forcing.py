@@ -95,6 +95,8 @@ def load_probes(path, dim):
             line = raw.split("#", 1)[0].strip()
             if line:
                 probes.append(parse_probe_line(line, dim))
+    if not probes:
+        raise ConfigError(f"probe file {path!r} holds no probe")
     return probes
 
 

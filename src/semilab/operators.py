@@ -133,9 +133,6 @@ class OperatorPair:
     def spectral_bound(self):
         return float(np.max(self.eigenvalues.real))
 
-    def spectral_distance(self, mu):
-        return float(np.min(np.abs(complex(mu) - self.eigenvalues)))
-
     @property
     def singular_tol(self):
         # scale-invariant guard against near-singular resolvent solves
@@ -145,9 +142,19 @@ class OperatorPair:
 
     def check_vector(self, y):
         y = np.asarray(y, dtype=complex)
-        if y.shape[0] != self.dim:
-            raise DimensionMismatch(f"vector of length {y.shape[0]} for dim {self.dim}")
+        if y.shape != (self.dim,):
+            raise DimensionMismatch(f"vector of shape {y.shape} for dim {self.dim}")
         return y
+
+    def _shift_distances(self, mus):
+        """dist(mu, sigma(A)) for each shift of the 1-D array mus, in one pass
+        over the spectrum; SingularResolvent names the first shift within
+        singular_tol of it."""
+        dist = np.min(np.abs(mus[:, None] - self.eigenvalues), axis=1)
+        near = dist <= self.singular_tol
+        if near.any():
+            raise SingularResolvent(f"mu={mus[np.argmax(near)]} within tolerance of the spectrum")
+        return dist
 
     @cached_property
     def resolvent_factor(self):
@@ -164,9 +171,6 @@ class OperatorPair:
                 # A = P V diag(lam) V^T P*, P = diag(p) carrying the phases of e
                 p = np.cumprod(np.divide(e.conj(), np.abs(e), out=np.ones_like(e), where=e != 0))
                 return np.concatenate([[1.0], p])[:, None] * V, lam.astype(complex), True
-            if self.is_hermitian:
-                lam, Z = np.linalg.eigh(A)
-                return Z, lam.astype(complex), True
             T, Z = scipy.linalg.schur(A, output="complex")
         except np.linalg.LinAlgError as exc:
             raise EigenFailure(str(exc)) from None
@@ -180,19 +184,8 @@ class OperatorPair:
         return "normal" if self.resolvent_factor[2] else "schur"
 
     def resolvent_solve(self, mu, y):
-        """Solve (mu - A)x = y through the cached factor A = Z T Z*."""
-        mu = complex(mu)
-        y = self.check_vector(y)
-        if self.spectral_distance(mu) <= self.singular_tol:
-            raise SingularResolvent(f"mu={mu} within tolerance of the spectrum")
-        Z, T, normal = self.resolvent_factor
-        if Z is None:
-            return (y.T / (mu - T)).T
-        w = np.conj(Z.T @ np.conj(y))  # Z* y without a conjugated copy of Z
-        if normal:
-            return Z @ (w.T / (mu - T)).T
-        M = _shifted_schur(mu, T)
-        return Z @ np.apply_along_axis(lambda col: ztrsv(M, col), 0, w)
+        """Solve (mu - A)x = y for a vector y: the one-shift resolvent_sum."""
+        return self.resolvent_sum([mu], [1.0], y)
 
     def resolvent_sum(self, mus, weights, y):
         """sum_k weights[k] (mus[k] - A)^{-1} y for a vector y through the
@@ -201,13 +194,11 @@ class OperatorPair:
         shift within singular_tol of the spectrum."""
         mus, weights = np.asarray(mus, dtype=complex), np.asarray(weights)
         y = self.check_vector(y)
-        near = np.min(np.abs(mus[:, None] - self.eigenvalues), axis=1) <= self.singular_tol
-        if near.any():
-            raise SingularResolvent(f"mu={mus[np.argmax(near)]} within tolerance of the spectrum")
+        self._shift_distances(mus)
         Z, T, normal = self.resolvent_factor
-        w = y if Z is None else np.conj(Z.T @ np.conj(y))
+        w = y if Z is None else np.conj(Z.T @ np.conj(y))  # Z* y without a conjugated copy of Z
         if normal:
-            x = (weights @ (1.0 / (mus[:, None] - T))) * w
+            x = (w[:, None] / (mus - T[:, None])) @ weights
         else:
             # back substitution for every shift at once: row i of (mu - T) X = w
             # gives X[i] = (w_i + T[i, i+1:] X[i+1:]) / (mu - T_ii), a column per mu
@@ -222,12 +213,11 @@ class OperatorPair:
     def resolvent_norm(self, mu):
         """E0 operator norm of (mu - A)^-1 (1/dist(mu, sigma(A)) if normal)."""
         mu = complex(mu)
-        if self.spectral_distance(mu) <= self.singular_tol:
-            raise SingularResolvent(f"mu={mu} within tolerance of the spectrum")
+        dist = self._shift_distances(np.array([mu]))[0]
         if self.e0_norm == "euclidean":
             _, T, normal = self.resolvent_factor
             if normal:
-                return 1.0 / self.spectral_distance(mu)
+                return float(1.0 / dist)
             if self.dim >= _GKL_MIN_DIM:  # ||(mu - A)^-1|| = ||(mu - T)^-1||, Z unitary
                 norm = _inverse_norm(_shifted_schur(mu, T))
                 if norm is not None:  # else not settled in n steps: the dense SVD below
@@ -269,7 +259,7 @@ class OperatorPair:
 
 
 def _shifted_schur(mu, T):
-    """mu - T in Fortran order, the layout ztrsv reads without a copy."""
+    """mu - T in Fortran order, the layout _inverse_norm's BLAS solves read without a copy."""
     M = np.zeros_like(T, order="F")
     M[np.diag_indices_from(M)] = mu
     M -= T

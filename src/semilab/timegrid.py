@@ -88,10 +88,6 @@ class GridFunction:
         self.values = values
         self.derivative_values = derivative_values
 
-    @property
-    def dim(self):
-        return self.values.shape[1]
-
 
 def e0_norm_J(op, f):
     """sup over grid nodes of ||f(t)||_0."""

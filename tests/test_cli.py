@@ -295,6 +295,20 @@ class TestExitCodes:
         (tmp_path / "out").write_text("")
         self._one_line_error(tmp_path, capsys, "spectrum", "--operator", diag_file)
 
+    @pytest.mark.parametrize(
+        "experiment, flag, value",
+        [("maxreg-estimate", "--probes", "missing.txt"), ("weighted", "--probes", "empty.txt"),
+         ("identity-check", "--mu-grid", "1,zz")],
+        ids=["missing-probe-file", "empty-probe-file", "bad-mu-token"])
+    def test_bad_input_leaves_no_out_directory(self, tmp_path, capsys, diag_file,
+                                               experiment, flag, value):
+        # probe files and mu grids are read before --out is made
+        (tmp_path / "empty.txt").write_text("# no probe\n")
+        if flag == "--probes":
+            value = str(tmp_path / value)
+        self._one_line_error(tmp_path, capsys, experiment, "--operator", diag_file, flag, value)
+        assert not (tmp_path / "out").exists()
+
     def test_factorization_failure(self, tmp_path, capsys, monkeypatch):
         def fail(*args, **kwargs):
             raise np.linalg.LinAlgError("schur form not found")

@@ -41,6 +41,12 @@ class TestNorms:
         with pytest.raises(DimensionMismatch):
             diag_12.check_vector(np.ones(3))
 
+    def test_matrix_right_hand_side_rejected(self, diag_12):
+        # every resolvent consumer takes one vector; a (dim, k) block is refused
+        for f in (diag_12.resolvent_solve, lambda mu, y: diag_12.resolvent_sum([mu], [1.0], y)):
+            with pytest.raises(DimensionMismatch):
+                f(3.0, np.ones((2, 2)))
+
     @pytest.mark.parametrize("make", [
         lambda: sl.laplacian_1d(16), lambda: sl.laplacian_1d(64), lambda: sl.laplacian_1d(256),
         lambda: sl.laplacian_1d(512), lambda: sl.jordan_block(-1.0, 3),
@@ -169,10 +175,8 @@ class TestResolventFactor:
         Y = random_vector(rng, op.dim)[:, None] * np.ones(3) + np.eye(op.dim, 3)
         for mu in MUS:
             ref = np.linalg.solve(mu * np.eye(op.dim) - op.matrix, Y)
-            got = op.resolvent_solve(mu, Y)
-            assert np.linalg.norm(got - ref) <= 1e-10 * np.linalg.norm(ref)
-            assert np.linalg.norm(op.resolvent_solve(mu, Y[:, 0]) - ref[:, 0]) \
-                <= 1e-10 * np.linalg.norm(ref[:, 0])
+            for y, r in zip(Y.T, ref.T):
+                assert np.linalg.norm(op.resolvent_solve(mu, y) - r) <= 1e-10 * np.linalg.norm(r)
 
     def test_perturbed_normal_is_schur(self):
         base = sl.random_normal_operator(16, seed=7)
@@ -200,18 +204,29 @@ class TestResolventFactor:
         assert all(np.ndim(part) < 2 for part in op.resolvent_factor)
         Y = np.stack([random_vector(rng, 256) for _ in range(3)], axis=1)
         for mu in MUS:
-            assert np.array_equal(op.resolvent_solve(mu, Y[:, 0]), Y[:, 0] / (mu - lam))
-            assert np.array_equal(op.resolvent_solve(mu, Y), Y / (mu - lam)[:, None])
+            for y in Y.T:
+                assert np.array_equal(op.resolvent_solve(mu, y), y / (mu - lam))
 
-    def test_hermitian_diagonalization_is_the_factor(self, monkeypatch):
+    def test_hermitian_diagonalization_is_the_factor(self, monkeypatch, rng):
         calls = []
-        eigh = np.linalg.eigh
-        monkeypatch.setattr(np.linalg, "eigh", lambda *a, **k: calls.append(1) or eigh(*a, **k))
+        schur = scipy.linalg.schur
+        monkeypatch.setattr(scipy.linalg, "schur",
+                            lambda *a, **k: calls.append(1) or schur(*a, **k))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a Hermitian factor ran eigh")
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
         G = np.random.default_rng(8).standard_normal((12, 12))
         for op in (sl.laplacian_1d(16), sl.OperatorPair(G + G.T)):
             Q, lam = op.diagonalization
             Z, T, normal = op.resolvent_factor
-            assert Q is Z and lam is T and normal
+            assert Q is Z and lam is T and normal and op.resolvent_backend == "normal"
+            y = random_vector(rng, op.dim)
+            for mu in MUS:
+                ref = np.linalg.solve(mu * np.eye(op.dim) - op.matrix, y)
+                assert np.linalg.norm(op.resolvent_solve(mu, y) - ref) \
+                    <= 1e-10 * np.linalg.norm(ref)
+                assert op.resolvent_norm(mu) == pytest.approx(_svd_norm(op, mu), rel=1e-10)
         assert len(calls) == 1  # the dense Hermitian one; the Laplacian is tridiagonal
 
     def test_diagonal_diagonalization_forms_no_basis(self):
@@ -376,7 +391,7 @@ class TestGKLNorm:
 
 class TestResolventSum:
     """resolvent_sum, one pass through the cached factor for all shifts,
-    against the sum of one resolvent_solve per shift."""
+    against the weighted sum of one dense np.linalg.solve per shift."""
 
     @pytest.mark.parametrize("make", [lambda: sl.diagonal_operator([-1.0, -2.5, -4.0 + 1j]),
                                       lambda: sl.laplacian_1d(64),
@@ -391,7 +406,8 @@ class TestResolventSum:
         contour_nodes = c.nodes_and_weights()
         weights = rng.standard_normal(len(MUS)) + 1j * rng.standard_normal(len(MUS))
         for mus, w in (contour_nodes, (MUS, weights)):
-            ref = sum(wk * op.resolvent_solve(mk, x) for mk, wk in zip(mus, w))
+            ref = sum(wk * np.linalg.solve(mk * np.eye(op.dim) - op.matrix, x)
+                      for mk, wk in zip(mus, w))
             got = op.resolvent_sum(mus, w, x)
             assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
 
