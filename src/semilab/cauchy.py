@@ -114,9 +114,6 @@ class CauchySolver:
             return self
         return CauchySolver(self.op, self.grid.refined(factor))
 
-    def norm0(self, x):
-        return self.op.norm0(x)
-
     # -- the panel propagator ---------------------------------------------------
 
     def _panel_tables(self, shift, h, nodes):
@@ -197,7 +194,9 @@ class CauchySolver:
         solver = self.refined_for(forcing.rate) if forcing.rate else self
         grid = solver.grid
         x0 = np.zeros(self.dim, dtype=complex) if x0 is None else np.asarray(x0, dtype=complex)
-        F = forcing.sample(grid.gl_times.ravel()).reshape(grid.panels, -1, self.dim)
+        # one sample at every node; the Gauss-node rows follow each panel's left edge
+        S = forcing.sample(grid.nodes)
+        F = S[:-1].reshape(grid.panels, grid.nodes_per_panel + 1, self.dim)[:, 1:]
         diag = self.op.diagonalization
         Z = None if diag is None else diag[0]
         if Z is None:  # dense backend, or a diagonal A: no change of basis
@@ -208,7 +207,7 @@ class CauchySolver:
             v, _ = solver._propagate(0.0, (F @ ZH.T)[..., None], (ZH @ x0)[:, None], nodes=True)
             values = v[..., 0] @ Z.T
         values[0] = x0
-        derivative = values @ self.op.matrix.T + forcing.sample(grid.nodes)
+        derivative = values @ self.op.matrix.T + S
         return GridFunction(grid, values, derivative)
 
     def exp_functionals(self, mu):

@@ -35,10 +35,6 @@ from .theorem import (
 from .timegrid import TimeGrid
 from .weighted import theta_sweep, trace_norm_upper, weighted_maxreg_check, weighted_norm
 
-EXPERIMENTS = ("spectrum", "resolvent-scan", "maxreg-estimate", "identity-check",
-               "reconstruct", "weighted", "theta-sweep", "verdict")
-
-
 class _UsageError(Exception):
     pass
 
@@ -222,6 +218,7 @@ _RUNNERS = {
     "theta-sweep": run_theta_sweep,
     "verdict": run_verdict,
 }
+EXPERIMENTS = tuple(_RUNNERS)
 
 
 def build_parser():

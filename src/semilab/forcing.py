@@ -1,8 +1,8 @@
 """Forcing terms f(t) for the inhomogeneous problem, and probe files.
 
 Every forcing is sampled through one vectorised primitive,
-``sample(ts) -> (len(ts), dim)``: the Cauchy solver calls it once for all
-quadrature nodes of a grid and once for all grid nodes.
+``sample(ts) -> (len(ts), dim)``: the Cauchy solver calls it once per solve,
+for all nodes of its grid.
 """
 
 from __future__ import annotations

@@ -241,7 +241,7 @@ class OperatorPair:
         if t == 0:
             return x.copy()
         if self.structure == "diagonal":
-            return (np.exp(t * np.diag(self.matrix)) * x.T).T
+            return np.exp(t * np.diag(self.matrix)) * x
         return scipy.linalg.expm(t * self.matrix) @ x
 
     # -- evolution backend for the Cauchy solver ------------------------------

@@ -25,9 +25,10 @@ from .errors import (
 )
 from .timegrid import TimeGrid
 
-# resolvent_from_solver ends its Neumann series at terms below NEUMANN_TOL ||y||
-# and refuses one that needs more than NEUMANN_MAX_TERMS; omega2_search
-# bisects on [OMEGA2_TOL, 64 / T] down to a bracket of width OMEGA2_TOL
+# resolvent_from_solver sums the n = ceil(log NEUMANN_TOL / log ||V_mu||) Neumann
+# terms that bound the remainder by NEUMANN_TOL ||y|| and refuses a series that
+# needs more than NEUMANN_MAX_TERMS; omega2_search bisects on [OMEGA2_TOL, 64 / T]
+# down to a bracket of width OMEGA2_TOL
 _NEUMANN_TOL, _NEUMANN_MAX_TERMS, _OMEGA2_TOL = 1e-12, 200, 1e-6
 
 
@@ -35,14 +36,9 @@ _NEUMANN_TOL, _NEUMANN_MAX_TERMS, _OMEGA2_TOL = 1e-12, 200, 1e-6
 
 
 def time_weights(grid, sigma):
-    """t^{1-sigma} over the grid nodes; sigma = 1 gives exactly 1 everywhere,
-    sigma < 1 assigns weight 0 to t = 0."""
-    if sigma == 1.0:
-        return np.ones_like(grid.nodes)
-    w = np.zeros_like(grid.nodes)
-    pos = grid.nodes > 0
-    w[pos] = grid.nodes[pos] ** (1.0 - sigma)
-    return w
+    """t^{1-sigma} over the grid nodes; sigma = 1 gives exactly 1 everywhere
+    (0^0 = 1), sigma < 1 assigns weight 0 to t = 0."""
+    return grid.nodes ** (1.0 - sigma)
 
 
 def maxreg_inequality_check(op, grid, mu, x, M_hat, sigma=1.0):
@@ -64,25 +60,23 @@ def maxreg_inequality_check(op, grid, mu, x, M_hat, sigma=1.0):
     return lhs, rhs, bool(lhs <= rhs * (1 + 1e-9))
 
 
-def apriori_inequality_check(op, grid, mu, x, M_hat):
-    return maxreg_inequality_check(op, grid, mu, x, M_hat, sigma=1.0)
-
-
-def omega1(M_hat, T):
-    """Smallest omega_1 >= 0 with 2M <= sup_{[0,T]} e^{omega_1 t}."""
-    if M_hat <= 0:
-        raise NonpositiveM(f"M_hat={M_hat}")
-    return max(0.0, math.log(2.0 * M_hat) / T)
+# the unweighted inequality is the sigma = 1 case
+apriori_inequality_check = maxreg_inequality_check
 
 
 def omega1_weighted(M_hat, T, sigma):
-    """Weighted analog: 2M <= sup_{(0,T]} t^{1-sigma} e^{omega_1 t}; for
-    omega_1 >= 0 the sup is T^{1-sigma} e^{omega_1 T}."""
+    """Smallest omega_1 >= 0 with 2M <= sup_{(0,T]} t^{1-sigma} e^{omega_1 t};
+    for omega_1 >= 0 the sup is T^{1-sigma} e^{omega_1 T}."""
     if M_hat <= 0:
         raise NonpositiveM(f"M_hat={M_hat}")
     if not 0.0 < sigma <= 1.0:
         raise ConfigError(f"sigma={sigma} outside (0, 1]")
     return max(0.0, (math.log(2.0 * M_hat) - (1.0 - sigma) * math.log(T)) / T)
+
+
+def omega1(M_hat, T):
+    """Unweighted threshold: 2M <= sup_{[0,T]} e^{omega_1 t}."""
+    return omega1_weighted(M_hat, T, 1.0)
 
 
 # -- surjectivity machinery -------------------------------------------------------------------
@@ -139,30 +133,21 @@ def resolvent_from_solver(solver, mu, y, sdata=None):
     mu = complex(mu)
     if sdata is None:
         sdata = assemble_U_V(solver, mu)
-    if sdata.V_norm >= 1.0:
+    if not sdata.V_norm < 1.0:
         raise NeumannDivergence(
             f"||V_mu|| = {sdata.V_norm:.3f} >= 1; Re mu is below omega_2")
-    y = np.asarray(y, dtype=complex)
-    ny = solver.norm0(y)
-    # worst-case term count implied by the operator norm; iterating at least
-    # this far keeps the truncation sound even when individual components of
-    # y decay faster than ||V||^k
-    n_min = 0
-    if 0.0 < sdata.V_norm < 1.0:
-        n_min = int(math.ceil(math.log(_NEUMANN_TOL) / math.log(sdata.V_norm)))
-    if n_min > _NEUMANN_MAX_TERMS:
+    # ||V^n y|| <= ||V_mu||^n ||y|| <= NEUMANN_TOL ||y|| fixes the length n
+    n = 1
+    if sdata.V_norm > 0.0:
+        n = max(1, math.ceil(math.log(_NEUMANN_TOL) / math.log(sdata.V_norm)))
+    if n > _NEUMANN_MAX_TERMS:
         raise SlowConvergence(
             f"||V_mu|| = {sdata.V_norm:.3f} needs > {_NEUMANN_MAX_TERMS} Neumann terms")
-    total, term, k = y.copy(), y, 0
-    while True:
+    total = term = np.asarray(y, dtype=complex)
+    for _ in range(n - 1):
         term = sdata.V @ term
-        k += 1
-        if solver.norm0(term) <= _NEUMANN_TOL * ny and k >= n_min:
-            break
-        total += term
-        if k > _NEUMANN_MAX_TERMS:
-            raise SlowConvergence(f"Neumann series needed > {_NEUMANN_MAX_TERMS} terms")
-    sdata.neumann_terms = k
+        total = total + term
+    sdata.neumann_terms = n
     return sdata.U @ total / (1.0 - math.exp(-2.0 * mu.real * sdata.T))
 
 

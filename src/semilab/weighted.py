@@ -44,15 +44,14 @@ def weighted_maxreg_check(solver, sigma, mu, x, M_hat, c2_hat=None):
     (returned with the check)."""
     op, grid = solver.op, solver.grid
     lhs, rhs, passed = maxreg_inequality_check(op, grid, mu, x, M_hat, sigma)
-    mu = complex(mu)
-    x = op.check_vector(x)
-    u = solver.solve(ExpForcing(mu, x))
+    f = ExpForcing(mu, x)
+    u = solver.solve(f)
     T = grid.T
     endpoint_value = float(T ** (1.0 - sigma) * op.norm0(u.values[-1]))
     endpoint_bound = None
     endpoint_ok = None
     if c2_hat is not None:
-        endpoint_bound = float(c2_hat * T ** (1.0 - sigma) * op.norm0(x))
+        endpoint_bound = float(c2_hat * T ** (1.0 - sigma) * op.norm0(f.y))
         endpoint_ok = bool(endpoint_value <= endpoint_bound * (1 + 1e-6))
     return WeightedMaxregCheck(lhs=lhs, rhs=rhs, passed=passed,
                                endpoint_value=endpoint_value,

@@ -89,6 +89,39 @@ class SumForcing(sl.Forcing):
         return self.f.sample(ts) + self.g.sample(ts)
 
 
+class CountingForcing(sl.Forcing):
+    """A forcing that counts the calls to its sample."""
+
+    def __init__(self, f):
+        self.f, self.calls = f, 0
+        self.rate = f.rate
+
+    def sample(self, ts):
+        self.calls += 1
+        return self.f.sample(ts)
+
+
+class TestForcingSamples:
+    @pytest.mark.parametrize("name, make_forcing, split", [
+        ("diag", lambda dim, y: sl.ExpForcing(1.0, y), False),
+        ("diag", lambda dim, y: sl.ExpForcing(40.0 + 3.0j, y), True),
+        ("lap16", lambda dim, y: sl.ZeroForcing(dim), False),
+        ("jordan8", lambda dim, y: sl.PolyForcing([1.0, 0.5, 2.0], y), False),
+        ("jordan8", lambda dim, y: sl.ExpForcing(25.0, y), True),
+    ], ids=["exp", "exp-split", "zero", "poly", "exp-split-dense"])
+    def test_one_sample_per_solve(self, grid, corpus, rng, name, make_forcing, split):
+        # the forcing is sampled once, at the grid nodes, and those samples
+        # give both the Gauss-node data and the derivative
+        op = corpus[name]
+        f = make_forcing(op.dim, random_vector(rng, op.dim))
+        counted = CountingForcing(f)
+        u = sl.CauchySolver(op, grid).solve(counted, random_vector(rng, op.dim))
+        assert counted.calls == 1
+        assert (u.grid.panels > grid.panels) == split
+        assert np.array_equal(u.derivative_values,
+                              u.values @ op.matrix.T + f.sample(u.grid.nodes))
+
+
 class TestKA:
     def test_zero_forcing(self, grid, diag_12):
         u = sl.CauchySolver(diag_12, grid).solve(sl.ZeroForcing(2))

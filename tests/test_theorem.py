@@ -128,6 +128,31 @@ class TestResolventFromSolver:
         assert sd.neumann_terms <= 60
         assert sd.neumann_terms >= np.ceil(np.log(1e-12) / np.log(sd.V_norm))
 
+    @pytest.mark.parametrize("make_op, backend", [
+        (lambda: sl.diagonal_operator([-1.0, -2.0]), "eigen"),
+        (lambda: sl.jordan_block(-1.0, 3), "dense"),
+    ], ids=["diag_12", "jordan3"])
+    def test_neumann_length_is_a_priori(self, grid, rng, make_op, backend):
+        # ||V_mu|| alone fixes the length: V_mu is applied neumann_terms - 1
+        # times, and no product is taken only to test a term's norm
+        class CountingMap:
+            def __init__(self, V):
+                self.V, self.products = V, 0
+
+            def __matmul__(self, x):
+                self.products += 1
+                return self.V @ x
+
+        op = make_op()
+        assert (op.diagonalization is not None) == (backend == "eigen")
+        solver = sl.CauchySolver(op, grid)
+        sd = sl.assemble_U_V(solver, 2.0)
+        V_norm = sd.V_norm
+        sd.V = CountingMap(sd.V)
+        sl.resolvent_from_solver(solver, 2.0, random_vector(rng, op.dim), sdata=sd)
+        assert sd.neumann_terms == max(1, int(np.ceil(np.log(1e-12) / np.log(V_norm))))
+        assert sd.V.products == sd.neumann_terms - 1
+
     def test_divergence_detected(self):
         # unstable operator at small Re mu: ||V|| >= 1, series must not run
         op = sl.diagonal_operator([1.0])

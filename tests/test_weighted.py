@@ -100,7 +100,14 @@ class TestTraceNorm:
         op = self.ORBIT_OPERATORS[name]()
         x = random_vector(rng, op.dim)
         orbit = [op.semigroup_apply_oracle(t, x) for t in grid.nodes]
-        for sigma in (1.0, 0.5):
+        for sigma in (1.0, 0.7, 0.5, 1e-3):
+            # t^{1-sigma} with t = 0 masked to weight 0 below sigma = 1
+            masked = np.ones_like(grid.nodes)
+            if sigma < 1.0:
+                pos = grid.nodes > 0
+                masked[~pos] = 0.0
+                masked[pos] = grid.nodes[pos] ** (1.0 - sigma)
+            assert np.array_equal(time_weights(grid, sigma), masked), sigma
             ref = 0.0
             for u, wt in zip(orbit, time_weights(grid, sigma)):
                 if wt > 0.0:
