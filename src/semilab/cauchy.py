@@ -108,8 +108,7 @@ class CauchySolver:
     def refined_for(self, rate):
         """Solver on a panel-split grid fine enough for a profile with the
         given exponential/oscillation rate."""
-        width = float(np.max(np.diff(self.grid.edges)))
-        factor = int(np.ceil(rate * width / _RATE_BUDGET))
+        factor = rate * float(np.max(np.diff(self.grid.edges))) / _RATE_BUDGET
         if factor <= 1:
             return self
         return CauchySolver(self.op, self.grid.refined(factor))
@@ -190,7 +189,8 @@ class CauchySolver:
     def solve(self, forcing, x0=None):
         """GridFunction solution of u' - Au = f, u(0) = x0, with derivative
         samples filled from u' = Au + f. Steep forcing profiles trigger a
-        panel split; the returned GridFunction carries the grid in use."""
+        panel split; the returned GridFunction carries the grid in use and,
+        as forcing_values, the samples of f at its nodes."""
         solver = self.refined_for(forcing.rate) if forcing.rate else self
         grid = solver.grid
         x0 = np.zeros(self.dim, dtype=complex) if x0 is None else np.asarray(x0, dtype=complex)
@@ -207,8 +207,9 @@ class CauchySolver:
             v, _ = solver._propagate(0.0, (F @ ZH.T)[..., None], (ZH @ x0)[:, None], nodes=True)
             values = v[..., 0] @ Z.T
         values[0] = x0
-        derivative = values @ self.op.matrix.T + S
-        return GridFunction(grid, values, derivative)
+        u = GridFunction(grid, values, values @ self.op.matrix.T + S)
+        u.forcing_values = S
+        return u
 
     def exp_functionals(self, mu):
         """For the forcing f(t) = e^{-conj(mu) t} (columnwise identity),
@@ -263,7 +264,7 @@ def estimate_M(solver, probes):
     ratios, c2s = [], []
     for f, x in probes:
         u = solver.solve(f, x)
-        nf = e0_norm_J(op, GridFunction(u.grid, f.sample(u.grid.nodes)))
+        nf = e0_norm_J(op, GridFunction(u.grid, u.forcing_values))
         nx1 = op.norm1(x)
         denom = nf + nx1
         if denom == 0:

@@ -246,8 +246,6 @@ def main(argv=None):
             raise _UsageError("--theta must lie in (0, 1)")
         if not 0.0 < args.sigma <= 1.0:
             raise _UsageError("--sigma must lie in (0, 1]")
-        if args.panels < 2:
-            raise _UsageError("--panels must be at least 2")
         if args.seed < 0:
             raise _UsageError("--seed must be nonnegative")
         op = load_operator(args.operator)

@@ -7,7 +7,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DimensionMismatch, MissingDerivative
+from .errors import ConfigError, DimensionMismatch, MissingDerivative
+
+# Most panels per time grid: memory grows with panels * dim (* dim on the dense backend), to
+# ~300 MB for maxreg-estimate on a dim-64 Laplacian at the cap. Default CLI runs reach 224.
+MAX_PANELS = 4096
 
 
 @lru_cache(maxsize=32)
@@ -43,8 +47,8 @@ class TimeGrid:
 
     @classmethod
     def uniform(cls, T, panels=16, nodes_per_panel=8):
-        if T <= 0:
-            raise ValueError("T must be positive")
+        if not 2 <= panels <= MAX_PANELS:
+            raise ConfigError(f"a time grid holds from 2 to {MAX_PANELS} panels")
         return cls(np.linspace(0.0, float(T), panels + 1), nodes_per_panel)
 
     @property
@@ -60,8 +64,11 @@ class TimeGrid:
                 f"nodes_per_panel={self.nodes_per_panel})")
 
     def refined(self, factor=2):
-        """Same interval and node count per panel, each panel split in two
-        (or ``factor``) equal parts."""
+        """Same interval and node count per panel, each panel split in
+        ceil(factor) equal parts."""
+        factor = np.ceil(factor)
+        if not self.panels * factor <= MAX_PANELS:  # also refuses a nan or infinite factor
+            raise ConfigError(f"a time grid holds from 2 to {MAX_PANELS} panels")
         a, b = self.edges[:-1, None], self.edges[1:, None]
         splits = a + (b - a) * np.arange(1, factor + 1) / factor
         return TimeGrid(np.append(self.edges[0], splits.ravel()), self.nodes_per_panel)

@@ -21,7 +21,6 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 # (name, the acceptance criterion that calls it)
 CRITERION_ONLY = (
     ("apriori_inequality_check", "criterion 8: the sigma = 1 weighted check is bitwise"),
-    ("omega1_weighted", "criteria 5 and 8: the weighted omega_1 formula"),
 )
 
 SOURCES = [p for d in (ROOT / "src" / "semilab", ROOT / "bench") for p in sorted(d.glob("*.py"))

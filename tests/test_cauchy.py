@@ -121,6 +121,22 @@ class TestForcingSamples:
         assert np.array_equal(u.derivative_values,
                               u.values @ op.matrix.T + f.sample(u.grid.nodes))
 
+    @pytest.mark.parametrize("name", ["diag", "lap16", "jordan8"])
+    def test_one_sample_per_probe_in_estimate_M(self, grid, corpus, name):
+        # ||f||_E0(J) is read from the samples solve took, so estimate_M
+        # samples each probe once and its estimate is unchanged
+        op = corpus[name]
+        probes = sl.default_probes(op, seed=3)
+        counted = [(CountingForcing(f), x) for f, x in probes]
+        solver = sl.CauchySolver(op, grid)
+        est = sl.estimate_M(solver, counted)
+        assert [f.calls for f, _ in counted] == [1] * len(probes)
+        ref = sl.estimate_M(solver, probes)
+        assert (est.M_hat, est.c2_hat, est.ratios) == (ref.M_hat, ref.c2_hat, ref.ratios)
+        for f, x in probes:
+            u = solver.solve(f, x)
+            assert np.array_equal(u.forcing_values, f.sample(u.grid.nodes))
+
 
 class TestKA:
     def test_zero_forcing(self, grid, diag_12):

@@ -291,6 +291,20 @@ class TestExitCodes:
         self._one_line_error(tmp_path, capsys, "identity-check", "--operator", diag_file,
                              *flag)
 
+    @pytest.mark.parametrize(
+        "experiment, flag, value",
+        [("identity-check", "--mu-grid", "1e300"), ("identity-check", "--mu-grid", "1e9"),
+         ("reconstruct", "--mu-grid", "1e308"), ("maxreg-estimate", "--T", "1e300"),
+         ("identity-check", "--panels", "100000000000"), ("spectrum", "--panels", "4097")],
+        ids=["split-above-cap", "split-beyond-memory", "split-not-finite", "T-split-above-cap",
+             "panels-beyond-memory", "panels-above-cap"])
+    def test_grid_above_the_panel_cap(self, tmp_path, capsys, diag_file, experiment, flag,
+                                      value):
+        # refused with one line before any grid array is allocated
+        err = self._one_line_error(tmp_path, capsys, experiment, "--operator", diag_file,
+                                   flag, value)
+        assert "panel" in err
+
     def test_out_is_an_existing_file(self, tmp_path, capsys, diag_file):
         (tmp_path / "out").write_text("")
         self._one_line_error(tmp_path, capsys, "spectrum", "--operator", diag_file)

@@ -13,8 +13,6 @@ class TestContourType:
             sl.build_contour(diag_12, 1.0, node_count=7)
         with pytest.raises(ConfigError):
             sl.build_contour(diag_12, 1.0, node_count=6)
-        with pytest.raises(ConfigError):
-            sl.Contour("elliptic", 32, 1.0, 16.0, 0.0)
 
     def test_t_validation(self, diag_12):
         with pytest.raises(ConfigError):
@@ -68,13 +66,6 @@ class TestAgreementWithOracle:
         r = sl.semigroup_apply_contour(op, c, t, x)
         assert op.norm0(r.value - exact) / op.norm0(exact) <= 1e-8
 
-    def test_hyperbolic_kind(self, diag_12, rng):
-        x = random_vector(rng, 2)
-        exact = diag_12.semigroup_apply_oracle(0.5, x)
-        c = sl.build_contour(diag_12, 0.5, kind="hyperbolic", node_count=32)
-        r = sl.semigroup_apply_contour(diag_12, c, 0.5, x)
-        assert diag_12.norm0(r.value - exact) <= 1e-7
-
     def test_error_estimate_tracks_error(self, diag_12, rng):
         x = random_vector(rng, 2)
         c = sl.build_contour(diag_12, 1.0, node_count=32)
@@ -107,7 +98,7 @@ class TestSpectrumGuards:
         # an eigenvalue 0.9 singular_tol up and left of the first node, where
         # the parabola rises steeply: inside the contour by more than the
         # margin, yet within singular_tol of that node
-        c = sl.Contour("parabolic", 32, 1.0, 16.0, 0.0)
+        c = sl.Contour(32, 1.0, 16.0, 0.0)
         mu0 = c.nodes_and_weights()[0][0]
         margin = sl.diagonal_operator([-1.0, mu0]).singular_tol
         lam = mu0 + 0.9 * margin * np.exp(0.75j * np.pi)

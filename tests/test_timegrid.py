@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 import semilab as sl
-from semilab.errors import MissingDerivative
-from semilab.timegrid import gauss_legendre_01
+from semilab.errors import ConfigError, MissingDerivative
+from semilab.timegrid import MAX_PANELS, gauss_legendre_01
 
 
 class TestTimeGrid:
@@ -30,6 +30,16 @@ class TestTimeGrid:
         g2 = g.refined(3)
         assert g2.panels == 12
         assert g2.T == g.T
+        assert np.array_equal(g.refined(2.5).edges, g2.edges)  # a split of ceil(factor)
+
+    def test_panel_cap(self):
+        assert sl.TimeGrid.uniform(1.0, panels=MAX_PANELS).panels == MAX_PANELS
+        assert sl.TimeGrid.uniform(1.0, panels=16).refined(MAX_PANELS // 16).panels == MAX_PANELS
+        with pytest.raises(ConfigError, match="from 2 to"):
+            sl.TimeGrid.uniform(1.0, panels=MAX_PANELS + 1)
+        for factor in (10**300, np.inf, np.nan):
+            with pytest.raises(ConfigError, match="from 2 to"):
+                sl.TimeGrid.uniform(1.0, panels=16).refined(factor)
 
     @pytest.mark.parametrize("edges", [np.linspace(0.0, 1.0, 17),
                                        [0.0, 0.1, 0.3, 0.35, 1.0],
