@@ -19,7 +19,10 @@ table are one product. When A is normal the tables are (dim, 1) columns in
 the unitary eigenbasis Z of the operator's resolvent factor, from scalar phi
 functions, applied elementwise, and W and UT stay EigenMaps; for non-normal
 A they are dim x dim matrices, all output points at once by batched Taylor
-sums and modified squarings, applied by products.
+sums and modified squarings, applied by products. exp_functionals hands its
+forcing over as one scalar profile times the identity, so on either backend
+a run's terms are one BLAS product of the run's profile block with the
+table's weights, and no dim x dim forcing sample per node is formed.
 
 The solver doubles as the black-box K_A interface of the resolvent
 reconstruction: it exposes solutions and solution functionals (panel
@@ -45,9 +48,11 @@ _RATE_BUDGET = 0.6
 
 
 @lru_cache(maxsize=16)
-def _lagrange_monomial(q):
-    """C[m, p]: coefficient of sigma^p in the m-th Lagrange basis polynomial
-    on the Gauss-Legendre nodes of [0, 1]."""
+def _panel_weights(q, nodes):
+    """(rs, coef, rpow) of a panel table with q Gauss-Legendre nodes xi on
+    [0, 1]: the output points rs (xi and then 1 if nodes, else 1 alone),
+    coef[m, p] = p! C[m, p] with C[m, p] the coefficient of sigma^p in the m-th
+    Lagrange basis polynomial on xi, and rpow[p, j] = rs[j]^{p+1}."""
     xi = gauss_legendre_01(q)
     C = np.zeros((q, q))
     for m in range(q):
@@ -58,7 +63,9 @@ def _lagrange_monomial(q):
                 poly = np.polynomial.polynomial.polymul(poly, np.array([-xi[i], 1.0]))
                 denom *= xi[m] - xi[i]
         C[m, : len(poly)] = poly / denom
-    return C
+    rs = np.append(xi, 1.0) if nodes else np.ones(1)
+    coef = C * np.array([math.factorial(p) for p in range(q)])
+    return rs, coef, rs[None, :] ** np.arange(1, q + 1)[:, None]
 
 
 class EigenMap:
@@ -127,8 +134,7 @@ class CauchySolver:
         if shift == 0 and key in self._tables:
             return self._tables[key]
         q = self.grid.nodes_per_panel
-        xi = gauss_legendre_01(q)
-        rs = np.append(xi, 1.0) if nodes else np.ones(1)
+        rs, coef, rpow = _panel_weights(q, nodes)
         diag = self.op.diagonalization
         if diag is not None:
             # PHI[k, j] = phi_k(h r_j B), shape (q+2, len(rs), dim, 1 | dim)
@@ -139,8 +145,6 @@ class CauchySolver:
         # the interpolant of the samples f_m is sum_p c_p sigma^p with
         # c_p = sum_m C[m, p] f_m, and int_0^{hr} e^{(hr-s)B} (s/h)^p ds
         # = h r^{p+1} p! phi_{p+1}(h r B)
-        coef = _lagrange_monomial(q) * np.array([math.factorial(p) for p in range(q)])
-        rpow = rs[None, :] ** np.arange(1, q + 1)[:, None]          # r_j^{p+1}
         W = h * np.einsum("mp,pj,pj...->jm...", coef, rpow, PHI[1:q + 1])
         G = (h * h) * np.einsum("mp,p...->m...", coef, PHI[2:, -1])
         if diag is None:
@@ -155,10 +159,14 @@ class CauchySolver:
         """Node values (panel edges only unless nodes) and integral over [0, T]
         of v' = (A - shift) v + f, v(0) = v0, in backend coordinates. F holds
         the forcing samples at the Gauss nodes, shape (panels, q, dim, cols),
-        or (panels, q, 1, 1) for all of v0's entries in the eigen backend."""
+        or (panels, q) for a real profile times the identity (v0 dim x dim in
+        the dense backend, one (dim, 1) column in the eigen one): W and G are
+        then laid out as (q, rest), and a run's forcing terms are one product
+        with its (run, q) profile block, its integral one with the column sums."""
         grid = self.grid
         step = grid.nodes_per_panel + 1 if nodes else 1
         eigen = self.op.diagonalization is not None
+        scalar = F.ndim == 2
         apply = np.multiply if eigen else np.matmul
         vals = np.empty((grid.panels * step + 1,) + v0.shape, dtype=complex)
         vals[0] = v0
@@ -168,10 +176,24 @@ class CauchySolver:
             h = next((g for g in tables if abs(widths[k] - g) <= 1e-12 * g), widths[k])
             stop = next((i for i in range(k + 1, grid.panels)
                          if abs(widths[i] - h) > 1e-12 * h), grid.panels)
-            P, W, H1, G = tables[h] = tables.get(h) or self._panel_tables(shift, h, nodes)
+            if h not in tables:
+                P, W, H1, G = self._panel_tables(shift, h, nodes)
+                if scalar:
+                    q, d = grid.nodes_per_panel, self.dim
+                    if eigen:  # (len(r), q, dim, 1) and (q, dim, 1)
+                        W = W.transpose(1, 0, 2, 3)
+                    else:  # (len(r) dim, q dim) and (dim, q dim)
+                        W = W.reshape(-1, d, q, d).transpose(2, 0, 1, 3)
+                        G = G.reshape(d, q, d).transpose(1, 0, 2)
+                    W, G = W.reshape(q, -1), G.reshape(q, -1)
+                tables[h] = P, W, H1, G
+            P, W, H1, G = tables[h]
             # out and F[k:stop] are views: B_k goes straight into vals, F is not copied
             out = vals[k * step + 1:stop * step + 1].reshape((stop - k, step) + v0.shape)
-            if eigen:
+            if scalar:  # a real profile times complex weights, as real products
+                np.matmul(F[k:stop], W.view(float), out=out.reshape(stop - k, -1).view(float))
+                integral += (F[k:stop].sum(axis=0) @ G).reshape(v0.shape)
+            elif eigen:
                 np.einsum("jm...,km...->kj...", W, F[k:stop], out=out)
                 integral += np.einsum("m...,km...->...", G, F[k:stop])
             else:
@@ -224,17 +246,16 @@ class CauchySolver:
         mu = complex(mu)
         solver = self.refined_for(2.0 * mu.real)
         grid = solver.grid
-        profile = np.exp(-2.0 * mu.real * grid.gl_times)[..., None, None]
+        profile = np.exp(-2.0 * mu.real * grid.gl_times)
         eT = np.exp(mu * grid.T)
         diag = self.op.diagonalization
-        if diag is None:
-            I = np.eye(self.dim, dtype=complex)
-            v, w = solver._propagate(mu, profile * I, np.zeros_like(I), nodes=False)
-            UT = eT * v[-1]
-            return w, UT, self.op.operator_norm(UT)
         # the response to profile(t) I is diagonal in eigen coordinates:
         # one column carries all of it
-        v, w = solver._propagate(mu, profile, np.zeros((self.dim, 1), dtype=complex), nodes=False)
+        v0 = np.zeros((self.dim, self.dim if diag is None else 1), dtype=complex)
+        v, w = solver._propagate(mu, profile, v0, nodes=False)
+        if diag is None:
+            UT = eT * v[-1]
+            return w, UT, self.op.operator_norm(UT)
         W, UT = EigenMap(diag[0], w[:, 0]), EigenMap(diag[0], eT * v[-1, :, 0])
         euclidean = self.op.e0_norm == "euclidean"
         return W, UT, float(np.max(np.abs(UT.d))) if euclidean else self.op.operator_norm(UT)

@@ -10,6 +10,7 @@ modified squaring of Skaflestad & Wright, Appl. Numer. Math. 59 (2009).
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -23,17 +24,19 @@ _SCALAR_RADIUS, _SCALAR_TERMS = 5.0, 35
 _THETA, _TAYLOR_DEGREE = 2.0, 24
 
 
+@lru_cache(maxsize=None)
 def _scalar_series(kmax):
-    """(R, N): |z| < R sums N terms of phi_kmax and recurs down by phi_k =
-    z phi_{k+1} + 1/k!, growing its error up to R^(kmax-1)/kmax! times in phi_1;
-    else up from e^z, growing it up to kmax!/R^kmax times in phi_kmax. Both
-    stay near 1 at R = (kmax!)^(1/(kmax-1)), or 5 if larger. N >= 35 puts the
-    tail, below 2 R^N kmax!/(N+kmax)! relative to 1/kmax!, under 2^-53."""
+    """(R, N, inv_fact), built once per kmax: |z| < R sums N terms of phi_kmax
+    and recurs down by phi_k = z phi_{k+1} + 1/k!, growing its error up to
+    R^(kmax-1)/kmax! times in phi_1; else up from e^z, growing it up to
+    kmax!/R^kmax times in phi_kmax. Both stay near 1 at R = (kmax!)^(1/(kmax-1)),
+    or 5 if larger. N >= 35 puts the tail, below 2 R^N kmax!/(N+kmax)! relative
+    to 1/kmax!, under 2^-53. inv_fact[i] = 1/i! for i < kmax + N."""
     lg = math.lgamma(kmax + 1)
     R, N = max(_SCALAR_RADIUS, math.exp(lg / max(kmax - 1, 1))), _SCALAR_TERMS
     while N * math.log(R) + lg - math.lgamma(N + kmax + 1) > -54 * math.log(2):
         N += 1
-    return R, N
+    return R, N, np.array([1 / math.factorial(i) for i in range(kmax + N)])
 
 
 def phi_scalar(kmax, z):
@@ -42,8 +45,7 @@ def phi_scalar(kmax, z):
     out = np.empty((kmax + 1,) + z.shape, dtype=complex)
     flat, z = out.reshape(kmax + 1, -1), z.reshape(-1)
     flat[0] = np.exp(z)
-    radius, terms = _scalar_series(kmax)
-    inv_fact = np.array([1 / math.factorial(i) for i in range(kmax + terms)])
+    radius, terms, inv_fact = _scalar_series(kmax)
     small = np.abs(z) < radius
     zs, acc = z[small], inv_fact[-1]
     for j in range(kmax + terms - 2, kmax - 1, -1):

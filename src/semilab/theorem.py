@@ -107,10 +107,13 @@ def assemble_U_V(solver, mu):
     mu = complex(mu)
     if mu.real <= 0:
         raise DegenerateReMu(f"Re mu = {mu.real} must be positive")
-    W, UT, ut_norm = solver.exp_functionals(mu)
     T = solver.T
+    damping = 1.0 - math.exp(-2.0 * mu.real * T)
+    if damping == 0:
+        raise DegenerateReMu(f"1 - exp(-2 Re mu T) rounds to 0 at Re mu = {mu.real}, T = {T}")
+    W, UT, ut_norm = solver.exp_functionals(mu)
     U = 2.0 * mu.real * W
-    c = 2.0 * mu.real * np.exp(-mu * T) / (1.0 - math.exp(-2.0 * mu.real * T))
+    c = 2.0 * mu.real * np.exp(-mu * T) / damping
     return SurjectivityData(mu=mu, T=T, U=U, V=c * UT, V_norm=float(abs(c) * ut_norm))
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -325,6 +327,45 @@ class TestEdgeFunctionals:
         q = grid.nodes_per_panel
         assert len(shapes) == len(self.MUS)
         assert set(shapes) == {(q + 1, (1, op.dim))}
+
+
+class TestScalarProfile:
+    """exp_functionals hands its forcing to the propagator as one scalar
+    profile; checked on both backends against the closed form of a diagonal
+    A, and for the memory of the dense backend."""
+
+    @pytest.mark.parametrize("backend", ["eigen", "dense"])
+    def test_closed_form(self, grid, backend):
+        lam = np.array([-1.0, -2.5, -40.0])
+        op = sl.diagonal_operator(lam)
+        if backend == "dense":
+            op.__dict__["diagonalization"] = None
+        solver, T = sl.CauchySolver(op, grid), grid.T
+        for mu in (0.5, 2.0 + 4.0j, 32.0 - 16.0j):  # the last one refines the grid
+            W, UT, _ = solver.exp_functionals(mu)
+            # u' = lam u + e^{-conj(mu) t}, u(0) = 0, and W = int_0^T e^{-mu t} u dt
+            uT = (np.exp(lam * T) - np.exp(-np.conj(mu) * T)) / (lam + np.conj(mu))
+            w = ((np.exp((lam - mu) * T) - 1) / (lam - mu)
+                 - (1 - np.exp(-2 * mu.real * T)) / (2 * mu.real)) / (lam + np.conj(mu))
+            for got, exact in ((UT, uT), (W, w)):
+                got = np.asarray(got)
+                assert np.max(np.abs(got - np.diag(exact))) <= 1e-10 * np.max(np.abs(exact)), mu
+                assert np.allclose(np.diag(got), exact, rtol=1e-10, atol=0), mu
+
+    def test_dense_memory(self):
+        # the forcing of a dense run takes no (panels, q, dim, dim) array: the
+        # peak stays within a few (panels + 1, dim, dim) arrays of node values
+        op = sl.jordan_block(-2.0, 32)
+        op.resolvent_factor  # the factorization is not part of the solve
+        grid = sl.TimeGrid.uniform(1.0, panels=512)
+        values = 16 * (grid.panels + 1) * op.dim ** 2
+        tracemalloc.start()
+        try:
+            sl.CauchySolver(op, grid).exp_functionals(1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * values
 
 
 class TestOneFactorization:

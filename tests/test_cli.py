@@ -1,10 +1,13 @@
 import json
+import math
 import re
+import time
 
 import numpy as np
 import pytest
 import scipy.linalg
 
+from semilab import cli
 from semilab.cauchy import CauchySolver
 from semilab.cli import EXPERIMENTS, main, parse_mu_grid
 from semilab.errors import ConfigError
@@ -330,6 +333,31 @@ class TestExitCodes:
         f = tmp_path / "op.op"
         f.write_text("matrix = jordan lambda=-1 size=3\n")
         self._one_line_error(tmp_path, capsys, "identity-check", "--operator", str(f))
+
+    @pytest.mark.parametrize("experiment", ["identity-check", "reconstruct"])
+    def test_degenerate_horizon(self, tmp_path, capsys, diag_file, experiment):
+        # 1 - exp(-2 Re mu T) rounds to 0: V_mu is not defined, and reconstruct's
+        # omega2 bisection must stop at its first point instead of running on NaN
+        start = time.monotonic()
+        err = self._one_line_error(tmp_path, capsys, experiment, "--operator", diag_file,
+                                   "--T", "1e-300")
+        assert "rounds to 0" in err
+        assert time.monotonic() - start < 10.0
+
+    @pytest.mark.parametrize("experiment, target", [
+        ("identity-check", "surjectivity_identity_check"),
+        ("reconstruct", "resolvent_from_solver")])
+    def test_nan_residual_fails(self, tmp_path, monkeypatch, diag_file, experiment, target):
+        # one NaN row makes the maximum NaN and the run a failed check, not a pass
+        nan = {"surjectivity_identity_check": lambda *a: float("nan"),
+               "resolvent_from_solver": lambda solver, mu, y, sdata: np.full(y.shape, np.nan)}
+        monkeypatch.setattr(cli, target, nan[target])
+        code, report, _ = run(tmp_path, experiment, "--operator", diag_file, "--mu-grid", "1,2")
+        assert code == 2
+        assert report["pass"] is False
+        key = {"identity-check": "max_identity_residual",
+               "reconstruct": "max_reconstruction_error"}[experiment]
+        assert math.isnan(report[key])
 
 
 SAME_MATRIX = {
