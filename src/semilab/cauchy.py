@@ -14,15 +14,30 @@ start to each output point r (the q Gauss nodes and the right edge, or the
 right edge alone), the weights that map the q forcing samples to each output
 point, and the weights of the integral over the panel. The solver keeps the
 unshifted (s = 0) tables for all its solves; a shifted table serves one mu
-and is dropped with its call. The forcing terms of a run of panels on one
-table are one product. When A is normal the tables are (dim, 1) columns in
-the unitary eigenbasis Z of the operator's resolvent factor, from scalar phi
-functions, applied elementwise, and W and UT stay EigenMaps; for non-normal
-A they are dim x dim matrices, all output points at once by batched Taylor
-sums and modified squarings, applied by products. exp_functionals hands its
-forcing over as one scalar profile times the identity, so on either backend
-a run's terms are one BLAS product of the run's profile block with the
-table's weights, and no dim x dim forcing sample per node is formed.
+and is dropped with its call. The runs of panels on one nominal width are
+found once per solver, and the forcing terms of a run are one product. When
+A is normal the tables are (dim, 1) columns in the unitary eigenbasis Z of
+the operator's resolvent factor, from scalar phi functions, applied
+elementwise, and W and UT stay EigenMaps; for non-normal A they are dim x dim
+matrices, all output points at once by batched Taylor sums and modified
+squarings, applied by products. exp_functionals hands its forcing over as one
+scalar profile times the identity, so on either backend a run's terms are one
+BLAS product of the run's profile block with the table's weights, and no
+dim x dim forcing sample per node is formed.
+
+The panel edges of a run follow e_{i+1} = P e_i + b_i, with P the table's
+propagator to the right edge and b_i the forcing term. The eigen backend,
+where P acts elementwise, takes them as a log-depth prefix scan (Blelloch,
+CMU-CS-90-190): E[s:] += Q E[:-s], then Q = Q^2, for s = 1, 2, 4, ...;
+the interior nodes then follow from their panels' starts in one broadcast
+product. The dense backend loops over the panels, since a scan would multiply
+its dim^3 products by log(panels).
+
+A steep forcing profile runs on a refined solver, whose grid splits each panel
+to keep width * rate under a budget. The solver keeps one refined solver per
+split count, so a refined grid and its unshifted tables are built once. They
+live as long as the parent: on the dense backend a table of all nodes holds
+(q+1)(q+2) dim^2 complex entries, 94 MB at dim 256 and q = 8.
 
 The solver doubles as the black-box K_A interface of the resolvent
 reconstruction: it exposes solutions and solution functionals (panel
@@ -103,6 +118,16 @@ class CauchySolver:
         self.op = op
         self.grid = grid
         self._tables = {}
+        self._refined = {}
+        # runs [start, stop, h] of consecutive panels within 1e-12 of one nominal width h
+        widths = np.diff(grid.edges).tolist()
+        self._hmax, self._runs = max(widths), []
+        for k, w in enumerate(widths):
+            if self._runs and abs(w - self._runs[-1][2]) <= 1e-12 * self._runs[-1][2]:
+                self._runs[-1][1] = k + 1
+            else:
+                h = next((g for _, _, g in self._runs if abs(w - g) <= 1e-12 * g), w)
+                self._runs.append([k, k + 1, h])
 
     @property
     def dim(self):
@@ -114,11 +139,14 @@ class CauchySolver:
 
     def refined_for(self, rate):
         """Solver on a panel-split grid fine enough for a profile with the
-        given exponential/oscillation rate."""
-        factor = rate * float(np.max(np.diff(self.grid.edges))) / _RATE_BUDGET
+        given exponential/oscillation rate, kept for each split count."""
+        factor = rate * self._hmax / _RATE_BUDGET
         if factor <= 1:
             return self
-        return CauchySolver(self.op, self.grid.refined(factor))
+        splits = np.ceil(factor)  # inf and nan stay, for TimeGrid.refined to refuse
+        if splits not in self._refined:
+            self._refined[splits] = CauchySolver(self.op, self.grid.refined(splits))
+        return self._refined[splits]
 
     # -- the panel propagator ---------------------------------------------------
 
@@ -167,15 +195,11 @@ class CauchySolver:
         step = grid.nodes_per_panel + 1 if nodes else 1
         eigen = self.op.diagonalization is not None
         scalar = F.ndim == 2
-        apply = np.multiply if eigen else np.matmul
         vals = np.empty((grid.panels * step + 1,) + v0.shape, dtype=complex)
         vals[0] = v0
         integral = np.zeros(v0.shape, dtype=complex)
-        widths, tables, k = np.diff(grid.edges).tolist(), {}, 0
-        while k < grid.panels:
-            h = next((g for g in tables if abs(widths[k] - g) <= 1e-12 * g), widths[k])
-            stop = next((i for i in range(k + 1, grid.panels)
-                         if abs(widths[i] - h) > 1e-12 * h), grid.panels)
+        tables = {}
+        for k, stop, h in self._runs:
             if h not in tables:
                 P, W, H1, G = self._panel_tables(shift, h, nodes)
                 if scalar:
@@ -200,10 +224,25 @@ class CauchySolver:
                 np.matmul(W, F[k:stop].reshape(stop - k, G.shape[1], -1),
                           out=out.reshape(stop - k, len(W), -1))
                 integral += G @ F[k:stop].sum(axis=0).reshape(G.shape[1], -1)
-            for i in range(k, stop):
-                vals[i * step + 1:(i + 1) * step + 1] += apply(P, vals[i * step])
-            integral += apply(H1, vals[k * step:stop * step:step].sum(axis=0))
-            k = stop
+            starts = vals[k * step:stop * step:step]
+            if eigen:
+                # e_{i+1} = P e_i + b_i as a prefix scan: after the pass with
+                # Q = P^s, ends[i] sums P^(i-j) b_j over the 2s panels j <= i.
+                # Q is squared only for a further pass, so it stays below P^run.
+                ends, Q, s = out[:, -1], P[-1], 1
+                ends[0] += Q * starts[0]
+                while s < stop - k:
+                    ends[s:] += Q * ends[:-s]
+                    s *= 2
+                    if s < stop - k:
+                        Q = Q * Q
+                if nodes:
+                    out[:, :-1] += P[:-1] * starts[:, None]
+                integral += H1 * starts.sum(axis=0)
+            else:  # a scan would multiply the d^3 products by log(panels)
+                for i in range(k, stop):
+                    vals[i * step + 1:(i + 1) * step + 1] += P @ vals[i * step]
+                integral += H1 @ starts.sum(axis=0)
         return vals, integral
 
     # -- public solves ----------------------------------------------------------
@@ -289,7 +328,8 @@ def estimate_M(solver, probes):
         nx1 = op.norm1(x)
         denom = nf + nx1
         if denom == 0:
-            raise EmptyProbeSet("degenerate probe: ||f||_E0 + ||x||_1 = 0")
+            raise EmptyProbeSet(
+                f"degenerate probe: ||f||_E0 + ||x||_1 = 0 on [0, T], T = {solver.T}")
         e1 = e1_norm_J(op, u)
         ratios.append(e1 / denom)
         c2s.append(e1 / nf if (nf > 0 and nx1 == 0) else 0.0)

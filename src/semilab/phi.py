@@ -3,8 +3,10 @@
 phi_0(z) = e^z and phi_{k+1}(z) = (phi_k(z) - 1/k!) / z, equivalently
 phi_k(z) = int_0^1 e^{z(1-s)} s^{k-1}/(k-1)! ds. These make quadrature of
 int_0^t e^{(t-s)A} p(s) ds exact in A for polynomial p, which is what keeps
-stiff spectral components accurate. Matrices take batched Taylor sums and the
-modified squaring of Skaflestad & Wright, Appl. Numer. Math. 59 (2009).
+stiff spectral components accurate. Scalars sum phi_kmax against one table of
+powers of z and recur down to phi_1, or up from e^z where |z| is large.
+Matrices take batched Taylor sums and the modified squaring of Skaflestad &
+Wright, Appl. Numer. Math. 59 (2009).
 """
 
 from __future__ import annotations
@@ -27,11 +29,12 @@ _THETA, _TAYLOR_DEGREE = 2.0, 24
 @lru_cache(maxsize=None)
 def _scalar_series(kmax):
     """(R, N, inv_fact), built once per kmax: |z| < R sums N terms of phi_kmax
-    and recurs down by phi_k = z phi_{k+1} + 1/k!, growing its error up to
-    R^(kmax-1)/kmax! times in phi_1; else up from e^z, growing it up to
-    kmax!/R^kmax times in phi_kmax. Both stay near 1 at R = (kmax!)^(1/(kmax-1)),
-    or 5 if larger. N >= 35 puts the tail, below 2 R^N kmax!/(N+kmax)! relative
-    to 1/kmax!, under 2^-53. inv_fact[i] = 1/i! for i < kmax + N."""
+    against one table of the powers z^0..z^(N-1) and recurs down by
+    phi_k = z phi_{k+1} + 1/k!, growing its error up to R^(kmax-1)/kmax! times
+    in phi_1; else up from e^z, growing it up to kmax!/R^kmax times in phi_kmax.
+    Both stay near 1 at R = (kmax!)^(1/(kmax-1)), or 5 if larger. N >= 35 puts
+    the tail, below 2 R^N kmax!/(N+kmax)! relative to 1/kmax!, under 2^-53.
+    inv_fact[i] = 1/i! for i < kmax + N."""
     lg = math.lgamma(kmax + 1)
     R, N = max(_SCALAR_RADIUS, math.exp(lg / max(kmax - 1, 1))), _SCALAR_TERMS
     while N * math.log(R) + lg - math.lgamma(N + kmax + 1) > -54 * math.log(2):
@@ -47,16 +50,23 @@ def phi_scalar(kmax, z):
     flat[0] = np.exp(z)
     radius, terms, inv_fact = _scalar_series(kmax)
     small = np.abs(z) < radius
-    zs, acc = z[small], inv_fact[-1]
-    for j in range(kmax + terms - 2, kmax - 1, -1):
-        acc = acc * zs + inv_fact[j]
-    for k in range(kmax, 0, -1):
-        flat[k, small] = acc
-        acc = zs * acc + inv_fact[k - 1]
-    zb, acc = z[~small], flat[0, ~small]
-    for k in range(1, kmax + 1):
-        acc = (acc - inv_fact[k - 1]) / zb
-        flat[k, ~small] = acc
+    if kmax and small.any():
+        zs = z[small]
+        # z^(N-1) down to z^0 by one cumprod up the rows; phi_kmax sums the terms
+        # down the columns, smallest first: unlike a BLAS product's, no entry's
+        # rounding depends on its neighbours. Then the recurrence down to phi_1.
+        powers = np.empty((terms, zs.size), dtype=complex)
+        powers[:-1], powers[-1] = zs, 1.0
+        np.cumprod(powers[::-1], axis=0, out=powers[::-1])
+        rows = [(inv_fact[:kmax - 1:-1, None] * powers.view(float)).sum(axis=0).view(complex)]
+        for k in range(kmax - 1, 0, -1):
+            rows.append(zs * rows[-1] + inv_fact[k])
+        flat[kmax:0:-1, small] = rows
+    if kmax and not small.all():
+        zb, rows = z[~small], [flat[0, ~small]]
+        for k in range(1, kmax + 1):
+            rows.append((rows[-1] - inv_fact[k - 1]) / zb)
+        flat[1:, ~small] = rows[1:]
     return out
 
 

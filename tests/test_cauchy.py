@@ -6,7 +6,7 @@ import scipy.linalg
 
 import semilab as sl
 from semilab import cauchy
-from semilab.errors import EmptyProbeSet
+from semilab.errors import ConfigError, EmptyProbeSet
 
 from conftest import random_vector
 from test_acceptance import MU_GRID_25
@@ -494,6 +494,87 @@ class TestMixedWidths:
             for a, b in zip(se.exp_functionals(mu), sd.exp_functionals(mu)):
                 a, b = np.asarray(a), np.asarray(b)
                 assert np.linalg.norm(a - b) <= 1e-10 * np.linalg.norm(a), mu
+
+
+class TestEdgeScan:
+    """The eigen backend propagates panel edges by a prefix scan over each run
+    of equal widths; checked against a panel-by-panel loop written here. Both
+    take the solver's tables at nominal widths: a panel shares the table of
+    the first width within 1e-12 of its own (on lap256, tables at widths one
+    ulp apart move the values by up to 3.5e-13)."""
+
+    GRIDS = {"refined": sl.TimeGrid.uniform(1.0, panels=16).refined(7),
+             "mixed": TestMixedWidths.GRID}
+    MAKERS = {"lap256": lambda: sl.laplacian_1d(256),  # stiff
+              "growing": lambda: sl.diagonal_operator([5.0, -1.0])}
+
+    @staticmethod
+    def _sequential(solver, shift, F, v0, nodes):
+        """vals and integral of _propagate, one panel at a time."""
+        grid = solver.grid
+        q = grid.nodes_per_panel
+        step = q + 1 if nodes else 1
+        if F.ndim == 2:  # a real profile times the identity: one column of ones
+            F = F[..., None, None] * np.ones(v0.shape)
+        vals = np.empty((grid.panels * step + 1,) + v0.shape, dtype=complex)
+        vals[0], integral = v0, np.zeros(v0.shape, dtype=complex)
+        nominal = []
+        for i, h in enumerate(np.diff(grid.edges)):
+            h = next((g for g in nominal if abs(h - g) <= 1e-12 * g), h)
+            nominal.append(h)
+            P, W, H1, G = solver._panel_tables(shift, h, nodes)
+            start = vals[i * step]
+            for j in range(len(P)):
+                vals[i * step + 1 + j] = P[j] * start + sum(W[j, m] * F[i, m] for m in range(q))
+            integral += H1 * start + sum(G[m] * F[i, m] for m in range(q))
+        return vals, integral
+
+    @pytest.mark.parametrize("layout", ["profile", "samples"])
+    @pytest.mark.parametrize("nodes", [True, False])
+    @pytest.mark.parametrize("grid_name", sorted(GRIDS))
+    @pytest.mark.parametrize("name", sorted(MAKERS))
+    def test_matches_sequential(self, rng, name, grid_name, nodes, layout):
+        op, grid = self.MAKERS[name](), self.GRIDS[grid_name]
+        q = grid.nodes_per_panel
+        for shift in (0.0, 2.0 + 4.0j):
+            if layout == "profile":  # exp_functionals' layout
+                F, v0 = np.exp(-2.0 * grid.gl_times), np.zeros((op.dim, 1), dtype=complex)
+            else:  # solve's layout, with two columns
+                F = rng.standard_normal((grid.panels, q, op.dim, 2)) + 0j
+                v0 = rng.standard_normal((op.dim, 2)) + 1j * rng.standard_normal((op.dim, 2))
+            vals, integral = sl.CauchySolver(op, grid)._propagate(shift, F, v0, nodes)
+            ref_vals, ref_integral = self._sequential(sl.CauchySolver(op, grid), shift, F, v0,
+                                                      nodes)
+            for got, ref in ((vals, ref_vals), (integral, ref_integral)):
+                assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref)), shift
+
+
+class TestRefinedSolvers:
+    """A solver keeps one refined solver per split count, so their grids and
+    unshifted tables are built once."""
+
+    @pytest.mark.parametrize("name", ["lap64", "jordan8"])
+    def test_one_refined_solver_per_split(self, corpus, grid, rng, name):
+        op = corpus[name]
+        solver = sl.CauchySolver(op, grid)
+        refined = solver.refined_for(64.0)  # splits each panel in 7
+        assert solver.refined_for(60.0) is refined and refined.grid.panels == 7 * grid.panels
+        assert solver.refined_for(20.0) is not refined  # splits in 3
+        f, x = sl.ExpForcing(60.0, random_vector(rng, op.dim)), random_vector(rng, op.dim)
+        assert solver.solve(f, x).grid is refined.grid
+        fresh = sl.CauchySolver(op, grid.refined(7))
+        fresh.solve(f, x)
+        assert refined._tables.keys() == fresh._tables.keys() and len(fresh._tables) == 1
+        for key, tables in fresh._tables.items():
+            for a, b in zip(refined._tables[key], tables):
+                assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("rate", [np.inf, np.nan])
+    def test_split_not_finite(self, corpus, grid, rate):
+        solver = sl.CauchySolver(corpus["diag"], grid)
+        with pytest.raises(ConfigError):
+            solver.refined_for(rate)
+        assert solver._refined == {}
 
 
 class TestEigenMap:

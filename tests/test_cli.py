@@ -146,10 +146,11 @@ class TestExperiments:
 
     @pytest.mark.parametrize("experiment, matrix, builds",
                              [("weighted", "jordan lambda=-2 size=8", 3),
-                              ("theta-sweep", "diag -1,-2.5,-4,-7", 19)])
+                              ("theta-sweep", "diag -1,-2.5,-4,-7", 3)])
     def test_one_solver_per_run(self, tmp_path, monkeypatch, experiment, matrix, builds):
-        # every helper of a run solves through the run's one CauchySolver,
-        # so an unshifted panel table is built once per solver, not per helper
+        # every helper of a run solves through the run's one CauchySolver, and
+        # that keeps one refined solver per split count: an unshifted panel
+        # table is built once per width (h, h/2, h/4), not per helper or probe
         built = []
         tables = CauchySolver._panel_tables
 
@@ -343,6 +344,14 @@ class TestExitCodes:
                                    "--T", "1e-300")
         assert "rounds to 0" in err
         assert time.monotonic() - start < 10.0
+
+    @pytest.mark.parametrize("experiment", ["maxreg-estimate", "verdict"])
+    def test_degenerate_horizon_names_T(self, tmp_path, capsys, diag_file, experiment):
+        # the default probes underflow to 0 on [0, 1e-300]: the error blames the
+        # horizon, not a probe the user never wrote
+        err = self._one_line_error(tmp_path, capsys, experiment, "--operator", diag_file,
+                                   "--T", "1e-300")
+        assert "T = 1e-300" in err
 
     @pytest.mark.parametrize("experiment, target", [
         ("identity-check", "surjectivity_identity_check"),
