@@ -35,12 +35,6 @@ _NEUMANN_TOL, _NEUMANN_MAX_TERMS, _OMEGA2_TOL = 1e-12, 200, 1e-6
 # -- a-priori inequality -------------------------------------------------------------------
 
 
-def time_weights(grid, sigma):
-    """t^{1-sigma} over the grid nodes; sigma = 1 gives exactly 1 everywhere
-    (0^0 = 1), sigma < 1 assigns weight 0 to t = 0."""
-    return grid.nodes ** (1.0 - sigma)
-
-
 def maxreg_inequality_check(op, grid, mu, x, M_hat, sigma=1.0):
     """Both sides of the a-priori inequality (weighted when sigma < 1):
 
@@ -52,8 +46,7 @@ def maxreg_inequality_check(op, grid, mu, x, M_hat, sigma=1.0):
     """
     mu = complex(mu)
     x = op.check_vector(x)
-    w = time_weights(grid, sigma) * np.exp(mu.real * grid.nodes)
-    sup_w = float(np.max(w))
+    sup_w = grid.sup(np.exp(mu.real * grid.nodes), sigma)
     n0, n1 = op.norm0(x), op.norm1(x)
     lhs = sup_w * (n1 + abs(mu) * n0)
     rhs = M_hat * (sup_w * op.norm0(mu * x - op.matrix @ x) + n1)
@@ -161,8 +154,8 @@ def omega2_search(solver):
     v = lambda r: assemble_U_V(solver, complex(r)).V_norm
     if v(lo) < 0.5:
         return 0.0
-    if v(hi) >= 0.5:
-        raise SlowConvergence(f"||V_mu|| >= 1/2 even at Re mu = {hi}")
+    if not v(hi) < 0.5:  # also refuses a NaN norm
+        raise SlowConvergence(f"||V_mu|| < 1/2 fails even at Re mu = {hi}")
     while hi - lo > _OMEGA2_TOL:
         mid = 0.5 * (lo + hi)
         if v(mid) < 0.5:
@@ -190,25 +183,29 @@ def mu_box(re_lo, re_hi, n_re, im_lo, im_hi, n_im):
 
 
 def default_mu_grid(omega):
-    """mu_box from omega + 0.5 to 1e3 (5 points) by -1e2 to 1e2 (21 points)."""
-    return mu_box(omega + 0.5, 1e3, 5, -1e2, 1e2, 21)
-
-
-def _resolvent_norms(op, mus):
-    """||(mu - A)^{-1}|| at each mu, inf where mu - A is singular."""
-    norms = []
-    for mu in mus:
-        try:
-            norms.append(op.resolvent_norm(mu))
-        except SingularResolvent:
-            norms.append(math.inf)
-    return norms
+    """mu_box from omega + 0.5 to 1e3 (5 points) by -1e2 to 1e2 (21 points);
+    from omega + 0.5 >= 1e3 on, the real parts reach ten times omega + 0.5."""
+    re_lo = omega + 0.5
+    return mu_box(re_lo, 1e3 if re_lo < 1e3 else 10.0 * re_lo, 5, -1e2, 1e2, 21)
 
 
 @dataclass
 class HalfPlaneScan:
     scan: list                  # (mu, resolvent_norm) pairs
     bound_constant: float       # N with ||R(mu)|| <= N/(1+|mu|)
+
+
+def _scan(op, mus):
+    """||(mu - A)^{-1}|| at each mu, inf where mu - A is singular, and the
+    constant N = max (1 + |mu|) ||(mu - A)^{-1}||, inf over no points."""
+    scan = []
+    for mu in mus:
+        try:
+            scan.append((mu, op.resolvent_norm(mu)))
+        except SingularResolvent:
+            scan.append((mu, math.inf))
+    weighted = [(1.0 + abs(m)) * r for m, r in scan]
+    return HalfPlaneScan(scan=scan, bound_constant=float(max(weighted, default=math.inf)))
 
 
 def halfplane_scan(op, omega, mu_grid):
@@ -218,9 +215,7 @@ def halfplane_scan(op, omega, mu_grid):
     mu_grid = [complex(m) for m in mu_grid]
     if any(m.real <= omega for m in mu_grid):
         raise ConfigError("all scan points must satisfy Re mu > omega")
-    scan = list(zip(mu_grid, _resolvent_norms(op, mu_grid)))
-    weighted = [(1.0 + abs(m)) * r for m, r in scan]
-    return HalfPlaneScan(scan=scan, bound_constant=float(max(weighted, default=math.inf)))
+    return _scan(op, mu_grid)
 
 
 @dataclass
@@ -233,13 +228,12 @@ class RPlusVerdict:
 
 def rplus_verdict(op, scan_imag_axis=None):
     """Final verdict: s(A) < 0 and a finite uniform bound
-    (1 + |beta|) ||(i beta - A)^{-1}|| along the imaginary axis."""
+    (1 + |beta|) ||(i beta - A)^{-1}|| along the imaginary axis (inf if empty)."""
     if scan_imag_axis is None:
         pos = np.logspace(-2, 3, 41)
         scan_imag_axis = np.concatenate([-pos[::-1], [0.0], pos])
-    norms = _resolvent_norms(op, [1j * beta for beta in scan_imag_axis])
-    singular = [float(b) for b, r in zip(scan_imag_axis, norms) if math.isinf(r)]
-    bound = max(((1.0 + abs(b)) * r for b, r in zip(scan_imag_axis, norms)), default=0.0)
+    rep = _scan(op, [1j * beta for beta in scan_imag_axis])
+    singular = [float(b) for b, (_, r) in zip(scan_imag_axis, rep.scan) if math.isinf(r)]
     s_A = op.spectral_bound
-    return RPlusVerdict(s_A=float(s_A), uniform_bound=float(bound),
-                        passed=bool(s_A < 0 and math.isfinite(bound)), singular_betas=singular)
+    return RPlusVerdict(s_A=float(s_A), uniform_bound=rep.bound_constant, singular_betas=singular,
+                        passed=bool(s_A < 0 and math.isfinite(rep.bound_constant)))

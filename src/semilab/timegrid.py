@@ -1,5 +1,5 @@
-"""Time grids on J = [0,T] with panel-wise Gauss-Legendre nodes, and
-vector-valued grid functions with the sup-type E0(J)/E1(J) norms."""
+"""Time grids on J = [0,T] with panel-wise Gauss-Legendre nodes, grid functions,
+and the E0(J)/E1(J) norms; every supremum over J is one ``TimeGrid.sup``."""
 
 from __future__ import annotations
 
@@ -25,7 +25,7 @@ class TimeGrid:
 
     The node list is the sorted union of the panel edges (including 0 and T)
     and the per-panel quadrature nodes; sup norms over J are realized as the
-    max over this node list.
+    max over this node list (``sup``).
     """
 
     def __init__(self, edges, nodes_per_panel=8):
@@ -63,6 +63,12 @@ class TimeGrid:
         return (f"TimeGrid(T={self.T}, panels={self.panels}, "
                 f"nodes_per_panel={self.nodes_per_panel})")
 
+    def sup(self, rows, sigma=1.0):
+        """max over the nodes t of t^{1-sigma} rows(t). At sigma = 1 every weight
+        is exactly 1.0 (0^0 = 1), so the plain maximum keeps its bits; below 1
+        the node t = 0 gets weight 0."""
+        return float(np.max(self.nodes ** (1.0 - sigma) * rows))
+
     def refined(self, factor=2):
         """Same interval and node count per panel, each panel split in
         ceil(factor) equal parts."""
@@ -96,16 +102,16 @@ class GridFunction:
         self.derivative_values = derivative_values
 
 
-def e0_norm_J(op, f):
-    """sup over grid nodes of ||f(t)||_0."""
-    return float(np.max(op.norm0_rows(f.values)))
+def e0_norm_J(op, f, sigma=1.0):
+    """sup over grid nodes of t^{1-sigma} ||f(t)||_0."""
+    return f.grid.sup(op.norm0_rows(f.values), sigma)
 
 
-def e1_norm_J(op, u):
-    """sup over grid nodes of ||u'(t)||_0 + ||u(t)||_1 (graph norm)."""
+def e1_norm_J(op, u, sigma=1.0):
+    """sup over grid nodes of t^{1-sigma} (||u'(t)||_0 + ||u(t)||_1) (graph norm)."""
     if u.derivative_values is None:
         raise MissingDerivative("e1_norm_J needs derivative samples")
     n_du = op.norm0_rows(u.derivative_values)
     n_u = op.norm0_rows(u.values)
     n_Au = op.norm0_rows(u.values @ op.matrix.T)
-    return float(np.max(n_du + n_u + n_Au))
+    return u.grid.sup(n_du + n_u + n_Au, sigma)

@@ -1,10 +1,10 @@
-"""Weighted-in-time norms, trace-space upper bounds, and the diagonal
+"""Weighted-in-time checks, trace-space upper bounds, and the diagonal
 interpolation scale.
 
-The weight is t^{1-sigma} with sigma in (0, 1]; sigma = 1 reproduces the
-unweighted norms exactly (the weight array is identically 1, so every
-reduction is bit-for-bit). Every helper that solves takes a CauchySolver
-and reads the operator and grid from it.
+The weight is t^{1-sigma} with sigma in (0, 1]; every weighted supremum over J
+is one ``TimeGrid.sup``, which at sigma = 1 is the unweighted one, bit for bit.
+Every helper that solves takes a CauchySolver and reads the operator and grid
+from it.
 """
 
 from __future__ import annotations
@@ -16,14 +16,11 @@ import numpy as np
 from .cauchy import estimate_M
 from .errors import ConfigError, NotDiagonal
 from .forcing import ExpForcing, PolyForcing, ZeroForcing
-from .theorem import halfplane_scan, maxreg_inequality_check, mu_box, omega1, time_weights
-from .timegrid import GridFunction
+from .theorem import halfplane_scan, maxreg_inequality_check, mu_box, omega1
+from .timegrid import GridFunction, e0_norm_J, e1_norm_J
 
-
-def weighted_norm(op, u, sigma):
-    """sup over grid nodes t > 0 of t^{1-sigma} ||u(t)||_0; sigma = 1 gives
-    the plain sup norm over all nodes (weight 1 everywhere)."""
-    return float(np.max(time_weights(u.grid, sigma) * op.norm0_rows(u.values)))
+# sup_t t^{1-sigma} ||u(t)||_0 is the weighted E0(J) norm
+weighted_norm = e0_norm_J
 
 
 @dataclass
@@ -62,16 +59,14 @@ def weighted_maxreg_check(solver, sigma, mu, x, M_hat, c2_hat=None):
 def trace_norm_upper(solver, x, sigma=1.0):
     """Weighted E1(J)-norm of the orbit t -> e^{tA}x: an upper bound for
     the trace norm inf{||u||_{E1(J)} : u(0) = x}, since the orbit is one
-    admissible extension (the true infimum is not computed). The orbit u
-    and Au come from one zero-forcing solve on the grid, and the bound is
+    admissible extension (the true infimum is not computed). The orbit comes
+    from one zero-forcing solve on the grid, whose u' is Au, so the bound is
     sup_t t^{1-sigma} (2||Au(t)||_0 + ||u(t)||_0) over the nodes."""
     op = solver.op
     x = op.check_vector(x)
     if op.norm0(x) == 0:
         raise ConfigError("trace norm upper bound requires x != 0")
-    u = solver.solve(ZeroForcing(op.dim), x)
-    graph = 2.0 * op.norm0_rows(u.derivative_values) + op.norm0_rows(u.values)
-    return float(np.max(time_weights(u.grid, sigma) * graph))
+    return e1_norm_J(op, solver.solve(ZeroForcing(op.dim), x), sigma)
 
 
 def _scale_probe(probe, w):

@@ -144,6 +144,24 @@ class TestExperiments:
         assert report["omega2"] == report["omega"] == float("inf")
         assert (out / "vnorm_decay.csv").read_text() == "T,V_norm\n"
 
+    def test_verdict_with_nan_vnorms(self, tmp_path):
+        # s(A) = 1e308: every ||V_mu|| is NaN, so there is no omega2 either
+        f = tmp_path / "overflow.op"
+        f.write_text("matrix = diag 1e308,-1\n")
+        with np.errstate(over="ignore", invalid="ignore"):
+            code, report, out = run(tmp_path, "verdict", "--operator", str(f))
+        assert code == 2
+        assert report["omega2"] == report["omega"] == float("inf")
+        assert (out / "vnorm_decay.csv").read_text() == "T,V_norm\n"
+
+    def test_resolvent_scan_above_1e3(self, tmp_path):
+        # s(A) = 2000: the default grid starts above omega and still spans 5 x 21 points
+        f = tmp_path / "far.op"
+        f.write_text("matrix = diag 2000,-1\n")
+        code, report, out = run(tmp_path, "resolvent-scan", "--operator", str(f))
+        assert code == 0 and np.isfinite(report["N"])
+        assert len((out / "resolvent_scan.csv").read_text().splitlines()) == 1 + 105
+
     @pytest.mark.parametrize("experiment, matrix, builds",
                              [("weighted", "jordan lambda=-2 size=8", 3),
                               ("theta-sweep", "diag -1,-2.5,-4,-7", 3)])

@@ -7,7 +7,9 @@ from semilab.errors import (
     DegenerateReMu,
     NeumannDivergence,
     NonpositiveM,
+    SlowConvergence,
 )
+from semilab.theorem import mu_box
 
 from conftest import random_vector
 
@@ -199,6 +201,14 @@ class TestOmegas:
         solver = sl.CauchySolver(op, grid)
         assert sl.omega2_search(solver) == 0.0
 
+    def test_omega2_fails_closed_on_nan_norms(self, grid):
+        # e^{1e308 t} overflows: every ||V_mu|| is NaN, which is no bracket
+        solver = sl.CauchySolver(sl.diagonal_operator([1e308, -1.0]), grid)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert np.isnan(sl.assemble_U_V(solver, 64.0).V_norm)
+            with pytest.raises(SlowConvergence):
+                sl.omega2_search(solver)
+
 
 class TestAprioriInequality:
     def test_scalar_independent_evaluation(self, grid, scalar_minus_one):
@@ -235,6 +245,21 @@ class TestScansAndVerdict:
     def test_scan_requires_half_plane(self, diag_12):
         with pytest.raises(ConfigError):
             sl.halfplane_scan(diag_12, 1.0, [0.5 + 1.0j])
+
+    def test_default_grid_clears_omega(self):
+        # the 5 x 21 box is kept below omega + 0.5 = 1e3 and moves up from there on
+        for omega in (0.0, 3.25, 999.0):
+            assert sl.default_mu_grid(omega) == mu_box(omega + 0.5, 1e3, 5, -1e2, 1e2, 21)
+        for omega in (999.5, 2000.0 + 1e-9, 1e6):
+            mus = sl.default_mu_grid(omega)
+            assert len(mus) == 105
+            assert min(m.real for m in mus) == pytest.approx(omega + 0.5)
+            assert max(m.real for m in mus) == pytest.approx(10.0 * (omega + 0.5))
+            sl.halfplane_scan(sl.diagonal_operator([omega, -1.0]), omega, mus)
+
+    def test_empty_axis_fails_closed(self, diag_12):
+        verdict = sl.rplus_verdict(diag_12, scan_imag_axis=[])
+        assert verdict.uniform_bound == np.inf and not verdict.passed
 
     def test_scan_records_singular_points(self):
         op = sl.diagonal_operator([1.0])  # unstable: eigenvalue at +1

@@ -78,6 +78,18 @@ class TestFunctionNorms:
         assert sl.e0_norm_J(diag_12, g) == pytest.approx(
             5.0 * sl.e0_norm_J(diag_12, f), rel=1e-14)
 
+    @pytest.mark.parametrize("sigma", [1.0, 0.7, 0.5, 1e-3])
+    def test_sup_weights_nodes(self, grid, rng, sigma):
+        # t^{1-sigma} rows, t = 0 masked to weight 0 below sigma = 1; bit for bit
+        rows = rng.random(len(grid.nodes))
+        masked = np.ones_like(grid.nodes)
+        if sigma < 1.0:
+            masked[0] = 0.0
+            masked[1:] = grid.nodes[1:] ** (1.0 - sigma)
+        assert grid.sup(rows, sigma) == np.max(masked * rows)
+        if sigma == 1.0:
+            assert grid.sup(rows) == np.max(rows)
+
     def test_missing_derivative(self, grid, diag_12):
         u = sl.GridFunction(grid, np.ones((len(grid.nodes), 2)))
         with pytest.raises(MissingDerivative):

@@ -3,7 +3,6 @@ import pytest
 
 import semilab as sl
 from semilab.errors import ConfigError, NotDiagonal
-from semilab.theorem import time_weights
 from semilab.weighted import theta_sweep
 
 from conftest import random_vector
@@ -31,6 +30,44 @@ class TestWeightedNorm:
                               sl.GridFunction(grid, np.full(len(grid.nodes), 2.0)),
                               0.25)
         assert wn == pytest.approx(1.0 ** 0.75 * 2.0, rel=1e-12)
+
+
+def _masked_weights(nodes, sigma):
+    """t^{1-sigma}, with t = 0 masked to weight 0 below sigma = 1."""
+    masked = np.ones_like(nodes)
+    if sigma < 1.0:
+        pos = nodes > 0
+        masked[~pos] = 0.0
+        masked[pos] = nodes[pos] ** (1.0 - sigma)
+    return masked
+
+
+class TestWeightedE1Norm:
+    OPERATORS = {
+        "lap16": lambda e0: sl.laplacian_1d(16, e0_norm=e0),
+        "jordan8": lambda e0: sl.jordan_block(-2.0, 8, e0_norm=e0),
+        "normal16": lambda e0: sl.random_normal_operator(16, seed=7, e0_norm=e0),
+    }
+
+    @pytest.mark.parametrize("e0", ["euclidean", "sup"])
+    @pytest.mark.parametrize("name", sorted(OPERATORS))
+    def test_matches_per_node_loop(self, grid, rng, name, e0):
+        op = self.OPERATORS[name](e0)
+        solver = sl.CauchySolver(op, grid)
+        u = solver.solve(sl.ExpForcing(1.5 - 2.0j, random_vector(rng, op.dim)),
+                         random_vector(rng, op.dim))
+        for sigma in (0.5, 1e-3):
+            ref = 0.0
+            for k, wt in enumerate(_masked_weights(u.grid.nodes, sigma)):
+                graph = (op.norm0(u.derivative_values[k]) + op.norm0(u.values[k])
+                         + op.norm0(op.matrix @ u.values[k]))
+                ref = max(ref, wt * graph)
+            got = sl.e1_norm_J(op, u, sigma)
+            assert got == pytest.approx(ref, rel=1e-12, abs=0), (sigma, got, ref)
+            # the trace bound is the E1(J) norm of the zero-forcing orbit
+            x = random_vector(rng, op.dim)
+            orbit = solver.solve(sl.ZeroForcing(op.dim), x)
+            assert sl.trace_norm_upper(solver, x, sigma) == sl.e1_norm_J(op, orbit, sigma)
 
 
 class TestWeightedMaxreg:
@@ -101,15 +138,8 @@ class TestTraceNorm:
         x = random_vector(rng, op.dim)
         orbit = [op.semigroup_apply_oracle(t, x) for t in grid.nodes]
         for sigma in (1.0, 0.7, 0.5, 1e-3):
-            # t^{1-sigma} with t = 0 masked to weight 0 below sigma = 1
-            masked = np.ones_like(grid.nodes)
-            if sigma < 1.0:
-                pos = grid.nodes > 0
-                masked[~pos] = 0.0
-                masked[pos] = grid.nodes[pos] ** (1.0 - sigma)
-            assert np.array_equal(time_weights(grid, sigma), masked), sigma
             ref = 0.0
-            for u, wt in zip(orbit, time_weights(grid, sigma)):
+            for u, wt in zip(orbit, _masked_weights(grid.nodes, sigma)):
                 if wt > 0.0:
                     ref = max(ref, wt * (2.0 * op.norm0(op.matrix @ u) + op.norm0(u)))
             got = sl.trace_norm_upper(sl.CauchySolver(op, grid), x, sigma)

@@ -1,11 +1,11 @@
 """Digest the output of every CLI experiment on a fixed operator corpus.
 
-Runs the 8 experiments of ``semilab.cli`` with ``--seed 61`` on eight
-operator files (a diagonal n=4, lap64, jordan8 and a random normal
-operator of dim 16, each with the euclidean and with the sup E0 norm)
-and prints one line per (experiment, operator) pair:
-the exit code and the sha256 of every file the run wrote. Two runs, or
-runs on two commits, agree byte for byte exactly when their outputs
+Runs the 8 experiments of ``semilab.cli``, and ``weighted --sigma 0.5``
+besides, with ``--seed 61`` on eight operator files (a diagonal n=4, lap64,
+jordan8 and a random normal operator of dim 16, each with the euclidean and
+with the sup E0 norm): 72 runs. It prints one line per (run, operator)
+pair: the exit code and the sha256 of every file the run wrote. Two runs,
+or runs on two commits, agree byte for byte exactly when their outputs
 diff empty:
 
     python tools/cli_digests.py > a.txt
@@ -32,23 +32,25 @@ EUCLIDEAN = {
 }
 OPERATORS = {**EUCLIDEAN,
              **{f"{name}-sup": text + "e0_norm = sup\n" for name, text in EUCLIDEAN.items()}}
+# every experiment with its defaults, then the weighted path below sigma = 1
+RUNS = [[experiment] for experiment in EXPERIMENTS] + [["weighted", "--sigma", "0.5"]]
 
 
 def digests(root):
-    """One line per (experiment, operator) pair, run under the directory root."""
+    """One line per (run, operator) pair, run under the directory root."""
     lines = []
     for name, text in OPERATORS.items():
         path = os.path.join(root, f"{name}.op")
         with open(path, "w") as fh:
             fh.write(text)
-        for experiment in EXPERIMENTS:
-            out = os.path.join(root, f"{experiment}-{name}")
-            code = main([experiment, "--operator", path, "--seed", "61", "--out", out])
+        for run in RUNS:
+            out = os.path.join(root, f"{''.join(run)}-{name}")
+            code = main([*run, "--operator", path, "--seed", "61", "--out", out])
             files = []
             for fname in sorted(os.listdir(out)) if os.path.isdir(out) else []:
                 with open(os.path.join(out, fname), "rb") as fh:
                     files.append(f"{fname}={hashlib.sha256(fh.read()).hexdigest()}")
-            lines.append(" ".join([experiment, name, f"exit={code}", *files]))
+            lines.append(" ".join([*run, name, f"exit={code}", *files]))
     return lines
 
 
