@@ -15,14 +15,19 @@ right edge alone), the weights that map the q forcing samples to each output
 point, and the weights of the integral over the panel. The solver keeps the
 unshifted (s = 0) tables for all its solves; a shifted table serves one mu
 and is dropped with its call. The runs of panels on one nominal width are
-found once per solver, and the forcing terms of a run are one product. When
-A is normal the tables are (dim, 1) columns in the unitary eigenbasis Z of
-the operator's resolvent factor, from scalar phi functions, applied
-elementwise, and W and UT stay EigenMaps; for non-normal A they are dim x dim
-matrices, all output points at once by batched Taylor sums and modified
-squarings, applied by products. exp_functionals hands its forcing over as one
-scalar profile times the identity, so on either backend a run's terms are one
-BLAS product of the run's profile block with the table's weights, and no
+found once per solver. When A is normal the tables are (dim, 1) columns in
+the unitary eigenbasis Z of the operator's resolvent factor, from scalar phi
+functions, applied elementwise, and W and UT stay EigenMaps; for non-normal A
+they are dim x dim matrices, all output points at once by batched Taylor sums
+and modified squarings, applied by products.
+
+Every forcing is a scalar profile p(t) times a fixed block Y: f = p y for
+solve, with y mapped into eigen coordinates once, and p = e^{-2 Re mu t}
+times the identity for exp_functionals. The panel rule is exact for such a
+forcing with polynomial p (Hochbruck & Ostermann, Acta Numer. 19, 2010), so
+this one form loses nothing. The propagator multiplies each table's weights
+by Y once, so on either backend a run's forcing terms are one BLAS product
+of the run's (run, q) profile block with the (q, rest) weights, and no
 dim x dim forcing sample per node is formed.
 
 The panel edges of a run follow e_{i+1} = P e_i + b_i, with P the table's
@@ -153,11 +158,11 @@ class CauchySolver:
     def _panel_tables(self, shift, h, nodes):
         """(P, W, H1, G) for v' = Bv + f, B = A - shift, on a panel of width
         h, with r_j the q Gauss nodes of [0, 1] and then 1 if nodes, else 1
-        alone: P[j] = e^{h r_j B}, W[j, m] the weight of the m-th forcing sample
-        in v(h r_j), H1 = h phi_1(hB) and G[m] the weight of the m-th forcing
-        sample in the integral of v over the panel. Eigen backend: (dim, 1)
-        columns; dense backend: dim x dim matrices, W and G flattened to
-        (len(r) dim, q dim) and (dim, q dim). Unshifted tables are kept."""
+        alone: P[j] = e^{h r_j B}, W[m, j] the weight of the m-th forcing
+        sample in v(h r_j), H1 = h phi_1(hB) and G[m] the weight of the m-th
+        forcing sample in the integral of v over the panel. Eigen backend:
+        (dim, 1) columns; dense backend: dim x dim matrices. Unshifted tables
+        are kept."""
         key = (h, nodes)
         if shift == 0 and key in self._tables:
             return self._tables[key]
@@ -173,28 +178,26 @@ class CauchySolver:
         # the interpolant of the samples f_m is sum_p c_p sigma^p with
         # c_p = sum_m C[m, p] f_m, and int_0^{hr} e^{(hr-s)B} (s/h)^p ds
         # = h r^{p+1} p! phi_{p+1}(h r B)
-        W = h * np.einsum("mp,pj,pj...->jm...", coef, rpow, PHI[1:q + 1])
+        W = h * np.einsum("mp,pj,pj...->mj...", coef, rpow, PHI[1:q + 1])
         G = (h * h) * np.einsum("mp,p...->m...", coef, PHI[2:, -1])
-        if diag is None:
-            W = W.transpose(0, 2, 1, 3).reshape(len(rs) * self.dim, q * self.dim)
-            G = G.transpose(1, 0, 2).reshape(self.dim, q * self.dim)
         tab = (PHI[0], W, h * PHI[1, -1], G)
         if shift == 0:
             self._tables[key] = tab
         return tab
 
-    def _propagate(self, shift, F, v0, nodes):
+    def _propagate(self, shift, F, Y, v0, nodes):
         """Node values (panel edges only unless nodes) and integral over [0, T]
-        of v' = (A - shift) v + f, v(0) = v0, in backend coordinates. F holds
-        the forcing samples at the Gauss nodes, shape (panels, q, dim, cols),
-        or (panels, q) for a real profile times the identity (v0 dim x dim in
-        the dense backend, one (dim, 1) column in the eigen one): W and G are
-        then laid out as (q, rest), and a run's forcing terms are one product
-        with its (run, q) profile block, its integral one with the column sums."""
+        of v' = (A - shift) v + p(t) Y, v(0) = v0, in backend coordinates. F
+        holds the profile p at the Gauss nodes, shape (panels, q); Y has v0's
+        shape, or is None for the identity (v0 dim x dim in the dense backend,
+        one (dim, 1) column in the eigen one). Each table's W and G are
+        multiplied by Y once and laid out as (q, rest), so a run's forcing
+        terms are one product with its (run, q) profile block, its integral
+        one with the column sums."""
         grid = self.grid
-        step = grid.nodes_per_panel + 1 if nodes else 1
+        q = grid.nodes_per_panel
+        step = q + 1 if nodes else 1
         eigen = self.op.diagonalization is not None
-        scalar = F.ndim == 2
         vals = np.empty((grid.panels * step + 1,) + v0.shape, dtype=complex)
         vals[0] = v0
         integral = np.zeros(v0.shape, dtype=complex)
@@ -202,28 +205,17 @@ class CauchySolver:
         for k, stop, h in self._runs:
             if h not in tables:
                 P, W, H1, G = self._panel_tables(shift, h, nodes)
-                if scalar:
-                    q, d = grid.nodes_per_panel, self.dim
-                    if eigen:  # (len(r), q, dim, 1) and (q, dim, 1)
-                        W = W.transpose(1, 0, 2, 3)
-                    else:  # (len(r) dim, q dim) and (dim, q dim)
-                        W = W.reshape(-1, d, q, d).transpose(2, 0, 1, 3)
-                        G = G.reshape(d, q, d).transpose(1, 0, 2)
-                    W, G = W.reshape(q, -1), G.reshape(q, -1)
-                tables[h] = P, W, H1, G
+                if Y is not None:
+                    W, G = (W * Y, G * Y) if eigen else (W @ Y, G @ Y)
+                tables[h] = P, W.reshape(q, -1), H1, G.reshape(q, -1)
             P, W, H1, G = tables[h]
             # out and F[k:stop] are views: B_k goes straight into vals, F is not copied
             out = vals[k * step + 1:stop * step + 1].reshape((stop - k, step) + v0.shape)
-            if scalar:  # a real profile times complex weights, as real products
+            if F.dtype.kind == "f":  # a real profile times complex weights, as real products
                 np.matmul(F[k:stop], W.view(float), out=out.reshape(stop - k, -1).view(float))
-                integral += (F[k:stop].sum(axis=0) @ G).reshape(v0.shape)
-            elif eigen:
-                np.einsum("jm...,km...->kj...", W, F[k:stop], out=out)
-                integral += np.einsum("m...,km...->...", G, F[k:stop])
             else:
-                np.matmul(W, F[k:stop].reshape(stop - k, G.shape[1], -1),
-                          out=out.reshape(stop - k, len(W), -1))
-                integral += G @ F[k:stop].sum(axis=0).reshape(G.shape[1], -1)
+                np.matmul(F[k:stop], W, out=out.reshape(stop - k, -1))
+            integral += (F[k:stop].sum(axis=0) @ G).reshape(v0.shape)
             starts = vals[k * step:stop * step:step]
             if eigen:
                 # e_{i+1} = P e_i + b_i as a prefix scan: after the pass with
@@ -255,19 +247,20 @@ class CauchySolver:
         solver = self.refined_for(forcing.rate) if forcing.rate else self
         grid = solver.grid
         x0 = np.zeros(self.dim, dtype=complex) if x0 is None else np.asarray(x0, dtype=complex)
-        # one sample at every node; the Gauss-node rows follow each panel's left edge
-        S = forcing.sample(grid.nodes)
-        F = S[:-1].reshape(grid.panels, grid.nodes_per_panel + 1, self.dim)[:, 1:]
+        # the profile at every node; the Gauss-node entries follow each panel's left edge
+        p, y = forcing.profile(grid.nodes), forcing.y
+        F = p[:-1].reshape(grid.panels, grid.nodes_per_panel + 1)[:, 1:]
         diag = self.op.diagonalization
         Z = None if diag is None else diag[0]
         if Z is None:  # dense backend, or a diagonal A: no change of basis
-            v, _ = solver._propagate(0.0, F[..., None], x0[:, None], nodes=True)
+            v, _ = solver._propagate(0.0, F, y[:, None], x0[:, None], nodes=True)
             values = v[..., 0]
         else:
             ZH = Z.conj().T
-            v, _ = solver._propagate(0.0, (F @ ZH.T)[..., None], (ZH @ x0)[:, None], nodes=True)
+            v, _ = solver._propagate(0.0, F, (ZH @ y)[:, None], (ZH @ x0)[:, None], nodes=True)
             values = v[..., 0] @ Z.T
         values[0] = x0
+        S = p[:, None] * y
         u = GridFunction(grid, values, values @ self.op.matrix.T + S)
         u.forcing_values = S
         return u
@@ -291,7 +284,7 @@ class CauchySolver:
         # the response to profile(t) I is diagonal in eigen coordinates:
         # one column carries all of it
         v0 = np.zeros((self.dim, self.dim if diag is None else 1), dtype=complex)
-        v, w = solver._propagate(mu, profile, v0, nodes=False)
+        v, w = solver._propagate(mu, profile, None, v0, nodes=False)
         if diag is None:
             UT = eT * v[-1]
             return w, UT, self.op.operator_norm(UT)

@@ -1,8 +1,9 @@
 """Forcing terms f(t) for the inhomogeneous problem, and probe files.
 
-Every forcing is sampled through one vectorised primitive,
-``sample(ts) -> (len(ts), dim)``: the Cauchy solver calls it once per solve,
-for all nodes of its grid.
+Every forcing is separable, f(t) = p(t) y: a scalar profile p, which
+``profile(ts)`` evaluates on a 1-D array of times, times a fixed vector
+``y``. The Cauchy solver evaluates the profile once per solve, at all nodes
+of its grid, and maps ``y`` into its coordinates once.
 """
 
 from __future__ import annotations
@@ -18,52 +19,52 @@ _EXP_PROBES, _POLY_PROBES, _IC_PROBES = 6, 2, 4
 
 
 class Forcing:
-    """Base class. ``rate`` is a bound on the forcing's exponential/oscillation
-    rate, used to pick the panel resolution."""
+    """Base class for f(t) = profile(t) y with y a complex vector. ``rate``
+    is a bound on the profile's exponential/oscillation rate, used to pick
+    the panel resolution."""
 
     rate = 0.0
 
-    def sample(self, ts):
-        """Values f(t) for a 1-D array of times, as rows of a (len(ts), dim)
-        complex array."""
+    def __init__(self, y):
+        self.y = np.asarray(y, dtype=complex)
+
+    def profile(self, ts):
+        """p(t) for a 1-D array of times."""
         raise NotImplementedError
 
 
 class ZeroForcing(Forcing):
     def __init__(self, dim):
-        self.dim = dim
+        super().__init__(np.zeros(dim))
 
-    def sample(self, ts):
-        return np.zeros((len(ts), self.dim), dtype=complex)
+    def profile(self, ts):
+        return np.zeros(len(ts))
 
 
 class ExpForcing(Forcing):
     """f(t) = e^{-mu t} y (the proof's probe family f_mu)."""
 
     def __init__(self, mu, y):
+        super().__init__(y)
         self.mu = complex(mu)
-        self.y = np.asarray(y, dtype=complex)
-        self.dim = self.y.shape[0]
 
     @property
     def rate(self):
         return abs(self.mu)
 
-    def sample(self, ts):
-        return np.exp(-self.mu * np.asarray(ts))[:, None] * self.y[None, :]
+    def profile(self, ts):
+        return np.exp(-self.mu * np.asarray(ts))
 
 
 class PolyForcing(Forcing):
     """f(t) = (c_0 + c_1 t + ... ) y."""
 
     def __init__(self, coeffs, y):
+        super().__init__(y)
         self.coeffs = np.asarray(coeffs, dtype=complex)
-        self.y = np.asarray(y, dtype=complex)
-        self.dim = self.y.shape[0]
 
-    def sample(self, ts):
-        p = np.polynomial.polynomial.polyval(np.asarray(ts), self.coeffs)
-        return p[:, None] * self.y[None, :]
+    def profile(self, ts):
+        return np.polynomial.polynomial.polyval(np.asarray(ts), self.coeffs)
 
 
 # -- probe description files -------------------------------------------------
@@ -81,7 +82,7 @@ def parse_probe_line(line, dim):
         f = PolyForcing(args.vector("coeffs"), y)
     else:
         f = ZeroForcing(dim)
-    if kind != "ic" and f.y.shape[0] != dim:
+    if f.y.shape[0] != dim:
         raise ConfigError(f"probe vector length {f.y.shape[0]} != dim {dim}")
     if x.shape[0] != dim:
         raise ConfigError(f"initial value length {x.shape[0]} != dim {dim}")

@@ -211,10 +211,12 @@ def _scan(op, mus):
 def halfplane_scan(op, omega, mu_grid):
     """Resolvent norms over a grid in {Re mu > omega} and the constant
     N = max (1 + |mu|) ||(mu - A)^{-1}||. Singular grid points are recorded
-    with infinite norm and the scan continues."""
+    with infinite norm and the scan continues. A point whose real part is not
+    finite (an overflowed grid, a NaN omega) is refused like one at or left of
+    omega."""
     mu_grid = [complex(m) for m in mu_grid]
-    if any(m.real <= omega for m in mu_grid):
-        raise ConfigError("all scan points must satisfy Re mu > omega")
+    if not all(math.isfinite(m.real) and m.real > omega for m in mu_grid):
+        raise ConfigError("all scan points must satisfy omega < Re mu < inf")
     return _scan(op, mu_grid)
 
 

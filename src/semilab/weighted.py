@@ -9,13 +9,14 @@ from it.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
 
 from .cauchy import estimate_M
 from .errors import ConfigError, NotDiagonal
-from .forcing import ExpForcing, PolyForcing, ZeroForcing
+from .forcing import ExpForcing, ZeroForcing
 from .theorem import halfplane_scan, maxreg_inequality_check, mu_box, omega1
 from .timegrid import GridFunction, e0_norm_J, e1_norm_J
 
@@ -70,15 +71,11 @@ def trace_norm_upper(solver, x, sigma=1.0):
 
 
 def _scale_probe(probe, w):
+    """The probe (p(t) y, x) in the weighted coordinates: (p(t) w y, w x)."""
     f, x = probe
-    xs = w * np.asarray(x, dtype=complex)
-    if isinstance(f, ExpForcing):
-        return ExpForcing(f.mu, w * f.y), xs
-    if isinstance(f, PolyForcing):
-        return PolyForcing(f.coeffs, w * f.y), xs
-    if isinstance(f, ZeroForcing):
-        return f, xs
-    raise ConfigError("theta sweep supports separable probes only")
+    scaled = copy.copy(f)
+    scaled.y = w * f.y
+    return scaled, w * np.asarray(x, dtype=complex)
 
 
 @dataclass

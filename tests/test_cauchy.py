@@ -54,7 +54,7 @@ class TestSolveIVP:
             x = random_vector(rng, op.dim)
             u = sl.CauchySolver(op, grid).solve(f, x)
             res = op.norm0_rows(u.derivative_values - u.values @ op.matrix.T
-                                - f.sample(u.grid.nodes))
+                                - samples(f, u.grid.nodes))
             bound = 1e-9 * (1.0 + op.norm0(x) + 1.0)
             assert np.max(res) <= bound
 
@@ -79,28 +79,22 @@ class TestSolveIVP:
         assert op.norm0(u.values[-1] - exact) <= 1e-10
 
 
-class SumForcing(sl.Forcing):
-    """f + g for two forcings; the rate of the steeper one."""
-
-    rate = 1.5
-
-    def __init__(self, f, g):
-        self.f, self.g = f, g
-
-    def sample(self, ts):
-        return self.f.sample(ts) + self.g.sample(ts)
+def samples(f, ts):
+    """f(t) = profile(t) y at the times ts, as rows."""
+    return f.profile(ts)[:, None] * f.y
 
 
 class CountingForcing(sl.Forcing):
-    """A forcing that counts the calls to its sample."""
+    """A forcing that counts the calls to its profile."""
 
     def __init__(self, f):
+        super().__init__(f.y)
         self.f, self.calls = f, 0
         self.rate = f.rate
 
-    def sample(self, ts):
+    def profile(self, ts):
         self.calls += 1
-        return self.f.sample(ts)
+        return self.f.profile(ts)
 
 
 class TestForcingSamples:
@@ -112,7 +106,7 @@ class TestForcingSamples:
         ("jordan8", lambda dim, y: sl.ExpForcing(25.0, y), True),
     ], ids=["exp", "exp-split", "zero", "poly", "exp-split-dense"])
     def test_one_sample_per_solve(self, grid, corpus, rng, name, make_forcing, split):
-        # the forcing is sampled once, at the grid nodes, and those samples
+        # the profile is evaluated once, at the grid nodes, and those values
         # give both the Gauss-node data and the derivative
         op = corpus[name]
         f = make_forcing(op.dim, random_vector(rng, op.dim))
@@ -121,12 +115,12 @@ class TestForcingSamples:
         assert counted.calls == 1
         assert (u.grid.panels > grid.panels) == split
         assert np.array_equal(u.derivative_values,
-                              u.values @ op.matrix.T + f.sample(u.grid.nodes))
+                              u.values @ op.matrix.T + samples(f, u.grid.nodes))
 
     @pytest.mark.parametrize("name", ["diag", "lap16", "jordan8"])
     def test_one_sample_per_probe_in_estimate_M(self, grid, corpus, name):
         # ||f||_E0(J) is read from the samples solve took, so estimate_M
-        # samples each probe once and its estimate is unchanged
+        # evaluates each probe's profile once and its estimate is unchanged
         op = corpus[name]
         probes = sl.default_probes(op, seed=3)
         counted = [(CountingForcing(f), x) for f, x in probes]
@@ -137,7 +131,7 @@ class TestForcingSamples:
         assert (est.M_hat, est.c2_hat, est.ratios) == (ref.M_hat, ref.c2_hat, ref.ratios)
         for f, x in probes:
             u = solver.solve(f, x)
-            assert np.array_equal(u.forcing_values, f.sample(u.grid.nodes))
+            assert np.array_equal(u.forcing_values, samples(f, u.grid.nodes))
 
 
 class TestKA:
@@ -145,14 +139,19 @@ class TestKA:
         u = sl.CauchySolver(diag_12, grid).solve(sl.ZeroForcing(2))
         assert np.all(u.values == 0)
 
-    def test_linearity(self, grid, diag_12, rng):
-        y1, y2 = random_vector(rng, 2), random_vector(rng, 2)
-        f = sl.ExpForcing(1.5, y1)
-        g = sl.ExpForcing(0.5, y2)
-        solver = sl.CauchySolver(diag_12, grid)
-        uf, ug = solver.solve(f), solver.solve(g)
-        both = solver.solve(SumForcing(f, g))
-        assert np.allclose(both.values, uf.values + ug.values, atol=1e-10)
+    def test_linearity(self, grid, corpus, rng):
+        # the solution is linear in y under one shared profile, and in x0
+        for name in ("diag", "lap16", "jordan8"):
+            op = corpus[name]
+            y1, y2, x1, x2 = (random_vector(rng, op.dim) for _ in range(4))
+            solver = sl.CauchySolver(op, grid)
+            uf, ug = solver.solve(sl.ExpForcing(1.5, y1)), solver.solve(sl.ExpForcing(1.5, y2))
+            both = solver.solve(sl.ExpForcing(1.5, 2.0 * y1 - 3.0 * y2))
+            assert np.allclose(both.values, 2.0 * uf.values - 3.0 * ug.values, atol=1e-10), name
+            zero = sl.ZeroForcing(op.dim)
+            ux, uy = solver.solve(zero, x1), solver.solve(zero, x2)
+            both = solver.solve(zero, 2.0 * x1 - 3.0 * x2)
+            assert np.allclose(both.values, 2.0 * ux.values - 3.0 * uy.values, atol=1e-10), name
 
     def test_scalar_closed_form(self, grid, scalar_zero):
         # A = 0: K_A(e^{-mub t} x) = (1 - e^{-mub t}) x / mub
@@ -167,7 +166,7 @@ class TestKA:
         solver = sl.CauchySolver(diag_12, grid)
         u = solver.solve(f)
         ratio = sl.e1_norm_J(diag_12, u) / sl.e0_norm_J(
-            diag_12, sl.GridFunction(u.grid, f.sample(u.grid.nodes)))
+            diag_12, sl.GridFunction(u.grid, samples(f, u.grid.nodes)))
         est = sl.estimate_M(solver, [(f, np.zeros(2))])
         assert ratio > 0
         assert est.c2_hat == ratio
@@ -284,8 +283,8 @@ class TestEdgeFunctionals:
         # the same functionals from tables at every node, keeping the edges
         propagate = cauchy.CauchySolver._propagate
 
-        def node_path(self, shift, F, v0, nodes):
-            vals, integral = propagate(self, shift, F, v0, nodes=True)
+        def node_path(self, shift, F, Y, v0, nodes):
+            vals, integral = propagate(self, shift, F, Y, v0, nodes=True)
             return (vals if nodes else vals[::self.grid.nodes_per_panel + 1]), integral
 
         monkeypatch.setattr(cauchy.CauchySolver, "_propagate", node_path)
@@ -509,13 +508,13 @@ class TestEdgeScan:
               "growing": lambda: sl.diagonal_operator([5.0, -1.0])}
 
     @staticmethod
-    def _sequential(solver, shift, F, v0, nodes):
+    def _sequential(solver, shift, F, Y, v0, nodes):
         """vals and integral of _propagate, one panel at a time."""
         grid = solver.grid
         q = grid.nodes_per_panel
         step = q + 1 if nodes else 1
-        if F.ndim == 2:  # a real profile times the identity: one column of ones
-            F = F[..., None, None] * np.ones(v0.shape)
+        if Y is None:  # the identity: one column of ones
+            Y = np.ones(v0.shape)
         vals = np.empty((grid.panels * step + 1,) + v0.shape, dtype=complex)
         vals[0], integral = v0, np.zeros(v0.shape, dtype=complex)
         nominal = []
@@ -525,8 +524,9 @@ class TestEdgeScan:
             P, W, H1, G = solver._panel_tables(shift, h, nodes)
             start = vals[i * step]
             for j in range(len(P)):
-                vals[i * step + 1 + j] = P[j] * start + sum(W[j, m] * F[i, m] for m in range(q))
-            integral += H1 * start + sum(G[m] * F[i, m] for m in range(q))
+                vals[i * step + 1 + j] = P[j] * start + sum(W[m, j] * Y * F[i, m]
+                                                            for m in range(q))
+            integral += H1 * start + sum(G[m] * Y * F[i, m] for m in range(q))
         return vals, integral
 
     @pytest.mark.parametrize("layout", ["profile", "samples"])
@@ -537,13 +537,15 @@ class TestEdgeScan:
         op, grid = self.MAKERS[name](), self.GRIDS[grid_name]
         q = grid.nodes_per_panel
         for shift in (0.0, 2.0 + 4.0j):
-            if layout == "profile":  # exp_functionals' layout
-                F, v0 = np.exp(-2.0 * grid.gl_times), np.zeros((op.dim, 1), dtype=complex)
-            else:  # solve's layout, with two columns
-                F = rng.standard_normal((grid.panels, q, op.dim, 2)) + 0j
-                v0 = rng.standard_normal((op.dim, 2)) + 1j * rng.standard_normal((op.dim, 2))
-            vals, integral = sl.CauchySolver(op, grid)._propagate(shift, F, v0, nodes)
-            ref_vals, ref_integral = self._sequential(sl.CauchySolver(op, grid), shift, F, v0,
+            if layout == "profile":  # exp_functionals' layout: a real profile, Y = I
+                F, Y = np.exp(-2.0 * grid.gl_times), None
+                v0 = np.zeros((op.dim, 1), dtype=complex)
+            else:  # a complex profile times a block Y, with two columns
+                F = rng.standard_normal((grid.panels, q)) + 1j * rng.standard_normal((grid.panels, q))
+                Y, v0 = (rng.standard_normal((op.dim, 2)) + 1j * rng.standard_normal((op.dim, 2))
+                         for _ in range(2))
+            vals, integral = sl.CauchySolver(op, grid)._propagate(shift, F, Y, v0, nodes)
+            ref_vals, ref_integral = self._sequential(sl.CauchySolver(op, grid), shift, F, Y, v0,
                                                       nodes)
             for got, ref in ((vals, ref_vals), (integral, ref_integral)):
                 assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref)), shift

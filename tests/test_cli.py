@@ -162,6 +162,18 @@ class TestExperiments:
         assert code == 0 and np.isfinite(report["N"])
         assert len((out / "resolvent_scan.csv").read_text().splitlines()) == 1 + 105
 
+    def test_resolvent_scan_overflowed_grid(self, tmp_path, capsys):
+        # s(A) = 1e308: 10 (omega + 0.5) overflows, and the NaN real parts of
+        # the default grid are refused rather than scanned into N = NaN
+        f = tmp_path / "overflow.op"
+        f.write_text("matrix = diag 1e308,-1\n")
+        with np.errstate(over="ignore", invalid="ignore"):
+            code, report, out = run(tmp_path, "resolvent-scan", "--operator", str(f))
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if line.startswith("semilab: error:")]
+        assert code == 1 and report is None and len(errors) == 1
+        assert not (out / "resolvent_scan.csv").exists()
+
     @pytest.mark.parametrize("experiment, matrix, builds",
                              [("weighted", "jordan lambda=-2 size=8", 3),
                               ("theta-sweep", "diag -1,-2.5,-4,-7", 3)])

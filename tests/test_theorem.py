@@ -243,8 +243,10 @@ class TestScansAndVerdict:
             assert (1 + mu) * op.resolvent_norm(mu) == pytest.approx(1.0, rel=1e-4)
 
     def test_scan_requires_half_plane(self, diag_12):
-        with pytest.raises(ConfigError):
-            sl.halfplane_scan(diag_12, 1.0, [0.5 + 1.0j])
+        # a NaN real part compares false against omega, so it is refused on its own
+        for mus in ([0.5 + 1.0j], [2.0, complex(np.nan, 0.0)], [2.0, complex(np.inf, 1.0)]):
+            with pytest.raises(ConfigError):
+                sl.halfplane_scan(diag_12, 1.0, mus)
 
     def test_default_grid_clears_omega(self):
         # the 5 x 21 box is kept below omega + 0.5 = 1e3 and moves up from there on
