@@ -258,8 +258,9 @@ def main(argv=None):
         print(f"semilab: error: {exc}", file=sys.stderr)
         return 1
 
-    try:
-        report, ok = _RUNNERS[args.experiment](solver, args, args.out)
+    try:  # every non-finite value ends fail-closed, so numpy's warnings add nothing
+        with np.errstate(all="ignore"):
+            report, ok = _RUNNERS[args.experiment](solver, args, args.out)
     except (_UsageError, SemilabError) as exc:
         print(f"semilab: error: {exc}", file=sys.stderr)
         return 1

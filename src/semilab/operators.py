@@ -10,7 +10,7 @@ from __future__ import annotations
 import cmath
 import math
 import re
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.linalg
@@ -31,10 +31,8 @@ _NORMAL_BOUND, _NORMAL_SPREAD = -0.5, 8.0
 _OPERATOR_KEYS = ("dim", "e0_norm", "matrix", "row")
 _GENERATOR_KEYS = {"laplacian1d": ("n",), "diag": None, "jordan": ("lambda", "size"),
                    "random-normal": ("dim", "seed")}
-# from this dimension on, a euclidean resolvent norm of a non-normal operator
-# comes from Golub-Kahan-Lanczos on the Schur factor, below it from a dense
-# SVD: the measured crossover (README, "Resolvent backend") lies near n = 90
-_GKL_MIN_DIM = 92
+# non-normal euclidean norms: GKL on T from this dimension on, a dense SVD below (README)
+_GKL_MIN_DIM = 64
 # the Ritz value is read every _GKL_CHECK steps; it stops once it moves by <= _GKL_RTOL
 _GKL_CHECK, _GKL_RTOL = 4, 1e-10
 
@@ -160,24 +158,28 @@ class OperatorPair:
     def resolvent_factor(self):
         """(Z, T, normal) with A = Z T Z*, Z unitary: T is the 1-D eigenvalue
         vector if A is normal, else the upper-triangular complex Schur factor.
-        Z is None for structure=diagonal, where Z = I is never formed."""
-        A = self.matrix
-        if self.structure == "diagonal":
-            return None, np.diag(A).copy(), True
+        Z is None for structure=diagonal, where Z = I is never formed; Z and T are read-only."""
+        A, Z = self.matrix, None
         try:
-            if self.structure == "tridiagonal" and self.is_hermitian:
+            if self.structure == "diagonal":
+                T = np.diag(A).copy()
+            elif self.structure == "tridiagonal" and self.is_hermitian:
                 e = np.diag(A, 1)
                 lam, V = scipy.linalg.eigh_tridiagonal(np.real(np.diag(A)), np.abs(e))
                 # A = P V diag(lam) V^T P*, P = diag(p) carrying the phases of e
                 p = np.cumprod(np.divide(e.conj(), np.abs(e), out=np.ones_like(e), where=e != 0))
-                return np.concatenate([[1.0], p])[:, None] * V, lam.astype(complex), True
-            T, Z = scipy.linalg.schur(A, output="complex")
+                Z, T = np.concatenate([[1.0], p])[:, None] * V, lam.astype(complex)
+            else:
+                T, Z = scipy.linalg.schur(A, output="complex")
         except np.linalg.LinAlgError as exc:
             raise EigenFailure(str(exc)) from None
         # Weyl: dropping N = triu(T, 1) moves each singular value of mu - T by <= ||N||
-        if np.linalg.norm(np.triu(T, 1)) <= self.singular_tol:
-            return Z, np.diag(T).copy(), True
-        return Z, T, False
+        if T.ndim == 2 and np.linalg.norm(np.triu(T, 1)) <= self.singular_tol:
+            T = np.diag(T).copy()
+        for part in (Z, T):
+            if part is not None:
+                part.setflags(write=False)
+        return Z, T, T.ndim == 1
 
     @property
     def resolvent_backend(self):
@@ -190,8 +192,9 @@ class OperatorPair:
     def resolvent_sum(self, mus, weights, y):
         """sum_k weights[k] (mus[k] - A)^{-1} y for a vector y through the
         cached factor A = Z T Z*: one Z* y and one product with Z for all
-        shifts, and no mu - T is formed. SingularResolvent names the first
-        shift within singular_tol of the spectrum."""
+        shifts; a Schur factor takes one copy of mu - T per call, each shift
+        writing its diagonal and taking one ztrsv. SingularResolvent names
+        the first shift within singular_tol of the spectrum."""
         mus, weights = np.asarray(mus, dtype=complex), np.asarray(weights)
         y = self.check_vector(y)
         self._shift_distances(mus)
@@ -200,14 +203,10 @@ class OperatorPair:
         if normal:
             x = (w[:, None] / (mus - T[:, None])) @ weights
         else:
-            # back substitution for every shift at once: row i of (mu - T) X = w
-            # gives X[i] = (w_i + T[i, i+1:] X[i+1:]) / (mu - T_ii), a column per mu
-            T = np.ascontiguousarray(T)
-            D = mus - np.diag(T)[:, None]
-            X = np.empty((self.dim, len(mus)), dtype=complex)
-            for i in range(self.dim - 1, -1, -1):
-                X[i] = (w[i] + T[i, i + 1:] @ X[i + 1:]) / D[i]
-            x = X @ weights
+            M, t, x = _shifted_schur(0.0, T), np.diag(T), np.zeros(self.dim, dtype=complex)
+            for mu, weight in zip(mus, weights):
+                np.subtract(mu, t, out=np.einsum("ii->i", M))
+                x = zaxpy(ztrsv(M, w), x, a=weight)
         return x if Z is None else Z @ x
 
     def resolvent_norm(self, mu):
@@ -259,30 +258,32 @@ class OperatorPair:
 
 
 def _shifted_schur(mu, T):
-    """mu - T in Fortran order, the layout _inverse_norm's BLAS solves read without a copy."""
-    M = np.zeros_like(T, order="F")
-    M[np.diag_indices_from(M)] = mu
-    M -= T
+    """mu - T as a new Fortran-order array on a 64-byte cache line, the layout
+    ztrsv reads fastest: one pass over T, (0 - t) + mu rounding as mu - t."""
+    buf = np.empty(T.size + 4, dtype=complex)
+    k = (-buf.ctypes.data % 64) // 16
+    M = np.subtract(0.0, T, out=buf[k:k + T.size].reshape(T.shape, order="F"))
+    np.einsum("ii->i", M)[:] += mu
     return M
 
 
-def _finite_norm(x):
-    """dznrm2(x); a non-finite norm means (mu - T)^-1 overflows."""
-    norm = dznrm2(x)
-    if not math.isfinite(norm):
-        raise SingularResolvent("resolvent norm overflows")
-    return norm
+@lru_cache
+def _start_vector(n):
+    """_inverse_norm's fixed-seed unit start vector, drawn once per dimension, read-only."""
+    rng = np.random.default_rng(0)
+    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    v /= dznrm2(v)
+    v.setflags(write=False)
+    return v
 
 
-def _top_singular_value(e):
-    """Largest singular value of the bidiagonal with entries e = (alpha_1,
-    beta_1, alpha_2, ...): the top eigenvalue of the zero-diagonal tridiagonal
-    with off-diagonal e, read on e scaled by its largest entry so that no
-    square in the eigensolver overflows. LAPACK dstebz is called with the
-    arguments scipy's eigvalsh_tridiagonal(select="i", select_range=(m, m))
-    passes it, without the wrapper's checks, which cost more than the call."""
-    s, m = e.max(), len(e)
-    _, top, _, _, info = dstebz(np.zeros(m + 1), e / s, 2, 0.0, 1.0, m + 1, m + 1, 0.0, "E")
+def _top_singular_value(e, s, zeros):
+    """Largest singular value of the bidiagonal e = (alpha_1, beta_1, ...): s
+    times the top eigenvalue of the zero-diagonal tridiagonal with off-diagonal
+    e / s, s = max(e), so no square overflows (zeros: a zero array longer than
+    e), from LAPACK dstebz with the arguments eigvalsh_tridiagonal(select="i") passes."""
+    m = len(e)
+    _, top, _, _, info = dstebz(zeros[:m + 1], e / s, 2, 0.0, 1.0, m + 1, m + 1, 0.0, "E")
     if info:
         raise EigenFailure(f"dstebz failed with info={info}")
     return float(s * top[0])
@@ -290,42 +291,40 @@ def _top_singular_value(e):
 
 def _inverse_norm(M):
     """||M^-1||_2 for an upper-triangular M in Fortran order, or None if the
-    Ritz value has not settled within n steps. Golub-Kahan-Lanczos
-    bidiagonalization of M^-1 without reorthogonalization: a step is two
-    O(n^2) triangular solves and O(n) vector updates, and only the current
-    u and v are kept. Lost orthogonality only adds copies of converged Ritz
-    values; the largest still converges to working accuracy (Paige, Linear
-    Algebra Appl. 34, 1980). From a fixed start vector, so that equal inputs
-    give bit-equal norms. It works on M^-1 itself, not on (M* M)^-1, whose
-    norm squares and overflows from 1e154 on. A residual that is zero to
-    working precision ends it early: the Ritz value is then exact."""
+    Ritz value has not settled within n steps: Golub-Kahan-Lanczos on M^-1
+    without reorthogonalization, a step two ztrsv and O(n) BLAS updates, only
+    the current u and v kept (lost orthogonality only adds copies of converged
+    Ritz values: Paige, Linear Algebra Appl. 34, 1980). A fixed start vector
+    gives bit-equal norms; M^-1, not (M* M)^-1, keeps norms past 1e154 finite.
+    A residual zero against the largest entry top ends it: the value is exact."""
     n = M.shape[0]
-    e = np.zeros(2 * n)  # alpha_1, beta_1, alpha_2, beta_2, ...
-    rng = np.random.default_rng(0)
-    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    v /= dznrm2(v)
-    u = np.zeros(n, dtype=complex)
+    e, zeros = np.zeros(2 * n), np.zeros(2 * n + 1)  # e: alpha_1, beta_1, alpha_2, ...
+    v, u = _start_vector(n), np.zeros(n, dtype=complex)
     eps, top, sigma, beta = np.finfo(float).eps, 0.0, 0.0, 0.0
     for k in range(n):
-        u = zaxpy(u, ztrsv(M, v), a=-beta)  # M^-1 v - beta u
-        e[2 * k] = alpha = _finite_norm(u)
+        u = zaxpy(u, ztrsv(M, v), n, -beta)  # M^-1 v - beta u; f2py parses positions fastest
+        e[2 * k] = alpha = dznrm2(u)
+        if not alpha < math.inf:  # inf or NaN: (mu - T)^-1 overflows
+            raise SingularResolvent("resolvent norm overflows")
         top = max(top, alpha)
         if alpha <= eps * top:
             break
-        u = zdscal(1.0 / alpha, u, overwrite_x=1)
-        v = zaxpy(v, ztrsv(M, u, trans=2), a=-alpha)  # M^-* u - alpha v
-        e[2 * k + 1] = beta = _finite_norm(v)
+        u = zdscal(1.0 / alpha, u, n, 0, 1, 1)  # in place: n, offx, incx, overwrite_x
+        v = zaxpy(v, ztrsv(M, u, trans=2), n, -alpha)  # M^-* u - alpha v
+        e[2 * k + 1] = beta = dznrm2(v)
+        if not beta < math.inf:
+            raise SingularResolvent("resolvent norm overflows")
         top = max(top, beta)
         if beta <= eps * top:
             break
-        v = zdscal(1.0 / beta, v, overwrite_x=1)
+        v = zdscal(1.0 / beta, v, n, 0, 1, 1)
         if k % _GKL_CHECK == _GKL_CHECK - 1:
-            sigma, last = _top_singular_value(e[:2 * k + 2]), sigma
+            sigma, last = _top_singular_value(e[:2 * k + 2], top, zeros), sigma
             if sigma - last <= _GKL_RTOL * sigma:
                 return sigma
     else:
         return None
-    return _top_singular_value(e[:2 * k + 2])
+    return _top_singular_value(e[:2 * k + 2], top, zeros)
 
 
 # -- canned operator constructors ------------------------------------------

@@ -2,6 +2,7 @@ import json
 import math
 import re
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -153,6 +154,23 @@ class TestExperiments:
         assert code == 2
         assert report["omega2"] == report["omega"] == float("inf")
         assert (out / "vnorm_decay.csv").read_text() == "T,V_norm\n"
+
+    def test_overflow_prints_no_numpy_warnings(self, tmp_path, capsys):
+        # every non-finite value of these runs ends fail-closed (omega2 = inf,
+        # pass false, the scan guard), so numpy's RuntimeWarnings stay silent
+        runs = [("verdict", "diag 1e308,-1", 2), ("verdict", "diag 800,-1", 2),
+                ("resolvent-scan", "diag 1e308,-1", 1)]
+        for i, (experiment, matrix, expected) in enumerate(runs):
+            f = tmp_path / f"op{i}.op"
+            f.write_text(f"matrix = {matrix}\n")
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code = main([experiment, "--operator", str(f), "--out", str(tmp_path / f"o{i}")])
+            err = capsys.readouterr().err
+            assert code == expected
+            assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+            assert "RuntimeWarning" not in err
+        assert len(err.splitlines()) == 1  # resolvent-scan's one error line
 
     def test_resolvent_scan_above_1e3(self, tmp_path):
         # s(A) = 2000: the default grid starts above omega and still spans 5 x 21 points

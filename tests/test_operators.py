@@ -229,6 +229,39 @@ class TestResolventFactor:
                 assert op.resolvent_norm(mu) == pytest.approx(_svd_norm(op, mu), rel=1e-10)
         assert len(calls) == 1  # the dense Hermitian one; the Laplacian is tridiagonal
 
+    @pytest.mark.parametrize("make", [lambda: sl.diagonal_operator([-1.0, -2.0]),
+                                      lambda: sl.laplacian_1d(16),
+                                      lambda: sl.random_normal_operator(16, seed=3),
+                                      lambda: nonnormal_dense(128, seed=4)],
+                             ids=["diag", "lap16", "normal16", "nonnormal128"])
+    def test_factor_is_read_only(self, make):
+        op = make()
+        Z = op.resolvent_factor[0]
+        with pytest.raises(ValueError):
+            op.resolvent_factor[1][0] = 0.0
+        if Z is not None:
+            with pytest.raises(ValueError):
+                Z[0, 0] = 0.0
+
+    def test_kernels_leave_the_factor_unchanged(self, rng):
+        # a norm, a solve and a contour sum at one shift, bit-equal before
+        # and after the kernels ran at other shifts
+        op = nonnormal_dense(128, seed=4)
+        x = random_vector(rng, op.dim)
+        c = sl.build_contour(op, 0.1, node_count=32)
+
+        def at_one_shift():
+            return (op.resolvent_norm(MUS[2]), op.resolvent_solve(MUS[2], x),
+                    sl.semigroup_apply_contour(op, c, 0.1, x).value)
+        before = at_one_shift()
+        for mu in MUS + [1e3j, -1e3 - 1e3j]:
+            op.resolvent_norm(mu)
+            op.resolvent_solve(mu, x)
+        op.resolvent_sum(*sl.build_contour(op, 1.0, node_count=32).nodes_and_weights(), x)
+        after = at_one_shift()
+        assert before[0] == after[0]
+        assert all(np.array_equal(b, a) for b, a in zip(before[1:], after[1:]))
+
     def test_diagonal_diagonalization_forms_no_basis(self):
         op = sl.diagonal_operator(-np.arange(1.0, 257.0))
         assert all(np.ndim(part) < 2 for part in op.diagonalization)
@@ -308,13 +341,13 @@ class TestGKLNorm:
         assert calls == [1]
 
     def test_dense_path_raises_where_sigma_min_underflows(self):
-        # below the gate, sigma_min of mu - J underflows to 0 at distance 1e-5
-        # (||(mu - J)^-1|| ~ 1e400): SingularResolvent, as on the GKL path
-        op = sl.jordan_block(-1.0, 80)
+        # below the gate, sigma_min of mu - J underflows to 0 at distance 1e-6
+        # (||(mu - J)^-1|| ~ 1e336): SingularResolvent, as on the GKL path
+        op = sl.jordan_block(-1.0, 56)
         assert op.dim < _GKL_MIN_DIM and op.resolvent_backend == "schur"
         with pytest.raises(SingularResolvent):
-            op.resolvent_norm(-1.0 + 1e-5)
-        scan = sl.halfplane_scan(op, -1.0, [-1.0 + 1e-5, 1.0])
+            op.resolvent_norm(-1.0 + 1e-6)
+        scan = sl.halfplane_scan(op, -1.0, [-1.0 + 1e-6, 1.0])
         assert scan.scan[0][1] == np.inf and np.isfinite(scan.scan[1][1])
 
     def test_hard_operators_match_svd(self, monkeypatch):
@@ -374,15 +407,16 @@ class TestGKLNorm:
                 e = scale * rng.random(m)
                 ref = scipy.linalg.eigvalsh_tridiagonal(np.zeros(m + 1), e / e.max(),
                                                         select="i", select_range=(m, m))
-                assert operators._top_singular_value(e) == float(e.max() * ref[0]), (m, scale)
+                got = operators._top_singular_value(e, e.max(), np.zeros(m + 1))
+                assert got == float(e.max() * ref[0]), (m, scale)
 
     def test_norms_unchanged_under_the_wrapper(self, monkeypatch):
         op = nonnormal_dense(128, 4)
         mus = MUS + [1e3j, -1e3 - 1e3j, op.eigenvalues[0] + 1e-3]
         direct = [op.resolvent_norm(mu) for mu in mus]
 
-        def wrapper(e):
-            s, m = e.max(), len(e)
+        def wrapper(e, s, zeros):
+            m = len(e)
             return float(s * scipy.linalg.eigvalsh_tridiagonal(
                 np.zeros(m + 1), e / s, select="i", select_range=(m, m))[0])
         monkeypatch.setattr(operators, "_top_singular_value", wrapper)
@@ -410,6 +444,22 @@ class TestResolventSum:
                       for mk, wk in zip(mus, w))
             got = op.resolvent_sum(mus, w, x)
             assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    def test_one_ztrsv_per_shift(self, monkeypatch, rng):
+        op = nonnormal_dense(128, seed=4)
+        assert op.resolvent_backend == "schur"
+        solves = []
+        ztrsv = operators.ztrsv
+        monkeypatch.setattr(operators, "ztrsv",
+                            lambda M, x, trans=0: solves.append(trans) or ztrsv(M, x, trans=trans))
+        x = random_vector(rng, op.dim)
+        op.resolvent_solve(MUS[0], x)
+        assert solves == [0]
+        nodes, _ = sl.build_contour(op, 0.1, node_count=32).nodes_and_weights()
+        for mus in (MUS, nodes):
+            solves.clear()
+            op.resolvent_sum(mus, np.ones(len(mus)), x)
+            assert solves == [0] * len(mus)
 
     @pytest.mark.parametrize("make", [lambda: sl.diagonal_operator([-1.0, -2.0]),
                                       lambda: sl.jordan_block(-2.0, 8)], ids=["diag", "jordan8"])
