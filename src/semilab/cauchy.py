@@ -243,7 +243,8 @@ class CauchySolver:
         """GridFunction solution of u' - Au = f, u(0) = x0, with derivative
         samples filled from u' = Au + f. Steep forcing profiles trigger a
         panel split; the returned GridFunction carries the grid in use and,
-        as forcing_values, the samples of f at its nodes."""
+        as forcing_values and operator_values, the samples of f and of A u at
+        its nodes."""
         solver = self.refined_for(forcing.rate) if forcing.rate else self
         grid = solver.grid
         x0 = np.zeros(self.dim, dtype=complex) if x0 is None else np.asarray(x0, dtype=complex)
@@ -260,9 +261,9 @@ class CauchySolver:
             v, _ = solver._propagate(0.0, F, (ZH @ y)[:, None], (ZH @ x0)[:, None], nodes=True)
             values = v[..., 0] @ Z.T
         values[0] = x0
-        S = p[:, None] * y
-        u = GridFunction(grid, values, values @ self.op.matrix.T + S)
-        u.forcing_values = S
+        S, Au = p[:, None] * y, values @ self.op.matrix.T
+        u = GridFunction(grid, values, Au + S)
+        u.forcing_values, u.operator, u.operator_values = S, self.op, Au
         return u
 
     def exp_functionals(self, mu):

@@ -9,6 +9,7 @@ scientific check failed (still a valid result), 1 = usage or parse error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -221,7 +222,10 @@ _RUNNERS = {
 EXPERIMENTS = tuple(_RUNNERS)
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process: its error() raises, so a
+    run leaves no state in it."""
     p = _Parser(prog="semilab",
                 description="experiment runner for the semigroup laboratory")
     p.add_argument("experiment", choices=EXPERIMENTS)

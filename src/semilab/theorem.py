@@ -27,9 +27,12 @@ from .timegrid import TimeGrid
 
 # resolvent_from_solver sums the n = ceil(log NEUMANN_TOL / log ||V_mu||) Neumann
 # terms that bound the remainder by NEUMANN_TOL ||y|| and refuses a series that
-# needs more than NEUMANN_MAX_TERMS; omega2_search bisects on [OMEGA2_TOL, 64 / T]
-# down to a bracket of width OMEGA2_TOL
+# needs more than NEUMANN_MAX_TERMS; omega2_search returns the end of the bisection
+# of [OMEGA2_TOL, 64 / T] down to a bracket of width OMEGA2_TOL, which it replays
+# from a crossing located to CROSSING_TOL, evaluating only the midpoints within
+# REPLAY_MARGIN of it
 _NEUMANN_TOL, _NEUMANN_MAX_TERMS, _OMEGA2_TOL = 1e-12, 200, 1e-6
+_CROSSING_TOL, _CROSSING_MAX_STEPS, _REPLAY_MARGIN = 2.5e-10, 60, 1e-9
 
 
 # -- a-priori inequality -------------------------------------------------------------------
@@ -149,20 +152,84 @@ def resolvent_from_solver(solver, mu, y, sdata=None):
 
 def omega2_search(solver):
     """Sharp numerical threshold omega_2: smallest real part above which
-    ||V_mu|| < 1/2, found by bisection on real mu in [1e-6, 64 / T]."""
+    ||V_mu|| < 1/2, as the bisection on real mu in [1e-6, 64 / T] down to a
+    bracket of width 1e-6 gives it, bit for bit, from about 11 solver calls.
+
+    A bracketing secant first locates the crossing (_crossing). The bisection
+    is then replayed: a midpoint farther than 1e-9 from the crossing takes its
+    side from it, a nearer one is evaluated. Where the final bracket then
+    fails ||V_lo|| >= 1/2 > ||V_hi||, or the secant finds no crossing, the
+    bisection runs again and evaluates every midpoint. So the result is the
+    plain bisection's wherever ||V_mu|| crosses 1/2 once. The end checks, and
+    so their exceptions, are the bisection's; no point is evaluated twice."""
+    norms = {}
+
+    def v(r):
+        if r not in norms:
+            norms[r] = assemble_U_V(solver, complex(r)).V_norm
+        return norms[r]
+
     lo, hi = _OMEGA2_TOL, 64.0 / solver.T
-    v = lambda r: assemble_U_V(solver, complex(r)).V_norm
     if v(lo) < 0.5:
         return 0.0
     if not v(hi) < 0.5:  # also refuses a NaN norm
         raise SlowConvergence(f"||V_mu|| < 1/2 fails even at Re mu = {hi}")
+    crossing = _crossing(v, lo, hi)
+    if crossing is not None:
+        a, b = _bisect(v, lo, hi, crossing)
+        if v(a) >= 0.5 > v(b):
+            return b
+    return _bisect(v, lo, hi)[1]
+
+
+def _bisect(v, lo, hi, crossing=None):
+    """The bisection's final bracket: each midpoint is evaluated, or, given a
+    crossing farther than _REPLAY_MARGIN from it, takes its side from it."""
     while hi - lo > _OMEGA2_TOL:
         mid = 0.5 * (lo + hi)
-        if v(mid) < 0.5:
+        if crossing is None or abs(mid - crossing) <= _REPLAY_MARGIN:
+            below = v(mid) < 0.5
+        else:
+            below = mid > crossing
+        if below:
             hi = mid
         else:
             lo = mid
-    return hi
+    return lo, hi
+
+
+def _crossing(v, a, b):
+    """Centre of a bracket of width <= _CROSSING_TOL on which ||V_mu|| falls
+    below 1/2, given v(a) >= 1/2 > v(b): regula falsi on log(2 v), with an end
+    kept twice in a row scaled down as Anderson and Bjorck do (BIT 12, 1972;
+    Dekker 1969 and Brent 1973, ch. 4, for such bracketing secants). None where
+    v is 0, infinite or NaN, or after _CROSSING_MAX_STEPS steps."""
+
+    def g(r):
+        x = v(r)
+        return math.log(2.0 * x) if 0.0 < x < math.inf else None
+
+    half = 0.5 * _CROSSING_TOL
+    ga, gb, kept = g(a), g(b), 0  # kept: the end the last step kept, -1 for a
+    if ga is None or gb is None:
+        return None
+    for _ in range(_CROSSING_MAX_STEPS):
+        if b - a <= _CROSSING_TOL:
+            return 0.5 * (a + b)
+        # at least half the tolerance inside, so a converged end closes the bracket
+        c = min(max(b - gb * (b - a) / (gb - ga), a + half), b - half)
+        gc = g(c)
+        if gc is None:
+            return None
+        if gc < 0.0:
+            m = 1.0 - gc / gb
+            ga *= (m if m > 0.0 else 0.5) if kept < 0 else 1.0
+            b, gb, kept = c, gc, -1
+        else:
+            m = 1.0 - gc / ga if ga else 0.5
+            gb *= (m if m > 0.0 else 0.5) if kept > 0 else 1.0
+            a, ga, kept = c, gc, 1
+    return None
 
 
 def vnorm_decay(op, mu, T_values, panels=16):

@@ -82,7 +82,10 @@ class TimeGrid:
 
 class GridFunction:
     """A vector-valued function sampled on a TimeGrid, optionally with
-    derivative samples."""
+    derivative samples. A solve also hands back the samples of its forcing f
+    and, for the operator it ran on, of A u."""
+
+    forcing_values = operator = operator_values = None
 
     def __init__(self, grid, values, derivative_values=None):
         values = np.asarray(values, dtype=complex)
@@ -113,5 +116,5 @@ def e1_norm_J(op, u, sigma=1.0):
         raise MissingDerivative("e1_norm_J needs derivative samples")
     n_du = op.norm0_rows(u.derivative_values)
     n_u = op.norm0_rows(u.values)
-    n_Au = op.norm0_rows(u.values @ op.matrix.T)
+    n_Au = op.norm0_rows(u.operator_values if u.operator is op else u.values @ op.matrix.T)
     return u.grid.sup(n_du + n_u + n_Au, sigma)

@@ -7,6 +7,7 @@ import scipy.linalg
 import semilab as sl
 from semilab import cauchy
 from semilab.errors import ConfigError, EmptyProbeSet
+from semilab.operators import parse_operator_text
 
 from conftest import random_vector
 from test_acceptance import MU_GRID_25
@@ -132,6 +133,26 @@ class TestForcingSamples:
         for f, x in probes:
             u = solver.solve(f, x)
             assert np.array_equal(u.forcing_values, samples(f, u.grid.nodes))
+
+
+class TestOperatorValues:
+    @pytest.mark.parametrize("text", ["matrix = laplacian1d n=64\n",
+                                      "matrix = jordan lambda=-2 size=8\n",
+                                      "matrix = random-normal dim=16 seed=3\ne0_norm = sup\n"])
+    def test_e1_norm_reads_the_solve_product(self, grid, text):
+        # solve keeps the A u it forms for u'; e1_norm_J reads it for that
+        # operator only, and the bits equal a fresh product's
+        op = parse_operator_text(text)
+        other = sl.diagonal_operator(-1.0 - np.arange(op.dim))
+        solver = sl.CauchySolver(op, grid)
+        for f, x in sl.default_probes(op, seed=1):
+            u = solver.solve(f, x)
+            assert u.operator is op
+            assert np.array_equal(u.operator_values, u.values @ op.matrix.T)
+            fresh = sl.GridFunction(u.grid, u.values, u.derivative_values)
+            assert fresh.operator_values is None
+            assert sl.e1_norm_J(op, u) == sl.e1_norm_J(op, fresh)
+            assert sl.e1_norm_J(other, u) == sl.e1_norm_J(other, fresh)
 
 
 class TestKA:

@@ -443,6 +443,18 @@ def test_same_matrix_same_report(tmp_path, experiment, matrix):
     assert results[0] == results[1]
 
 
+def test_one_parser_serves_every_run(tmp_path, diag_file):
+    # a run, a usage error part-way through other flags, the first run again
+    assert cli.build_parser() is cli.build_parser()
+    codes = [main(["maxreg-estimate", "--operator", diag_file, "--out", str(tmp_path / "a")]),
+             main(["maxreg-estimate", "--operator", diag_file, "--seed", "5", "--panels", "8",
+                   "--T", "nope", "--out", str(tmp_path / "bad")]),
+             main(["maxreg-estimate", "--operator", diag_file, "--out", str(tmp_path / "b")])]
+    assert codes == [0, 1, 0]
+    assert (tmp_path / "a" / "report.json").read_bytes() == \
+        (tmp_path / "b" / "report.json").read_bytes()
+
+
 class TestDeterminism:
     @pytest.mark.parametrize("threads", ["1", "4"])
     def test_byte_identical_reports(self, tmp_path, diag_file, monkeypatch, threads):

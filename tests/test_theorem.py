@@ -1,14 +1,20 @@
+import math
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 import semilab as sl
+from semilab import theorem
 from semilab.errors import (
     ConfigError,
     DegenerateReMu,
     NeumannDivergence,
     NonpositiveM,
+    SemilabError,
     SlowConvergence,
 )
+from semilab.operators import parse_operator_text
 from semilab.theorem import mu_box
 
 from conftest import random_vector
@@ -208,6 +214,148 @@ class TestOmegas:
             assert np.isnan(sl.assemble_U_V(solver, 64.0).V_norm)
             with pytest.raises(SlowConvergence):
                 sl.omega2_search(solver)
+
+
+# the operator files of tools/cli_digests.py, jordan8 at two more eigenvalues, jordan32
+OMEGA2_OPERATORS = {
+    "diag4": "matrix = diag -1,-2.5,-4,-7\n",
+    "lap64": "matrix = laplacian1d n=64\n",
+    "jordan8": "matrix = jordan lambda=-2 size=8\n",
+    "normal16": "matrix = random-normal dim=16 seed=3\n",
+}
+OMEGA2_OPERATORS.update({f"{name}-sup": text + "e0_norm = sup\n"
+                         for name, text in OMEGA2_OPERATORS.items()})
+OMEGA2_OPERATORS.update({
+    "jordan8-lambda-1": "matrix = jordan lambda=-1 size=8\n",
+    "jordan8-lambda-0.5": "matrix = jordan lambda=-0.5 size=8\n",
+    "jordan32": "matrix = jordan lambda=-2 size=32\n",
+})
+
+
+def bisection(v, T):
+    """omega_2 as the plain bisection of [1e-6, 64 / T] down to width 1e-6
+    gives it, with v(r) the norm ||V_r||."""
+    lo, hi = 1e-6, 64.0 / T
+    if v(lo) < 0.5:
+        return 0.0
+    if not v(hi) < 0.5:
+        raise SlowConvergence(f"||V_mu|| < 1/2 fails even at Re mu = {hi}")
+    while hi - lo > 1e-6:
+        mid = 0.5 * (lo + hi)
+        if v(mid) < 0.5:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def outcome(search, *args):
+    """The value search returns, or the class of the SemilabError it raises."""
+    try:
+        return search(*args)
+    except SemilabError as exc:
+        return type(exc)
+
+
+def counting_assemble(monkeypatch, norm=None):
+    """Patch theorem.assemble_U_V to record every real part it is called at;
+    with norm given, ||V_r|| = norm(r) replaces the solver."""
+    rs, assemble = [], theorem.assemble_U_V
+
+    def counted(solver, mu):
+        rs.append(mu.real)
+        if norm is None:
+            return assemble(solver, mu)
+        return SimpleNamespace(V_norm=norm(mu.real))
+
+    monkeypatch.setattr(theorem, "assemble_U_V", counted)
+    return rs
+
+
+def crossing_at_one(r):
+    """||V_r|| = e^{1 - r} / 2: log(2 ||V_r||) is linear and crosses 0 at r = 1."""
+    return 0.5 * math.exp(1.0 - r)
+
+
+class TestOmega2Search:
+    @pytest.mark.parametrize("T", [1.0, 0.5])
+    @pytest.mark.parametrize("name", sorted(OMEGA2_OPERATORS))
+    def test_bit_equal_to_bisection(self, name, T):
+        solver = sl.CauchySolver(parse_operator_text(OMEGA2_OPERATORS[name]),
+                                 sl.TimeGrid.uniform(T, 16))
+        expected = bisection(lambda r: sl.assemble_U_V(solver, complex(r)).V_norm, T)
+        assert repr(sl.omega2_search(solver)) == repr(expected)
+
+    @pytest.mark.parametrize("T", [1.0, 0.5])
+    @pytest.mark.parametrize("name", sorted(OMEGA2_OPERATORS))
+    def test_solver_calls(self, monkeypatch, name, T):
+        # the bisection takes 28 calls at T = 1 (29 at T = 0.5) where omega2 > 0
+        solver = sl.CauchySolver(parse_operator_text(OMEGA2_OPERATORS[name]),
+                                 sl.TimeGrid.uniform(T, 16))
+        rs = counting_assemble(monkeypatch)
+        w2 = sl.omega2_search(solver)
+        assert len(rs) == 1 if w2 == 0.0 else len(rs) <= 13
+        assert len(set(rs)) == len(rs)
+
+    def test_norm_back_at_half_past_the_crossing(self, monkeypatch):
+        # the replay ends on a bracket whose hi is the bisection's answer for
+        # crossing_at_one; with ||V|| = 1/2 at that one point the norm crosses
+        # 1/2 twice more, the bisection moves on past it, and so must the search
+        solver = SimpleNamespace(T=1.0)
+        counting_assemble(monkeypatch, crossing_at_one)
+        replayed = sl.omega2_search(solver)
+        assert replayed == bisection(crossing_at_one, 1.0)
+
+        def norm(r):
+            return 0.5 if r == replayed else crossing_at_one(r)
+
+        rs = counting_assemble(monkeypatch, norm)
+        w2 = sl.omega2_search(solver)
+        assert w2 == bisection(norm, 1.0) != replayed
+        assert len(rs) > 26 and len(set(rs)) == len(rs)  # every midpoint evaluated
+
+    @pytest.mark.parametrize("offset", [-1e-10, -5e-11, 5e-11, 1e-10])
+    def test_midpoint_near_the_crossing_is_evaluated(self, monkeypatch, offset):
+        # a bisection midpoint m a little off the crossing: the located
+        # crossing may lie on either side of m, so the replay must evaluate m
+        solver = SimpleNamespace(T=1.0)
+        counting_assemble(monkeypatch, crossing_at_one)
+        m = sl.omega2_search(solver)
+
+        def norm(r):
+            return crossing_at_one(r - (m + offset - 1.0))
+
+        rs = counting_assemble(monkeypatch, norm)
+        assert sl.omega2_search(solver) == bisection(norm, 1.0)
+        assert m in rs and len(rs) <= 13
+
+    @pytest.mark.parametrize("case", ["zero past r = 3", "zero past a jump at r = 1",
+                                      "nan at the first secant point", "flat, then a cliff",
+                                      "nan at the top end"])
+    def test_fallback_gives_the_bisection(self, monkeypatch, case):
+        # a norm whose log is undefined where the secant meets it (0 or NaN),
+        # or one on which the secant stalls (a slope of 1e-8 up to a drop to
+        # 1e-300 at r = 1): every midpoint is evaluated, as in the bisection
+        solver = SimpleNamespace(T=1.0)
+        if case == "nan at the first secant point":
+            rs = counting_assemble(monkeypatch, crossing_at_one)
+            sl.omega2_search(solver)
+            first = rs[2]  # after the two end checks
+
+            def norm(r):
+                return math.nan if r == first else crossing_at_one(r)
+        else:
+            norm = {
+                "zero past r = 3": lambda r: crossing_at_one(r) if r < 3.0 else 0.0,
+                "zero past a jump at r = 1": lambda r: 0.75 if r < 1.0 else 0.0,
+                "flat, then a cliff": lambda r: (0.5 * math.exp(1e-8 * (1.0 - r)) if r < 1.0
+                                                 else 1e-300),
+                "nan at the top end": lambda r: crossing_at_one(r) if r < 64.0 else math.nan,
+            }[case]
+        rs = counting_assemble(monkeypatch, norm)
+        assert outcome(sl.omega2_search, solver) == outcome(bisection, norm, 1.0)
+        assert len(rs) == 2 if case == "nan at the top end" else len(rs) > 26
+        assert len(set(rs)) == len(rs)
 
 
 class TestAprioriInequality:

@@ -1,9 +1,9 @@
 """Digest the output of every CLI experiment on a fixed operator corpus.
 
-Runs the 8 experiments of ``semilab.cli``, and ``weighted --sigma 0.5``
-besides, with ``--seed 61`` on eight operator files (a diagonal n=4, lap64,
-jordan8 and a random normal operator of dim 16, each with the euclidean and
-with the sup E0 norm): 72 runs. It prints one line per (run, operator)
+Runs the 8 experiments of ``semilab.cli``, and ``weighted --sigma 0.5`` and
+``reconstruct --T 0.5`` besides, with ``--seed 61`` on eight operator files
+(a diagonal n=4, lap64, jordan8 and a random normal operator of dim 16, each
+with the euclidean and with the sup E0 norm): 80 runs. It prints one line per (run, operator)
 pair: the exit code and the sha256 of every file the run wrote. Two runs,
 or runs on two commits, agree byte for byte exactly when their outputs
 diff empty:
@@ -32,8 +32,10 @@ EUCLIDEAN = {
 }
 OPERATORS = {**EUCLIDEAN,
              **{f"{name}-sup": text + "e0_norm = sup\n" for name, text in EUCLIDEAN.items()}}
-# every experiment with its defaults, then the weighted path below sigma = 1
-RUNS = [[experiment] for experiment in EXPERIMENTS] + [["weighted", "--sigma", "0.5"]]
+# every experiment with its defaults, then the weighted path below sigma = 1 and
+# the omega2 search on a second bracket, [1e-6, 128]
+RUNS = [[experiment] for experiment in EXPERIMENTS] + [["weighted", "--sigma", "0.5"],
+                                                       ["reconstruct", "--T", "0.5"]]
 
 
 def digests(root):

@@ -1,9 +1,9 @@
 """List the statements of ``src/semilab`` that no CLI experiment or bench unit runs.
 
-Traces, with ``sys.settrace``, the 72 runs of ``tools/cli_digests.py``
-(8 experiments and ``weighted --sigma 0.5``, each on 8 operator files) and
-one batch of each workload of ``bench/workloads.py`` (seed 1, every unit's
-``run`` and ``check``), then prints ``path:line: source`` for every
+Traces, with ``sys.settrace``, the 80 runs of ``tools/cli_digests.py``
+(8 experiments, ``weighted --sigma 0.5`` and ``reconstruct --T 0.5``, each on
+8 operator files) and one batch of each workload of ``bench/workloads.py``
+(seed 1, every unit's ``run`` and ``check``), then prints ``path:line: source`` for every
 statement of ``src/semilab`` that never ran, in file order. The import of
 semilab itself is traced, so module-level statements count as run.
 ``bench/`` is only imported, with bytecode writing off, so the run leaves
