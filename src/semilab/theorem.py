@@ -29,8 +29,8 @@ from .timegrid import TimeGrid
 # terms that bound the remainder by NEUMANN_TOL ||y|| and refuses a series that
 # needs more than NEUMANN_MAX_TERMS; omega2_search returns the end of the bisection
 # of [OMEGA2_TOL, 64 / T] down to a bracket of width OMEGA2_TOL, which it replays
-# from a crossing located to CROSSING_TOL, evaluating only the midpoints within
-# REPLAY_MARGIN of it
+# from a crossing located to CROSSING_TOL in at most CROSSING_MAX_STEPS secant
+# steps, evaluating only the midpoints within REPLAY_MARGIN of it
 _NEUMANN_TOL, _NEUMANN_MAX_TERMS, _OMEGA2_TOL = 1e-12, 200, 1e-6
 _CROSSING_TOL, _CROSSING_MAX_STEPS, _REPLAY_MARGIN = 2.5e-10, 60, 1e-9
 
