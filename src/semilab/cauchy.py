@@ -19,7 +19,10 @@ found once per solver. When A is normal the tables are (dim, 1) columns in
 the unitary eigenbasis Z of the operator's resolvent factor, from scalar phi
 functions, applied elementwise, and W and UT stay EigenMaps; for non-normal A
 they are dim x dim matrices, all output points at once by batched Taylor sums
-and modified squarings, applied by products.
+and modified squarings, applied by products. On either backend a table's
+weights are BLAS products on the float view of its phi rows: one batched
+product with the (q x q) coefficient matrix, its powers of r folded in per
+output point, makes W, and one product makes G.
 
 Every forcing is a scalar profile p(t) times a fixed block Y: f = p y for
 solve, with y mapped into eigen coordinates once, and p = e^{-2 Re mu t}
@@ -161,8 +164,10 @@ class CauchySolver:
         alone: P[j] = e^{h r_j B}, W[m, j] the weight of the m-th forcing
         sample in v(h r_j), H1 = h phi_1(hB) and G[m] the weight of the m-th
         forcing sample in the integral of v over the panel. Eigen backend:
-        (dim, 1) columns; dense backend: dim x dim matrices. Unshifted tables
-        are kept."""
+        (dim, 1) columns; dense backend: dim x dim matrices. W and G are real
+        products of (q x q) coefficients with the float view of the phi rows;
+        W is written into place, so no table-sized temporary is made. Unshifted
+        tables are kept."""
         key = (h, nodes)
         if shift == 0 and key in self._tables:
             return self._tables[key]
@@ -177,9 +182,14 @@ class CauchySolver:
             PHI = phi_matrices(np.multiply.outer(h * rs, B), q + 1)
         # the interpolant of the samples f_m is sum_p c_p sigma^p with
         # c_p = sum_m C[m, p] f_m, and int_0^{hr} e^{(hr-s)B} (s/h)^p ds
-        # = h r^{p+1} p! phi_{p+1}(h r B)
-        W = h * np.einsum("mp,pj,pj...->mj...", coef, rpow, PHI[1:q + 1])
-        G = (h * h) * np.einsum("mp,p...->m...", coef, PHI[2:, -1])
+        # = h r^{p+1} p! phi_{p+1}(h r B): per output point j, W[:, j] is the
+        # real (q, q) matrix h coef[m, p] rpow[p, j] times the phi rows, all
+        # points in one batched product on the float view
+        R = PHI.view(float).reshape(q + 2, len(rs), -1)
+        W = np.empty((q,) + PHI.shape[1:], dtype=complex)
+        np.matmul(h * coef * rpow.T[:, None, :], R[1:q + 1].swapaxes(0, 1),
+                  out=W.view(float).reshape(q, len(rs), -1).swapaxes(0, 1))
+        G = ((h * h) * coef @ R[2:, -1]).view(complex).reshape((q,) + PHI.shape[2:])
         tab = (PHI[0], W, h * PHI[1, -1], G)
         if shift == 0:
             self._tables[key] = tab

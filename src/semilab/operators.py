@@ -79,10 +79,14 @@ class OperatorPair:
         """E0 norm (euclidean or sup) along the last axis of X: one norm per
         row of a (n, dim) array, a 0-d array for a vector. Every E0 norm in
         the laboratory goes through here, so equal vectors get bit-equal
-        norms whichever routine asks."""
+        norms whichever routine asks. The euclidean norm is the sqrt of one
+        einsum sum of squares over the float view, unscaled: inf where the
+        squares overflow and 0 where they all underflow, as numpy's norm."""
         X = np.asarray(X)
         if self.e0_norm == "euclidean":
-            return np.linalg.norm(X, axis=-1)
+            X = (np.ascontiguousarray(X, dtype=complex).view(float) if X.dtype.kind == "c"
+                 else np.asarray(X, dtype=float))
+            return np.sqrt(np.einsum("...i,...i->...", X, X))
         return np.max(np.abs(X), axis=-1, initial=0.0)
 
     def norm0(self, x):

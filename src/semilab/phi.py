@@ -5,8 +5,12 @@ phi_k(z) = int_0^1 e^{z(1-s)} s^{k-1}/(k-1)! ds. These make quadrature of
 int_0^t e^{(t-s)A} p(s) ds exact in A for polynomial p, which is what keeps
 stiff spectral components accurate. Scalars sum phi_kmax against one table of
 powers of z and recur down to phi_1, or up from e^z where |z| is large.
-Matrices take batched Taylor sums and the modified squaring of Skaflestad &
-Wright, Appl. Numer. Math. 59 (2009).
+Matrices, in stacks, take the Taylor and squaring form of Higham, SIAM J.
+Matrix Anal. Appl. 26 (2005), with the modified squaring of Skaflestad &
+Wright, Appl. Numer. Math. 59 (2009), all on BLAS: the powers by doubling
+into one array, and every sum over orders or powers (the Taylor sums, the
+squaring's 1/(k-j)! terms) as one real product on a complex stack's float
+view.
 """
 
 from __future__ import annotations
@@ -72,20 +76,33 @@ def phi_scalar(kmax, z):
 
 def phi_matrices(B, kmax):
     """phi_0..phi_kmax of a stack B of shape (..., d, d), shape (kmax+1, ..., d, d):
-    X = B / 2^s summed from its powers, then s modified squarings
+    X = B / 2^s, its powers X^0..X^24 by doubling (X^(n+1..n+m) = X^(1..m) X^n,
+    5 stacked products), phi_k(X) = sum_n X^n/(n+k)! as one real product of the
+    inverse factorials with those powers, then s modified squarings
     phi_k(2X) = 2^-k [e^X phi_k(X) + sum_{j=1..k} phi_j(X)/(k-j)!]."""
     B = np.asarray(B, dtype=complex)
     X = B.reshape((-1,) + B.shape[-2:])
     s = np.maximum(np.frexp(np.abs(X).sum(axis=-1).max(axis=-1) / _THETA)[1], 0)
-    powers = [np.broadcast_to(np.eye(B.shape[-1]), X.shape), X * np.ldexp(1.0, -s)[:, None, None]]
-    for _ in range(_TAYLOR_DEGREE - 1):
-        powers.append(powers[-1] @ powers[1])
+    powers = np.empty((_TAYLOR_DEGREE + 1,) + X.shape, dtype=complex)
+    powers[0] = np.eye(B.shape[-1])
+    np.multiply(X, np.ldexp(1.0, -s)[:, None, None], out=powers[1])
+    n = 1
+    while n < _TAYLOR_DEGREE:
+        m = min(n, _TAYLOR_DEGREE - n)
+        np.matmul(powers[1:m + 1], powers[n], out=powers[n + 1:n + m + 1])
+        n += m
     k = np.arange(kmax + 1)
     inv_fact = np.array([1 / math.factorial(i) for i in range(kmax + _TAYLOR_DEGREE + 1)])
-    PHI = np.tensordot(inv_fact[np.add.outer(k, np.arange(_TAYLOR_DEGREE + 1))], powers, axes=1)
+    PHI = _real_product(inv_fact[np.add.outer(k, np.arange(_TAYLOR_DEGREE + 1))], powers)
     L = np.tril(inv_fact[np.abs(np.subtract.outer(k, k))]) * (k > 0)  # 1/(k-j)!, 1 <= j <= k
     halve = np.ldexp(1.0, -k)[:, None, None, None]
     for i in range(s.max(initial=0)):
-        Y = PHI[:, s > i]
-        PHI[:, s > i] = halve * (Y[0] @ Y + np.tensordot(L, Y, axes=1))
+        Y = np.compress(s > i, PHI, axis=1)  # C-ordered, unlike PHI[:, s > i]
+        PHI[:, s > i] = halve * (Y[0] @ Y + _real_product(L, Y))
     return PHI.reshape((kmax + 1,) + B.shape)
+
+
+def _real_product(M, Y):
+    """sum_n M[k, n] Y[n] for a real matrix M and a complex stack Y, as one
+    real BLAS product on Y's float view."""
+    return (M @ Y.reshape(len(Y), -1).view(float)).view(complex).reshape((len(M),) + Y.shape[1:])

@@ -9,7 +9,7 @@ from semilab import cauchy
 from semilab.errors import ConfigError, EmptyProbeSet
 from semilab.operators import parse_operator_text
 
-from conftest import random_vector
+from conftest import nonnormal_dense, random_vector
 from test_acceptance import MU_GRID_25
 
 
@@ -485,6 +485,63 @@ class TestPanelTables:
         assert solver._tables == {}
         solver.solve(sl.ZeroForcing(solver.dim))
         assert list(solver._tables) == [(grid.edges[1] - grid.edges[0], True)]
+
+
+class TestPanelTableProducts:
+    """W and G are batched real products of the coefficient matrix, with the
+    powers r^(p+1) folded in per output point, and the phi rows; checked
+    against the einsum form of the same panel rule on the same phi rows.
+
+    The rule sums q terms whose magnitudes reach 3.5e4 max|W| (coef holds
+    entries up to 1.4e7), so any two summation orders differ by up to about
+    3e-12 max|W|, and each is as far from a long-double sum. The check is
+    the forward error bound of the two sums: entrywise, the difference is at
+    most 2 (q + 2) eps times the sum of the terms' magnitudes."""
+
+    MAKERS = {
+        "diag": lambda: sl.diagonal_operator([-1.0, -2.0]),
+        "lap64": lambda: sl.laplacian_1d(64),
+        "jordan8": lambda: sl.jordan_block(-2.0, 8),
+        "nonnormal12": lambda: nonnormal_dense(12, seed=5),
+    }
+
+    @staticmethod
+    def reference(solver, shift, h, nodes):
+        """(P, W, H1, G) by einsum, and the magnitude sums of W's and G's terms."""
+        q = solver.grid.nodes_per_panel
+        rs, coef, rpow = cauchy._panel_weights(q, nodes)
+        diag = solver.op.diagonalization
+        if diag is not None:
+            PHI = cauchy.phi_scalar(q + 1, np.multiply.outer(h * rs, diag[1] - shift))[..., None]
+        else:
+            B = solver.op.matrix - shift * np.eye(solver.dim)
+            PHI = cauchy.phi_matrices(np.multiply.outer(h * rs, B), q + 1)
+        W = h * np.einsum("mp,pj,pj...->mj...", coef, rpow, PHI[1:q + 1])
+        G = (h * h) * np.einsum("mp,p...->m...", coef, PHI[2:, -1])
+        W_terms = h * np.einsum("mp,pj,pj...->mj...", np.abs(coef), rpow, np.abs(PHI[1:q + 1]))
+        G_terms = (h * h) * np.einsum("mp,p...->m...", np.abs(coef), np.abs(PHI[2:, -1]))
+        return (PHI[0], W, h * PHI[1, -1], G), (W_terms, G_terms)
+
+    @pytest.mark.parametrize("refined", [False, True], ids=["base", "refined"])
+    @pytest.mark.parametrize("shift", [0.0, 3.0 - 2.0j], ids=["0", "3-2i"])
+    @pytest.mark.parametrize("nodes", [True, False])
+    @pytest.mark.parametrize("name", sorted(MAKERS))
+    def test_matches_einsum(self, grid, name, nodes, shift, refined):
+        op = self.MAKERS[name]()
+        assert (op.diagonalization is None) == (name in ("jordan8", "nonnormal12"))
+        solver = sl.CauchySolver(op, grid)
+        if refined:
+            solver = solver.refined_for(64.0)
+        h = solver._runs[0][2]
+        assert h == (grid.T / grid.panels / 7 if refined else grid.T / grid.panels)
+        P, W, H1, G = solver._panel_tables(shift, h, nodes)
+        (P0, W0, H10, G0), (W_terms, G_terms) = self.reference(solver, shift, h, nodes)
+        assert np.array_equal(P, P0) and np.array_equal(H1, H10)
+        assert W.shape == W0.shape and G.shape == G0.shape
+        bound = 2 * (grid.nodes_per_panel + 2) * np.finfo(float).eps
+        assert np.all(np.abs(W - W0) <= bound * W_terms)
+        assert np.all(np.abs(G - G0) <= bound * G_terms)
+        assert np.max(np.abs(W - W0)) <= 1e-11 * np.max(np.abs(W0))
 
 
 class TestMixedWidths:

@@ -47,6 +47,47 @@ class TestNorms:
             with pytest.raises(DimensionMismatch):
                 f(3.0, np.ones((2, 2)))
 
+    @pytest.mark.parametrize("dim, ulps", [(1, 4), (3, 4), (16, 4), (64, 4), (256, 8), (512, 8)])
+    def test_euclidean_rows_match_numpy(self, dim, ulps):
+        # one sum of squares over the float view against numpy's pairwise
+        # one: the lanes of the first sum its squares in sequence, so the
+        # two part by a few ulp that grow with the row length
+        op = sl.OperatorPair(np.eye(dim))
+        rng = np.random.default_rng(dim)
+        for scale in (1e-150, 1e-100, 1e-20, 1.0, 1e20, 1e100, 1e150):
+            X = scale * (rng.standard_normal((50, dim)) + 1j * rng.standard_normal((50, dim)))
+            ref = np.linalg.norm(X, axis=-1)
+            assert np.all(np.abs(op.norm0_rows(X) - ref) <= ulps * np.spacing(ref)), scale
+
+    @pytest.mark.parametrize("dim", [2, 37, 64])
+    def test_equal_rows_get_bit_equal_norms(self, dim):
+        op = sl.OperatorPair(np.eye(dim))
+        rng = np.random.default_rng(dim)
+        stack = rng.standard_normal((4, 9, dim)) + 1j * rng.standard_normal((4, 9, dim))
+        norms = op.norm0_rows(stack)
+        assert norms.shape == (4, 9)
+        for a in range(4):
+            block = op.norm0_rows(stack[a])
+            assert np.array_equal(block, norms[a])
+            for b in range(9):
+                assert op.norm0_rows(stack[a, b]) == norms[a, b] == op.norm0(stack[a, b])
+
+    def test_euclidean_rows_where_squares_overflow_or_underflow(self):
+        op = sl.OperatorPair(np.eye(2))
+        X = np.array([[1e200, 1j], [1e-200, 1e-200j], [1e154, 1e154j], [3.0, 4.0j]])
+        with np.errstate(over="ignore"):
+            ref = np.linalg.norm(X, axis=-1)
+            assert np.array_equal(op.norm0_rows(X), ref)
+        assert np.array_equal(ref, [np.inf, 0.0, np.inf, 5.0])
+
+    def test_euclidean_rows_of_real_input(self):
+        op = sl.OperatorPair(np.eye(2))
+        assert np.array_equal(op.norm0_rows(np.array([[3.0, -4.0], [5.0, 12.0]])), [5.0, 13.0])
+        assert np.array_equal(op.norm0_rows([[3, -4], [5, 12]]), [5.0, 13.0])
+        x = np.random.default_rng(2).standard_normal((20, 2))
+        ref = np.linalg.norm(x, axis=-1)
+        assert np.all(np.abs(op.norm0_rows(x) - ref) <= 4 * np.spacing(ref))
+
     @pytest.mark.parametrize("make", [
         lambda: sl.laplacian_1d(16), lambda: sl.laplacian_1d(64), lambda: sl.laplacian_1d(256),
         lambda: sl.laplacian_1d(512), lambda: sl.jordan_block(-1.0, 3),

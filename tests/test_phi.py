@@ -55,6 +55,31 @@ def phi_matrices_expm(B, kmax):
     return np.array([E[:d, k * d:(k + 1) * d] for k in range(kmax + 1)])
 
 
+def phi_matrices_sequential(B, kmax):
+    """The same Taylor sum and modified squarings as phi_matrices, with the
+    powers X^0..X^24 taken one product at a time and each sum over a list of
+    matrices as np.tensordot."""
+    X = np.asarray(B, dtype=complex).reshape((-1,) + B.shape[-2:])
+    s = np.maximum(np.frexp(np.abs(X).sum(axis=-1).max(axis=-1) / phi._THETA)[1], 0)
+    powers = [np.broadcast_to(np.eye(B.shape[-1]), X.shape), X * np.ldexp(1.0, -s)[:, None, None]]
+    for _ in range(phi._TAYLOR_DEGREE - 1):
+        powers.append(powers[-1] @ powers[1])
+    k = np.arange(kmax + 1)
+    inv_fact = np.array([1 / math.factorial(i) for i in range(kmax + phi._TAYLOR_DEGREE + 1)])
+    PHI = np.tensordot(inv_fact[np.add.outer(k, np.arange(phi._TAYLOR_DEGREE + 1))], powers, axes=1)
+    L = np.tril(inv_fact[np.abs(np.subtract.outer(k, k))]) * (k > 0)
+    halve = np.ldexp(1.0, -k)[:, None, None, None]
+    for i in range(s.max(initial=0)):
+        Y = PHI[:, s > i]
+        PHI[:, s > i] = halve * (Y[0] @ Y + np.tensordot(L, Y, axes=1))
+    return PHI.reshape((kmax + 1,) + B.shape)
+
+
+def squarings(stack):
+    """The number of modified squarings phi_matrices takes for each matrix."""
+    return np.maximum(np.frexp(np.abs(stack).sum(axis=-1).max(axis=-1) / phi._THETA)[1], 0)
+
+
 def nonnormal_12(seed, d=None):
     """Q (D + N) Q*: eigenvalues d, strictly upper triangular N, unitary Q.
     Seed 12 without d is the operator of test_nonnormal_diagonalizable_is_dense."""
@@ -194,6 +219,31 @@ class TestPhiMatrices:
         stack = panel_stack(A, shift, 1.0)
         ref = np.array([phi_matrices_expm(B, 9) for B in stack]).swapaxes(0, 1)
         assert max_order_deviation(phi_matrices(stack, 9), ref) <= 1e-12
+
+    @pytest.mark.parametrize("name", sorted(OPERATORS))
+    def test_doubled_powers_match_sequential_powers(self, name):
+        # the powers by doubling and the Taylor sum and L term as one real
+        # product each, against one product per power and np.tensordot
+        A = self.OPERATORS[name]()
+        unsquared = panel_stack(A, 0.0, 1.0 / 16)
+        assert np.all(squarings(unsquared) == 0)
+        mixed = panel_stack(A, 30.0 + 100.0j, 1.0)
+        squared = mixed[3:]
+        assert squarings(mixed).min() == 1 and np.all(squarings(squared) >= 5)
+        for stack in (unsquared, squared, mixed, unsquared[-1]):
+            ref = phi_matrices_sequential(stack, 9)
+            assert max_order_deviation(phi_matrices(stack, 9), ref) <= 1e-14
+
+    @pytest.mark.parametrize("make, shift", [(lambda: nonnormal_12(12), 1e3),
+                                             (lambda: nonnormal_12(5, -np.logspace(0, 4, 12)), 0.0)],
+                             ids=["9", "13+"])
+    def test_deep_squarings_match_sequential_powers(self, make, shift):
+        # 9 or more squarings of a non-normal matrix: either Taylor sum is
+        # 1e-13 from the augmented expm, and the two agree to 5e-13
+        stack = panel_stack(make(), shift, 1.0)
+        assert squarings(stack).max() >= 9
+        ref = phi_matrices_sequential(stack, 9)
+        assert max_order_deviation(phi_matrices(stack, 9), ref) <= 5e-13
 
     def test_stack_equals_single_calls(self):
         stack = panel_stack(sl.jordan_block(-2.0, 8).matrix, 30.0 + 100.0j, 0.25)
