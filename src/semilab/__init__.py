@@ -27,6 +27,7 @@ from .theorem import (
     RPlusVerdict,
     SurjectivityData,
     assemble_U_V,
+    assemble_U_V_batch,
     apriori_inequality_check,
     default_mu_grid,
     halfplane_scan,

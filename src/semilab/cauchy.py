@@ -41,6 +41,16 @@ the interior nodes then follow from their panels' starts in one broadcast
 product. The dense backend loops over the panels, since a scan would multiply
 its dim^3 products by log(panels).
 
+The propagator runs one problem, or a batch of problems on a leading axis:
+the probes of solve_batch, or the shifts of exp_functionals_batch, that
+share a refined solver. Each problem's node values are one contiguous
+block, so each per-problem product is the single problem's BLAS call; the
+shifted tables of a batch come from one phi_scalar or phi_matrices call on
+the stacked shifts, and the kept unshifted tables are broadcast over it. A
+batch whose stacks would pass operators.BATCH_BYTES is cut into chunks of
+at least one item. solve and exp_functionals run the same code on one
+item without the batch axis, with the same bits.
+
 A steep forcing profile runs on a refined solver, whose grid splits each panel
 to keep width * rate under a budget. The solver keeps one refined solver per
 split count, so a refined grid and its unshifted tables are built once. They
@@ -62,6 +72,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import EmptyProbeSet
+from .operators import chunks
 from .phi import phi_matrices, phi_scalar
 from .timegrid import GridFunction, e0_norm_J, e1_norm_J, gauss_legendre_01
 
@@ -125,8 +136,7 @@ class CauchySolver:
     def __init__(self, op, grid):
         self.op = op
         self.grid = grid
-        self._tables = {}
-        self._refined = {}
+        self._tables, self._weights, self._refined = {}, {}, {}
         # runs [start, stop, h] of consecutive panels within 1e-12 of one nominal width h
         widths = np.diff(grid.edges).tolist()
         self._hmax, self._runs = max(widths), []
@@ -156,6 +166,14 @@ class CauchySolver:
             self._refined[splits] = CauchySolver(self.op, self.grid.refined(splits))
         return self._refined[splits]
 
+    def _groups(self, rates):
+        """[(solver, indices)]: the indices of the rates grouped by the solver
+        refined_for gives each (this one for a zero rate), in first-seen order."""
+        groups = {}
+        for i, rate in enumerate(rates):
+            groups.setdefault(self.refined_for(rate) if rate else self, []).append(i)
+        return groups.items()
+
     # -- the panel propagator ---------------------------------------------------
 
     def _panel_tables(self, shift, h, nodes):
@@ -164,114 +182,154 @@ class CauchySolver:
         alone: P[j] = e^{h r_j B}, W[m, j] the weight of the m-th forcing
         sample in v(h r_j), H1 = h phi_1(hB) and G[m] the weight of the m-th
         forcing sample in the integral of v over the panel. Eigen backend:
-        (dim, 1) columns; dense backend: dim x dim matrices. W and G are real
-        products of (q x q) coefficients with the float view of the phi rows;
-        W is written into place, so no table-sized temporary is made. Unshifted
-        tables are kept."""
+        (dim, 1) columns; dense backend: dim x dim matrices. A 1-D array
+        of shifts stacks one table per shift on a leading axis, all from one
+        phi_scalar or phi_matrices call. W and G are real products of (q x q)
+        coefficients with the float view of the phi rows, per table; W is
+        written into place, so no table-sized temporary is made. The
+        unshifted tables (shift 0) are kept."""
         key = (h, nodes)
-        if shift == 0 and key in self._tables:
+        unshifted = np.ndim(shift) == 0 and shift == 0
+        if unshifted and key in self._tables:
             return self._tables[key]
         q = self.grid.nodes_per_panel
-        rs, coef, rpow = _panel_weights(q, nodes)
-        diag = self.op.diagonalization
+        if key not in self._weights:  # the h r_j column and the W and G coefficients
+            rs, coef, rpow = _panel_weights(q, nodes)
+            self._weights[key] = (h * rs)[:, None], h * coef * rpow.T[:, None, :], (h * h) * coef
+        hrs, wcoef, gcoef = self._weights[key]
+        shift = np.asarray(shift)[..., None, None]
+        lead, diag = shift.shape[:-2], self.op.diagonalization
         if diag is not None:
-            # PHI[k, j] = phi_k(h r_j B), shape (q+2, len(rs), dim, 1 | dim)
-            PHI = phi_scalar(q + 1, np.multiply.outer(h * rs, diag[1] - shift))[..., None]
+            # PHI[k, ..., j] = phi_k(h r_j B), shape (q+2,) + lead + (len(rs), dim, 1)
+            z = hrs * (diag[1] - shift)
+            PHI = phi_scalar(q + 1, z.reshape(-1, self.dim)).reshape((q + 2,) + z.shape + (1,))
         else:
             B = self.op.matrix - shift * np.eye(self.dim)
-            PHI = phi_matrices(np.multiply.outer(h * rs, B), q + 1)
+            PHI = phi_matrices(hrs[..., None] * B[..., None, :, :], q + 1)
         # the interpolant of the samples f_m is sum_p c_p sigma^p with
         # c_p = sum_m C[m, p] f_m, and int_0^{hr} e^{(hr-s)B} (s/h)^p ds
         # = h r^{p+1} p! phi_{p+1}(h r B): per output point j, W[:, j] is the
         # real (q, q) matrix h coef[m, p] rpow[p, j] times the phi rows, all
-        # points in one batched product on the float view
-        R = PHI.view(float).reshape(q + 2, len(rs), -1)
-        W = np.empty((q,) + PHI.shape[1:], dtype=complex)
-        np.matmul(h * coef * rpow.T[:, None, :], R[1:q + 1].swapaxes(0, 1),
-                  out=W.view(float).reshape(q, len(rs), -1).swapaxes(0, 1))
-        G = ((h * h) * coef @ R[2:, -1]).view(complex).reshape((q,) + PHI.shape[2:])
-        tab = (PHI[0], W, h * PHI[1, -1], G)
-        if shift == 0:
+        # points in one batched product on the float view of R, the phi rows
+        # with the orders moved next to the last axis
+        R = PHI.view(float).reshape((q + 2,) + lead + (len(hrs), -1))
+        R = R.transpose(tuple(range(1, R.ndim - 1)) + (0, R.ndim - 1))
+        W = np.empty(lead + (q,) + PHI.shape[-3:], dtype=complex)
+        np.matmul(wcoef, R[..., 1:q + 1, :],
+                  out=W.view(float).reshape(lead + (q, len(hrs), -1)).swapaxes(-3, -2))
+        G = (gcoef @ R[..., -1, 2:, :]).view(complex)
+        tab = (PHI[0], W, h * PHI[1, ..., -1, :, :], G.reshape(lead + (q,) + PHI.shape[-2:]))
+        if unshifted:
             self._tables[key] = tab
         return tab
 
     def _propagate(self, shift, F, Y, v0, nodes):
         """Node values (panel edges only unless nodes) and integral over [0, T]
-        of v' = (A - shift) v + p(t) Y, v(0) = v0, in backend coordinates. F
-        holds the profile p at the Gauss nodes, shape (panels, q); Y has v0's
-        shape, or is None for the identity (v0 dim x dim in the dense backend,
-        one (dim, 1) column in the eigen one). Each table's W and G are
-        multiplied by Y once and laid out as (q, rest), so a run's forcing
-        terms are one product with its (run, q) profile block, its integral
-        one with the column sums."""
+        of v' = (A - shift) v + p(t) Y, v(0) = v0, in backend coordinates, for
+        one problem or a batch of them on one leading axis. v0 has shape
+        batch + (dim, c) ((dim, 1) columns in the eigen backend, dim x dim for
+        the identity in the dense one) and the node values batch + (nodes,
+        dim, c), each problem's a contiguous block. F holds the profiles p at
+        the Gauss nodes, batch + (panels, q); Y has v0's shape, or is None for
+        the identity. shift is one number for all problems (the unshifted
+        tables are kept) or an array of one shift per problem. Each table's W
+        and G are multiplied by Y once and laid out as (q, rest), so a run's
+        forcing terms are one (stacked) product with its (run, q) profile
+        blocks, its integral one with their column sums."""
         grid = self.grid
         q = grid.nodes_per_panel
         step = q + 1 if nodes else 1
         eigen = self.op.diagonalization is not None
-        vals = np.empty((grid.panels * step + 1,) + v0.shape, dtype=complex)
-        vals[0] = v0
+        lead, core = v0.shape[:-2], v0.shape[-2:]
+        vals = np.empty(lead + (grid.panels * step + 1,) + core, dtype=complex)
+        vals[..., 0, :, :] = v0
         integral = np.zeros(v0.shape, dtype=complex)
         tables = {}
         for k, stop, h in self._runs:
             if h not in tables:
                 P, W, H1, G = self._panel_tables(shift, h, nodes)
                 if Y is not None:
-                    W, G = (W * Y, G * Y) if eigen else (W @ Y, G @ Y)
-                tables[h] = P, W.reshape(q, -1), H1, G.reshape(q, -1)
+                    YW, YG = Y[..., None, None, :, :], Y[..., None, :, :]
+                    W, G = (W * YW, G * YG) if eigen else (W @ YW, G @ YG)
+                tables[h] = P, W.reshape(W.shape[:-3] + (-1,)), H1, G.reshape(G.shape[:-2] + (-1,))
             P, W, H1, G = tables[h]
-            # out and F[k:stop] are views: B_k goes straight into vals, F is not copied
-            out = vals[k * step + 1:stop * step + 1].reshape((stop - k, step) + v0.shape)
+            # out and Fk are views: B_k goes straight into vals, F is not copied
+            run, Fk = stop - k, F[..., k:stop, :]
+            out = vals[..., k * step + 1:stop * step + 1, :, :].reshape(lead + (run, step) + core)
             if F.dtype.kind == "f":  # a real profile times complex weights, as real products
-                np.matmul(F[k:stop], W.view(float), out=out.reshape(stop - k, -1).view(float))
+                np.matmul(Fk, W.view(float), out=out.reshape(lead + (run, -1)).view(float))
             else:
-                np.matmul(F[k:stop], W, out=out.reshape(stop - k, -1))
-            integral += (F[k:stop].sum(axis=0) @ G).reshape(v0.shape)
-            starts = vals[k * step:stop * step:step]
+                np.matmul(Fk, W, out=out.reshape(lead + (run, -1)))
+            integral += (Fk.sum(axis=-2)[..., None, :] @ G).reshape(v0.shape)
+            starts = vals[..., k * step:stop * step:step, :, :]
             if eigen:
                 # e_{i+1} = P e_i + b_i as a prefix scan: after the pass with
                 # Q = P^s, ends[i] sums P^(i-j) b_j over the 2s panels j <= i.
                 # Q is squared only for a further pass, so it stays below P^run.
-                ends, Q, s = out[:, -1], P[-1], 1
-                ends[0] += Q * starts[0]
-                while s < stop - k:
+                # ends and first are views with the panels on their first axis.
+                ends, first = out[..., -1, :, :].swapaxes(0, -3), starts.swapaxes(0, -3)
+                Q, s = P[..., -1, :, :], 1
+                ends[:1] += Q * first[:1]
+                while s < run:
                     ends[s:] += Q * ends[:-s]
                     s *= 2
-                    if s < stop - k:
+                    if s < run:
                         Q = Q * Q
                 if nodes:
-                    out[:, :-1] += P[:-1] * starts[:, None]
-                integral += H1 * starts.sum(axis=0)
+                    out[..., :-1, :, :] += P[..., None, :-1, :, :] * starts[..., None, :, :]
+                integral += H1 * first.sum(axis=0)
             else:  # a scan would multiply the d^3 products by log(panels)
                 for i in range(k, stop):
-                    vals[i * step + 1:(i + 1) * step + 1] += P @ vals[i * step]
-                integral += H1 @ starts.sum(axis=0)
+                    vals[..., i * step + 1:(i + 1) * step + 1, :, :] += (
+                        P @ vals[..., i * step, None, :, :])
+                integral += H1 @ starts.sum(axis=-3)
         return vals, integral
 
     # -- public solves ----------------------------------------------------------
 
     def solve(self, forcing, x0=None):
-        """GridFunction solution of u' - Au = f, u(0) = x0, with derivative
-        samples filled from u' = Au + f. Steep forcing profiles trigger a
-        panel split; the returned GridFunction carries the grid in use and,
-        as forcing_values and operator_values, the samples of f and of A u at
+        """GridFunction solution of u' - Au = f, u(0) = x0 (0 if None), with
+        derivative samples filled from u' = Au + f: solve_batch for one
+        probe, without a batch axis. A steep forcing profile triggers a panel
+        split; the returned GridFunction carries the grid in use and, as
+        forcing_values and operator_values, the samples of f and of A u at
         its nodes."""
         solver = self.refined_for(forcing.rate) if forcing.rate else self
-        grid = solver.grid
         x0 = np.zeros(self.dim, dtype=complex) if x0 is None else np.asarray(x0, dtype=complex)
-        # the profile at every node; the Gauss-node entries follow each panel's left edge
-        p, y = forcing.profile(grid.nodes), forcing.y
-        F = p[:-1].reshape(grid.panels, grid.nodes_per_panel + 1)[:, 1:]
+        return solver._solve(forcing.profile(solver.grid.nodes), forcing.y, x0)
+
+    def solve_batch(self, probes):
+        """The solves of the probes (f, x), x None for 0, in stacks: yields
+        (indices, u) with u a GridFunction holding the solutions of the
+        probes at those indices on a leading axis, one per chunk of the
+        probes that share a refined solver, each from one propagation."""
+        for solver, idx in self._groups([f.rate for f, _ in probes]):
+            nodes = solver.grid.nodes
+            # node values, solution, A u, f and u' of each probe
+            for part in chunks(idx, 5 * 16 * len(nodes) * self.dim):
+                x0 = [np.zeros(self.dim) if probes[i][1] is None else probes[i][1] for i in part]
+                yield part, solver._solve(np.array([probes[i][0].profile(nodes) for i in part]),
+                                          np.array([probes[i][0].y for i in part]),
+                                          np.array(x0, dtype=complex))
+
+    def _solve(self, p, y, x0):
+        """The solution on this solver's grid for the profile p at its nodes,
+        the block y and the initial value x0, or for stacks of them on one
+        leading axis."""
+        grid = self.grid
+        # the Gauss-node entries of p follow each panel's left edge
+        F = p[..., :-1].reshape(p.shape[:-1] + (grid.panels, grid.nodes_per_panel + 1))[..., 1:]
         diag = self.op.diagonalization
         Z = None if diag is None else diag[0]
         if Z is None:  # dense backend, or a diagonal A: no change of basis
-            v, _ = solver._propagate(0.0, F, y[:, None], x0[:, None], nodes=True)
+            v, _ = self._propagate(0.0, F, y[..., None], x0[..., None], nodes=True)
             values = v[..., 0]
         else:
             ZH = Z.conj().T
-            v, _ = solver._propagate(0.0, F, (ZH @ y)[:, None], (ZH @ x0)[:, None], nodes=True)
+            v, _ = self._propagate(0.0, F, ZH @ y[..., None], ZH @ x0[..., None], nodes=True)
             values = v[..., 0] @ Z.T
-        values[0] = x0
-        S, Au = p[:, None] * y, values @ self.op.matrix.T
+        values[..., 0, :] = x0
+        S, Au = p[..., None] * y[..., None, :], values @ self.op.matrix.T
         u = GridFunction(grid, values, Au + S)
         u.forcing_values, u.operator, u.operator_values = S, self.op, Au
         return u
@@ -280,28 +338,52 @@ class CauchySolver:
         """For the forcing f(t) = e^{-conj(mu) t} (columnwise identity),
         return (W, UT, ut_norm) with W = int_0^T e^{-mu t} u(t) dt and
         UT = u(T), both dim x dim (u(., x) depends linearly on x; EigenMaps
-        in the eigen backend), and ut_norm the E0 operator norm of UT.
+        in the eigen backend), and ut_norm the E0 operator norm of UT:
+        exp_functionals_batch for one mu, without a batch axis.
 
         Internally solves the tilted system v = e^{-mu t} u, whose forcing
         profile e^{-2 Re mu t} is smooth, so oscillation in mu never meets
         the interpolation. Only panel edges are propagated; Z being unitary,
         the eigen backend's euclidean ut_norm is the largest |eigenvalue| of UT."""
         mu = complex(mu)
-        solver = self.refined_for(2.0 * mu.real)
-        grid = solver.grid
-        profile = np.exp(-2.0 * mu.real * grid.gl_times)
-        eT = np.exp(mu * grid.T)
-        diag = self.op.diagonalization
+        return self.refined_for(2.0 * mu.real)._exp_functionals(mu)[0]
+
+    def exp_functionals_batch(self, mus):
+        """[(W, UT, ut_norm)] of exp_functionals for each mu, from one
+        propagation per chunk of the mus that share a refined solver."""
+        mus = [complex(mu) for mu in mus]
+        width = self.dim if self.op.diagonalization is None else 1
+        out = [None] * len(mus)
+        for solver, idx in self._groups([2.0 * mu.real for mu in mus]):
+            # edge values, and a shifted table's transients: phi_scalar's 35-term
+            # power table and its products, or the 25 Taylor powers, then the
+            # phi rows, W and G: about 150 more rows
+            for part in chunks(idx, 16 * self.dim * width * (solver.grid.panels + 150)):
+                for i, res in zip(part, solver._exp_functionals(np.array([mus[i] for i in part]))):
+                    out[i] = res
+        return out
+
+    def _exp_functionals(self, m):
+        """[(W, UT, ut_norm)] on this solver's grid for the shift m, or for
+        each shift of the 1-D array m."""
+        grid, op = self.grid, self.op
+        diag = op.diagonalization
         # the response to profile(t) I is diagonal in eigen coordinates:
         # one column carries all of it
-        v0 = np.zeros((self.dim, self.dim if diag is None else 1), dtype=complex)
-        v, w = solver._propagate(mu, profile, None, v0, nodes=False)
-        if diag is None:
-            UT = eT * v[-1]
-            return w, UT, self.op.operator_norm(UT)
-        W, UT = EigenMap(diag[0], w[:, 0]), EigenMap(diag[0], eT * v[-1, :, 0])
-        euclidean = self.op.e0_norm == "euclidean"
-        return W, UT, float(np.max(np.abs(UT.d))) if euclidean else self.op.operator_norm(UT)
+        v0 = np.zeros(np.shape(m) + (self.dim, self.dim if diag is None else 1), dtype=complex)
+        v, w = self._propagate(m, np.exp(np.multiply.outer(-2.0 * m.real, grid.gl_times)), None,
+                               v0, nodes=False)
+        UT = np.exp(m * grid.T)[..., None, None] * v[..., -1, :, :]
+        out = []
+        for wj, UTj in zip(w, UT) if np.ndim(m) else [(w, UT)]:
+            if diag is None:
+                out.append((wj, UTj, op.operator_norm(UTj)))
+                continue
+            UTj = EigenMap(diag[0], UTj[:, 0])
+            euclidean = op.e0_norm == "euclidean"
+            norm = float(np.abs(UTj.d).max()) if euclidean else op.operator_norm(UTj)
+            out.append((EigenMap(diag[0], wj[:, 0]), UTj, norm))
+        return out
 
 
 @dataclass
@@ -320,23 +402,27 @@ def estimate_M(solver, probes):
     u' - Au = f, u(0) = x.
 
     Also accumulates c2_hat = max ||K_A f||_{E1(J)} / ||f||_{E0(J)} over the
-    zero-initial-value probes (the solver continuity constant).
+    zero-initial-value probes (the solver continuity constant). The probes
+    are solved in stacks (CauchySolver.solve_batch), each stack's norms as
+    one norm0_rows per quantity and one maximum over the nodes.
     """
     if not probes:
         raise EmptyProbeSet("estimate_M needs at least one probe")
     op = solver.op
-    ratios, c2s = [], []
-    for f, x in probes:
-        u = solver.solve(f, x)
+    norms = [None] * len(probes)  # (||f||_E0, ||x||_1, ||u||_E1) of each probe
+    for idx, u in solver.solve_batch(probes):
         nf = e0_norm_J(op, GridFunction(u.grid, u.forcing_values))
-        nx1 = op.norm1(x)
+        nx1 = op.norm1(u.values[:, 0])  # the initial values
+        e1 = e1_norm_J(op, u)
+        for j, i in enumerate(idx):
+            norms[i] = float(nf[j]), float(nx1[j]), float(e1[j])
+    ratios, c2s = [], []
+    for nf, nx1, e1 in norms:
         denom = nf + nx1
         if denom == 0:
             raise EmptyProbeSet(
                 f"degenerate probe: ||f||_E0 + ||x||_1 = 0 on [0, T], T = {solver.T}")
-        e1 = e1_norm_J(op, u)
         ratios.append(e1 / denom)
         c2s.append(e1 / nf if (nf > 0 and nx1 == 0) else 0.0)
     return MaxRegEstimate(M_hat=float(max(ratios)), c2_hat=float(max(c2s, default=0.0)),
                           probe_count=len(probes), ratios=ratios)
-

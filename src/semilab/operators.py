@@ -35,6 +35,15 @@ _GENERATOR_KEYS = {"laplacian1d": ("n",), "diag": None, "jordan": ("lambda", "si
 _GKL_MIN_DIM = 64
 # the Ritz value is read every _GKL_CHECK steps; it stops once it moves by <= _GKL_RTOL
 _GKL_CHECK, _GKL_RTOL = 4, 1e-10
+# bytes the stacked arrays of one batched call (probes, shifts or scan points) may
+# take; a larger batch is cut into chunks of at least one item (see chunks)
+BATCH_BYTES = 1 << 21
+
+
+def chunks(items, item_bytes):
+    """The list items cut into consecutive pieces of max(1, BATCH_BYTES // item_bytes) items."""
+    n = max(1, BATCH_BYTES // item_bytes)
+    return [items[i:i + n] for i in range(0, len(items), n)]
 
 
 class OperatorPair:
@@ -94,14 +103,17 @@ class OperatorPair:
         return float(self.norm0_rows(x))
 
     def norm1(self, x):
-        """Graph norm ||x||_1 = ||x||_0 + ||Ax||_0."""
-        return self.norm0(x) + self.norm0(self.matrix @ x)
+        """Graph norm ||x||_1 = ||x||_0 + ||Ax||_0 of a vector (a float), or of
+        each row of a stack of them."""
+        x = np.asarray(x)
+        n = self.norm0_rows(x) + self.norm0_rows((self.matrix @ x[..., None])[..., 0])
+        return float(n) if n.ndim == 0 else n
 
     def operator_norm(self, B):
         """E0 operator norm of a matrix B acting on E0."""
         B = np.asarray(B)
-        if self.e0_norm == "euclidean":
-            return float(np.linalg.norm(B, 2))
+        if self.e0_norm == "euclidean":  # the largest singular value, as np.linalg.norm(B, 2)
+            return float(np.linalg.svd(B, compute_uv=False)[0])
         return float(np.max(np.sum(np.abs(B), axis=1)))
 
     @cached_property
@@ -114,8 +126,13 @@ class OperatorPair:
 
     @cached_property
     def is_hermitian(self):
-        A = self.matrix
-        return bool(np.allclose(A, A.conj().T, rtol=0, atol=1e-14 * (1 + self.matrix_norm)))
+        """A = A* entrywise to 1e-14 (1 + ||A||_F), as np.allclose compares them. Only
+        asked of structure=tridiagonal, so only the three central diagonals are
+        compared: every other entry of A and of A* is zero."""
+        A, tol = self.matrix, 1e-14 * (1 + self.matrix_norm)
+        d, up, lo = (np.diagonal(A, k) for k in (0, 1, -1))
+        return all(np.allclose(a, b.conj(), rtol=0, atol=tol)
+                   for a, b in ((d, d), (up, lo), (lo, up)))
 
     @cached_property
     def eigenvalues(self):
@@ -148,15 +165,15 @@ class OperatorPair:
             raise DimensionMismatch(f"vector of shape {y.shape} for dim {self.dim}")
         return y
 
-    def _shift_distances(self, mus):
-        """dist(mu, sigma(A)) for each shift of the 1-D array mus, in one pass
-        over the spectrum; SingularResolvent names the first shift within
-        singular_tol of it."""
+    def _shift_distances(self, mus, refuse=True):
+        """(dist, near): dist(mu, sigma(A)) for each shift of the 1-D array mus,
+        in one pass over the spectrum, and where it is within singular_tol;
+        unless refuse is false, SingularResolvent names the first such shift."""
         dist = np.min(np.abs(mus[:, None] - self.eigenvalues), axis=1)
         near = dist <= self.singular_tol
-        if near.any():
+        if refuse and near.any():
             raise SingularResolvent(f"mu={mus[np.argmax(near)]} within tolerance of the spectrum")
-        return dist
+        return dist, near
 
     @cached_property
     def resolvent_factor(self):
@@ -213,25 +230,64 @@ class OperatorPair:
                 x = zaxpy(ztrsv(M, w), x, a=weight)
         return x if Z is None else Z @ x
 
+    def resolvent_norms(self, mus):
+        """E0 operator norms of (mu - A)^-1 at the points of the sequence mus,
+        as an array: inf where mu is within singular_tol of the spectrum or
+        the norm overflows. Euclidean norms of a normal A are 1/dist for all
+        points in one pass; a non-normal A from _GKL_MIN_DIM on takes
+        resolvent_norm's Golub-Kahan-Lanczos on the Schur factor point by
+        point; every other norm comes from the dense mu - A, stacked in
+        chunks (_dense_norms)."""
+        mus = np.asarray(mus, dtype=complex).reshape(-1)
+        dist, near = self._shift_distances(mus, refuse=False)
+        norms, ok = np.full(len(mus), math.inf), np.flatnonzero(~near)
+        euclidean = self.e0_norm == "euclidean"
+        if euclidean and self.resolvent_factor[2]:
+            norms[ok] = 1.0 / dist[ok]
+        elif euclidean and self.dim >= _GKL_MIN_DIM:
+            for i in ok:
+                try:
+                    norms[i] = self.resolvent_norm(mus[i])
+                except SingularResolvent:
+                    pass
+        else:
+            norms[ok] = self._dense_norms(mus[ok])
+        return norms
+
     def resolvent_norm(self, mu):
-        """E0 operator norm of (mu - A)^-1 (1/dist(mu, sigma(A)) if normal)."""
+        """E0 operator norm of (mu - A)^-1 at one point: SingularResolvent where
+        resolvent_norms reads inf. A non-normal A from _GKL_MIN_DIM on takes
+        Golub-Kahan-Lanczos on mu - T (||(mu - A)^-1|| = ||(mu - T)^-1||, Z
+        unitary), or one dense SVD if its Ritz value has not settled in n
+        steps; any other point is the one-point resolvent_norms."""
         mu = complex(mu)
-        dist = self._shift_distances(np.array([mu]))[0]
-        if self.e0_norm == "euclidean":
-            _, T, normal = self.resolvent_factor
-            if normal:
-                return float(1.0 / dist)
-            if self.dim >= _GKL_MIN_DIM:  # ||(mu - A)^-1|| = ||(mu - T)^-1||, Z unitary
-                norm = _inverse_norm(_shifted_schur(mu, T))
-                if norm is not None:  # else not settled in n steps: the dense SVD below
-                    return norm
-        R = mu * np.eye(self.dim) - self.matrix
-        if self.e0_norm == "euclidean":
-            smin = float(np.linalg.svd(R, compute_uv=False)[-1])
-            if smin == 0.0 or not np.isfinite(1.0 / smin):
-                raise SingularResolvent("resolvent norm overflows")
-            return 1.0 / smin
-        return self.operator_norm(np.linalg.inv(R))
+        self._shift_distances(np.array([mu]))
+        _, T, normal = self.resolvent_factor if self.e0_norm == "euclidean" else (None, None, True)
+        if normal or self.dim < _GKL_MIN_DIM:
+            norm = self.resolvent_norms([mu])[0]
+        else:
+            norm = _inverse_norm(_shifted_schur(mu, T))
+            if norm is None:
+                norm = self._dense_norms(np.array([mu]))[0]
+        if norm == math.inf:
+            raise SingularResolvent("resolvent norm overflows")
+        return float(norm)
+
+    def _dense_norms(self, mus):
+        """E0 norms of (mu - A)^-1 from the dense mu - A of each shift of the
+        1-D array mus, stacked in chunks: 1 / sigma_min from one SVD call per
+        chunk (inf where that is not finite), or the largest row sum of one
+        stacked inverse (sup)."""
+        norms = np.empty(len(mus))
+        for part in chunks(np.arange(len(mus)), 64 * self.dim ** 2):
+            R = mus[part, None, None] * np.eye(self.dim) - self.matrix
+            if self.e0_norm == "euclidean":
+                with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                    inv = 1.0 / np.linalg.svd(R, compute_uv=False)[:, -1]
+                norms[part] = np.where(np.isfinite(inv), inv, math.inf)
+            else:
+                norms[part] = np.max(np.sum(np.abs(np.linalg.inv(R)), axis=-1), axis=-1)
+        return norms
 
     # -- semigroup oracle ----------------------------------------------------
 

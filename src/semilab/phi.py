@@ -91,15 +91,27 @@ def phi_matrices(B, kmax):
         m = min(n, _TAYLOR_DEGREE - n)
         np.matmul(powers[1:m + 1], powers[n], out=powers[n + 1:n + m + 1])
         n += m
-    k = np.arange(kmax + 1)
-    inv_fact = np.array([1 / math.factorial(i) for i in range(kmax + _TAYLOR_DEGREE + 1)])
-    PHI = _real_product(inv_fact[np.add.outer(k, np.arange(_TAYLOR_DEGREE + 1))], powers)
-    L = np.tril(inv_fact[np.abs(np.subtract.outer(k, k))]) * (k > 0)  # 1/(k-j)!, 1 <= j <= k
-    halve = np.ldexp(1.0, -k)[:, None, None, None]
+    taylor, L, halve = _matrix_series(kmax)
+    PHI = _real_product(taylor, powers)
     for i in range(s.max(initial=0)):
         Y = np.compress(s > i, PHI, axis=1)  # C-ordered, unlike PHI[:, s > i]
         PHI[:, s > i] = halve * (Y[0] @ Y + _real_product(L, Y))
     return PHI.reshape((kmax + 1,) + B.shape)
+
+
+@lru_cache(maxsize=None)
+def _matrix_series(kmax):
+    """(taylor, L, halve) of phi_matrices, built once per kmax:
+    taylor[k, n] = 1/(n+k)! for the Taylor sums, L[k, j] = 1/(k-j)! for
+    1 <= j <= k (else 0) for the squarings, and halve[k] = 2^-k."""
+    k = np.arange(kmax + 1)
+    inv_fact = np.array([1 / math.factorial(i) for i in range(kmax + _TAYLOR_DEGREE + 1)])
+    tables = (inv_fact[np.add.outer(k, np.arange(_TAYLOR_DEGREE + 1))],
+              np.tril(inv_fact[np.abs(np.subtract.outer(k, k))]) * (k > 0),
+              np.ldexp(1.0, -k)[:, None, None, None])
+    for table in tables:
+        table.setflags(write=False)
+    return tables
 
 
 def _real_product(M, Y):

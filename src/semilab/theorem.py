@@ -20,7 +20,6 @@ from .errors import (
     DegenerateReMu,
     NeumannDivergence,
     NonpositiveM,
-    SingularResolvent,
     SlowConvergence,
 )
 from .timegrid import TimeGrid
@@ -45,7 +44,8 @@ def maxreg_inequality_check(op, grid, mu, x, M_hat, sigma=1.0):
         <= M (sup_t t^{1-sigma} e^{Re mu t} ||(mu-A)x||_0 + ||x||_1).
 
     M_hat is a lower estimate of M, so a failure here calls for probe
-    enrichment, not a refutation of the theorem.
+    enrichment, not a refutation of the theorem. A side that is not finite
+    (an overflowed weight e^{Re mu t}) fails the check: inf <= inf proves nothing.
     """
     mu = complex(mu)
     x = op.check_vector(x)
@@ -53,7 +53,7 @@ def maxreg_inequality_check(op, grid, mu, x, M_hat, sigma=1.0):
     n0, n1 = op.norm0(x), op.norm1(x)
     lhs = sup_w * (n1 + abs(mu) * n0)
     rhs = M_hat * (sup_w * op.norm0(mu * x - op.matrix @ x) + n1)
-    return lhs, rhs, bool(lhs <= rhs * (1 + 1e-9))
+    return lhs, rhs, bool(math.isfinite(lhs) and math.isfinite(rhs) and lhs <= rhs * (1 + 1e-9))
 
 
 # the unweighted inequality is the sigma = 1 case
@@ -100,17 +100,35 @@ def assemble_U_V(solver, mu):
     Only solution functionals are requested from the solver; ||V_mu|| is the
     scalar factor's modulus times the E0 norm of u(T) the solver returns.
     """
-    mu = complex(mu)
+    mu, damping = _damping(complex(mu), solver.T)
+    return _surjectivity_data(mu, solver.T, damping, solver.exp_functionals(mu))
+
+
+def assemble_U_V_batch(solver, mus):
+    """[assemble_U_V(solver, mu) for mu in mus] from one
+    CauchySolver.exp_functionals_batch call. Every mu is checked before any
+    solve; DegenerateReMu names the first bad one."""
+    checked = [_damping(complex(mu), solver.T) for mu in mus]
+    functionals = solver.exp_functionals_batch([mu for mu, _ in checked])
+    return [_surjectivity_data(mu, solver.T, damping, f)
+            for (mu, damping), f in zip(checked, functionals)]
+
+
+def _damping(mu, T):
+    """(mu, 1 - e^{-2 Re mu T}); DegenerateReMu unless Re mu > 0 and that is nonzero."""
     if mu.real <= 0:
         raise DegenerateReMu(f"Re mu = {mu.real} must be positive")
-    T = solver.T
     damping = 1.0 - math.exp(-2.0 * mu.real * T)
     if damping == 0:
         raise DegenerateReMu(f"1 - exp(-2 Re mu T) rounds to 0 at Re mu = {mu.real}, T = {T}")
-    W, UT, ut_norm = solver.exp_functionals(mu)
-    U = 2.0 * mu.real * W
+    return mu, damping
+
+
+def _surjectivity_data(mu, T, damping, functionals):
+    W, UT, ut_norm = functionals
     c = 2.0 * mu.real * np.exp(-mu * T) / damping
-    return SurjectivityData(mu=mu, T=T, U=U, V=c * UT, V_norm=float(abs(c) * ut_norm))
+    return SurjectivityData(mu=mu, T=T, U=2.0 * mu.real * W, V=c * UT,
+                            V_norm=float(abs(c) * ut_norm))
 
 
 def surjectivity_identity_check(op, sdata, x):
@@ -263,14 +281,10 @@ class HalfPlaneScan:
 
 
 def _scan(op, mus):
-    """||(mu - A)^{-1}|| at each mu, inf where mu - A is singular, and the
-    constant N = max (1 + |mu|) ||(mu - A)^{-1}||, inf over no points."""
-    scan = []
-    for mu in mus:
-        try:
-            scan.append((mu, op.resolvent_norm(mu)))
-        except SingularResolvent:
-            scan.append((mu, math.inf))
+    """||(mu - A)^{-1}|| at each mu, from one OperatorPair.resolvent_norms call
+    (inf where mu - A is singular), and the constant
+    N = max (1 + |mu|) ||(mu - A)^{-1}||, inf over no points."""
+    scan = [(mu, float(r)) for mu, r in zip(mus, op.resolvent_norms(mus))]
     weighted = [(1.0 + abs(m)) * r for m, r in scan]
     return HalfPlaneScan(scan=scan, bound_constant=float(max(weighted, default=math.inf)))
 

@@ -64,10 +64,12 @@ class TimeGrid:
                 f"nodes_per_panel={self.nodes_per_panel})")
 
     def sup(self, rows, sigma=1.0):
-        """max over the nodes t of t^{1-sigma} rows(t). At sigma = 1 every weight
-        is exactly 1.0 (0^0 = 1), so the plain maximum keeps its bits; below 1
+        """max over the nodes t of t^{1-sigma} rows(t), along the last axis: a
+        float, or an array for a stack of rows. At sigma = 1 every weight is
+        exactly 1.0 (0^0 = 1), so the plain maximum keeps its bits; below 1
         the node t = 0 gets weight 0."""
-        return float(np.max(self.nodes ** (1.0 - sigma) * rows))
+        top = np.max(self.nodes ** (1.0 - sigma) * rows, axis=-1)
+        return float(top) if top.ndim == 0 else top
 
     def refined(self, factor=2):
         """Same interval and node count per panel, each panel split in
@@ -81,9 +83,10 @@ class TimeGrid:
 
 
 class GridFunction:
-    """A vector-valued function sampled on a TimeGrid, optionally with
-    derivative samples. A solve also hands back the samples of its forcing f
-    and, for the operator it ran on, of A u."""
+    """A vector-valued function sampled on a TimeGrid, values (nodes, dim), or
+    a stack of them on leading axes, optionally with derivative samples. A
+    solve also hands back the samples of its forcing f and, for the operator
+    it ran on, of A u."""
 
     forcing_values = operator = operator_values = None
 
@@ -91,9 +94,9 @@ class GridFunction:
         values = np.asarray(values, dtype=complex)
         if values.ndim == 1:
             values = values[:, None]
-        if values.shape[0] != len(grid.nodes):
+        if values.shape[-2] != len(grid.nodes):
             raise DimensionMismatch(
-                f"{values.shape[0]} samples for {len(grid.nodes)} grid nodes")
+                f"{values.shape[-2]} samples for {len(grid.nodes)} grid nodes")
         if derivative_values is not None:
             derivative_values = np.asarray(derivative_values, dtype=complex)
             if derivative_values.ndim == 1:

@@ -91,20 +91,21 @@ def theta_sweep(solver, thetas, probes):
 
     The diagonal operator commutes with the coordinate weights, so the sweep
     rescales the probe data (forcings and initial values) and re-estimates M
-    in the weighted coordinates; N is theta-independent for the same reason
-    and computed once.
+    in the weighted coordinates, the probes of every theta in one
+    estimate_M call; N is theta-independent for the same reason and
+    computed once.
     """
     op = solver.op
     if op.structure != "diagonal":
         raise NotDiagonal(f"theta sweep needs a diagonal operator, got structure={op.structure!r}")
     N = halfplane_scan(op, 0.0, mu_box(0.5, 1e2, 3, -4.0, 4.0, 3)).bound_constant
-    lam = np.diag(op.matrix)
+    lam, n = np.diag(op.matrix), len(probes)
+    weights = [(1.0 + np.abs(lam)) ** theta for theta in thetas]  # coordinates of E_theta
+    scaled = [_scale_probe(pr, w) for w in weights for pr in probes]
+    ratios = estimate_M(solver, scaled).ratios if thetas else []
     rows = []
-    for theta in thetas:
-        w = (1.0 + np.abs(lam)) ** theta  # coordinate weights of E_theta
-        scaled = [_scale_probe(pr, w) for pr in probes]
-        est = estimate_M(solver, scaled)
-        rows.append(ThetaSweepRow(theta=float(theta), M_hat=est.M_hat,
-                                  omega1=omega1(est.M_hat, solver.T),
+    for i, theta in enumerate(thetas):
+        M_hat = float(max(ratios[i * n:(i + 1) * n]))  # estimate_M's M_hat on this theta's probes
+        rows.append(ThetaSweepRow(theta=float(theta), M_hat=M_hat, omega1=omega1(M_hat, solver.T),
                                   N=float(N)))
     return rows

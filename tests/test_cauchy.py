@@ -691,3 +691,145 @@ class TestEigenMap:
         for M, old in ((W, W_old), (UT, UT_old), (sd.U, U_old), (sd.V, V_old)):
             assert np.linalg.norm(np.asarray(M) - old) <= 1e-13 * np.linalg.norm(old)
             assert np.linalg.norm(M @ x - old @ x) <= 1e-13 * np.linalg.norm(old @ x)
+
+
+def estimate_M_loop(solver, probes):
+    """(ratios, M_hat, c2_hat) of estimate_M, one solve at a time."""
+    op = solver.op
+    ratios, c2s = [], []
+    for f, x in probes:
+        u = solver.solve(f, x)
+        nf = sl.e0_norm_J(op, sl.GridFunction(u.grid, u.forcing_values))
+        nx1 = op.norm1(x)
+        e1 = sl.e1_norm_J(op, u)
+        ratios.append(e1 / (nf + nx1))
+        c2s.append(e1 / nf if (nf > 0 and nx1 == 0) else 0.0)
+    return ratios, float(max(ratios)), float(max(c2s))
+
+
+def counting_propagate(monkeypatch):
+    """A list that gains one entry per CauchySolver._propagate call."""
+    calls = []
+    propagate = cauchy.CauchySolver._propagate
+    monkeypatch.setattr(cauchy.CauchySolver, "_propagate",
+                        lambda self, *a, **k: calls.append(1) or propagate(self, *a, **k))
+    return calls
+
+
+class TestBatches:
+    """The batched entry points hand whole probe and shift sets to the one
+    propagator, one propagation per refined solver (and per chunk of the
+    byte budget), with the bits of the one-at-a-time calls."""
+
+    MAKERS = {
+        "diag4": lambda e0: sl.diagonal_operator([-1.0, -2.5, -4.0, -7.0], e0_norm=e0),
+        "lap64": lambda e0: sl.laplacian_1d(64, e0_norm=e0),
+        "jordan8": lambda e0: sl.jordan_block(-2.0, 8, e0_norm=e0),
+        "normal16": lambda e0: sl.random_normal_operator(16, seed=3, e0_norm=e0),
+    }
+
+    @staticmethod
+    def probes(dim, seed=5):
+        """Two exponential probes on the base grid and two on each of the
+        grids split in 2 and in 3, a polynomial probe, and two initial-value
+        probes, whose zero forcing has a real profile."""
+        rng = np.random.default_rng(seed)
+        out = [(sl.ExpForcing(mu, random_vector(rng, dim)),
+                random_vector(rng, dim) if k % 2 else np.zeros(dim, complex))
+               for k, mu in enumerate((1.0, 3.0 + 2.0j, 10.0, 12.0 - 3.0j, 25.0, 28.0 + 5.0j))]
+        out.append((sl.PolyForcing([0.5, 1.0, -2.0], random_vector(rng, dim)),
+                    np.zeros(dim, complex)))
+        out += [(sl.ZeroForcing(dim), random_vector(rng, dim)) for _ in range(2)]
+        return out
+
+    @pytest.mark.parametrize("e0_norm", ["euclidean", "sup"])
+    @pytest.mark.parametrize("name", sorted(MAKERS))
+    def test_estimate_M_matches_loop(self, grid, name, e0_norm):
+        op = self.MAKERS[name](e0_norm)
+        probes = self.probes(op.dim)
+        solver = sl.CauchySolver(op, grid)
+        refined = [solver.refined_for(f.rate) if f.rate else solver for f, _ in probes]
+        assert len(set(refined)) == 3 and all(refined.count(s) >= 2 for s in refined)
+        est = sl.estimate_M(solver, probes)
+        ratios, M_hat, c2_hat = estimate_M_loop(sl.CauchySolver(op, grid), probes)
+        assert (est.ratios, est.M_hat, est.c2_hat) == (ratios, M_hat, c2_hat)
+        assert c2_hat > 0 and est.probe_count == len(probes)
+
+    @pytest.mark.parametrize("e0_norm", ["euclidean", "sup"])
+    @pytest.mark.parametrize("name", sorted(MAKERS))
+    def test_exp_functionals_match_loop(self, grid, name, e0_norm):
+        op = self.MAKERS[name](e0_norm)
+        batch = sl.CauchySolver(op, grid).exp_functionals_batch(MU_GRID_25)
+        solver = sl.CauchySolver(op, grid)
+        for mu, (W, UT, ut_norm) in zip(MU_GRID_25, batch):
+            W1, UT1, ut_norm1 = solver.exp_functionals(mu)
+            assert ut_norm == ut_norm1, mu
+            for a, b in ((W, W1), (UT, UT1)):
+                assert type(a) is type(b)
+                if isinstance(a, cauchy.EigenMap):
+                    assert a.Z is b.Z and np.array_equal(a.d, b.d), mu
+                else:
+                    assert np.array_equal(a, b), mu
+        sds = sl.assemble_U_V_batch(sl.CauchySolver(op, grid), MU_GRID_25)
+        for sd in sds:
+            one = sl.assemble_U_V(solver, sd.mu)
+            assert sd.V_norm == one.V_norm
+            assert np.array_equal(np.asarray(sd.U), np.asarray(one.U))
+            assert np.array_equal(np.asarray(sd.V), np.asarray(one.V))
+
+    @pytest.mark.parametrize("name", ["diag4", "jordan8", "normal16"])
+    def test_small_budget_same_bits(self, grid, monkeypatch, name):
+        op = self.MAKERS[name]("euclidean")
+        probes = self.probes(op.dim)
+        est = sl.estimate_M(sl.CauchySolver(op, grid), probes)
+        funcs = sl.CauchySolver(op, grid).exp_functionals_batch(MU_GRID_25)
+        monkeypatch.setattr(sl.operators, "BATCH_BYTES", 4096)
+        calls = counting_propagate(monkeypatch)
+        small = sl.estimate_M(sl.CauchySolver(op, grid), probes)
+        assert len(calls) > 3  # the budget cut the three groups into chunks
+        assert (small.ratios, small.M_hat, small.c2_hat) == (est.ratios, est.M_hat, est.c2_hat)
+        for (W, UT, n), (W1, UT1, n1) in zip(funcs, sl.CauchySolver(op, grid)
+                                             .exp_functionals_batch(MU_GRID_25)):
+            assert n == n1
+            assert np.array_equal(np.asarray(W), np.asarray(W1))
+            assert np.array_equal(np.asarray(UT), np.asarray(UT1))
+
+    @pytest.mark.parametrize("name", ["diag", "lap16", "jordan8"])
+    def test_one_propagation_per_refined_grid(self, grid, corpus, monkeypatch, name):
+        # the default probes put their steepest two exponentials on grids
+        # split in 2 and in 4: 3 propagations for 12 probes
+        op = corpus[name]
+        probes = sl.default_probes(op, seed=3)
+        solver = sl.CauchySolver(op, grid)
+        groups = {solver.refined_for(f.rate) if f.rate else solver for f, _ in probes}
+        calls = counting_propagate(monkeypatch)
+        sl.estimate_M(solver, probes)
+        assert len(groups) == 3 and len(calls) == 3
+
+    @pytest.mark.parametrize("name", ["diag", "lap16", "jordan3"])
+    def test_identity_mus_one_propagation_per_refined_grid(self, grid, corpus, monkeypatch,
+                                                           name):
+        # the 25 mu of identity-check: real parts 0.5 .. 32 on 3 grids
+        solver = sl.CauchySolver(corpus[name], grid)
+        calls = counting_propagate(monkeypatch)
+        sds = sl.assemble_U_V_batch(solver, MU_GRID_25)
+        grids = {solver.refined_for(2 * m.real) for m in MU_GRID_25}
+        assert len(sds) == 25 and len(calls) == len(grids) == 3
+
+    def test_dense_memory_of_many_probes(self, grid):
+        # 64 probes on a dense n = 64 operator: the stacks of a chunk stay
+        # within the byte budget, far below the 64 probes' node arrays
+        op = sl.jordan_block(-2.0, 64)
+        rng = np.random.default_rng(2)
+        probes = [(sl.ExpForcing(1.0 + 0.1 * k, random_vector(rng, 64)), np.zeros(64, complex))
+                  for k in range(64)]
+        solver = sl.CauchySolver(op, grid)
+        solver.solve(*probes[0])  # the kept unshifted table is not part of the batch
+        nodes = 16 * len(grid.nodes) * op.dim  # bytes of one probe's node values
+        tracemalloc.start()
+        try:
+            sl.estimate_M(solver, probes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * sl.operators.BATCH_BYTES + 8 * nodes < 64 * 5 * nodes

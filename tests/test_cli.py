@@ -117,6 +117,16 @@ class TestExperiments:
         assert code == 0
         assert report["inequality_pass"]
 
+    @pytest.mark.parametrize("extra", [("--mu-grid", "1000"),
+                                       ("--sigma", "0.5", "--mu-grid", "800")],
+                             ids=["sigma1", "sigma0.5"])
+    def test_weighted_overflow_fails_closed(self, tmp_path, diag_file, extra):
+        # e^{Re mu t} overflows both sides to inf: inf <= inf is no pass
+        code, report, _ = run(tmp_path, "weighted", "--operator", diag_file, *extra)
+        assert code == 2
+        assert report["lhs"] == report["rhs"] == math.inf
+        assert not report["inequality_pass"] and not report["pass"]
+
     def test_theta_sweep(self, tmp_path, diag_file):
         code, report, out = run(tmp_path, "theta-sweep", "--operator", diag_file)
         assert code == 0

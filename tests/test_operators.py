@@ -33,6 +33,13 @@ class TestNorms:
         # induced operator norm = max absolute row sum
         assert op.operator_norm(np.array([[1.0, -2.0], [0.5, 0.25]])) == 3.0
 
+    def test_euclidean_operator_norm_is_the_two_norm(self, rng):
+        # the largest singular value, bit for bit as np.linalg.norm(B, 2) reads it
+        op = sl.jordan_block(-2.0, 8)
+        for B in (rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8)),
+                  np.eye(3), np.array([[1.0, -2.0], [0.5, 0.25]]), np.zeros((4, 4))):
+            assert op.operator_norm(B) == float(np.linalg.norm(B, 2))
+
     def test_unknown_norm_rejected(self):
         with pytest.raises(ConfigError):
             sl.OperatorPair(np.eye(2), e0_norm="manhattan")
@@ -552,6 +559,69 @@ class TestScansMatchSVD:
         assert verdict.passed and verdict.singular_betas == []
 
 
+class TestResolventNorms:
+    """resolvent_norms, all points of a scan in one call, against one
+    resolvent_norm per point: the same bits, inf where that raises."""
+
+    MAKERS = {
+        "diag4": lambda e0: sl.diagonal_operator([-1.0, -2.5, -4.0, -7.0], e0_norm=e0),
+        "lap64": lambda e0: sl.laplacian_1d(64, e0_norm=e0),
+        "jordan8": lambda e0: sl.jordan_block(-2.0, 8, e0_norm=e0),
+        "normal16": lambda e0: sl.random_normal_operator(16, seed=3, e0_norm=e0),
+        "jordan56": lambda e0: sl.jordan_block(-1.0, 56, e0_norm=e0),
+        "nonnormal64": lambda e0: nonnormal_dense(64, seed=3),
+    }
+
+    @staticmethod
+    def one_at_a_time(op, mus):
+        norms = []
+        for mu in mus:
+            try:
+                norms.append(op.resolvent_norm(mu))
+            except SingularResolvent:
+                norms.append(np.inf)
+        return norms
+
+    @pytest.mark.parametrize("e0_norm", ["euclidean", "sup"])
+    @pytest.mark.parametrize("name", sorted(MAKERS))
+    def test_match_resolvent_norm(self, name, e0_norm):
+        op = self.MAKERS[name](e0_norm)
+        omega = max(0.0, op.spectral_bound + 1e-9)
+        # the scan grids of resolvent-scan and verdict, points on and next to
+        # the spectrum (inf: jordan56 at -1 + 1e-6, where sigma_min underflows)
+        mus = (sl.default_mu_grid(omega) + [1j * b for b in np.logspace(-2, 3, 9)]
+               + [complex(op.eigenvalues[0]), -1.0 + 1e-6, -2.0 + 1e-3j, 0.3])
+        norms = op.resolvent_norms(mus)
+        # bit for bit; NaN where a sup-norm inverse overflows (jordan56), on both paths
+        assert np.array_equal(norms, self.one_at_a_time(op, mus), equal_nan=True)
+        assert np.isinf(norms[-4]) and np.isfinite(norms[-1])
+        if e0_norm == "euclidean":
+            assert np.isinf(norms[-3]) == (name == "jordan56")
+        assert op.resolvent_norms([]).shape == (0,)
+
+    def test_dense_scan_takes_one_svd(self, monkeypatch):
+        op = sl.jordan_block(-2.0, 8)
+        op.resolvent_factor  # the factor's own norms may take SVDs
+        calls = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+        rep = sl.halfplane_scan(op, 0.0, sl.default_mu_grid(0.0))
+        verdict = sl.rplus_verdict(op)
+        assert len(rep.scan) == 105 and verdict.passed
+        assert calls == [1, 1]  # one stacked SVD per scan
+
+    def test_budget_cuts_a_scan_into_chunks(self, monkeypatch):
+        op = sl.jordan_block(-2.0, 8, e0_norm="sup")
+        mus = sl.default_mu_grid(0.0)
+        whole = op.resolvent_norms(mus)
+        monkeypatch.setattr(operators, "BATCH_BYTES", 64 * 16 * op.dim ** 2)  # 16 points
+        inverses = []
+        inv = np.linalg.inv
+        monkeypatch.setattr(np.linalg, "inv", lambda a: inverses.append(len(a)) or inv(a))
+        assert np.array_equal(op.resolvent_norms(mus), whole)
+        assert inverses == [16] * 6 + [9]
+
+
 def _hermitian_tridiagonal(n, seed):
     rng = np.random.default_rng(seed)
     e = rng.standard_normal(n - 1) + 1j * rng.standard_normal(n - 1)
@@ -571,6 +641,31 @@ class TestStructure:
     ], ids=["diagonal", "hermitian-tridiagonal", "upper-bidiagonal", "full", "1x1"])
     def test_read_from_matrix(self, matrix, structure):
         assert sl.OperatorPair(matrix).structure == structure
+
+    @pytest.mark.parametrize("case", ["hermitian", "near", "far", "nan", "inf", "inf-both",
+                                      "complex-diagonal"])
+    def test_hermitian_from_the_band(self, case):
+        # the three diagonals give np.allclose's answer on the whole matrix
+        A = _hermitian_tridiagonal(6, 3)
+        tol = 1e-14 * (1 + np.linalg.norm(A))
+        if case == "near":
+            A[2, 3] += 0.5 * tol
+        elif case == "far":
+            A[2, 3] += 4 * tol
+        elif case == "nan":
+            A[1, 0] = np.nan
+        elif case == "inf":
+            A[4, 5] = np.inf
+        elif case == "inf-both":
+            A[4, 5] = A[5, 4] = np.inf
+        elif case == "complex-diagonal":
+            A[0, 0] += 1j
+        op = sl.OperatorPair(A)
+        assert op.structure == "tridiagonal"
+        with np.errstate(invalid="ignore"):  # a NaN or inf tolerance
+            dense = bool(np.allclose(A, A.conj().T, rtol=0, atol=1e-14 * (1 + op.matrix_norm)))
+            assert op.is_hermitian == dense
+        assert dense == (case in ("hermitian", "near", "inf-both"))
 
     def test_generators_and_rows_agree(self):
         text = "row = -1 0 0\nrow = 0 -2.5 0\nrow = 0 0 -4\n"

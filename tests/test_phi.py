@@ -271,3 +271,19 @@ class TestPhiMatrices:
         out = phi_matrices(np.zeros((2, 3, 3)), 5)
         for k in range(6):
             assert np.array_equal(out[k], np.broadcast_to(np.eye(3) / math.factorial(k), (2, 3, 3)))
+
+
+class TestMatrixSeriesTables:
+    def test_built_once_per_kmax(self, monkeypatch):
+        # the inverse factorials, the squaring's L and the halving factors are
+        # built on the first call for a kmax and only read after it
+        B = np.array([[-40.0, 1.0], [0.0, -2.0]])  # three squarings
+        first = phi_matrices(B, 9)
+        calls = []
+        factorial = math.factorial
+        monkeypatch.setattr(phi.math, "factorial", lambda n: calls.append(n) or factorial(n))
+        assert np.array_equal(phi_matrices(B, 9), first)
+        assert calls == []
+        tables = phi._matrix_series(9)
+        assert tables is phi._matrix_series(9)
+        assert not any(t.flags.writeable for t in tables)

@@ -65,6 +65,16 @@ class TestAssembleUV:
         with pytest.raises(DegenerateReMu):
             sl.assemble_U_V(solver, -1.0 + 2.0j)
 
+    def test_batch_checks_every_mu_first(self, grid, scalar_zero, monkeypatch):
+        # the first bad mu is named, and no solve runs before the check
+        solver = sl.CauchySolver(scalar_zero, grid)
+        monkeypatch.setattr(sl.CauchySolver, "_propagate", None)
+        with pytest.raises(DegenerateReMu, match="Re mu = -1.0"):
+            sl.assemble_U_V_batch(solver, [1.0, -1.0 + 2.0j, 1e-300])
+        with pytest.raises(DegenerateReMu, match="rounds to 0"):
+            sl.assemble_U_V_batch(solver, [1.0, 1e-300, -1.0])
+        assert sl.assemble_U_V_batch(solver, []) == []
+
 
 class TestSurjectivityIdentity:
     def test_scalar_both_sides(self, grid, scalar_zero):
@@ -375,6 +385,21 @@ class TestAprioriInequality:
         lhs, _, _ = sl.apriori_inequality_check(diag_12, grid, mu, x, 10.0)
         assert lhs == pytest.approx(diag_12.norm1(x) + abs(mu) * diag_12.norm0(x),
                                     rel=1e-12)
+
+    @pytest.mark.parametrize("mu", [1000.0, 800.0 + 3.0j])
+    @pytest.mark.parametrize("sigma", [1.0, 0.5])
+    def test_overflow_fails_closed(self, grid, diag_12, rng, mu, sigma):
+        # sup_t e^{Re mu t} overflows: both sides are inf, which proves nothing
+        with np.errstate(over="ignore", invalid="ignore"):  # as the CLI runs it
+            lhs, rhs, ok = sl.maxreg_inequality_check(diag_12, grid, mu, random_vector(rng, 2),
+                                                      2.0, sigma)
+        assert lhs == rhs == math.inf and not ok
+
+    def test_nonfinite_side_fails(self, grid, diag_12):
+        x = np.array([1.0, 0.0])
+        assert sl.maxreg_inequality_check(diag_12, grid, 1.0, x, 2.0)[2]
+        assert not sl.maxreg_inequality_check(diag_12, grid, 1.0, x, math.inf)[2]  # rhs inf
+        assert not sl.maxreg_inequality_check(diag_12, grid, 1.0, x, math.nan)[2]
 
     def test_eigenvector_exact_distance(self, grid, diag_12):
         x = np.array([1.0, 0.0])  # eigenvector for lambda = -1

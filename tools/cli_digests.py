@@ -1,12 +1,16 @@
 """Digest the output of every CLI experiment on a fixed operator corpus.
 
-Runs the 8 experiments of ``semilab.cli``, and ``weighted --sigma 0.5`` and
-``reconstruct --T 0.5`` besides, with ``--seed 61`` on eight operator files
-(a diagonal n=4, lap64, jordan8 and a random normal operator of dim 16, each
-with the euclidean and with the sup E0 norm): 80 runs. It prints one line per (run, operator)
-pair: the exit code and the sha256 of every file the run wrote. Two runs,
-or runs on two commits, agree byte for byte exactly when their outputs
-diff empty:
+Runs the 8 experiments of ``semilab.cli``, and ``weighted --sigma 0.5``,
+``reconstruct --T 0.5`` and ``maxreg-estimate`` and ``verdict`` with a probe
+file besides, with ``--seed 61`` on eight operator files (a diagonal n=4,
+lap64, jordan8 and a random normal operator of dim 16, each with the
+euclidean and with the sup E0 norm): 96 runs. The probe file puts two steep
+exponential probes on each grid the 16-panel solves refine to (panels split
+in 2, 3 and 4), so the batched solves there stack more than one probe, next
+to two base-grid exponentials, a polynomial and an initial-value probe. It
+prints one line per (run, operator) pair: the exit code and the sha256 of
+every file the run wrote. Two runs, or runs on two commits, agree byte for
+byte exactly when their outputs diff empty:
 
     python tools/cli_digests.py > a.txt
     python tools/cli_digests.py > b.txt
@@ -23,6 +27,7 @@ import tempfile
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src"))
 
 from semilab.cli import EXPERIMENTS, main  # noqa: E402
+from semilab.operators import load_operator  # noqa: E402
 
 EUCLIDEAN = {
     "diag4": "matrix = diag -1,-2.5,-4,-7\n",
@@ -32,10 +37,22 @@ EUCLIDEAN = {
 }
 OPERATORS = {**EUCLIDEAN,
              **{f"{name}-sup": text + "e0_norm = sup\n" for name, text in EUCLIDEAN.items()}}
-# every experiment with its defaults, then the weighted path below sigma = 1 and
-# the omega2 search on a second bracket, [1e-6, 128]
+PROBES = "probes.txt"  # written under the run's root for each operator
+# every experiment with its defaults, then the weighted path below sigma = 1,
+# the omega2 search on a second bracket, [1e-6, 128], and the probe file
 RUNS = [[experiment] for experiment in EXPERIMENTS] + [["weighted", "--sigma", "0.5"],
-                                                       ["reconstruct", "--T", "0.5"]]
+                                                       ["reconstruct", "--T", "0.5"],
+                                                       ["maxreg-estimate", "--probes", PROBES],
+                                                       ["verdict", "--probes", PROBES]]
+
+
+def probe_text(dim):
+    """Probes on the base grid (|mu| <= 9.6) and on the grids split in 2, 3
+    and 4 (|mu| up to 19.2, 28.8 and 38.4), then a polynomial and an
+    initial-value probe, whose zero forcing has a real profile."""
+    x = ",".join(["1"] + ["0"] * (dim - 1))
+    return ("exp mu=1\nexp mu=3+2i\nexp mu=10\nexp mu=12-3i\nexp mu=25\nexp mu=28+5i\n"
+            f"exp mu=31\nexp mu=36-4i\npoly coeffs=0,1,1\nic x={x}\n")
 
 
 def digests(root):
@@ -45,9 +62,12 @@ def digests(root):
         path = os.path.join(root, f"{name}.op")
         with open(path, "w") as fh:
             fh.write(text)
+        with open(os.path.join(root, PROBES), "w") as fh:
+            fh.write(probe_text(load_operator(path).dim))
         for run in RUNS:
             out = os.path.join(root, f"{''.join(run)}-{name}")
-            code = main([*run, "--operator", path, "--seed", "61", "--out", out])
+            argv = [os.path.join(root, arg) if arg == PROBES else arg for arg in run]
+            code = main([*argv, "--operator", path, "--seed", "61", "--out", out])
             files = []
             for fname in sorted(os.listdir(out)) if os.path.isdir(out) else []:
                 with open(os.path.join(out, fname), "rb") as fh:
