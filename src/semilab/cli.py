@@ -9,6 +9,7 @@ scientific check failed (still a valid result), 1 = usage or parse error.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import functools
 import json
 import math
@@ -36,6 +37,26 @@ from .theorem import (  # assemble_U_V unused here: the benchmark's tracer test 
 )
 from .timegrid import TimeGrid
 from .weighted import theta_sweep, trace_norm_upper, weighted_maxreg_check, weighted_norm
+
+# glibc malloc keeps freed blocks below _MMAP_THRESHOLD on its heap and trims the
+# heap only past _TRIM_THRESHOLD (mallopt(3)), so freed probe and shift stacks stay
+# mapped and the next chunk or run reuses their pages instead of faulting them in
+_M_MMAP_THRESHOLD, _M_TRIM_THRESHOLD = -3, -1  # mallopt's parameter numbers
+_MMAP_THRESHOLD, _TRIM_THRESHOLD = 16 << 20, 32 << 20
+
+
+@functools.cache
+def _keep_freed_memory():
+    """Set the policy above once per process, or nothing where the C library has
+    no mallopt (macOS, Windows). Only main calls it: importing semilab does not."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
+    mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
+
 
 class _UsageError(Exception):
     pass
@@ -245,6 +266,10 @@ def build_parser():
 
 
 def main(argv=None):
+    """Run one experiment (argv as sys.argv[1:]) and return its exit code. The
+    first call in a process keeps freed memory mapped for the rest of it
+    (_keep_freed_memory), which changes no byte a run writes."""
+    _keep_freed_memory()
     try:
         args = build_parser().parse_args(argv)
         if not 0 < args.T < math.inf:

@@ -131,8 +131,8 @@ class OperatorPair:
         compared: every other entry of A and of A* is zero."""
         A, tol = self.matrix, 1e-14 * (1 + self.matrix_norm)
         d, up, lo = (np.diagonal(A, k) for k in (0, 1, -1))
-        return all(np.allclose(a, b.conj(), rtol=0, atol=tol)
-                   for a, b in ((d, d), (up, lo), (lo, up)))
+        return bool(np.allclose(np.concatenate([d, up, lo]), np.concatenate([d, lo, up]).conj(),
+                                rtol=0, atol=tol))
 
     @cached_property
     def eigenvalues(self):
@@ -225,8 +225,9 @@ class OperatorPair:
             x = (w[:, None] / (mus - T[:, None])) @ weights
         else:
             M, t, x = _shifted_schur(0.0, T), np.diag(T), np.zeros(self.dim, dtype=complex)
+            diagonal = np.einsum("ii->i", M)
             for mu, weight in zip(mus, weights):
-                np.subtract(mu, t, out=np.einsum("ii->i", M))
+                np.subtract(mu, t, out=diagonal)
                 x = zaxpy(ztrsv(M, w), x, a=weight)
         return x if Z is None else Z @ x
 
@@ -235,9 +236,9 @@ class OperatorPair:
         as an array: inf where mu is within singular_tol of the spectrum or
         the norm overflows. Euclidean norms of a normal A are 1/dist for all
         points in one pass; a non-normal A from _GKL_MIN_DIM on takes
-        resolvent_norm's Golub-Kahan-Lanczos on the Schur factor point by
-        point; every other norm comes from the dense mu - A, stacked in
-        chunks (_dense_norms)."""
+        Golub-Kahan-Lanczos on the Schur factor point by point (_schur_norm);
+        every other norm comes from the dense mu - A, stacked in chunks
+        (_dense_norms)."""
         mus = np.asarray(mus, dtype=complex).reshape(-1)
         dist, near = self._shift_distances(mus, refuse=False)
         norms, ok = np.full(len(mus), math.inf), np.flatnonzero(~near)
@@ -245,33 +246,31 @@ class OperatorPair:
         if euclidean and self.resolvent_factor[2]:
             norms[ok] = 1.0 / dist[ok]
         elif euclidean and self.dim >= _GKL_MIN_DIM:
-            for i in ok:
-                try:
-                    norms[i] = self.resolvent_norm(mus[i])
-                except SingularResolvent:
-                    pass
+            T = self.resolvent_factor[1]
+            norms[ok] = [self._schur_norm(mus[i], T) for i in ok]
         else:
             norms[ok] = self._dense_norms(mus[ok])
         return norms
 
     def resolvent_norm(self, mu):
-        """E0 operator norm of (mu - A)^-1 at one point: SingularResolvent where
-        resolvent_norms reads inf. A non-normal A from _GKL_MIN_DIM on takes
-        Golub-Kahan-Lanczos on mu - T (||(mu - A)^-1|| = ||(mu - T)^-1||, Z
-        unitary), or one dense SVD if its Ritz value has not settled in n
-        steps; any other point is the one-point resolvent_norms."""
+        """E0 operator norm of (mu - A)^-1 at one point, the one-point
+        resolvent_norms: SingularResolvent where that reads inf."""
         mu = complex(mu)
-        self._shift_distances(np.array([mu]))
-        _, T, normal = self.resolvent_factor if self.e0_norm == "euclidean" else (None, None, True)
-        if normal or self.dim < _GKL_MIN_DIM:
-            norm = self.resolvent_norms([mu])[0]
-        else:
-            norm = _inverse_norm(_shifted_schur(mu, T))
-            if norm is None:
-                norm = self._dense_norms(np.array([mu]))[0]
+        norm = self.resolvent_norms([mu])[0]
         if norm == math.inf:
+            self._shift_distances(np.array([mu]))  # names a point on the spectrum
             raise SingularResolvent("resolvent norm overflows")
         return float(norm)
+
+    def _schur_norm(self, mu, T):
+        """Euclidean ||(mu - A)^-1|| = ||(mu - T)^-1|| (Z unitary) at a point off
+        the spectrum: Golub-Kahan-Lanczos on mu - T, or one dense SVD if its
+        Ritz value has not settled in n steps; inf where (mu - T)^-1 overflows."""
+        try:
+            norm = _inverse_norm(_shifted_schur(mu, T))
+        except SingularResolvent:
+            return math.inf
+        return self._dense_norms(np.array([mu]))[0] if norm is None else norm
 
     def _dense_norms(self, mus):
         """E0 norms of (mu - A)^-1 from the dense mu - A of each shift of the
@@ -285,8 +284,9 @@ class OperatorPair:
                 with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
                     inv = 1.0 / np.linalg.svd(R, compute_uv=False)[:, -1]
                 norms[part] = np.where(np.isfinite(inv), inv, math.inf)
-            else:
-                norms[part] = np.max(np.sum(np.abs(np.linalg.inv(R)), axis=-1), axis=-1)
+            else:  # an overflowed inverse sums to NaN: inf, as above
+                sums = np.max(np.sum(np.abs(np.linalg.inv(R)), axis=-1), axis=-1)
+                norms[part] = np.where(np.isfinite(sums), sums, math.inf)
         return norms
 
     # -- semigroup oracle ----------------------------------------------------

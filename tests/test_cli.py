@@ -1,6 +1,11 @@
+import ctypes
 import json
 import math
+import os
+import platform
 import re
+import subprocess
+import sys
 import time
 import warnings
 
@@ -489,3 +494,56 @@ class TestDeterminism:
         main(["maxreg-estimate", "--operator", diag_file, "--out", str(out2)])
         assert (out1 / "report.json").read_bytes() == (out2 / "report.json").read_bytes()
         assert (out1 / "maxreg.csv").read_bytes() == (out2 / "maxreg.csv").read_bytes()
+
+
+# runs maxreg-estimate on lap64 twice in one interpreter and prints the minor
+# page faults of the second run
+_TWO_RUNS = """
+import resource, sys
+from semilab.cli import main
+op, out = sys.argv[1:]
+argv = ["maxreg-estimate", "--operator", op, "--out", out]
+assert main(argv) == 0
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+assert main(argv) == 0
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+class TestAllocatorPolicy:
+    """main keeps freed memory mapped, so a second run in one process faults
+    no pages in, and a C library without mallopt changes no byte."""
+
+    @pytest.fixture()
+    def lap64_file(self, tmp_path):
+        f = tmp_path / "lap64.op"
+        f.write_text("matrix = laplacian1d n=64\n")
+        return str(f)
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                        reason="the thresholds main sets are glibc malloc's")
+    def test_second_run_faults_no_pages_in(self, tmp_path, lap64_file):
+        # a fresh interpreter: this one's heap already holds the earlier tests' blocks
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run([sys.executable, "-c", _TWO_RUNS, lap64_file, str(tmp_path / "out")],
+                              env=env, capture_output=True, text=True, check=True)
+        assert int(done.stdout) < 100  # about 1,600 with freed memory handed back
+
+    def test_no_mallopt_changes_no_byte(self, tmp_path, lap64_file, monkeypatch):
+        argv = ["maxreg-estimate", "--operator", lap64_file, "--out"]
+        assert main(argv + [str(tmp_path / "a")]) == 0
+        lookups = []
+
+        def no_libc(name):
+            lookups.append(name)
+            raise OSError("no C library")
+        monkeypatch.setattr(ctypes, "CDLL", no_libc)
+        cli._keep_freed_memory.cache_clear()
+        try:
+            assert main(argv + [str(tmp_path / "b")]) == 0
+        finally:
+            cli._keep_freed_memory.cache_clear()
+        assert lookups == [None]
+        for name in ("report.json", "maxreg.csv"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()

@@ -592,12 +592,25 @@ class TestResolventNorms:
         mus = (sl.default_mu_grid(omega) + [1j * b for b in np.logspace(-2, 3, 9)]
                + [complex(op.eigenvalues[0]), -1.0 + 1e-6, -2.0 + 1e-3j, 0.3])
         norms = op.resolvent_norms(mus)
-        # bit for bit; NaN where a sup-norm inverse overflows (jordan56), on both paths
+        # bit for bit; inf where a sup-norm inverse overflows (jordan56), on both paths
         assert np.array_equal(norms, self.one_at_a_time(op, mus), equal_nan=True)
         assert np.isinf(norms[-4]) and np.isfinite(norms[-1])
         if e0_norm == "euclidean":
             assert np.isinf(norms[-3]) == (name == "jordan56")
         assert op.resolvent_norms([]).shape == (0,)
+
+    def test_overflowed_sup_norm_fails_closed(self):
+        # ||(mu - J)^-1|| ~ 1e336 at distance 1e-6: the row sums of the
+        # overflowed inverse are NaN, which must read inf, so that N is inf
+        # wherever the point sits in the grid
+        op = sl.jordan_block(-1.0, 56, e0_norm="sup")
+        mus = [-1.0 + 1e-6, 1.0]
+        norms = op.resolvent_norms(mus)
+        assert norms[0] == np.inf and np.isfinite(norms[1])
+        with pytest.raises(SingularResolvent):
+            op.resolvent_norm(mus[0])
+        for grid in (mus, mus[::-1]):
+            assert sl.halfplane_scan(op, -1.0, grid).bound_constant == np.inf
 
     def test_dense_scan_takes_one_svd(self, monkeypatch):
         op = sl.jordan_block(-2.0, 8)
