@@ -45,10 +45,9 @@ _M_MMAP_THRESHOLD, _M_TRIM_THRESHOLD = -3, -1  # mallopt's parameter numbers
 _MMAP_THRESHOLD, _TRIM_THRESHOLD = 16 << 20, 32 << 20
 
 
-@functools.cache
 def _keep_freed_memory():
-    """Set the policy above once per process, or nothing where the C library has
-    no mallopt (macOS, Windows). Only main calls it: importing semilab does not."""
+    """Set the policy above, or nothing where the C library has no mallopt
+    (macOS, Windows). Only main calls it: importing semilab does not."""
     try:
         mallopt = ctypes.CDLL(None).mallopt
     except (AttributeError, OSError, TypeError):
@@ -266,8 +265,8 @@ def build_parser():
 
 
 def main(argv=None):
-    """Run one experiment (argv as sys.argv[1:]) and return its exit code. The
-    first call in a process keeps freed memory mapped for the rest of it
+    """Run one experiment (argv as sys.argv[1:]) and return its exit code. Each
+    call keeps freed memory mapped for the rest of the process
     (_keep_freed_memory), which changes no byte a run writes."""
     _keep_freed_memory()
     try:

@@ -236,9 +236,9 @@ class OperatorPair:
         as an array: inf where mu is within singular_tol of the spectrum or
         the norm overflows. Euclidean norms of a normal A are 1/dist for all
         points in one pass; a non-normal A from _GKL_MIN_DIM on takes
-        Golub-Kahan-Lanczos on the Schur factor point by point (_schur_norm);
-        every other norm comes from the dense mu - A, stacked in chunks
-        (_dense_norms)."""
+        resolvent_norm's Golub-Kahan-Lanczos on the Schur factor point by
+        point; every other norm comes from the dense mu - A, stacked in
+        chunks (_dense_norms)."""
         mus = np.asarray(mus, dtype=complex).reshape(-1)
         dist, near = self._shift_distances(mus, refuse=False)
         norms, ok = np.full(len(mus), math.inf), np.flatnonzero(~near)
@@ -246,31 +246,33 @@ class OperatorPair:
         if euclidean and self.resolvent_factor[2]:
             norms[ok] = 1.0 / dist[ok]
         elif euclidean and self.dim >= _GKL_MIN_DIM:
-            T = self.resolvent_factor[1]
-            norms[ok] = [self._schur_norm(mus[i], T) for i in ok]
+            for i in ok:
+                try:
+                    norms[i] = self.resolvent_norm(mus[i])
+                except SingularResolvent:
+                    pass
         else:
             norms[ok] = self._dense_norms(mus[ok])
         return norms
 
     def resolvent_norm(self, mu):
-        """E0 operator norm of (mu - A)^-1 at one point, the one-point
-        resolvent_norms: SingularResolvent where that reads inf."""
+        """E0 operator norm of (mu - A)^-1 at one point: SingularResolvent where
+        resolvent_norms reads inf. A non-normal A from _GKL_MIN_DIM on takes
+        Golub-Kahan-Lanczos on mu - T (||(mu - A)^-1|| = ||(mu - T)^-1||, Z
+        unitary), or one dense SVD if its Ritz value has not settled in n
+        steps; any other point is the one-point resolvent_norms."""
         mu = complex(mu)
-        norm = self.resolvent_norms([mu])[0]
+        self._shift_distances(np.array([mu]))
+        _, T, normal = self.resolvent_factor if self.e0_norm == "euclidean" else (None, None, True)
+        if normal or self.dim < _GKL_MIN_DIM:
+            norm = self.resolvent_norms([mu])[0]
+        else:
+            norm = _inverse_norm(_shifted_schur(mu, T))
+            if norm is None:
+                norm = self._dense_norms(np.array([mu]))[0]
         if norm == math.inf:
-            self._shift_distances(np.array([mu]))  # names a point on the spectrum
             raise SingularResolvent("resolvent norm overflows")
         return float(norm)
-
-    def _schur_norm(self, mu, T):
-        """Euclidean ||(mu - A)^-1|| = ||(mu - T)^-1|| (Z unitary) at a point off
-        the spectrum: Golub-Kahan-Lanczos on mu - T, or one dense SVD if its
-        Ritz value has not settled in n steps; inf where (mu - T)^-1 overflows."""
-        try:
-            norm = _inverse_norm(_shifted_schur(mu, T))
-        except SingularResolvent:
-            return math.inf
-        return self._dense_norms(np.array([mu]))[0] if norm is None else norm
 
     def _dense_norms(self, mus):
         """E0 norms of (mu - A)^-1 from the dense mu - A of each shift of the
