@@ -29,7 +29,6 @@ from .theorem import (
     assemble_U_V,
     assemble_U_V_batch,
     apriori_inequality_check,
-    default_mu_grid,
     halfplane_scan,
     maxreg_inequality_check,
     omega1,

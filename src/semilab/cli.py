@@ -25,7 +25,6 @@ from .operators import load_operator, parse_vector
 from .theorem import (  # assemble_U_V unused here: the benchmark's tracer test reads it
     assemble_U_V,
     assemble_U_V_batch,
-    default_mu_grid,
     halfplane_scan,
     mu_box,
     omega1,
@@ -119,7 +118,7 @@ def run_spectrum(solver, args, out):
 def run_resolvent_scan(solver, args, out):
     op = solver.op
     omega = max(0.0, float(op.spectral_bound) + 1e-9)
-    rep = halfplane_scan(op, omega, args.mus or default_mu_grid(omega))
+    rep = halfplane_scan(op, omega, args.mus)
     rows = [(m.real, m.imag, r, (1.0 + abs(m)) * r) for m, r in rep.scan]
     _csv(os.path.join(out, "resolvent_scan.csv"),
          "re_mu,im_mu,resolvent_norm,weighted_norm", rows)

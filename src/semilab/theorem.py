@@ -87,6 +87,7 @@ class SurjectivityData:
     U: np.ndarray
     V: np.ndarray
     V_norm: float
+    damping: float              # 1 - e^{-2 Re mu T}
     neumann_terms: int = 0
 
 
@@ -128,7 +129,7 @@ def _surjectivity_data(mu, T, damping, functionals):
     W, UT, ut_norm = functionals
     c = 2.0 * mu.real * np.exp(-mu * T) / damping
     return SurjectivityData(mu=mu, T=T, U=2.0 * mu.real * W, V=c * UT,
-                            V_norm=float(abs(c) * ut_norm))
+                            V_norm=float(abs(c) * ut_norm), damping=damping)
 
 
 def surjectivity_identity_check(op, sdata, x):
@@ -137,17 +138,15 @@ def surjectivity_identity_check(op, sdata, x):
     nx = op.norm0(x)
     if nx == 0:
         return 0.0
-    mu, T = sdata.mu, sdata.T
     Ux = sdata.U @ x
-    lhs = mu * Ux - op.matrix @ Ux
-    rhs = (1.0 - math.exp(-2.0 * mu.real * T)) * (x - sdata.V @ x)
+    lhs = sdata.mu * Ux - op.matrix @ Ux
+    rhs = sdata.damping * (x - sdata.V @ x)
     return float(op.norm0(lhs - rhs) / nx)
 
 
 def resolvent_from_solver(solver, mu, y, sdata=None):
     """Solve (mu - A)x = y using only the black-box solver: Neumann series
     x = U_mu (1 - e^{-2 Re mu T})^{-1} sum_k V_mu^k y."""
-    mu = complex(mu)
     if sdata is None:
         sdata = assemble_U_V(solver, mu)
     if not sdata.V_norm < 1.0:
@@ -165,7 +164,7 @@ def resolvent_from_solver(solver, mu, y, sdata=None):
         term = sdata.V @ term
         total = total + term
     sdata.neumann_terms = n
-    return sdata.U @ total / (1.0 - math.exp(-2.0 * mu.real * sdata.T))
+    return sdata.U @ total / sdata.damping
 
 
 def omega2_search(solver):
@@ -267,13 +266,6 @@ def mu_box(re_lo, re_hi, n_re, im_lo, im_hi, n_im):
             for i in np.linspace(im_lo, im_hi, n_im)]
 
 
-def default_mu_grid(omega):
-    """mu_box from omega + 0.5 to 1e3 (5 points) by -1e2 to 1e2 (21 points);
-    from omega + 0.5 >= 1e3 on, the real parts reach ten times omega + 0.5."""
-    re_lo = omega + 0.5
-    return mu_box(re_lo, 1e3 if re_lo < 1e3 else 10.0 * re_lo, 5, -1e2, 1e2, 21)
-
-
 @dataclass
 class HalfPlaneScan:
     scan: list                  # (mu, resolvent_norm) pairs
@@ -289,12 +281,19 @@ def _scan(op, mus):
     return HalfPlaneScan(scan=scan, bound_constant=float(max(weighted, default=math.inf)))
 
 
-def halfplane_scan(op, omega, mu_grid):
+def halfplane_scan(op, omega, mu_grid=None):
     """Resolvent norms over a grid in {Re mu > omega} and the constant
     N = max (1 + |mu|) ||(mu - A)^{-1}||. Singular grid points are recorded
     with infinite norm and the scan continues. A point whose real part is not
     finite (an overflowed grid, a NaN omega) is refused like one at or left of
-    omega."""
+    omega.
+
+    The default grid is the line Re mu = omega + 0.5 at 21 imaginary parts in
+    [-100, 100]: (1 + |mu|) ||(mu - A)^{-1}|| is subharmonic and bounded on the
+    half-plane right of it, so by Phragmen-Lindelof its supremum there is the
+    one on the line, and points further right cannot raise N."""
+    if mu_grid is None:
+        mu_grid = [complex(omega + 0.5, b) for b in np.linspace(-1e2, 1e2, 21)]
     mu_grid = [complex(m) for m in mu_grid]
     if not all(math.isfinite(m.real) and m.real > omega for m in mu_grid):
         raise ConfigError("all scan points must satisfy omega < Re mu < inf")

@@ -10,6 +10,7 @@ import semilab as sl
 from semilab import operators
 from semilab.errors import ConfigError, ContourCrossesSpectrum, DimensionMismatch, SingularResolvent
 from semilab.operators import _GKL_MIN_DIM
+from semilab.theorem import mu_box
 
 from conftest import nonnormal_dense, random_vector
 
@@ -587,9 +588,10 @@ class TestResolventNorms:
     def test_match_resolvent_norm(self, name, e0_norm):
         op = self.MAKERS[name](e0_norm)
         omega = max(0.0, op.spectral_bound + 1e-9)
-        # the scan grids of resolvent-scan and verdict, points on and next to
-        # the spectrum (inf: jordan56 at -1 + 1e-6, where sigma_min underflows)
-        mus = (sl.default_mu_grid(omega) + [1j * b for b in np.logspace(-2, 3, 9)]
+        # a 5 x 21 box right of omega, verdict's imaginary axis, points on and
+        # next to the spectrum (inf: jordan56 at -1 + 1e-6, where sigma_min underflows)
+        mus = (mu_box(omega + 0.5, 1e3, 5, -1e2, 1e2, 21)
+               + [1j * b for b in np.logspace(-2, 3, 9)]
                + [complex(op.eigenvalues[0]), -1.0 + 1e-6, -2.0 + 1e-3j, 0.3])
         norms = op.resolvent_norms(mus)
         # bit for bit; inf where a sup-norm inverse overflows (jordan56), on both paths
@@ -618,14 +620,14 @@ class TestResolventNorms:
         calls = []
         svd = np.linalg.svd
         monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
-        rep = sl.halfplane_scan(op, 0.0, sl.default_mu_grid(0.0))
+        rep = sl.halfplane_scan(op, 0.0, mu_box(0.5, 1e3, 5, -1e2, 1e2, 21))
         verdict = sl.rplus_verdict(op)
         assert len(rep.scan) == 105 and verdict.passed
         assert calls == [1, 1]  # one stacked SVD per scan
 
     def test_budget_cuts_a_scan_into_chunks(self, monkeypatch):
         op = sl.jordan_block(-2.0, 8, e0_norm="sup")
-        mus = sl.default_mu_grid(0.0)
+        mus = mu_box(0.5, 1e3, 5, -1e2, 1e2, 21)
         whole = op.resolvent_norms(mus)
         monkeypatch.setattr(operators, "BATCH_BYTES", 64 * 16 * op.dim ** 2)  # 16 points
         inverses = []
