@@ -288,12 +288,13 @@ def halfplane_scan(op, omega, mu_grid=None):
     finite (an overflowed grid, a NaN omega) is refused like one at or left of
     omega.
 
-    The default grid is the line Re mu = omega + 0.5 at 21 imaginary parts in
-    [-100, 100]: (1 + |mu|) ||(mu - A)^{-1}|| is subharmonic and bounded on the
-    half-plane right of it, so by Phragmen-Lindelof its supremum there is the
-    one on the line, and points further right cannot raise N."""
+    The default grid is mu_box from omega + 0.5 to 1e3 (5 points) by -1e2 to
+    1e2 (21 points), its real parts reaching 10 (omega + 0.5) from omega + 0.5
+    >= 1e3 on. Its first row alone, the line Re mu = omega + 0.5 cut at
+    |Im mu| <= 100, reads a smaller N on a spectrum far left (diag -50)."""
     if mu_grid is None:
-        mu_grid = [complex(omega + 0.5, b) for b in np.linspace(-1e2, 1e2, 21)]
+        re_lo = omega + 0.5
+        mu_grid = mu_box(re_lo, 1e3 if re_lo < 1e3 else 10.0 * re_lo, 5, -1e2, 1e2, 21)
     mu_grid = [complex(m) for m in mu_grid]
     if not all(math.isfinite(m.real) and m.real > omega for m in mu_grid):
         raise ConfigError("all scan points must satisfy omega < Re mu < inf")

@@ -17,7 +17,7 @@ import numpy as np
 from .cauchy import estimate_M
 from .errors import ConfigError, NotDiagonal
 from .forcing import ExpForcing, ZeroForcing
-from .theorem import halfplane_scan, maxreg_inequality_check, omega1
+from .theorem import halfplane_scan, maxreg_inequality_check, mu_box, omega1
 from .timegrid import GridFunction, e0_norm_J, e1_norm_J
 
 # sup_t t^{1-sigma} ||u(t)||_0 is the weighted E0(J) norm
@@ -93,12 +93,12 @@ def theta_sweep(solver, thetas, probes):
     rescales the probe data (forcings and initial values) and re-estimates M
     in the weighted coordinates, the probes of every theta in one
     estimate_M call; N is theta-independent for the same reason and
-    computed once, at three points of the line Re mu = 0.5 (see halfplane_scan).
+    computed once.
     """
     op = solver.op
     if op.structure != "diagonal":
         raise NotDiagonal(f"theta sweep needs a diagonal operator, got structure={op.structure!r}")
-    N = halfplane_scan(op, 0.0, [complex(0.5, b) for b in (-4.0, 0.0, 4.0)]).bound_constant
+    N = halfplane_scan(op, 0.0, mu_box(0.5, 1e2, 3, -4.0, 4.0, 3)).bound_constant
     lam, n = np.diag(op.matrix), len(probes)
     weights = [(1.0 + np.abs(lam)) ** theta for theta in thetas]  # coordinates of E_theta
     scaled = [_scale_probe(pr, w) for w in weights for pr in probes]

@@ -188,19 +188,20 @@ class TestExperiments:
         assert len(err.splitlines()) == 1  # resolvent-scan's one error line
 
     def test_resolvent_scan_above_1e3(self, tmp_path):
-        # s(A) = 2000: the default line Re mu = omega + 0.5 lies right of omega
+        # s(A) = 2000: the default grid starts above omega and still spans 5 x 21 points
         f = tmp_path / "far.op"
         f.write_text("matrix = diag 2000,-1\n")
         code, report, out = run(tmp_path, "resolvent-scan", "--operator", str(f))
         assert code == 0 and np.isfinite(report["N"])
-        assert len((out / "resolvent_scan.csv").read_text().splitlines()) == 1 + 21
+        assert len((out / "resolvent_scan.csv").read_text().splitlines()) == 1 + 105
 
     def test_resolvent_scan_overflowed_grid(self, tmp_path, capsys):
-        # s(A) = 1e308: omega + 0.5 rounds to omega, so the default line is
-        # refused rather than scanned as if it lay right of the spectrum
+        # s(A) = 1e308: 10 (omega + 0.5) overflows, and the NaN real parts of
+        # the default grid are refused rather than scanned into N = NaN
         f = tmp_path / "overflow.op"
         f.write_text("matrix = diag 1e308,-1\n")
-        code, report, out = run(tmp_path, "resolvent-scan", "--operator", str(f))
+        with np.errstate(over="ignore", invalid="ignore"):
+            code, report, out = run(tmp_path, "resolvent-scan", "--operator", str(f))
         errors = [line for line in capsys.readouterr().err.splitlines()
                   if line.startswith("semilab: error:")]
         assert code == 1 and report is None and len(errors) == 1

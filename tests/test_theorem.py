@@ -421,16 +421,34 @@ class TestScansAndVerdict:
             with pytest.raises(ConfigError):
                 sl.halfplane_scan(diag_12, 1.0, mus)
 
-    def test_default_line_clears_omega(self):
-        # 21 points on Re mu = omega + 0.5, which stays right of omega at every scale
+    def test_default_grid_clears_omega(self):
+        # the 5 x 21 box is kept below omega + 0.5 = 1e3 and moves up from there on
         for omega in (0.0, 3.25, 999.0, 999.5, 2000.0 + 1e-9, 1e6):
             mus = [m for m, _ in sl.halfplane_scan(sl.diagonal_operator([omega, -1.0]), omega).scan]
-            assert mus == [complex(omega + 0.5, b) for b in np.linspace(-1e2, 1e2, 21)]
-            assert all(m.real == omega + 0.5 > omega for m in mus)
+            assert len(mus) == 105
+            assert min(m.real for m in mus) == pytest.approx(omega + 0.5)
+            if omega + 0.5 < 1e3:
+                assert mus == mu_box(omega + 0.5, 1e3, 5, -1e2, 1e2, 21)
+            else:
+                assert max(m.real for m in mus) == pytest.approx(10.0 * (omega + 0.5))
 
-    # s(A) < 0 on all of them, so omega = 0 and the line is the first row of the box
+    @pytest.mark.parametrize("diag", [[-50.0], [-1000.0, -2000.0]], ids=["diag50", "diag1000"])
+    def test_far_left_spectrum_keeps_the_box_constant(self, diag):
+        # N = max (1 + |mu|) / dist(mu, spectrum) over the box; it sits on the
+        # rows right of Re mu = 0.5, and the first row alone, the line cut at
+        # |Im mu| <= 100, reads less (0.902 against 0.954, 0.100 against 0.502)
+        op = sl.diagonal_operator(diag)
+        box = mu_box(0.5, 1e3, 5, -1e2, 1e2, 21)
+        exact = max((1.0 + abs(m)) / min(abs(m - lam) for lam in diag) for m in box)
+        rep = sl.halfplane_scan(op, 0.0)
+        assert rep.bound_constant == pytest.approx(exact, rel=1e-12)
+        assert sl.halfplane_scan(op, 0.0, box[:21]).bound_constant < 0.95 * exact
+
+    # s(A) < 0 on all of them, so omega = 0
     LINE_MAKERS = {
         "diag4": lambda e0: sl.diagonal_operator([-1.0, -2.5, -4.0, -7.0], e0_norm=e0),
+        "diag50": lambda e0: sl.diagonal_operator([-50.0], e0_norm=e0),
+        "diag1000": lambda e0: sl.diagonal_operator([-1000.0, -2000.0], e0_norm=e0),
         "lap64": lambda e0: sl.laplacian_1d(64, e0_norm=e0),
         "jordan8": lambda e0: sl.jordan_block(-2.0, 8, e0_norm=e0),
         "jordan8-half": lambda e0: sl.jordan_block(-0.5, 8, e0_norm=e0),
@@ -439,20 +457,11 @@ class TestScansAndVerdict:
 
     @pytest.mark.parametrize("e0_norm", ["euclidean", "sup"])
     @pytest.mark.parametrize("name", sorted(LINE_MAKERS))
-    def test_default_line_keeps_the_box_constant(self, name, e0_norm):
-        # the 5 x 21 box over Re mu in [omega + 0.5, 1e3] gives the line's N bit for bit
-        op = self.LINE_MAKERS[name](e0_norm)
-        omega = max(0.0, op.spectral_bound + 1e-9)
-        box = mu_box(omega + 0.5, 1e3, 5, -1e2, 1e2, 21)
-        assert sl.halfplane_scan(op, omega).bound_constant == \
-            sl.halfplane_scan(op, omega, box).bound_constant
-
-    @pytest.mark.parametrize("e0_norm", ["euclidean", "sup"])
-    @pytest.mark.parametrize("name", sorted(LINE_MAKERS))
     def test_halfplane_sup_lies_on_the_line(self, name, e0_norm):
         # Phragmen-Lindelof: (1 + |mu|) ||R(mu)|| on {Re mu >= omega + 0.5} is at
-        # most its sup on the line. The line runs to |beta| = 1e4, since lap64's
-        # line maximum sits near beta = 107, outside the box's [-100, 100]
+        # most its sup on the whole line. The line runs to |beta| = 1e4: lap64's
+        # line maximum sits near beta = 107, and diag50's and diag1000's further
+        # out, all outside the box's [-100, 100]
         op = self.LINE_MAKERS[name](e0_norm)
         omega = max(0.0, op.spectral_bound + 1e-9)
         box = sl.halfplane_scan(op, omega, mu_box(omega + 0.5, 1e3, 15, -1e2, 1e2, 201))

@@ -200,6 +200,13 @@ class TestInterpScale:
         row, = theta_sweep(sl.CauchySolver(op, grid), [theta], probes)
         assert row.M_hat == sl.estimate_M(sl.CauchySolver(op, grid), scaled).M_hat
 
+    def test_sweep_n_reaches_right_of_the_line(self, grid):
+        # diag -50: N sits on the 3 x 3 box's row at Re mu = 100, at 100 + 4i;
+        # the row at Re mu = 0.5 alone would read 0.099
+        op = sl.diagonal_operator([-50.0])
+        row, = theta_sweep(sl.CauchySolver(op, grid), [0.5], sl.default_probes(op, seed=0))
+        assert row.N == pytest.approx((1.0 + abs(100 + 4j)) / abs(150 + 4j), rel=1e-12)
+
     def test_theta_sweep_rows(self, grid):
         op = sl.diagonal_operator([-1.0, -2.0])
         probes = sl.default_probes(op, seed=0)
