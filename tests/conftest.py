@@ -48,11 +48,12 @@ def random_vector(rng, dim):
     return x / np.linalg.norm(x)
 
 
-def nonnormal_dense(n, seed, scale=1.0):
+def nonnormal_dense(n, seed, scale=1.0, real=False):
     """Q (D + N) Q*: real spectrum in [-9, -1], strictly upper triangular N,
-    scale times as large as the default."""
+    scale times as large as the default; Q unitary, or real orthogonal if real."""
     rng = np.random.default_rng(seed)
     d = -(1.0 + 8.0 * rng.random(n))
     N = np.triu(rng.standard_normal((n, n)), 1) * (2.0 * scale / np.sqrt(n))
-    Q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    G = rng.standard_normal((n, n))
+    Q, _ = np.linalg.qr(G if real else G + 1j * rng.standard_normal((n, n)))
     return sl.OperatorPair(Q @ (np.diag(d) + N) @ Q.conj().T)

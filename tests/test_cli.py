@@ -20,6 +20,8 @@ from semilab.errors import ConfigError
 from semilab.forcing import parse_probe_line
 from semilab.operators import parse_operator_text
 
+from conftest import nonnormal_dense
+
 
 @pytest.fixture()
 def diag_file(tmp_path):
@@ -494,6 +496,25 @@ class TestDeterminism:
         main(["maxreg-estimate", "--operator", diag_file, "--out", str(out2)])
         assert (out1 / "report.json").read_bytes() == (out2 / "report.json").read_bytes()
         assert (out1 / "maxreg.csv").read_bytes() == (out2 / "maxreg.csv").read_bytes()
+
+    def test_blas_thread_count_changes_no_byte(self, tmp_path):
+        # from n = 128 on, LAPACK's Schur factor and eigenvalues take different
+        # bits on 1 and 2 OpenBLAS threads unless the factorizations run on one
+        A = nonnormal_dense(128, seed=4).matrix
+        opf = tmp_path / "nonnormal128.op"
+        opf.write_text("".join("row = " + " ".join(f"{z.real}{z.imag:+}j" for z in row) + "\n"
+                               for row in A))
+        assert np.array_equal(parse_operator_text(opf.read_text()).matrix, A)
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        outs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads}
+            subprocess.run([sys.executable, "-m", "semilab.cli", "resolvent-scan",
+                            "--operator", str(opf), "--out", str(out)], env=env, check=True)
+            outs.append(out)
+        for name in ("report.json", "resolvent_scan.csv"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
 
 # runs maxreg-estimate on lap64 twice in one interpreter and prints the minor

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 import semilab as sl
 from semilab import operators
-from semilab.errors import ConfigError, ContourCrossesSpectrum, DimensionMismatch, SingularResolvent
+from semilab.errors import (ConfigError, ContourCrossesSpectrum, DimensionMismatch, EigenFailure,
+                            SingularResolvent)
 from semilab.operators import _GKL_MIN_DIM
 from semilab.theorem import mu_box
 
@@ -226,6 +227,29 @@ class TestResolventFactor:
             ref = np.linalg.solve(mu * np.eye(op.dim) - op.matrix, Y)
             for y, r in zip(Y.T, ref.T):
                 assert np.linalg.norm(op.resolvent_solve(mu, y) - r) <= 1e-10 * np.linalg.norm(r)
+
+    def test_factorizations_run_on_one_blas_thread(self, monkeypatch):
+        pins = operators._openblas_threads()
+        if not pins:
+            pytest.skip("no OpenBLAS with a thread-count setter is loaded")
+        before, seen = [get() for get, _ in pins], []
+
+        def recording(f, fail=False):
+            def wrapped(*args, **kwargs):
+                seen.append([get() for get, _ in pins])
+                if fail:
+                    raise np.linalg.LinAlgError("no convergence")
+                return f(*args, **kwargs)
+            return wrapped
+        monkeypatch.setattr(scipy.linalg, "schur", recording(scipy.linalg.schur))
+        monkeypatch.setattr(np.linalg, "eigvals", recording(np.linalg.eigvals))
+        op = nonnormal_dense(16, seed=2)
+        assert op.resolvent_backend == "schur" and len(op.eigenvalues) == 16
+        monkeypatch.setattr(scipy.linalg, "schur", recording(None, fail=True))
+        with pytest.raises(EigenFailure):
+            nonnormal_dense(16, seed=2).resolvent_factor
+        assert seen == [[1] * len(pins)] * 3
+        assert [get() for get, _ in pins] == before
 
     def test_perturbed_normal_is_schur(self):
         base = sl.random_normal_operator(16, seed=7)
@@ -720,6 +744,46 @@ class TestSemigroupOracle:
         op = sl.jordan_block(-3.0, 4)
         x = random_vector(rng, 4)
         assert np.array_equal(op.semigroup_apply_oracle(0.0, x), x.astype(complex))
+
+    @pytest.mark.parametrize("n", [64, 256])
+    def test_laplacian_sine_series(self, n, rng):
+        # e^{tA} = V diag(e^{t lambda_k}) V^T: V_jk = sqrt(2h) sin(jk pi h),
+        # lambda_k = -4 sin^2(k pi h / 2) / h^2, h = 1/(n+1)
+        op, h = sl.laplacian_1d(n), 1.0 / (n + 1)
+        k = np.arange(1, n + 1)
+        V = np.sqrt(2 * h) * np.sin(np.outer(k, k) * np.pi * h)
+        lam = -4.0 * np.sin(k * np.pi * h / 2) ** 2 / h**2
+        x = random_vector(rng, n)
+        for t in (0.01, 0.1, 1.0):
+            exact = V @ (np.exp(t * lam) * (V.T @ x))
+            assert op.norm0(op.semigroup_apply_oracle(t, x) - exact) <= 1e-10 * op.norm0(exact)
+
+    @pytest.mark.parametrize("make", [lambda: sl.jordan_block(-2.0, 8),
+                                      lambda: nonnormal_dense(12, seed=5, real=True)],
+                             ids=["jordan8", "real-nonnormal12"])
+    def test_real_matrix_matches_complex_expm(self, make, rng):
+        op = make()
+        x = random_vector(rng, op.dim)
+        for t in (0.01, 0.1, 1.0):
+            exact = scipy.linalg.expm(t * op.matrix) @ x  # complex arithmetic throughout
+            assert op.norm0(op.semigroup_apply_oracle(t, x) - exact) <= 1e-13 * op.norm0(exact)
+
+    @pytest.mark.parametrize("make, dtype", [
+        (lambda: sl.laplacian_1d(64), np.float64),
+        (lambda: sl.jordan_block(-2.0, 8), np.float64),
+        (lambda: nonnormal_dense(12, seed=5, real=True), np.float64),
+        (lambda: sl.random_normal_operator(16, seed=3), np.complex128),
+        (lambda: sl.jordan_block(-1 + 2j, 8), np.complex128)],
+        ids=["lap64", "jordan8", "real-nonnormal12", "normal16", "jordan-complex"])
+    def test_real_operator_takes_real_expm(self, make, dtype, rng, monkeypatch):
+        op, seen, expm = make(), [], scipy.linalg.expm
+
+        def recording(M):
+            seen.append(M.dtype)
+            return expm(M)
+        monkeypatch.setattr(scipy.linalg, "expm", recording)
+        op.semigroup_apply_oracle(0.5, random_vector(rng, op.dim))
+        assert seen == [dtype]
 
 
 class TestDescriptionFiles:

@@ -1,11 +1,12 @@
 """Digest the output of every CLI experiment on a fixed operator corpus.
 
 Runs the 8 experiments of ``semilab.cli``, and ``weighted --sigma 0.5``,
-``reconstruct --T 0.5``, ``resolvent-scan`` on a 5 x 21 ``grid:`` box and
-``maxreg-estimate`` and ``verdict`` with a probe file besides, with
-``--seed 61`` on eight operator files (a diagonal n=4, lap64, jordan8 and a
-random normal operator of dim 16, each with the euclidean and with the sup E0
-norm): 104 runs. The probe file puts two steep exponential probes on each
+``reconstruct --T 0.5``, ``resolvent-scan`` on a 5 x 21 ``grid:`` box,
+``maxreg-estimate`` and ``verdict`` with a probe file, ``identity-check`` on a
+comma list of three shifts and ``maxreg-estimate --T 16`` (whose h = 1 phi
+tables square) besides, with ``--seed 61`` on eight operator files (a diagonal
+n=4, lap64, jordan8 and a random normal operator of dim 16, each with the
+euclidean and with the sup E0 norm): 120 runs. The probe file puts two steep exponential probes on each
 grid the 16-panel solves refine to (panels split in 2, 3 and 4), so the
 batched solves there stack more than one probe, next to two base-grid
 exponentials, a polynomial and an initial-value probe. It prints one line
@@ -40,14 +41,16 @@ OPERATORS = {**EUCLIDEAN,
              **{f"{name}-sup": text + "e0_norm = sup\n" for name, text in EUCLIDEAN.items()}}
 PROBES = "probes.txt"  # written under the run's root for each operator
 # every experiment with its defaults, then the weighted path below sigma = 1,
-# the omega2 search on a second bracket, [1e-6, 128], a scan of a grid: box and
-# the probe file
+# the omega2 search on a second bracket, [1e-6, 128], a scan of a grid: box, the
+# probe file, a comma-list --mu-grid and T = 16, where unshifted panels reach h = 1
 RUNS = [[experiment] for experiment in EXPERIMENTS] + [
     ["weighted", "--sigma", "0.5"],
     ["reconstruct", "--T", "0.5"],
     ["resolvent-scan", "--mu-grid", "grid:0.5:1000:5:-100:100:21"],
     ["maxreg-estimate", "--probes", PROBES],
-    ["verdict", "--probes", PROBES]]
+    ["verdict", "--probes", PROBES],
+    ["identity-check", "--mu-grid", "0.5,1+2i,4-3i"],
+    ["maxreg-estimate", "--T", "16"]]
 
 
 def probe_text(dim):
