@@ -151,10 +151,12 @@ class OperatorPair:
         return float(n) if n.ndim == 0 else n
 
     def operator_norm(self, B):
-        """E0 operator norm of a matrix B acting on E0."""
+        """E0 operator norm of a matrix B acting on E0; the euclidean SVD runs
+        on one BLAS thread."""
         B = np.asarray(B)
         if self.e0_norm == "euclidean":  # the largest singular value, as np.linalg.norm(B, 2)
-            return float(np.linalg.svd(B, compute_uv=False)[0])
+            with _serial_lapack():
+                return float(np.linalg.svd(B, compute_uv=False)[0])
         return float(np.max(np.sum(np.abs(B), axis=1)))
 
     @cached_property
@@ -321,28 +323,30 @@ class OperatorPair:
         """E0 norms of (mu - A)^-1 from the dense mu - A of each shift of the
         1-D array mus, stacked in chunks: 1 / sigma_min from one SVD call per
         chunk (inf where that is not finite), or the largest row sum of one
-        stacked inverse (sup)."""
+        stacked inverse (sup), each call on one BLAS thread."""
         norms = np.empty(len(mus))
         for part in chunks(np.arange(len(mus)), 64 * self.dim ** 2):
             R = mus[part, None, None] * np.eye(self.dim) - self.matrix
             if self.e0_norm == "euclidean":
-                with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                with _serial_lapack(), np.errstate(divide="ignore", over="ignore",
+                                                   invalid="ignore"):
                     inv = 1.0 / np.linalg.svd(R, compute_uv=False)[:, -1]
                 norms[part] = np.where(np.isfinite(inv), inv, math.inf)
             else:  # an overflowed inverse sums to NaN: inf, as above
-                sums = np.max(np.sum(np.abs(np.linalg.inv(R)), axis=-1), axis=-1)
+                with _serial_lapack():
+                    sums = np.max(np.sum(np.abs(np.linalg.inv(R)), axis=-1), axis=-1)
                 norms[part] = np.where(np.isfinite(sums), sums, math.inf)
         return norms
 
     # -- semigroup oracle ----------------------------------------------------
 
     def semigroup_apply_oracle(self, t, x):
-        """e^{tA}x by scaling-and-squaring (dense) or eigenvalue exponentials
-        (diagonal), independent of the resolvent factor. t = 0 returns x
-        unchanged. A matrix with no imaginary part is exponentiated in real
-        arithmetic, half the memory and a quarter of the flops of its complex
-        copy, and the real e^{tA} acts on x's float view: E @ x would copy E
-        to complex."""
+        """e^{tA}x independent of the resolvent factor: eigenvalue exponentials
+        (diagonal), V e^{t Lambda} V* x from scipy's eigh (a tridiagonal A equal
+        to its conjugate transpose exactly, with no tolerance: Householder and
+        MRRR, where the factor runs divide and conquer on (d, |e|)), or scaling
+        and squaring (any other A). t = 0 returns x unchanged. A matrix with no
+        imaginary part is decomposed or exponentiated in real arithmetic."""
         if t < 0:
             raise ValueError("t must be nonnegative")
         x = self.check_vector(x)
@@ -351,10 +355,13 @@ class OperatorPair:
         A = self.matrix
         if self.structure == "diagonal":
             return np.exp(t * np.diag(A)) * x
-        if A.imag.any():
-            return scipy.linalg.expm(t * A) @ x
-        E = scipy.linalg.expm(t * A.real)
-        return (E @ np.ascontiguousarray(x).view(float).reshape(-1, 2)).view(complex)[:, 0]
+        B = A if A.imag.any() else A.real
+        d, up, lo = (np.diagonal(A, k) for k in (0, 1, -1))
+        if self.structure == "tridiagonal" and not d.imag.any() and np.array_equal(lo, up.conj()):
+            with _serial_lapack():
+                lam, V = scipy.linalg.eigh(B)
+            return _times(V, np.exp(t * lam) * np.conj(_times(V.T, np.conj(x))))
+        return _times(scipy.linalg.expm(t * B), x)
 
     # -- evolution backend for the Cauchy solver ------------------------------
 
@@ -365,6 +372,14 @@ class OperatorPair:
         sends the Cauchy solver to its dense backend."""
         Z, lam, normal = self.resolvent_factor
         return (Z, lam) if normal else None
+
+
+def _times(E, x):
+    """E @ x for a complex vector x; a real E acts on x's float view, since
+    E @ x would copy E to complex."""
+    if E.dtype.kind == "c":
+        return E @ x
+    return (E @ np.ascontiguousarray(x).view(float).reshape(-1, 2)).view(complex)[:, 0]
 
 
 # -- triangular kernels on the Schur factor ----------------------------------
@@ -390,16 +405,21 @@ def _start_vector(n):
     return v
 
 
-def _top_singular_value(e, s, zeros):
-    """Largest singular value of the bidiagonal e = (alpha_1, beta_1, ...): s
-    times the top eigenvalue of the zero-diagonal tridiagonal with off-diagonal
-    e / s, s = max(e), so no square overflows (zeros: a zero array longer than
-    e), from LAPACK dstebz with the arguments eigvalsh_tridiagonal(select="i") passes."""
-    m = len(e)
-    _, top, _, _, info = dstebz(zeros[:m + 1], e / s, 2, 0.0, 1.0, m + 1, m + 1, 0.0, "E")
+def _top_singular_value(e, s):
+    """Largest singular value of the m x (m + 1) bidiagonal C of e = (alpha_1,
+    beta_1, ..., alpha_m, beta_m): s times the square root of the top
+    eigenvalue of the m x m tridiagonal C C^T of e / s (diagonal alpha_i^2 +
+    beta_i^2, off-diagonal alpha_{i+1} beta_i), s = max(e), so no square
+    overflows; from LAPACK dstebz with the arguments eigvalsh_tridiagonal(select="i")
+    passes, or read directly at m = 1, where dstebz refuses an empty off-diagonal."""
+    alpha, beta = e[0::2] / s, e[1::2] / s
+    d, m = alpha * alpha + beta * beta, len(alpha)
+    if m == 1:
+        return float(s * math.sqrt(d[0]))
+    _, top, _, _, info = dstebz(d, alpha[1:] * beta[:-1], 2, 0.0, 1.0, m, m, 0.0, "E")
     if info:
         raise EigenFailure(f"dstebz failed with info={info}")
-    return float(s * top[0])
+    return float(s * math.sqrt(top[0]))
 
 
 def _inverse_norm(M):
@@ -411,7 +431,7 @@ def _inverse_norm(M):
     gives bit-equal norms; M^-1, not (M* M)^-1, keeps norms past 1e154 finite.
     A residual zero against the largest entry top ends it: the value is exact."""
     n = M.shape[0]
-    e, zeros = np.zeros(2 * n), np.zeros(2 * n + 1)  # e: alpha_1, beta_1, alpha_2, ...
+    e = np.zeros(2 * n)  # alpha_1, beta_1, alpha_2, ...
     v, u = _start_vector(n), np.zeros(n, dtype=complex)
     eps, top, sigma, beta = np.finfo(float).eps, 0.0, 0.0, 0.0
     for k in range(n):
@@ -432,12 +452,12 @@ def _inverse_norm(M):
             break
         v = zdscal(1.0 / beta, v, n, 0, 1, 1)
         if k % _GKL_CHECK == _GKL_CHECK - 1:
-            sigma, last = _top_singular_value(e[:2 * k + 2], top, zeros), sigma
+            sigma, last = _top_singular_value(e[:2 * k + 2], top), sigma
             if sigma - last <= _GKL_RTOL * sigma:
                 return sigma
     else:
         return None
-    return _top_singular_value(e[:2 * k + 2], top, zeros)
+    return _top_singular_value(e[:2 * k + 2], top)
 
 
 # -- canned operator constructors ------------------------------------------

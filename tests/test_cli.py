@@ -18,7 +18,7 @@ from semilab.cauchy import CauchySolver
 from semilab.cli import EXPERIMENTS, main, parse_mu_grid
 from semilab.errors import ConfigError
 from semilab.forcing import parse_probe_line
-from semilab.operators import parse_operator_text
+from semilab.operators import _serial_lapack, parse_operator_text
 
 from conftest import nonnormal_dense
 
@@ -473,9 +473,7 @@ def test_one_parser_serves_every_run(tmp_path, diag_file):
 
 
 class TestDeterminism:
-    @pytest.mark.parametrize("threads", ["1", "4"])
-    def test_byte_identical_reports(self, tmp_path, diag_file, monkeypatch, threads):
-        monkeypatch.setenv("SEMILAB_THREADS", threads)
+    def test_byte_identical_reports(self, tmp_path, diag_file):
         outs = []
         for name in ("a", "b"):
             out = tmp_path / name
@@ -487,33 +485,40 @@ class TestDeterminism:
         assert (a / "report.json").read_bytes() == (b / "report.json").read_bytes()
         assert (a / "identity.csv").read_bytes() == (b / "identity.csv").read_bytes()
 
-    def test_threaded_equals_serial(self, tmp_path, diag_file, monkeypatch):
-        monkeypatch.setenv("SEMILAB_THREADS", "1")
-        out1 = tmp_path / "serial"
+    def test_threaded_equals_serial(self, tmp_path, diag_file):
+        # OpenBLAS on its default thread count, then pinned to one thread in process
+        out1 = tmp_path / "threads"
         main(["maxreg-estimate", "--operator", diag_file, "--out", str(out1)])
-        monkeypatch.setenv("SEMILAB_THREADS", "8")
-        out2 = tmp_path / "threads"
-        main(["maxreg-estimate", "--operator", diag_file, "--out", str(out2)])
+        out2 = tmp_path / "serial"
+        with _serial_lapack():
+            main(["maxreg-estimate", "--operator", diag_file, "--out", str(out2)])
         assert (out1 / "report.json").read_bytes() == (out2 / "report.json").read_bytes()
         assert (out1 / "maxreg.csv").read_bytes() == (out2 / "maxreg.csv").read_bytes()
 
-    def test_blas_thread_count_changes_no_byte(self, tmp_path):
-        # from n = 128 on, LAPACK's Schur factor and eigenvalues take different
-        # bits on 1 and 2 OpenBLAS threads unless the factorizations run on one
+    @pytest.mark.parametrize("experiment, e0_norm", [("resolvent-scan", "euclidean"),
+                                                     ("resolvent-scan", "sup"),
+                                                     ("verdict", "euclidean")])
+    def test_blas_thread_count_changes_no_byte(self, tmp_path, experiment, e0_norm):
+        # from n = 128 on, LAPACK's Schur factor and eigenvalues, the stacked
+        # SVDs and inverses of the dense norms and the SVD of operator_norm
+        # take different bits on 1 and 2 OpenBLAS threads unless they run on one
         A = nonnormal_dense(128, seed=4).matrix
         opf = tmp_path / "nonnormal128.op"
-        opf.write_text("".join("row = " + " ".join(f"{z.real}{z.imag:+}j" for z in row) + "\n"
-                               for row in A))
+        opf.write_text(f"e0_norm = {e0_norm}\n"
+                       + "".join("row = " + " ".join(f"{z.real}{z.imag:+}j" for z in row) + "\n"
+                                 for row in A))
         assert np.array_equal(parse_operator_text(opf.read_text()).matrix, A)
         src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
         outs = []
         for threads in ("1", "2"):
             out = tmp_path / f"threads{threads}"
             env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads}
-            subprocess.run([sys.executable, "-m", "semilab.cli", "resolvent-scan",
+            subprocess.run([sys.executable, "-m", "semilab.cli", experiment,
                             "--operator", str(opf), "--out", str(out)], env=env, check=True)
             outs.append(out)
-        for name in ("report.json", "resolvent_scan.csv"):
+        names = sorted(os.listdir(outs[0]))
+        assert names == sorted(os.listdir(outs[1])) and "report.json" in names
+        for name in names:
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
 

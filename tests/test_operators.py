@@ -16,6 +16,14 @@ from semilab.theorem import mu_box
 from conftest import nonnormal_dense, random_vector
 
 
+def complex_hermitian_tridiagonal():
+    """A 6 x 6 tridiagonal equal to its conjugate transpose, complex off the diagonal."""
+    rng = np.random.default_rng(6)
+    d = rng.standard_normal(6)
+    e = rng.standard_normal(5) + 1j * rng.standard_normal(5)
+    return np.diag(d) + np.diag(e, 1) + np.diag(e.conj(), -1)
+
+
 class TestNorms:
     def test_graph_norm_embedding(self, rng):
         # ||x||_0 <= ||x||_1 exactly: the embedding constant is 1
@@ -354,10 +362,7 @@ class TestResolventFactor:
         assert calls == []
 
     def test_complex_hermitian_tridiagonal(self):
-        rng = np.random.default_rng(6)
-        d = rng.standard_normal(6)
-        e = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-        A = np.diag(d) + np.diag(e, 1) + np.diag(e.conj(), -1)
+        A = complex_hermitian_tridiagonal()
         op = sl.OperatorPair(A)
         ref = np.linalg.eigvalsh(A)
         assert np.allclose(np.sort(op.eigenvalues.real), ref, rtol=0, atol=1e-13)
@@ -452,7 +457,8 @@ class TestGKLNorm:
         mu = MUS[2]
         norm = op.resolvent_norm(mu)
         assert calls == [1]
-        assert norm == 1.0 / svd(mu * np.eye(op.dim) - op.matrix, compute_uv=False)[-1]
+        with operators._serial_lapack():  # as the fallback runs it: its bits depend on the count
+            assert norm == 1.0 / svd(mu * np.eye(op.dim) - op.matrix, compute_uv=False)[-1]
 
     def test_memory_is_linear_in_n(self):
         op = nonnormal_dense(256, 4)
@@ -471,29 +477,18 @@ class TestGKLNorm:
         for mu in MUS:
             assert op.resolvent_norm(mu) == op.resolvent_norm(mu) == again.resolvent_norm(mu)
 
-    def test_top_singular_value_is_the_wrappers(self):
-        # the direct LAPACK dstebz call against scipy's eigvalsh_tridiagonal,
-        # bit for bit, on random bidiagonals of every length the loop reads
+    def test_top_singular_value_matches_svd(self):
+        # the m x m Ritz read C C^T against np.linalg.svd of the dense
+        # m x (m + 1) bidiagonal C, at every length and scales past the
+        # squaring range
         rng = np.random.default_rng(21)
-        for m in range(2, 121):
-            for scale in 10.0 ** rng.uniform(-5.0, 5.0, size=2):
-                e = scale * rng.random(m)
-                ref = scipy.linalg.eigvalsh_tridiagonal(np.zeros(m + 1), e / e.max(),
-                                                        select="i", select_range=(m, m))
-                got = operators._top_singular_value(e, e.max(), np.zeros(m + 1))
-                assert got == float(e.max() * ref[0]), (m, scale)
-
-    def test_norms_unchanged_under_the_wrapper(self, monkeypatch):
-        op = nonnormal_dense(128, 4)
-        mus = MUS + [1e3j, -1e3 - 1e3j, op.eigenvalues[0] + 1e-3]
-        direct = [op.resolvent_norm(mu) for mu in mus]
-
-        def wrapper(e, s, zeros):
-            m = len(e)
-            return float(s * scipy.linalg.eigvalsh_tridiagonal(
-                np.zeros(m + 1), e / s, select="i", select_range=(m, m))[0])
-        monkeypatch.setattr(operators, "_top_singular_value", wrapper)
-        assert [op.resolvent_norm(mu) for mu in mus] == direct
+        for m in range(1, 241):
+            e = 10.0 ** rng.uniform(-200.0, 200.0) * rng.random(2 * m)
+            C = np.zeros((m, m + 1))
+            C[np.arange(m), np.arange(m)], C[np.arange(m), np.arange(1, m + 1)] = e[0::2], e[1::2]
+            ref = np.linalg.svd(C, compute_uv=False)[0]
+            assert operators._top_singular_value(e, e.max()) == pytest.approx(ref, rel=1e-14,
+                                                                                abs=0), m
 
 
 class TestResolventSum:
@@ -745,7 +740,7 @@ class TestSemigroupOracle:
         x = random_vector(rng, 4)
         assert np.array_equal(op.semigroup_apply_oracle(0.0, x), x.astype(complex))
 
-    @pytest.mark.parametrize("n", [64, 256])
+    @pytest.mark.parametrize("n", [64, 256, 512])
     def test_laplacian_sine_series(self, n, rng):
         # e^{tA} = V diag(e^{t lambda_k}) V^T: V_jk = sqrt(2h) sin(jk pi h),
         # lambda_k = -4 sin^2(k pi h / 2) / h^2, h = 1/(n+1)
@@ -769,12 +764,11 @@ class TestSemigroupOracle:
             assert op.norm0(op.semigroup_apply_oracle(t, x) - exact) <= 1e-13 * op.norm0(exact)
 
     @pytest.mark.parametrize("make, dtype", [
-        (lambda: sl.laplacian_1d(64), np.float64),
         (lambda: sl.jordan_block(-2.0, 8), np.float64),
         (lambda: nonnormal_dense(12, seed=5, real=True), np.float64),
         (lambda: sl.random_normal_operator(16, seed=3), np.complex128),
         (lambda: sl.jordan_block(-1 + 2j, 8), np.complex128)],
-        ids=["lap64", "jordan8", "real-nonnormal12", "normal16", "jordan-complex"])
+        ids=["jordan8", "real-nonnormal12", "normal16", "jordan-complex"])
     def test_real_operator_takes_real_expm(self, make, dtype, rng, monkeypatch):
         op, seen, expm = make(), [], scipy.linalg.expm
 
@@ -784,6 +778,50 @@ class TestSemigroupOracle:
         monkeypatch.setattr(scipy.linalg, "expm", recording)
         op.semigroup_apply_oracle(0.5, random_vector(rng, op.dim))
         assert seen == [dtype]
+
+    @pytest.mark.parametrize("make", [lambda: sl.laplacian_1d(64),
+                                      lambda: sl.OperatorPair(complex_hermitian_tridiagonal())],
+                             ids=["lap64", "complex-hermitian"])
+    def test_hermitian_tridiagonal_takes_its_eigendecomposition(self, make, rng, monkeypatch):
+        # neither scaling and squaring nor the resolvent factor's eigensolver
+        def refuse(*args, **kwargs):
+            raise AssertionError("called")
+        monkeypatch.setattr(scipy.linalg, "expm", refuse)
+        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", refuse)
+        op = make()
+        op.semigroup_apply_oracle(0.5, random_vector(rng, op.dim))
+        assert "resolvent_factor" not in op.__dict__
+
+    def test_complex_hermitian_matches_complex_expm(self, rng):
+        op = sl.OperatorPair(complex_hermitian_tridiagonal())
+        x = random_vector(rng, op.dim)
+        for t in (0.01, 0.1, 1.0):
+            exact = scipy.linalg.expm(t * op.matrix) @ x
+            assert op.norm0(op.semigroup_apply_oracle(t, x) - exact) <= 1e-12 * op.norm0(exact)
+
+    def test_one_ulp_off_hermitian_takes_expm(self, rng, monkeypatch):
+        # is_hermitian's tolerance would pass it; the oracle's exact test does not
+        A = complex_hermitian_tridiagonal()
+        A[3, 2] = complex(np.nextafter(A[3, 2].real, np.inf), A[3, 2].imag)
+        op, seen, expm = sl.OperatorPair(A), [], scipy.linalg.expm
+        assert op.structure == "tridiagonal" and op.is_hermitian
+        monkeypatch.setattr(scipy.linalg, "expm", lambda M: seen.append(M.dtype) or expm(M))
+        x = random_vector(rng, op.dim)
+        got = op.semigroup_apply_oracle(0.5, x)
+        assert seen == [np.complex128]
+        assert np.array_equal(got, expm(0.5 * A) @ x)
+
+    def test_memory_of_the_laplacian(self, rng):
+        # eigh takes about 3 n^2 doubles, real expm about 9 n^2
+        op = sl.laplacian_1d(256)
+        x = random_vector(rng, op.dim)
+        tracemalloc.start()
+        try:
+            op.semigroup_apply_oracle(0.5, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * op.dim ** 2 * 8
 
 
 class TestDescriptionFiles:
