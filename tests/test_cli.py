@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from semilab import cli
+from semilab import cli, operators
 from semilab.cauchy import CauchySolver
 from semilab.cli import EXPERIMENTS, main, parse_mu_grid
 from semilab.errors import ConfigError
@@ -473,14 +473,24 @@ def test_one_parser_serves_every_run(tmp_path, diag_file):
 
 
 class TestDeterminism:
-    def test_byte_identical_reports(self, tmp_path, diag_file):
+    @pytest.mark.parametrize("threads", [1, 4])
+    def test_byte_identical_reports(self, tmp_path, diag_file, threads):
+        # both runs with every loaded OpenBLAS set to the given thread count
+        pins = operators._openblas_threads()
+        counts = [get() for get, _ in pins]
+        for _, put in pins:
+            put(threads)
         outs = []
-        for name in ("a", "b"):
-            out = tmp_path / name
-            code = main(["identity-check", "--operator", diag_file,
-                         "--seed", "3", "--out", str(out)])
-            assert code == 0
-            outs.append(out)
+        try:
+            for name in ("a", "b"):
+                out = tmp_path / name
+                code = main(["identity-check", "--operator", diag_file,
+                             "--seed", "3", "--out", str(out)])
+                assert code == 0
+                outs.append(out)
+        finally:
+            for (_, put), count in zip(pins, counts):
+                put(count)
         a, b = outs
         assert (a / "report.json").read_bytes() == (b / "report.json").read_bytes()
         assert (a / "identity.csv").read_bytes() == (b / "identity.csv").read_bytes()

@@ -477,6 +477,36 @@ class TestGKLNorm:
         for mu in MUS:
             assert op.resolvent_norm(mu) == op.resolvent_norm(mu) == again.resolvent_norm(mu)
 
+    def test_top_singular_value_is_the_wrappers(self):
+        # the direct LAPACK dstebz call on C C^T against scipy's
+        # eigvalsh_tridiagonal of the same tridiagonal, bit for bit, on random
+        # bidiagonals of every length the loop reads
+        rng = np.random.default_rng(21)
+        for m in range(1, 121):
+            for scale in 10.0 ** rng.uniform(-5.0, 5.0, size=2):
+                e = scale * rng.random(2 * m)
+                s = e.max()
+                alpha, beta = e[0::2] / s, e[1::2] / s
+                ref = scipy.linalg.eigvalsh_tridiagonal(alpha * alpha + beta * beta,
+                                                        alpha[1:] * beta[:-1],
+                                                        select="i", select_range=(m - 1, m - 1))
+                got = operators._top_singular_value(e, s)
+                assert got == float(s * np.sqrt(ref[0])), (m, scale)
+
+    def test_norms_unchanged_under_the_wrapper(self, monkeypatch):
+        op = nonnormal_dense(128, 4)
+        mus = MUS + [1e3j, -1e3 - 1e3j, op.eigenvalues[0] + 1e-3]
+        direct = [op.resolvent_norm(mu) for mu in mus]
+
+        def wrapper(e, s):
+            alpha, beta = e[0::2] / s, e[1::2] / s
+            m = len(alpha)
+            return float(s * np.sqrt(scipy.linalg.eigvalsh_tridiagonal(
+                alpha * alpha + beta * beta, alpha[1:] * beta[:-1],
+                select="i", select_range=(m - 1, m - 1))[0]))
+        monkeypatch.setattr(operators, "_top_singular_value", wrapper)
+        assert [op.resolvent_norm(mu) for mu in mus] == direct
+
     def test_top_singular_value_matches_svd(self):
         # the m x m Ritz read C C^T against np.linalg.svd of the dense
         # m x (m + 1) bidiagonal C, at every length and scales past the
