@@ -67,14 +67,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .errors import EmptyProbeSet
 from .operators import chunks
 from .phi import phi_matrices, phi_scalar
-from .timegrid import GridFunction, e0_norm_J, e1_norm_J, gauss_legendre_01
+from .timegrid import GridFunction, e0_norm_J, e0_samples, e1_norm_J, gauss_legendre_01
 
 # panel width * profile rate above which panels are split, keeping the
 # polynomial interpolation error of the forcing profile near 1e-11
@@ -293,7 +293,9 @@ class CauchySolver:
         probe, without a batch axis. A steep forcing profile triggers a panel
         split; the returned GridFunction carries the grid in use and, as
         forcing_values and operator_values, the samples of f and of A u at
-        its nodes."""
+        its nodes. On a normal operator in the euclidean norm it also
+        carries them in eigen coordinates, as ``coordinates``, and forms the
+        standard-basis samples only when one is read."""
         solver = self.refined_for(forcing.rate) if forcing.rate else self
         x0 = np.zeros(self.dim, dtype=complex) if x0 is None else np.asarray(x0, dtype=complex)
         return solver._solve(forcing.profile(solver.grid.nodes), forcing.y, x0)
@@ -315,24 +317,23 @@ class CauchySolver:
     def _solve(self, p, y, x0):
         """The solution on this solver's grid for the profile p at its nodes,
         the block y and the initial value x0, or for stacks of them on one
-        leading axis."""
-        grid = self.grid
+        leading axis: in eigen coordinates (_EigenSolution) on a normal
+        operator with a basis Z in the euclidean norm, else in the standard
+        basis."""
+        grid, op = self.grid, self.op
         # the Gauss-node entries of p follow each panel's left edge
         F = p[..., :-1].reshape(p.shape[:-1] + (grid.panels, grid.nodes_per_panel + 1))[..., 1:]
-        diag = self.op.diagonalization
+        diag = op.diagonalization
         Z = None if diag is None else diag[0]
         if Z is None:  # dense backend, or a diagonal A: no change of basis
             v, _ = self._propagate(0.0, F, y[..., None], x0[..., None], nodes=True)
-            values = v[..., 0]
-        else:
-            ZH = Z.conj().T
-            v, _ = self._propagate(0.0, F, ZH @ y[..., None], ZH @ x0[..., None], nodes=True)
-            values = v[..., 0] @ Z.T
-        values[..., 0, :] = x0
-        S, Au = p[..., None] * y[..., None, :], values @ self.op.matrix.T
-        u = GridFunction(grid, values, Au + S)
-        u.forcing_values, u.operator, u.operator_values = S, self.op, Au
-        return u
+            return _standard_solution(grid, op, v[..., 0], p, y, x0)
+        ZH = Z.conj().T
+        Zy = ZH @ y[..., None]
+        v, _ = self._propagate(0.0, F, Zy, ZH @ x0[..., None], nodes=True)
+        if op.e0_norm == "euclidean":
+            return _EigenSolution(grid, op, v[..., 0], p[..., None] * Zy[..., None, :, 0], p, y, x0)
+        return _standard_solution(grid, op, v[..., 0] @ Z.T, p, y, x0)
 
     def exp_functionals(self, mu):
         """For the forcing f(t) = e^{-conj(mu) t} (columnwise identity),
@@ -386,6 +387,46 @@ class CauchySolver:
         return out
 
 
+def _standard_solution(grid, op, values, p, y, x0):
+    """The GridFunction of a solve from its node values in the standard basis,
+    whose row 0 is set to x0 exactly: f = p y, A u (lam * u for a diagonal A,
+    bit-equal to the product for real lam) and u' = A u + f."""
+    values[..., 0, :] = x0
+    diag = op.diagonalization
+    S = p[..., None] * y[..., None, :]
+    Au = diag[1] * values if diag is not None and diag[0] is None else values @ op.matrix.T
+    u = GridFunction(grid, values, Au + S)
+    u.forcing_values, u.operator, u.operator_values = S, op, Au
+    return u
+
+
+class _EigenSolution(GridFunction):
+    """A solve's GridFunction on a normal operator A = Z diag(lam) Z* in the
+    euclidean norm, kept in the coordinates v = Z* u the solve propagated in:
+    ``coordinates`` holds v, lam v, the forcing p Z* y and their sum as its
+    values, operator_values, forcing_values and derivative_values, and every
+    euclidean norm reads them as they are (e0_samples). The four standard-basis
+    samples are formed together on first access of one, from u = v Z^T by
+    _standard_solution."""
+
+    def __init__(self, grid, op, v, fv, p, y, x0):
+        Av = op.diagonalization[1] * v
+        self.grid, self.operator = grid, op
+        self.coordinates = GridFunction(grid, v, Av + fv)
+        self.coordinates.operator_values, self.coordinates.forcing_values = Av, fv
+        self._p, self._y, self._x0 = p, y, x0
+
+    @cached_property
+    def _standard(self):
+        values = self.coordinates.values @ self.operator.diagonalization[0].T
+        return _standard_solution(self.grid, self.operator, values, self._p, self._y, self._x0)
+
+    values = property(lambda self: self._standard.values)
+    derivative_values = property(lambda self: self._standard.derivative_values)
+    operator_values = property(lambda self: self._standard.operator_values)
+    forcing_values = property(lambda self: self._standard.forcing_values)
+
+
 @dataclass
 class MaxRegEstimate:
     """Probe-based lower estimate of the maximal-regularity constant."""
@@ -409,13 +450,14 @@ def estimate_M(solver, probes):
     if not probes:
         raise EmptyProbeSet("estimate_M needs at least one probe")
     op = solver.op
+    x = np.array([np.zeros(op.dim) if x is None else x for _, x in probes], dtype=complex)
+    nx1 = op.norm1(x)  # the initial values u(0)
     norms = [None] * len(probes)  # (||f||_E0, ||x||_1, ||u||_E1) of each probe
     for idx, u in solver.solve_batch(probes):
-        nf = e0_norm_J(op, GridFunction(u.grid, u.forcing_values))
-        nx1 = op.norm1(u.values[:, 0])  # the initial values
+        nf = e0_norm_J(op, GridFunction(u.grid, e0_samples(op, u).forcing_values))
         e1 = e1_norm_J(op, u)
         for j, i in enumerate(idx):
-            norms[i] = float(nf[j]), float(nx1[j]), float(e1[j])
+            norms[i] = float(nf[j]), float(nx1[i]), float(e1[j])
     ratios, c2s = [], []
     for nf, nx1, e1 in norms:
         denom = nf + nx1

@@ -18,7 +18,7 @@ from .cauchy import estimate_M
 from .errors import ConfigError, NotDiagonal
 from .forcing import ExpForcing, ZeroForcing
 from .theorem import halfplane_scan, maxreg_inequality_check, mu_box, omega1
-from .timegrid import GridFunction, e0_norm_J, e1_norm_J
+from .timegrid import GridFunction, e0_norm_J, e0_samples, e1_norm_J
 
 # sup_t t^{1-sigma} ||u(t)||_0 is the weighted E0(J) norm
 weighted_norm = e0_norm_J
@@ -45,7 +45,7 @@ def weighted_maxreg_check(solver, sigma, mu, x, M_hat, c2_hat=None):
     f = ExpForcing(mu, x)
     u = solver.solve(f)
     T = grid.T
-    endpoint_value = float(T ** (1.0 - sigma) * op.norm0(u.values[-1]))
+    endpoint_value = float(T ** (1.0 - sigma) * op.norm0(e0_samples(op, u).values[-1]))
     endpoint_bound = None
     endpoint_ok = None
     if c2_hat is not None:

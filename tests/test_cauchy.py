@@ -8,6 +8,7 @@ import semilab as sl
 from semilab import cauchy
 from semilab.errors import ConfigError, EmptyProbeSet
 from semilab.operators import parse_operator_text
+from semilab.timegrid import e0_samples
 
 from conftest import nonnormal_dense, random_vector
 from test_acceptance import MU_GRID_25
@@ -141,7 +142,8 @@ class TestOperatorValues:
                                       "matrix = random-normal dim=16 seed=3\ne0_norm = sup\n"])
     def test_e1_norm_reads_the_solve_product(self, grid, text):
         # solve keeps the A u it forms for u'; e1_norm_J reads it for that
-        # operator only, and the bits equal a fresh product's
+        # operator only, and the bits equal a fresh product's. A euclidean
+        # normal operator's norms read the eigen coordinates instead, to 1e-13
         op = parse_operator_text(text)
         other = sl.diagonal_operator(-1.0 - np.arange(op.dim))
         solver = sl.CauchySolver(op, grid)
@@ -151,7 +153,10 @@ class TestOperatorValues:
             assert np.array_equal(u.operator_values, u.values @ op.matrix.T)
             fresh = sl.GridFunction(u.grid, u.values, u.derivative_values)
             assert fresh.operator_values is None
-            assert sl.e1_norm_J(op, u) == sl.e1_norm_J(op, fresh)
+            if e0_samples(op, u) is u:
+                assert sl.e1_norm_J(op, u) == sl.e1_norm_J(op, fresh)
+            else:
+                assert sl.e1_norm_J(op, u) == pytest.approx(sl.e1_norm_J(op, fresh), rel=1e-13)
             assert sl.e1_norm_J(other, u) == sl.e1_norm_J(other, fresh)
 
 
@@ -699,7 +704,7 @@ def estimate_M_loop(solver, probes):
     ratios, c2s = [], []
     for f, x in probes:
         u = solver.solve(f, x)
-        nf = sl.e0_norm_J(op, sl.GridFunction(u.grid, u.forcing_values))
+        nf = sl.e0_norm_J(op, sl.GridFunction(u.grid, e0_samples(op, u).forcing_values))
         nx1 = op.norm1(x)
         e1 = sl.e1_norm_J(op, u)
         ratios.append(e1 / (nf + nx1))
@@ -833,3 +838,131 @@ class TestBatches:
         finally:
             tracemalloc.stop()
         assert peak < 2 * sl.operators.BATCH_BYTES + 8 * nodes < 64 * 5 * nodes
+
+
+def standard_solve(solver, f, x0):
+    """solve's GridFunction by the products of a solve without eigen
+    coordinates: u = v Z^T with u(0) = x0, A u = u A^T, f = p y, u' = A u + f."""
+    solver = solver.refined_for(f.rate) if f.rate else solver
+    op, grid = solver.op, solver.grid
+    p = f.profile(grid.nodes)
+    F = p[:-1].reshape(grid.panels, grid.nodes_per_panel + 1)[:, 1:]
+    Z = op.diagonalization[0]
+    ZH = Z.conj().T
+    v, _ = solver._propagate(0.0, F, ZH @ f.y[:, None], ZH @ x0[:, None], nodes=True)
+    values = v[..., 0] @ Z.T
+    values[0] = x0
+    S, Au = p[:, None] * f.y[None, :], values @ op.matrix.T
+    u = sl.GridFunction(grid, values, Au + S)
+    u.forcing_values, u.operator, u.operator_values = S, op, Au
+    return u
+
+
+class CountingProducts(np.ndarray):
+    """A matrix that counts the products taking it against a stack of node
+    samples (more rows than the matrix has)."""
+
+    products = 0
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        plain = [a.view(np.ndarray) if isinstance(a, CountingProducts) else a for a in inputs]
+        if ufunc is np.matmul and any(np.ndim(a) >= 2 and np.shape(a)[-2] > self.shape[0]
+                                      for a in plain):
+            CountingProducts.products += 1
+        return getattr(ufunc, method)(*plain, **kwargs)
+
+
+class TestEigenCoordinates:
+    """A solve on a normal operator keeps its samples in eigen coordinates;
+    euclidean norms read them, sup norms the standard-basis samples."""
+
+    MAKERS = {"lap16": lambda e0: sl.laplacian_1d(16, e0_norm=e0),
+              "lap64": lambda e0: sl.laplacian_1d(64, e0_norm=e0),
+              "lap256": lambda e0: sl.laplacian_1d(256, e0_norm=e0),
+              "normal16": lambda e0: sl.random_normal_operator(16, seed=7, e0_norm=e0)}
+
+    @pytest.mark.parametrize("name", sorted(MAKERS))
+    def test_materialized_samples(self, grid, name):
+        op = self.MAKERS[name]("euclidean")
+        Z = op.diagonalization[0]
+        solver = sl.CauchySolver(op, grid)
+        for f, x in sl.default_probes(op, seed=3):
+            u = solver.solve(f, x)
+            values = u.coordinates.values @ Z.T
+            values[0] = x
+            assert np.array_equal(u.values, values) and np.array_equal(u.values[0], x)
+            ref = standard_solve(solver, f, np.asarray(x, dtype=complex))
+            for attr in ("values", "operator_values", "forcing_values", "derivative_values"):
+                assert np.array_equal(getattr(u, attr), getattr(ref, attr)), attr
+
+    @pytest.mark.parametrize("name", sorted(MAKERS))
+    def test_euclidean_norms_match_standard_samples(self, grid, name):
+        op = self.MAKERS[name]("euclidean")
+        solver = sl.CauchySolver(op, grid)
+        probes = sl.default_probes(op, seed=3)
+        ratios, c2s = [], []
+        for f, x in probes:
+            u = solver.solve(f, x)
+            assert e0_samples(op, u) is u.coordinates
+            values = sl.GridFunction(u.grid, u.values, u.derivative_values)
+            forcing = sl.GridFunction(u.grid, u.forcing_values)
+            nf = sl.e0_norm_J(op, forcing)
+            fv = sl.GridFunction(u.grid, u.coordinates.forcing_values)
+            assert sl.e0_norm_J(op, fv) == pytest.approx(nf, rel=1e-13)
+            assert sl.e0_norm_J(op, u) == pytest.approx(sl.e0_norm_J(op, values), rel=1e-13)
+            e1, nx1 = sl.e1_norm_J(op, values), op.norm1(x)
+            assert sl.e1_norm_J(op, u) == pytest.approx(e1, rel=1e-13)
+            ratios.append(e1 / (nf + nx1))
+            c2s.append(e1 / nf if (nf > 0 and nx1 == 0) else 0.0)
+        est = sl.estimate_M(solver, probes)
+        assert est.M_hat == pytest.approx(max(ratios), rel=1e-13)
+        assert est.c2_hat == pytest.approx(max(c2s), rel=1e-13)
+        x = probes[-1][1]
+        orbit = solver.solve(sl.ZeroForcing(op.dim), x)
+        ref = sl.e1_norm_J(op, sl.GridFunction(orbit.grid, orbit.values, orbit.derivative_values))
+        assert sl.trace_norm_upper(solver, x) == pytest.approx(ref, rel=1e-13)
+        chk = sl.weighted_maxreg_check(solver, 0.5, 2.0, x, est.M_hat, est.c2_hat)
+        assert chk.endpoint_value == pytest.approx(op.norm0(chk.u.values[-1]), rel=1e-13)
+
+    @pytest.mark.parametrize("name", sorted(MAKERS))
+    def test_sup_norms_keep_their_bits(self, grid, name):
+        op = self.MAKERS[name]("sup")
+        solver = sl.CauchySolver(op, grid)
+        probes = sl.default_probes(op, seed=3)
+        ratios, c2s = [], []
+        for f, x in probes:
+            u, ref = solver.solve(f, x), standard_solve(solver, f, np.asarray(x, dtype=complex))
+            assert e0_samples(op, u) is u
+            nf = sl.e0_norm_J(op, sl.GridFunction(ref.grid, ref.forcing_values))
+            e1 = sl.e1_norm_J(op, ref)
+            assert sl.e0_norm_J(op, u) == sl.e0_norm_J(op, ref)
+            assert sl.e1_norm_J(op, u) == e1
+            nx1 = op.norm1(ref.values[0])
+            ratios.append(e1 / (nf + nx1))
+            c2s.append(e1 / nf if (nf > 0 and nx1 == 0) else 0.0)
+        est = sl.estimate_M(solver, probes)
+        assert (est.ratios, est.M_hat, est.c2_hat) == (ratios, max(ratios), max(c2s))
+        x = np.asarray(probes[-1][1], dtype=complex)
+        ref = standard_solve(solver, sl.ZeroForcing(op.dim), x)
+        assert sl.trace_norm_upper(solver, x) == sl.e1_norm_J(op, ref)
+        chk = sl.weighted_maxreg_check(solver, 1.0, 2.0, x, est.M_hat, est.c2_hat)
+        ref = standard_solve(solver, sl.ExpForcing(2.0, x), np.zeros(op.dim, complex))
+        assert chk.endpoint_value == op.norm0(ref.values[-1])
+
+    @pytest.mark.parametrize("name", ["lap16", "normal16"])
+    def test_no_product_over_the_nodes(self, grid, name):
+        # estimate_M, the weighted check and the trace bound take every
+        # euclidean norm from the eigen coordinates: no node stack meets Z or A
+        op = self.MAKERS[name]("euclidean")
+        Z, lam = op.diagonalization
+        op.__dict__["diagonalization"] = (Z.view(CountingProducts), lam)
+        op.matrix = op.matrix.view(CountingProducts)
+        solver = sl.CauchySolver(op, grid)
+        x = sl.default_probes(op, seed=3)[-1][1]
+        CountingProducts.products = 0
+        est = sl.estimate_M(solver, sl.default_probes(op, seed=3))
+        chk = sl.weighted_maxreg_check(solver, 0.5, 2.0, x, est.M_hat, est.c2_hat)
+        sl.trace_norm_upper(solver, x, 0.5)
+        assert CountingProducts.products == 0
+        chk.u.values, chk.u.operator_values  # the standard samples, formed on request
+        assert CountingProducts.products == 2

@@ -6,7 +6,8 @@ Runs the 8 experiments of ``semilab.cli``, and ``weighted --sigma 0.5``,
 comma list of three shifts and ``maxreg-estimate --T 16`` (whose h = 1 phi
 tables square) besides, with ``--seed 61`` on eight operator files (a diagonal
 n=4, lap64, jordan8 and a random normal operator of dim 16, each with the
-euclidean and with the sup E0 norm): 120 runs. The probe file puts two steep exponential probes on each
+euclidean and with the sup E0 norm): 120 runs, then ``maxreg-estimate`` and
+``weighted`` on lap256: 122 runs. The probe file puts two steep exponential probes on each
 grid the 16-panel solves refine to (panels split in 2, 3 and 4), so the
 batched solves there stack more than one probe, next to two base-grid
 exponentials, a polynomial and an initial-value probe. It prints one line
@@ -51,6 +52,9 @@ RUNS = [[experiment] for experiment in EXPERIMENTS] + [
     ["verdict", "--probes", PROBES],
     ["identity-check", "--mu-grid", "0.5,1+2i,4-3i"],
     ["maxreg-estimate", "--T", "16"]]
+# the eigen-coordinate solves at a size where mapping every node back to the
+# standard basis would dominate them
+LARGE = {"lap256": ("matrix = laplacian1d n=256\n", [["maxreg-estimate"], ["weighted"]])}
 
 
 def probe_text(dim):
@@ -65,13 +69,15 @@ def probe_text(dim):
 def digests(root):
     """One line per (run, operator) pair, run under the directory root."""
     lines = []
-    for name, text in OPERATORS.items():
+    cases = [(name, text, RUNS) for name, text in OPERATORS.items()] + [
+        (name, text, runs) for name, (text, runs) in LARGE.items()]
+    for name, text, runs in cases:
         path = os.path.join(root, f"{name}.op")
         with open(path, "w") as fh:
             fh.write(text)
         with open(os.path.join(root, PROBES), "w") as fh:
             fh.write(probe_text(load_operator(path).dim))
-        for run in RUNS:
+        for run in runs:
             out = os.path.join(root, f"{''.join(run)}-{name}")
             argv = [os.path.join(root, arg) if arg == PROBES else arg for arg in run]
             code = main([*argv, "--operator", path, "--seed", "61", "--out", out])
