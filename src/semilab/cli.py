@@ -9,7 +9,6 @@ scientific check failed (still a valid result), 1 = usage or parse error.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import ctypes
 import functools
 import json
@@ -85,17 +84,8 @@ def parse_mu_grid(spec):
     return [complex(m) for m in parse_vector(spec, "--mu-grid")]
 
 
-def _new_file(path):
-    """path opened for writing as a new file: one already there is removed
-    first, since creating a file costs less than truncating one. A symlink or
-    hard link at path is replaced, not written through."""
-    with contextlib.suppress(FileNotFoundError):
-        os.remove(path)
-    return open(path, "w")
-
-
 def _csv(path, header, rows):
-    with _new_file(path) as fh:
+    with open(path, "w") as fh:
         fh.write(header + "\n")
         for row in rows:
             fh.write(",".join(format(v, ".17g") if isinstance(v, float) else str(v)
@@ -103,8 +93,9 @@ def _csv(path, header, rows):
 
 
 def _write_report(out, report):
-    with _new_file(os.path.join(out, "report.json")) as fh:
-        fh.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
+    with open(os.path.join(out, "report.json"), "w") as fh:
+        json.dump(report, fh, sort_keys=True, indent=2)
+        fh.write("\n")
 
 
 def _random_unit(op, seed):

@@ -472,33 +472,6 @@ def test_one_parser_serves_every_run(tmp_path, diag_file):
         (tmp_path / "b" / "report.json").read_bytes()
 
 
-def test_outputs_are_written_as_new_files(tmp_path, diag_file):
-    # a rerun into the same directory replaces each output, a symlink and a
-    # hard link included, and leaves their targets as they were; the report's
-    # bytes are json.dump's
-    out = tmp_path / "out"
-    argv = ["maxreg-estimate", "--operator", diag_file, "--out", str(out)]
-    assert main(argv) == 0
-    first = {name: (out / name).read_bytes() for name in ("report.json", "maxreg.csv")}
-    target = tmp_path / "target"
-    target.write_text("kept\n")
-    (out / "report.json").unlink()
-    (out / "report.json").symlink_to(target)
-    (out / "maxreg.csv").unlink()
-    os.link(target, out / "maxreg.csv")
-    assert main(argv) == 0
-    assert target.read_text() == "kept\n"
-    for name, data in first.items():
-        assert not (out / name).is_symlink() and (out / name).stat().st_nlink == 1
-        assert (out / name).read_bytes() == data
-    report = json.loads(first["report.json"])
-    dumped = tmp_path / "dumped.json"
-    with open(dumped, "w") as fh:
-        json.dump(report, fh, sort_keys=True, indent=2)
-        fh.write("\n")
-    assert dumped.read_bytes() == first["report.json"]
-
-
 class TestDeterminism:
     @pytest.mark.parametrize("threads", [1, 4])
     def test_byte_identical_reports(self, tmp_path, diag_file, threads):
