@@ -375,14 +375,13 @@ class CauchySolver:
         v, w = self._propagate(m, np.exp(np.multiply.outer(-2.0 * m.real, grid.gl_times)), None,
                                v0, nodes=False)
         UT = np.exp(m * grid.T)[..., None, None] * v[..., -1, :, :]
+        if diag is None:  # one operator_norm call for the whole batch
+            norms = op.operator_norm(UT)
+            return list(zip(w, UT, norms.tolist())) if np.ndim(m) else [(w, UT, norms)]
         out = []
         for wj, UTj in zip(w, UT) if np.ndim(m) else [(w, UT)]:
-            if diag is None:
-                out.append((wj, UTj, op.operator_norm(UTj)))
-                continue
             UTj = EigenMap(diag[0], UTj[:, 0])
-            euclidean = op.e0_norm == "euclidean"
-            norm = float(np.abs(UTj.d).max()) if euclidean else op.operator_norm(UTj)
+            norm = float(abs(UTj.d).max()) if op.e0_norm == "euclidean" else op.operator_norm(UTj)
             out.append((EigenMap(diag[0], wj[:, 0]), UTj, norm))
         return out
 

@@ -75,13 +75,16 @@ def _openblas_threads():
 @contextmanager
 def _serial_lapack():
     """Run the block with every loaded OpenBLAS on one thread, then restore each
-    count: a factorization's bits then do not depend on the thread count."""
+    count, so a factorization's bits do not depend on the thread count; a
+    LinAlgError (scipy's is numpy's class) leaves the block as an EigenFailure."""
     pins = _openblas_threads()
     counts = [get() for get, _ in pins]
     for _, put in pins:
         put(1)
     try:
         yield
+    except np.linalg.LinAlgError as exc:
+        raise EigenFailure(str(exc)) from None
     finally:
         for (_, put), count in zip(pins, counts):
             put(count)
@@ -150,14 +153,28 @@ class OperatorPair:
         n = self.norm0_rows(x) + self.norm0_rows((self.matrix @ x[..., None])[..., 0])
         return float(n) if n.ndim == 0 else n
 
-    def operator_norm(self, B):
-        """E0 operator norm of a matrix B acting on E0; the euclidean SVD runs
-        on one BLAS thread."""
+    def operator_norm(self, B, inverse=False):
+        """E0 operator norm of a matrix B, or of B^-1 where inverse: a float for one matrix,
+        an array for a stack. Euclidean: sigma_max (np.linalg.norm(B, 2)) or 1 / sigma_min of
+        one stacked SVD; sup: the largest row sum of |B|, or of |B^-1| from one stacked inverse.
+        The one place dense norms fail closed: a non-finite entry or norm reads inf."""
         B = np.asarray(B)
-        if self.e0_norm == "euclidean":  # the largest singular value, as np.linalg.norm(B, 2)
+        if not np.isfinite(B).all():  # the non-finite matrices read inf and never reach LAPACK
+            finite = np.isfinite(B).all(axis=(-2, -1))
+            norms = np.full(finite.shape, math.inf)
+            if finite.any():
+                norms[finite] = self.operator_norm(B[finite], inverse)
+            return float(norms) if norms.ndim == 0 else norms
+        euclidean = self.e0_norm == "euclidean"
+        if euclidean or inverse:
             with _serial_lapack():
-                return float(np.linalg.svd(B, compute_uv=False)[0])
-        return float(np.max(np.sum(np.abs(B), axis=1)))
+                B = np.linalg.svd(B, compute_uv=False) if euclidean else np.linalg.inv(B)
+        if euclidean and not inverse:  # never NaN: svd raises where LAPACK fails
+            return float(B[0]) if B.ndim == 1 else B[..., 0]
+        with np.errstate(divide="ignore", over="ignore"):  # 1 / 0 and overflows give inf
+            n = 1.0 / B[..., -1] if euclidean else np.max(np.sum(np.abs(B), axis=-1), axis=-1)
+        n = np.fmin(n, math.inf)  # a NaN norm reads inf too
+        return float(n) if n.ndim == 0 else n
 
     @cached_property
     def matrix_norm(self):
@@ -182,15 +199,12 @@ class OperatorPair:
         A = self.matrix
         if self.structure == "diagonal":
             return np.diag(A).copy()
-        if self.structure == "tridiagonal" and self.is_hermitian:
-            # a diagonal unitary similarity makes the off-diagonal |e|
-            d, e = np.real(np.diag(A)), np.abs(np.diag(A, 1))
-            return scipy.linalg.eigh_tridiagonal(d, e, eigvals_only=True).astype(complex)
-        try:
-            with _serial_lapack():
-                return np.linalg.eigvals(A)
-        except np.linalg.LinAlgError as exc:  # pragma: no cover - rare
-            raise EigenFailure(str(exc)) from None
+        with _serial_lapack():
+            if self.structure == "tridiagonal" and self.is_hermitian:
+                # a diagonal unitary similarity makes the off-diagonal |e|
+                d, e = np.real(np.diag(A)), np.abs(np.diag(A, 1))
+                return scipy.linalg.eigh_tridiagonal(d, e, eigvals_only=True).astype(complex)
+            return np.linalg.eigvals(A)
 
     @property
     def spectral_bound(self):
@@ -225,7 +239,7 @@ class OperatorPair:
         vector if A is normal, else the upper-triangular complex Schur factor.
         Z is None for structure=diagonal, where Z = I is never formed; Z and T are read-only."""
         A, Z = self.matrix, None
-        try:
+        with _serial_lapack():
             if self.structure == "diagonal":
                 T = np.diag(A).copy()
             elif self.structure == "tridiagonal" and self.is_hermitian:
@@ -235,10 +249,7 @@ class OperatorPair:
                 p = np.cumprod(np.divide(e.conj(), np.abs(e), out=np.ones_like(e), where=e != 0))
                 Z, T = np.concatenate([[1.0], p])[:, None] * V, lam.astype(complex)
             else:
-                with _serial_lapack():
-                    T, Z = scipy.linalg.schur(A, output="complex")
-        except np.linalg.LinAlgError as exc:
-            raise EigenFailure(str(exc)) from None
+                T, Z = scipy.linalg.schur(A, output="complex")
         # Weyl: dropping N = triu(T, 1) moves each singular value of mu - T by <= ||N||
         if T.ndim == 2 and np.linalg.norm(np.triu(T, 1)) <= self.singular_tol:
             T = np.diag(T).copy()
@@ -320,22 +331,11 @@ class OperatorPair:
         return float(norm)
 
     def _dense_norms(self, mus):
-        """E0 norms of (mu - A)^-1 from the dense mu - A of each shift of the
-        1-D array mus, stacked in chunks: 1 / sigma_min from one SVD call per
-        chunk (inf where that is not finite), or the largest row sum of one
-        stacked inverse (sup), each call on one BLAS thread."""
+        """The inverse operator_norm of mu - A at each shift of mus, stacked in chunks."""
         norms = np.empty(len(mus))
         for part in chunks(np.arange(len(mus)), 64 * self.dim ** 2):
             R = mus[part, None, None] * np.eye(self.dim) - self.matrix
-            if self.e0_norm == "euclidean":
-                with _serial_lapack(), np.errstate(divide="ignore", over="ignore",
-                                                   invalid="ignore"):
-                    inv = 1.0 / np.linalg.svd(R, compute_uv=False)[:, -1]
-                norms[part] = np.where(np.isfinite(inv), inv, math.inf)
-            else:  # an overflowed inverse sums to NaN: inf, as above
-                with _serial_lapack():
-                    sums = np.max(np.sum(np.abs(np.linalg.inv(R)), axis=-1), axis=-1)
-                norms[part] = np.where(np.isfinite(sums), sums, math.inf)
+            norms[part] = self.operator_norm(R, inverse=True)
         return norms
 
     # -- semigroup oracle ----------------------------------------------------

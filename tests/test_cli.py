@@ -472,6 +472,34 @@ def test_one_parser_serves_every_run(tmp_path, diag_file):
         (tmp_path / "b" / "report.json").read_bytes()
 
 
+# u(T) overflows on each: the diagonal operator takes the eigen backend, the
+# two dense ones the dense backend, whose u(T) has non-finite entries
+OVERFLOWING = {"diag": "matrix = diag 800,-1\n", "rows": "row = 800 1\nrow = 0 -1\n",
+               "jordan": "matrix = jordan lambda=800 size=2\n"}
+OVERFLOW_EXITS = {"spectrum": 0, "resolvent-scan": 0, "maxreg-estimate": 2, "identity-check": 2,
+                  "reconstruct": 1, "weighted": 2, "verdict": 2}
+
+
+@pytest.mark.parametrize("dense", ["rows", "jordan"])
+@pytest.mark.parametrize("experiment", sorted(OVERFLOW_EXITS))
+def test_overflowing_dense_operator_exits_as_its_diagonal_twin(tmp_path, capsys, experiment,
+                                                               dense):
+    # the same exit code and stderr as diag 800,-1: a non-finite u(T) reads
+    # ||u(T)|| = inf on both backends and never reaches an SVD
+    results = []
+    for name in ("diag", dense):
+        f = tmp_path / f"{name}.op"
+        f.write_text(OVERFLOWING[name])
+        code = main([experiment, "--operator", str(f), "--out", str(tmp_path / name)])
+        results.append((code, capsys.readouterr().err))
+    assert results[0] == results[1]
+    assert results[0][0] == OVERFLOW_EXITS[experiment]
+    if experiment == "reconstruct":
+        assert results[0][1] == "semilab: error: ||V_mu|| < 1/2 fails even at Re mu = 64.0\n"
+    else:
+        assert results[0][1] == ""
+
+
 class TestDeterminism:
     @pytest.mark.parametrize("threads", [1, 4])
     def test_byte_identical_reports(self, tmp_path, diag_file, threads):

@@ -44,11 +44,14 @@ class TestNorms:
         assert op.operator_norm(np.array([[1.0, -2.0], [0.5, 0.25]])) == 3.0
 
     def test_euclidean_operator_norm_is_the_two_norm(self, rng):
-        # the largest singular value, bit for bit as np.linalg.norm(B, 2) reads it
+        # the largest singular value, bit for bit as np.linalg.norm(B, 2) reads it,
+        # of one matrix or of each matrix of a stack
         op = sl.jordan_block(-2.0, 8)
         for B in (rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8)),
                   np.eye(3), np.array([[1.0, -2.0], [0.5, 0.25]]), np.zeros((4, 4))):
             assert op.operator_norm(B) == float(np.linalg.norm(B, 2))
+        B = rng.standard_normal((6, 5, 5)) + 1j * rng.standard_normal((6, 5, 5))
+        assert op.operator_norm(B).tolist() == [float(np.linalg.norm(b, 2)) for b in B]
 
     def test_unknown_norm_rejected(self):
         with pytest.raises(ConfigError):
@@ -136,6 +139,85 @@ class TestNorms:
         s = np.max(np.abs(op.matrix))
         assert 0 < op.matrix_norm < np.inf
         assert op.matrix_norm == pytest.approx(s * np.linalg.norm(op.matrix / s), rel=1e-14, abs=0)
+
+
+class TestOperatorNorm:
+    """operator_norm, the one dense E0 norm kernel: a stack of matrices in one
+    LAPACK call, B^-1 where inverse, inf for a non-finite matrix or norm."""
+
+    @staticmethod
+    def stack(rng, k=6, n=5):
+        return rng.standard_normal((k, n, n)) + 1j * rng.standard_normal((k, n, n))
+
+    @pytest.mark.parametrize("inverse", [False, True])
+    @pytest.mark.parametrize("e0_norm", ["euclidean", "sup"])
+    def test_stack_equals_one_call_per_matrix(self, rng, e0_norm, inverse):
+        op = sl.jordan_block(-2.0, 5, e0_norm=e0_norm)
+        B = self.stack(rng)
+        norms = op.operator_norm(B, inverse=inverse)
+        assert norms.shape == (len(B),)
+        assert norms.tolist() == [op.operator_norm(b, inverse=inverse) for b in B]
+        assert type(op.operator_norm(B[0], inverse=inverse)) is float
+
+    @pytest.mark.parametrize("e0_norm", ["euclidean", "sup"])
+    @pytest.mark.parametrize("make", [lambda e0: sl.jordan_block(-2.0, 8, e0_norm=e0),
+                                      lambda e0: sl.laplacian_1d(64, e0_norm=e0)],
+                             ids=["jordan8", "lap64"])
+    def test_inverse_keeps_the_dense_scan_formulas(self, make, e0_norm):
+        # the formulas the dense resolvent norms used before they went through
+        # this kernel, at the 105 points of the default scan
+        op = make(e0_norm)
+        mus = np.array(mu_box(0.5, 1e3, 5, -1e2, 1e2, 21))
+        R = mus[:, None, None] * np.eye(op.dim) - op.matrix
+        with operators._serial_lapack():
+            if e0_norm == "euclidean":
+                ref = 1.0 / np.linalg.svd(R, compute_uv=False)[:, -1]
+            else:
+                ref = np.max(np.sum(np.abs(np.linalg.inv(R)), axis=-1), axis=-1)
+        assert len(mus) == 105 and np.all(np.isfinite(ref))
+        assert np.array_equal(op.operator_norm(R, inverse=True), ref)
+
+    @pytest.mark.parametrize("inverse", [False, True])
+    @pytest.mark.parametrize("e0_norm", ["euclidean", "sup"])
+    def test_non_finite_matrices_read_inf_without_lapack(self, rng, monkeypatch, e0_norm,
+                                                          inverse):
+        op = sl.jordan_block(-2.0, 5, e0_norm=e0_norm)
+        B = self.stack(rng)
+        B[1, 2, 3], B[4, 0, 0] = np.inf, complex(0.0, np.nan)
+        ref = op.operator_norm(B[[0, 2, 3, 5]], inverse=inverse)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("LAPACK saw a non-finite matrix")
+        for name in ("svd", "inv"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+        assert op.operator_norm(B[[1, 4]], inverse=inverse).tolist() == [np.inf, np.inf]
+        assert op.operator_norm(B[4], inverse=inverse) == np.inf
+        monkeypatch.undo()
+        norms = op.operator_norm(B, inverse=inverse)
+        assert norms[[1, 4]].tolist() == [np.inf, np.inf]
+        assert np.array_equal(norms[[0, 2, 3, 5]], ref)
+
+    def test_non_finite_norms_read_inf(self):
+        # row sums past the largest float, and sigma_min = 0: inf, and no warning
+        big = np.full((2, 2), 1e308)
+        assert sl.jordan_block(-2.0, 2, e0_norm="sup").operator_norm(big) == np.inf
+        assert sl.jordan_block(-2.0, 2).operator_norm(np.zeros((2, 2)), inverse=True) == np.inf
+
+    def test_lapack_failure_is_an_eigen_failure(self):
+        # two threads before the block, so that restoring them is seen
+        pins = operators._openblas_threads()
+        counts = [get() for get, _ in pins]
+        for _, put in pins:
+            put(2)
+        try:
+            with pytest.raises(EigenFailure, match="did not converge"):
+                with operators._serial_lapack():
+                    assert [get() for get, _ in pins] == [1] * len(pins)
+                    raise np.linalg.LinAlgError("SVD did not converge")
+            assert [get() for get, _ in pins] == [2] * len(pins)
+        finally:
+            for (_, put), count in zip(pins, counts):
+                put(count)
 
 
 class TestSpectrum:

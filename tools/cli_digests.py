@@ -7,10 +7,12 @@ comma list of three shifts and ``maxreg-estimate --T 16`` (whose h = 1 phi
 tables square) besides, with ``--seed 61`` on eight operator files (a diagonal
 n=4, lap64, jordan8 and a random normal operator of dim 16, each with the
 euclidean and with the sup E0 norm): 120 runs, then ``maxreg-estimate`` and
-``weighted`` on lap256: 122 runs. The probe file puts two steep exponential probes on each
-grid the 16-panel solves refine to (panels split in 2, 3 and 4), so the
-batched solves there stack more than one probe, next to two base-grid
-exponentials, a polynomial and an initial-value probe. It prints one line
+``weighted`` on lap256, and ``identity-check``, ``reconstruct`` and ``verdict``
+on the dense 2 x 2 rows ``800 1`` / ``0 -1``, whose u(T) overflows: 125 runs.
+The probe file puts two steep exponential probes on each grid the 16-panel
+solves refine to (panels split in 2, 3 and 4), so the batched solves there
+stack more than one probe, next to two base-grid exponentials, a polynomial
+and an initial-value probe. It prints one line
 per (run, operator) pair: the exit code and the sha256 of every file the run
 wrote. Two runs, or runs on two commits, agree byte for byte exactly when
 their outputs diff empty:
@@ -53,8 +55,11 @@ RUNS = [[experiment] for experiment in EXPERIMENTS] + [
     ["identity-check", "--mu-grid", "0.5,1+2i,4-3i"],
     ["maxreg-estimate", "--T", "16"]]
 # the eigen-coordinate solves at a size where mapping every node back to the
-# standard basis would dominate them
-LARGE = {"lap256": ("matrix = laplacian1d n=256\n", [["maxreg-estimate"], ["weighted"]])}
+# standard basis would dominate them, and a dense operator whose u(T) has
+# non-finite entries, which the dense E0 norms read as inf
+LARGE = {"lap256": ("matrix = laplacian1d n=256\n", [["maxreg-estimate"], ["weighted"]]),
+         "rows800": ("row = 800 1\nrow = 0 -1\n",
+                     [["identity-check"], ["reconstruct"], ["verdict"]])}
 
 
 def probe_text(dim):
