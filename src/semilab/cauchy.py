@@ -31,7 +31,9 @@ forcing with polynomial p (Hochbruck & Ostermann, Acta Numer. 19, 2010), so
 this one form loses nothing. The propagator multiplies each table's weights
 by Y once, so on either backend a run's forcing terms are one BLAS product
 of the run's (run, q) profile block with the (q, rest) weights, and no
-dim x dim forcing sample per node is formed.
+dim x dim forcing sample per node is formed. Every solve comes back in the
+coordinates it was propagated in (_Solution): v = Z* u when the normal
+factor has a basis Z, u itself otherwise.
 
 The panel edges of a run follow e_{i+1} = P e_i + b_i, with P the table's
 propagator to the right edge and b_i the forcing term. The eigen backend,
@@ -293,16 +295,15 @@ class CauchySolver:
         probe, without a batch axis. A steep forcing profile triggers a panel
         split; the returned GridFunction carries the grid in use and, as
         forcing_values and operator_values, the samples of f and of A u at
-        its nodes. On a normal operator in the euclidean norm it also
-        carries them in eigen coordinates, as ``coordinates``, and forms the
-        standard-basis samples only when one is read."""
+        its nodes, and all four in the coordinates it was propagated in as
+        ``coordinates`` (_Solution)."""
         solver = self.refined_for(forcing.rate) if forcing.rate else self
         x0 = np.zeros(self.dim, dtype=complex) if x0 is None else np.asarray(x0, dtype=complex)
         return solver._solve(forcing.profile(solver.grid.nodes), forcing.y, x0)
 
     def solve_batch(self, probes):
         """The solves of the probes (f, x), x None for 0, in stacks: yields
-        (indices, u) with u a GridFunction holding the solutions of the
+        (indices, u) with u a _Solution holding the solutions of the
         probes at those indices on a leading axis, one per chunk of the
         probes that share a refined solver, each from one propagation."""
         for solver, idx in self._groups([f.rate for f, _ in probes]):
@@ -315,25 +316,20 @@ class CauchySolver:
                                           np.array(x0, dtype=complex))
 
     def _solve(self, p, y, x0):
-        """The solution on this solver's grid for the profile p at its nodes,
+        """The _Solution on this solver's grid for the profile p at its nodes,
         the block y and the initial value x0, or for stacks of them on one
-        leading axis: in eigen coordinates (_EigenSolution) on a normal
-        operator with a basis Z in the euclidean norm, else in the standard
-        basis."""
+        leading axis, in the coordinates it was propagated in: v = Z* u on a
+        normal operator with a basis Z, u itself otherwise."""
         grid, op = self.grid, self.op
         # the Gauss-node entries of p follow each panel's left edge
         F = p[..., :-1].reshape(p.shape[:-1] + (grid.panels, grid.nodes_per_panel + 1))[..., 1:]
+        Y, v0 = y[..., None], x0[..., None]
         diag = op.diagonalization
-        Z = None if diag is None else diag[0]
-        if Z is None:  # dense backend, or a diagonal A: no change of basis
-            v, _ = self._propagate(0.0, F, y[..., None], x0[..., None], nodes=True)
-            return _standard_solution(grid, op, v[..., 0], p, y, x0)
-        ZH = Z.conj().T
-        Zy = ZH @ y[..., None]
-        v, _ = self._propagate(0.0, F, Zy, ZH @ x0[..., None], nodes=True)
-        if op.e0_norm == "euclidean":
-            return _EigenSolution(grid, op, v[..., 0], p[..., None] * Zy[..., None, :, 0], p, y, x0)
-        return _standard_solution(grid, op, v[..., 0] @ Z.T, p, y, x0)
+        if diag is not None and diag[0] is not None:
+            ZH = diag[0].conj().T
+            Y, v0 = ZH @ Y, ZH @ v0
+        v, _ = self._propagate(0.0, F, Y, v0, nodes=True)
+        return _Solution(grid, op, v[..., 0], p[..., None] * Y[..., None, :, 0], p, y, x0)
 
     def exp_functionals(self, mu):
         """For the forcing f(t) = e^{-conj(mu) t} (columnwise identity),
@@ -386,30 +382,19 @@ class CauchySolver:
         return out
 
 
-def _standard_solution(grid, op, values, p, y, x0):
-    """The GridFunction of a solve from its node values in the standard basis,
-    whose row 0 is set to x0 exactly: f = p y, A u (lam * u for a diagonal A,
-    bit-equal to the product for real lam) and u' = A u + f."""
-    values[..., 0, :] = x0
-    diag = op.diagonalization
-    S = p[..., None] * y[..., None, :]
-    Au = diag[1] * values if diag is not None and diag[0] is None else values @ op.matrix.T
-    u = GridFunction(grid, values, Au + S)
-    u.forcing_values, u.operator, u.operator_values = S, op, Au
-    return u
-
-
-class _EigenSolution(GridFunction):
-    """A solve's GridFunction on a normal operator A = Z diag(lam) Z* in the
-    euclidean norm, kept in the coordinates v = Z* u the solve propagated in:
-    ``coordinates`` holds v, lam v, the forcing p Z* y and their sum as its
-    values, operator_values, forcing_values and derivative_values, and every
-    euclidean norm reads them as they are (e0_samples). The four standard-basis
-    samples are formed together on first access of one, from u = v Z^T by
-    _standard_solution."""
+class _Solution(GridFunction):
+    """A solve's GridFunction, kept in the coordinates v it was propagated in:
+    v = Z* u on a normal operator A = Z diag(lam) Z* with a basis Z, u itself
+    otherwise. ``coordinates`` holds v, A v (lam v on a normal operator, v A^T
+    on the dense backend), the forcing p y in those coordinates and their sum;
+    every euclidean norm reads them as they are (e0_samples). With a basis,
+    the four standard-basis samples are formed together on first access of
+    one: u = v Z^T with row 0 set to x0 exactly, A u = u A^T, f = p y and
+    u' = A u + f."""
 
     def __init__(self, grid, op, v, fv, p, y, x0):
-        Av = op.diagonalization[1] * v
+        diag = op.diagonalization
+        Av = v @ op.matrix.T if diag is None else diag[1] * v
         self.grid, self.operator = grid, op
         self.coordinates = GridFunction(grid, v, Av + fv)
         self.coordinates.operator_values, self.coordinates.forcing_values = Av, fv
@@ -417,8 +402,15 @@ class _EigenSolution(GridFunction):
 
     @cached_property
     def _standard(self):
-        values = self.coordinates.values @ self.operator.diagonalization[0].T
-        return _standard_solution(self.grid, self.operator, values, self._p, self._y, self._x0)
+        diag = self.operator.diagonalization
+        if diag is None or diag[0] is None:
+            return self.coordinates
+        values = self.coordinates.values @ diag[0].T
+        values[..., 0, :] = self._x0
+        S, Au = self._p[..., None] * self._y[..., None, :], values @ self.operator.matrix.T
+        u = GridFunction(self.grid, values, Au + S)
+        u.forcing_values, u.operator_values = S, Au
+        return u
 
     values = property(lambda self: self._standard.values)
     derivative_values = property(lambda self: self._standard.derivative_values)

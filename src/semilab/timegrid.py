@@ -87,9 +87,10 @@ class GridFunction:
     """A vector-valued function sampled on a TimeGrid, values (nodes, dim), or
     a stack of them on leading axes, optionally with derivative samples. A
     solve also hands back the samples of its forcing f and, for the operator
-    it ran on, of A u. A solve on a normal operator A = Z diag(lam) Z* also
-    keeps all four in the coordinates v = Z* u it propagated in, as the
-    GridFunction ``coordinates`` (see CauchySolver.solve)."""
+    it ran on, of A u, and keeps all four in the coordinates it propagated
+    in as the GridFunction ``coordinates``: v = Z* u on a normal operator
+    A = Z diag(lam) Z* with a basis Z, the same samples otherwise (see
+    CauchySolver.solve)."""
 
     forcing_values = operator = operator_values = coordinates = None
 
@@ -112,8 +113,9 @@ class GridFunction:
 
 
 def e0_samples(op, f):
-    """f's eigen coordinates when op is the operator f was solved for and its
-    E0 norm is euclidean, which the unitary Z* keeps; f itself otherwise."""
+    """The coordinates f was propagated in when f is a solve for op and op's
+    E0 norm is euclidean, which a unitary Z* keeps (without a basis they are
+    f's own samples); f itself otherwise."""
     if f.coordinates is not None and f.operator is op and op.e0_norm == "euclidean":
         return f.coordinates
     return f

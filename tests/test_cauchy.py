@@ -144,7 +144,8 @@ class TestOperatorValues:
     def test_e1_norm_reads_the_solve_product(self, grid, text):
         # solve keeps the A u it forms for u'; e1_norm_J reads it for that
         # operator only, and the bits equal a fresh product's. A euclidean
-        # normal operator's norms read the eigen coordinates instead, to 1e-13.
+        # normal operator with a basis reads its eigen coordinates instead, to
+        # 1e-13; a solve without one reads its own samples, bit for bit.
         # A diagonal A forms lam * u: the product's bits for real lam, its
         # last bits may differ for complex lam
         op = parse_operator_text(text)
@@ -162,7 +163,7 @@ class TestOperatorValues:
                                            rtol=1e-15, atol=0)
             fresh = sl.GridFunction(u.grid, u.values, u.derivative_values)
             assert fresh.operator_values is None
-            if e0_samples(op, u) is u and exact:
+            if e0_samples(op, u).values is u.values and exact:  # no basis, or a sup norm
                 assert sl.e1_norm_J(op, u) == sl.e1_norm_J(op, fresh)
             else:
                 assert sl.e1_norm_J(op, u) == pytest.approx(sl.e1_norm_J(op, fresh), rel=1e-13)
@@ -850,21 +851,65 @@ class TestBatches:
 
 
 def standard_solve(solver, f, x0):
-    """solve's GridFunction by the products of a solve without eigen
-    coordinates: u = v Z^T with u(0) = x0, A u = u A^T, f = p y, u' = A u + f."""
+    """solve's GridFunction by the products of a solve that hands back
+    standard-basis samples: without a basis Z the propagated values v
+    themselves, with A u = lam u on a diagonal operator and u A^T on the
+    dense backend; with one u = v Z^T with u(0) = x0 and A u = u A^T; then
+    f = p y and u' = A u + f."""
     solver = solver.refined_for(f.rate) if f.rate else solver
     op, grid = solver.op, solver.grid
     p = f.profile(grid.nodes)
     F = p[:-1].reshape(grid.panels, grid.nodes_per_panel + 1)[:, 1:]
-    Z = op.diagonalization[0]
-    ZH = Z.conj().T
-    v, _ = solver._propagate(0.0, F, ZH @ f.y[:, None], ZH @ x0[:, None], nodes=True)
-    values = v[..., 0] @ Z.T
-    values[0] = x0
-    S, Au = p[:, None] * f.y[None, :], values @ op.matrix.T
+    diag = op.diagonalization
+    Z = None if diag is None else diag[0]
+    if Z is None:
+        v, _ = solver._propagate(0.0, F, f.y[:, None], x0[:, None], nodes=True)
+        values = v[..., 0]
+        Au = values @ op.matrix.T if diag is None else diag[1] * values
+    else:
+        ZH = Z.conj().T
+        v, _ = solver._propagate(0.0, F, ZH @ f.y[:, None], ZH @ x0[:, None], nodes=True)
+        values = v[..., 0] @ Z.T
+        values[0] = x0
+        Au = values @ op.matrix.T
+    S = p[:, None] * f.y[None, :]
     u = sl.GridFunction(grid, values, Au + S)
     u.forcing_values, u.operator, u.operator_values = S, op, Au
     return u
+
+
+SAMPLES = ("values", "operator_values", "forcing_values", "derivative_values")
+
+
+class TestOneForm:
+    """Every solve and every stack of solve_batch carries the coordinates it
+    was propagated in, on every backend and in both E0 norms, and hands back
+    the standard-basis samples of standard_solve, bit for bit."""
+
+    TEXTS = {"diag4": "matrix = diag -1,-2.5,-4,-7\n",
+             "cdiag4": "matrix = diag -1+2i,-0.5-3i,-2+0.25i,-0.1+7i\n",
+             "lap16": "matrix = laplacian1d n=16\n",
+             "normal16": "matrix = random-normal dim=16 seed=3\n",
+             "jordan8": "matrix = jordan lambda=-2 size=8\n"}
+
+    @pytest.mark.parametrize("e0_norm", ["euclidean", "sup"])
+    @pytest.mark.parametrize("name", sorted(TEXTS))
+    def test_solves_keep_their_coordinates(self, grid, name, e0_norm):
+        op = parse_operator_text(self.TEXTS[name] + f"e0_norm = {e0_norm}\n")
+        solver = sl.CauchySolver(op, grid)
+        probes = TestBatches.probes(op.dim)
+        refs = [standard_solve(solver, f, np.asarray(x, dtype=complex)) for f, x in probes]
+        batches = list(solver.solve_batch(probes))
+        assert len(batches) == 3  # the base grid and the grids split in 2 and in 3
+        solves = [(solver.solve(f, x), [ref]) for (f, x), ref in zip(probes, refs)]
+        solves += [(u, [refs[i] for i in idx]) for idx, u in batches]
+        for u, stack in solves:
+            assert isinstance(u.coordinates, sl.GridFunction)
+            assert (e0_samples(op, u) is u.coordinates) == (e0_norm == "euclidean")
+            for attr in SAMPLES:
+                got = getattr(u, attr)
+                for a, ref in zip(got.reshape((len(stack),) + got.shape[-2:]), stack):
+                    assert np.array_equal(a, getattr(ref, attr)), attr
 
 
 class CountingProducts(np.ndarray):
@@ -901,7 +946,7 @@ class TestEigenCoordinates:
             values[0] = x
             assert np.array_equal(u.values, values) and np.array_equal(u.values[0], x)
             ref = standard_solve(solver, f, np.asarray(x, dtype=complex))
-            for attr in ("values", "operator_values", "forcing_values", "derivative_values"):
+            for attr in SAMPLES:
                 assert np.array_equal(getattr(u, attr), getattr(ref, attr)), attr
 
     @pytest.mark.parametrize("name", sorted(MAKERS))

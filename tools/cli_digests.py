@@ -7,8 +7,10 @@ comma list of three shifts and ``maxreg-estimate --T 16`` (whose h = 1 phi
 tables square) besides, with ``--seed 61`` on eight operator files (a diagonal
 n=4, lap64, jordan8 and a random normal operator of dim 16, each with the
 euclidean and with the sup E0 norm): 120 runs, then ``maxreg-estimate`` and
-``weighted`` on lap256, and ``identity-check``, ``reconstruct`` and ``verdict``
-on the dense 2 x 2 rows ``800 1`` / ``0 -1``, whose u(T) overflows: 125 runs.
+``weighted`` on lap256, ``identity-check``, ``reconstruct`` and ``verdict``
+on the dense 2 x 2 rows ``800 1`` / ``0 -1``, whose u(T) overflows, and
+``maxreg-estimate`` and ``weighted`` on the complex diagonal
+``-1+2i,-0.5-3i,-2+0.25i,-0.1+7i`` with each E0 norm: 129 runs.
 The probe file puts two steep exponential probes on each grid the 16-panel
 solves refine to (panels split in 2, 3 and 4), so the batched solves there
 stack more than one probe, next to two base-grid exponentials, a polynomial
@@ -55,11 +57,15 @@ RUNS = [[experiment] for experiment in EXPERIMENTS] + [
     ["identity-check", "--mu-grid", "0.5,1+2i,4-3i"],
     ["maxreg-estimate", "--T", "16"]]
 # the eigen-coordinate solves at a size where mapping every node back to the
-# standard basis would dominate them, and a dense operator whose u(T) has
-# non-finite entries, which the dense E0 norms read as inf
+# standard basis would dominate them, a dense operator whose u(T) has
+# non-finite entries, which the dense E0 norms read as inf, and a complex
+# diagonal, whose solves form A u as lam u, not as the product u A^T
+CDIAG = "matrix = diag -1+2i,-0.5-3i,-2+0.25i,-0.1+7i\n"
 LARGE = {"lap256": ("matrix = laplacian1d n=256\n", [["maxreg-estimate"], ["weighted"]]),
          "rows800": ("row = 800 1\nrow = 0 -1\n",
-                     [["identity-check"], ["reconstruct"], ["verdict"]])}
+                     [["identity-check"], ["reconstruct"], ["verdict"]]),
+         "cdiag4": (CDIAG, [["maxreg-estimate"], ["weighted"]]),
+         "cdiag4-sup": (CDIAG + "e0_norm = sup\n", [["maxreg-estimate"], ["weighted"]])}
 
 
 def probe_text(dim):
