@@ -74,7 +74,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import EmptyProbeSet
-from .operators import chunks
+from .operators import _adjoint_times, _times, chunks
 from .phi import phi_matrices, phi_scalar
 from .timegrid import GridFunction, e0_norm_J, e0_samples, e1_norm_J, gauss_legendre_01
 
@@ -107,7 +107,7 @@ def _panel_weights(q, nodes):
 class EigenMap:
     """The matrix Z diag(d) Z* (diag(d) when Z is None) of a normal operator's
     solution functional, kept in eigen coordinates: @ applies it in O(dim^2)
-    per column (Z* x as conj(Z^T conj(x)), which copies no dim x dim array),
+    per column (_times and _adjoint_times, which copy no dim x dim array),
     a scalar * scales d, and np.asarray alone makes it dense."""
 
     __array_ufunc__ = None  # so c * map with a numpy scalar c defers to __rmul__
@@ -117,7 +117,7 @@ class EigenMap:
 
     def __matmul__(self, x):
         d = self.d.reshape(self.d.shape + (1,) * (np.ndim(x) - 1))
-        return d * x if self.Z is None else self.Z @ (d * (self.Z.T @ np.conj(x)).conj())
+        return d * x if self.Z is None else _times(self.Z, d * _adjoint_times(self.Z, x))
 
     def __mul__(self, c):
         return EigenMap(self.Z, c * self.d) if np.ndim(c) == 0 else NotImplemented
@@ -125,11 +125,14 @@ class EigenMap:
     __rmul__ = __mul__
 
     def __array__(self, dtype=None, copy=None):
-        Z = self.Z
-        return np.asarray(np.diag(self.d) if Z is None else (Z * self.d) @ Z.conj().T, dtype)
-
-    def __getitem__(self, index):
-        return np.asarray(self)[index]
+        Z, d = self.Z, self.d
+        if Z is None:
+            dense = np.diag(d)
+        elif Z.dtype.kind == "c":
+            dense = (Z * d) @ Z.conj().T
+        else:  # Z (diag(d) Z^T), with Z on the float view
+            dense = _times(Z, np.multiply(d[:, None], Z.T, order="C"))
+        return np.asarray(dense, dtype)
 
 
 class CauchySolver:
@@ -326,8 +329,7 @@ class CauchySolver:
         Y, v0 = y[..., None], x0[..., None]
         diag = op.diagonalization
         if diag is not None and diag[0] is not None:
-            ZH = diag[0].conj().T
-            Y, v0 = ZH @ Y, ZH @ v0
+            Y, v0 = _adjoint_times(diag[0], Y), _adjoint_times(diag[0], v0)
         v, _ = self._propagate(0.0, F, Y, v0, nodes=True)
         return _Solution(grid, op, v[..., 0], p[..., None] * Y[..., None, :, 0], p, y, x0)
 
@@ -405,7 +407,9 @@ class _Solution(GridFunction):
         diag = self.operator.diagonalization
         if diag is None or diag[0] is None:
             return self.coordinates
-        values = self.coordinates.values @ diag[0].T
+        Z, v = diag[0], self.coordinates.values
+        # u = v Z^T: a real Z takes the columns v^T on their float view
+        values = v @ Z.T if Z.dtype.kind == "c" else _times(Z, v.swapaxes(-1, -2)).swapaxes(-1, -2)
         values[..., 0, :] = self._x0
         S, Au = self._p[..., None] * self._y[..., None, :], values @ self.operator.matrix.T
         u = GridFunction(self.grid, values, Au + S)

@@ -11,7 +11,7 @@ import cmath
 import ctypes
 import math
 import re
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -75,7 +75,7 @@ def _openblas_threads():
 @contextmanager
 def _serial_lapack():
     """Run the block with every loaded OpenBLAS on one thread, then restore each
-    count, so a factorization's bits do not depend on the thread count; a
+    count, so a factorization's or a product's bits do not depend on the thread count; a
     LinAlgError (scipy's is numpy's class) leaves the block as an EigenFailure."""
     pins = _openblas_threads()
     counts = [get() for get, _ in pins]
@@ -237,7 +237,10 @@ class OperatorPair:
     def resolvent_factor(self):
         """(Z, T, normal) with A = Z T Z*, Z unitary: T is the 1-D eigenvalue
         vector if A is normal, else the upper-triangular complex Schur factor.
-        Z is None for structure=diagonal, where Z = I is never formed; Z and T are read-only."""
+        Z is None for structure=diagonal, where Z = I is never formed; it is
+        real (float64) for a Hermitian tridiagonal whose off-diagonal has no
+        imaginary part, complex otherwise; _times and _adjoint_times apply
+        it. Z and T are read-only."""
         A, Z = self.matrix, None
         with _serial_lapack():
             if self.structure == "diagonal":
@@ -245,8 +248,10 @@ class OperatorPair:
             elif self.structure == "tridiagonal" and self.is_hermitian:
                 e = np.diag(A, 1)
                 lam, V = scipy.linalg.eigh_tridiagonal(np.real(np.diag(A)), np.abs(e))
-                # A = P V diag(lam) V^T P*, P = diag(p) carrying the phases of e
+                # A = P V diag(lam) V^T P*, P = diag(p) carrying the phases of e:
+                # p = +-1 exactly where e is real, so Z = P V stays real there
                 p = np.cumprod(np.divide(e.conj(), np.abs(e), out=np.ones_like(e), where=e != 0))
+                p = p if e.imag.any() else p.real
                 Z, T = np.concatenate([[1.0], p])[:, None] * V, lam.astype(complex)
             else:
                 T, Z = scipy.linalg.schur(A, output="complex")
@@ -276,7 +281,7 @@ class OperatorPair:
         y = self.check_vector(y)
         self._shift_distances(mus)
         Z, T, normal = self.resolvent_factor
-        w = y if Z is None else np.conj(Z.T @ np.conj(y))  # Z* y without a conjugated copy of Z
+        w = y if Z is None else _adjoint_times(Z, y)
         if normal:
             x = (w[:, None] / (mus - T[:, None])) @ weights
         else:
@@ -285,7 +290,7 @@ class OperatorPair:
             for mu, weight in zip(mus, weights):
                 np.subtract(mu, t, out=diagonal)
                 x = zaxpy(ztrsv(M, w), x, a=weight)
-        return x if Z is None else Z @ x
+        return x if Z is None else _times(Z, x)
 
     def resolvent_norms(self, mus):
         """E0 operator norms of (mu - A)^-1 at the points of the sequence mus,
@@ -360,7 +365,7 @@ class OperatorPair:
         if self.structure == "tridiagonal" and not d.imag.any() and np.array_equal(lo, up.conj()):
             with _serial_lapack():
                 lam, V = scipy.linalg.eigh(B)
-            return _times(V, np.exp(t * lam) * np.conj(_times(V.T, np.conj(x))))
+            return _times(V, np.exp(t * lam) * _adjoint_times(V, x))
         return _times(scipy.linalg.expm(t * B), x)
 
     # -- evolution backend for the Cauchy solver ------------------------------
@@ -375,11 +380,25 @@ class OperatorPair:
 
 
 def _times(E, x):
-    """E @ x for a complex vector x; a real E acts on x's float view, since
-    E @ x would copy E to complex."""
+    """E @ x for a complex vector x or a stack of columns x (..., n, k); a
+    real E acts on the float view of x, since E @ x would copy E to complex.
+    A real product of more than one column runs on one BLAS thread: OpenBLAS
+    splits such a dgemm between threads in ways that move its bits."""
     if E.dtype.kind == "c":
         return E @ x
-    return (E @ np.ascontiguousarray(x).view(float).reshape(-1, 2)).view(complex)[:, 0]
+    x = np.ascontiguousarray(x, dtype=complex)
+    X = (x[:, None] if x.ndim == 1 else x).view(float)
+    with _serial_lapack() if X.shape[-1] > 2 else nullcontext():
+        out = (E @ X).view(complex)
+    return out[:, 0] if x.ndim == 1 else out
+
+
+def _adjoint_times(E, y):
+    """E* y as _times takes y, written conj(E^T conj(y)), so no conjugated
+    copy of E is made; a real E is E^T on the float view of y."""
+    if E.dtype.kind == "c":
+        return np.conj(E.T @ np.conj(y))
+    return _times(E.T, y)
 
 
 # -- triangular kernels on the Schur factor ----------------------------------

@@ -58,8 +58,8 @@ def test_criterion_3_scalar_closed_forms(acceptance_grid):
     solver = sl.CauchySolver(op, acceptance_grid)
     for mu in (0.5, 1.0, np.log(3.0), 4.0):
         sd = sl.assemble_U_V(solver, mu)
-        assert abs(sd.U[0, 0] - (1 - np.exp(-mu)) ** 2 / mu) <= 1e-10
-        assert abs(sd.V[0, 0] - 2 * np.exp(-mu) / (1 + np.exp(-mu))) <= 1e-10
+        assert abs(np.asarray(sd.U)[0, 0] - (1 - np.exp(-mu)) ** 2 / mu) <= 1e-10
+        assert abs(np.asarray(sd.V)[0, 0] - 2 * np.exp(-mu) / (1 + np.exp(-mu))) <= 1e-10
     sd = sl.assemble_U_V(solver, np.log(3.0))
     assert abs(sd.V_norm - 0.5) <= 1e-10
 

@@ -7,7 +7,7 @@ import scipy.linalg
 import semilab as sl
 from semilab import cauchy
 from semilab.errors import ConfigError, EmptyProbeSet
-from semilab.operators import parse_operator_text
+from semilab.operators import _serial_lapack, parse_operator_text
 from semilab.timegrid import e0_samples
 
 from conftest import nonnormal_dense, random_vector
@@ -850,6 +850,23 @@ class TestBatches:
         assert peak < 2 * sl.operators.BATCH_BYTES + 8 * nodes < 64 * 5 * nodes
 
 
+def to_eigen(Z, Y):
+    """Z* Y for columns Y, as a solve forms it: on the float view of Y when Z is real."""
+    if Z.dtype.kind == "c":
+        return Z.conj().T @ Y
+    return (Z.T @ np.ascontiguousarray(Y).view(float)).view(complex)
+
+
+def to_standard(Z, v):
+    """v Z^T for rows v, as a solve forms it: on the float view of v^T, on one
+    BLAS thread, when Z is real."""
+    if Z.dtype.kind == "c":
+        return v @ Z.T
+    vt = np.ascontiguousarray(v.swapaxes(-1, -2))
+    with _serial_lapack():
+        return (Z @ vt.view(float)).view(complex).swapaxes(-1, -2)
+
+
 def standard_solve(solver, f, x0):
     """solve's GridFunction by the products of a solve that hands back
     standard-basis samples: without a basis Z the propagated values v
@@ -867,9 +884,9 @@ def standard_solve(solver, f, x0):
         values = v[..., 0]
         Au = values @ op.matrix.T if diag is None else diag[1] * values
     else:
-        ZH = Z.conj().T
-        v, _ = solver._propagate(0.0, F, ZH @ f.y[:, None], ZH @ x0[:, None], nodes=True)
-        values = v[..., 0] @ Z.T
+        v, _ = solver._propagate(0.0, F, to_eigen(Z, f.y[:, None]), to_eigen(Z, x0[:, None]),
+                                 nodes=True)
+        values = to_standard(Z, v[..., 0])
         values[0] = x0
         Au = values @ op.matrix.T
     S = p[:, None] * f.y[None, :]
@@ -914,13 +931,14 @@ class TestOneForm:
 
 class CountingProducts(np.ndarray):
     """A matrix that counts the products taking it against a stack of node
-    samples (more rows than the matrix has)."""
+    samples (more rows than the matrix has, or more columns, as the float view
+    of the transposed stack a real basis takes has)."""
 
     products = 0
 
     def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
         plain = [a.view(np.ndarray) if isinstance(a, CountingProducts) else a for a in inputs]
-        if ufunc is np.matmul and any(np.ndim(a) >= 2 and np.shape(a)[-2] > self.shape[0]
+        if ufunc is np.matmul and any(np.ndim(a) >= 2 and max(np.shape(a)[-2:]) > self.shape[0]
                                       for a in plain):
             CountingProducts.products += 1
         return getattr(ufunc, method)(*plain, **kwargs)
@@ -942,7 +960,7 @@ class TestEigenCoordinates:
         solver = sl.CauchySolver(op, grid)
         for f, x in sl.default_probes(op, seed=3):
             u = solver.solve(f, x)
-            values = u.coordinates.values @ Z.T
+            values = to_standard(Z, u.coordinates.values)
             values[0] = x
             assert np.array_equal(u.values, values) and np.array_equal(u.values[0], x)
             ref = standard_solve(solver, f, np.asarray(x, dtype=complex))
@@ -1020,3 +1038,40 @@ class TestEigenCoordinates:
         assert CountingProducts.products == 0
         chk.u.values, chk.u.operator_values  # the standard samples, formed on request
         assert CountingProducts.products == 2
+
+
+class TestRealBasis:
+    """A Laplacian's real basis Z gives what the same formulas give on
+    Z.astype(complex), to rounding: resolvent sums, EigenMap products and a
+    solve's standard-basis samples."""
+
+    @staticmethod
+    def complex_twin(op):
+        """A fresh copy of op whose cached factor holds its basis as complex."""
+        twin = sl.OperatorPair(op.matrix, op.e0_norm)
+        Z, T, normal = op.resolvent_factor
+        twin.__dict__["resolvent_factor"] = (Z.astype(complex), T, normal)
+        return twin
+
+    @staticmethod
+    def close(a, b):
+        return np.linalg.norm(a - b) <= 1e-14 * np.linalg.norm(b)
+
+    @pytest.mark.parametrize("n", [16, 64, 256])
+    def test_real_basis_matches_its_complex_form(self, grid, rng, n):
+        op = sl.laplacian_1d(n)
+        twin = self.complex_twin(op)
+        Z, Zc = op.diagonalization[0], twin.diagonalization[0]
+        assert Z.dtype == np.float64 and Zc.dtype == complex
+        x = random_vector(rng, n)
+        mus, weights = sl.build_contour(op, 0.1, node_count=32).nodes_and_weights()
+        assert self.close(op.resolvent_sum(mus, weights, x), twin.resolvent_sum(mus, weights, x))
+        d = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        X = np.stack([x, random_vector(rng, n)], axis=1)
+        for arg in (x, X):
+            assert self.close(cauchy.EigenMap(Z, d) @ arg, cauchy.EigenMap(Zc, d) @ arg)
+        assert self.close(np.asarray(cauchy.EigenMap(Z, d)), np.asarray(cauchy.EigenMap(Zc, d)))
+        f, x0 = sl.ExpForcing(3.0 + 2.0j, x), random_vector(rng, n)
+        u, ref = sl.CauchySolver(op, grid).solve(f, x0), sl.CauchySolver(twin, grid).solve(f, x0)
+        for attr in SAMPLES:
+            assert self.close(getattr(u, attr), getattr(ref, attr)), attr

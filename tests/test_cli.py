@@ -559,6 +559,21 @@ class TestDeterminism:
         for name in names:
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
+    def test_real_basis_products_change_no_byte(self, tmp_path):
+        # a Laplacian's sup-norm solves map every node back through its real
+        # basis, a dgemm whose bits OpenBLAS moves with the thread count
+        opf = tmp_path / "lap64.op"
+        opf.write_text("matrix = laplacian1d n=64\ne0_norm = sup\n")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        outs = []
+        for threads in ("1", "2"):
+            outs.append(tmp_path / f"threads{threads}")
+            env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads}
+            subprocess.run([sys.executable, "-m", "semilab.cli", "maxreg-estimate",
+                            "--operator", str(opf), "--out", str(outs[-1])], env=env, check=True)
+        for name in ("maxreg.csv", "report.json"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
 
 # runs maxreg-estimate on lap64 twice in one interpreter and prints the minor
 # page faults of the second run

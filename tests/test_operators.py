@@ -443,6 +443,32 @@ class TestResolventFactor:
         assert op.resolvent_backend == "normal"
         assert calls == []
 
+    @pytest.mark.parametrize("n", [16, 64, 512])
+    def test_laplacian_basis_is_real(self, n):
+        Z = sl.laplacian_1d(n).resolvent_factor[0]
+        assert Z.dtype == np.float64 and Z.nbytes == 8 * n * n
+
+    def test_basis_is_real_where_the_off_diagonal_is(self):
+        signs = sl.parse_operator_text("row = -2 -1 0\nrow = -1 -2 -1\nrow = 0 -1 -2\n")
+        phase = sl.parse_operator_text("row = -2 1j 0\nrow = -1j -2 1j\nrow = 0 -1j -2\n")
+        for op, kind in ((signs, "f"), (phase, "c")):
+            Z, lam, normal = op.resolvent_factor
+            assert normal and Z.dtype.kind == kind
+            assert np.allclose((Z * lam) @ Z.conj().T, op.matrix, rtol=0, atol=1e-14)
+
+    def test_real_basis_sum_forms_no_complex_square(self, rng):
+        op = sl.laplacian_1d(512)
+        op.resolvent_factor  # the factor itself is kept, not part of the sum
+        mus, weights = sl.build_contour(op, 0.1, node_count=64).nodes_and_weights()
+        x = random_vector(rng, op.dim)
+        tracemalloc.start()
+        try:
+            op.resolvent_sum(mus, weights, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * op.dim ** 2
+
     def test_complex_hermitian_tridiagonal(self):
         A = complex_hermitian_tridiagonal()
         op = sl.OperatorPair(A)

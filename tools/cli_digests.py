@@ -10,7 +10,11 @@ euclidean and with the sup E0 norm): 120 runs, then ``maxreg-estimate`` and
 ``weighted`` on lap256, ``identity-check``, ``reconstruct`` and ``verdict``
 on the dense 2 x 2 rows ``800 1`` / ``0 -1``, whose u(T) overflows, and
 ``maxreg-estimate`` and ``weighted`` on the complex diagonal
-``-1+2i,-0.5-3i,-2+0.25i,-0.1+7i`` with each E0 norm: 129 runs.
+``-1+2i,-0.5-3i,-2+0.25i,-0.1+7i`` with each E0 norm, and ``maxreg-estimate``,
+``identity-check``, ``reconstruct`` and ``weighted`` on two 3 x 3 Hermitian
+tridiagonals, rows ``-2 1j 0`` / ``-1j -2 1j`` / ``0 -1j -2``, whose complex
+eigenbasis carries the phases of its off-diagonal, and rows ``-2 -1 0`` /
+``-1 -2 -1`` / ``0 -1 -2``, whose real eigenbasis flips signs: 137 runs.
 The probe file puts two steep exponential probes on each grid the 16-panel
 solves refine to (panels split in 2, 3 and 4), so the batched solves there
 stack more than one probe, next to two base-grid exponentials, a polynomial
@@ -59,13 +63,17 @@ RUNS = [[experiment] for experiment in EXPERIMENTS] + [
 # the eigen-coordinate solves at a size where mapping every node back to the
 # standard basis would dominate them, a dense operator whose u(T) has
 # non-finite entries, which the dense E0 norms read as inf, and a complex
-# diagonal, whose solves form A u as lam u, not as the product u A^T
+# diagonal, whose solves form A u as lam u, not as the product u A^T; then a
+# Hermitian tridiagonal with a complex and one with a real eigenbasis
 CDIAG = "matrix = diag -1+2i,-0.5-3i,-2+0.25i,-0.1+7i\n"
+TRIDIAGONAL_RUNS = [["maxreg-estimate"], ["identity-check"], ["reconstruct"], ["weighted"]]
 LARGE = {"lap256": ("matrix = laplacian1d n=256\n", [["maxreg-estimate"], ["weighted"]]),
          "rows800": ("row = 800 1\nrow = 0 -1\n",
                      [["identity-check"], ["reconstruct"], ["verdict"]]),
          "cdiag4": (CDIAG, [["maxreg-estimate"], ["weighted"]]),
-         "cdiag4-sup": (CDIAG + "e0_norm = sup\n", [["maxreg-estimate"], ["weighted"]])}
+         "cdiag4-sup": (CDIAG + "e0_norm = sup\n", [["maxreg-estimate"], ["weighted"]]),
+         "phase3": ("row = -2 1j 0\nrow = -1j -2 1j\nrow = 0 -1j -2\n", TRIDIAGONAL_RUNS),
+         "signs3": ("row = -2 -1 0\nrow = -1 -2 -1\nrow = 0 -1 -2\n", TRIDIAGONAL_RUNS)}
 
 
 def probe_text(dim):

@@ -1,6 +1,6 @@
 """List the statements of ``src/semilab`` that no CLI experiment or bench unit runs.
 
-Traces, with ``sys.settrace``, the 129 runs of ``tools/cli_digests.py``
+Traces, with ``sys.settrace``, the 137 runs of ``tools/cli_digests.py``
 (8 experiments, ``weighted --sigma 0.5``, ``reconstruct --T 0.5``,
 ``resolvent-scan`` on a ``grid:`` box, ``maxreg-estimate`` and ``verdict``
 with a probe file, ``identity-check`` on a comma-list ``--mu-grid`` and
@@ -8,7 +8,9 @@ with a probe file, ``identity-check`` on a comma-list ``--mu-grid`` and
 ``maxreg-estimate`` and ``weighted`` on lap256, ``identity-check``,
 ``reconstruct`` and ``verdict`` on a dense 2 x 2 whose u(T) overflows, and
 ``maxreg-estimate`` and ``weighted`` on a complex diagonal with each E0
-norm) and one batch of each workload of ``bench/workloads.py`` (seed 1,
+norm, then ``maxreg-estimate``, ``identity-check``, ``reconstruct`` and
+``weighted`` on a 3 x 3 Hermitian tridiagonal with a complex and one with a
+real eigenbasis) and one batch of each workload of ``bench/workloads.py`` (seed 1,
 every unit's ``run`` and ``check``), then prints ``path:line: source`` for every statement of
 ``src/semilab`` that never ran, in file order. The import of
 semilab itself is traced, so module-level statements count as run.
