@@ -20,7 +20,7 @@ import numpy as np
 
 from .cauchy import CauchySolver, estimate_M
 from .errors import ConfigError, SemilabError
-from .forcing import default_probes, load_probes
+from .forcing import _random_unit, default_probes, load_probes
 from .operators import load_operator, parse_vector
 from .theorem import (  # assemble_U_V unused here: the benchmark's tracer test reads it
     assemble_U_V,
@@ -98,12 +98,6 @@ def _write_report(out, report):
         fh.write("\n")
 
 
-def _random_unit(op, seed):
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal(op.dim) + 1j * rng.standard_normal(op.dim)
-    return x / np.linalg.norm(x)
-
-
 # -- experiments -----------------------------------------------------------
 
 
@@ -142,7 +136,7 @@ def run_maxreg_estimate(solver, args, out):
 
 def run_identity_check(solver, args, out):
     op = solver.op
-    x = _random_unit(op, args.seed)
+    x = _random_unit(np.random.default_rng(args.seed), op.dim)
     rows = []
     for sd in assemble_U_V_batch(solver, args.mus or mu_box(0.5, 32, 5, -16, 16, 5)):
         res = surjectivity_identity_check(op, sd, x)
@@ -156,7 +150,7 @@ def run_identity_check(solver, args, out):
 def run_reconstruct(solver, args, out):
     op = solver.op
     w2 = omega2_search(solver)
-    y = _random_unit(op, args.seed)
+    y = _random_unit(np.random.default_rng(args.seed), op.dim)
     mus = args.mus or mu_box(w2 + 0.5, w2 + 16, 3, -4.0, 4.0, 3)
     # the mus before the first one at or left of omega2 are assembled at once
     bad = next((i for i, mu in enumerate(mus) if mu.real <= w2), len(mus))
@@ -178,7 +172,7 @@ def run_weighted(solver, args, out):
     op = solver.op
     est = estimate_M(solver, args.probe_set or default_probes(op, seed=args.seed))
     mu = args.mus[0] if args.mus else complex(1.0)
-    x = _random_unit(op, args.seed)
+    x = _random_unit(np.random.default_rng(args.seed), op.dim)
     chk = weighted_maxreg_check(solver, args.sigma, mu, x, est.M_hat,
                                 c2_hat=est.c2_hat)
     wn = weighted_norm(op, chk.u, args.sigma)
@@ -284,14 +278,14 @@ def main(argv=None):
         args.probe_set = load_probes(args.probes, op.dim) if args.probes else None
         solver = CauchySolver(op, TimeGrid.uniform(args.T, panels=args.panels))
         os.makedirs(args.out, exist_ok=True)
-    except (_UsageError, OSError, SemilabError, ValueError) as exc:
+    except (_UsageError, OSError, SemilabError, ValueError, MemoryError) as exc:
         print(f"semilab: error: {exc}", file=sys.stderr)
         return 1
 
     try:  # every non-finite value ends fail-closed, so numpy's warnings add nothing
         with np.errstate(all="ignore"):
             report, ok = _RUNNERS[args.experiment](solver, args, args.out)
-    except (_UsageError, SemilabError) as exc:
+    except (_UsageError, SemilabError, MemoryError) as exc:
         print(f"semilab: error: {exc}", file=sys.stderr)
         return 1
     report["config"] = {

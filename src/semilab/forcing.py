@@ -67,6 +67,13 @@ class PolyForcing(Forcing):
         return np.polynomial.polynomial.polyval(np.asarray(ts), self.coeffs)
 
 
+def _random_unit(rng, dim):
+    """A unit vector of C^dim: dim standard normal real parts, then dim
+    imaginary parts, drawn from rng and divided by their euclidean norm."""
+    x = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    return x / np.linalg.norm(x)
+
+
 # -- probe description files -------------------------------------------------
 
 
@@ -109,15 +116,11 @@ def default_probes(op, seed=0):
     dim = op.dim
     probes = []
     for mu in np.logspace(-1, 1.5, _EXP_PROBES):
-        y = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        probes.append((ExpForcing(mu, y / np.linalg.norm(y)),
-                       np.zeros(dim, complex)))
+        probes.append((ExpForcing(mu, _random_unit(rng, dim)), np.zeros(dim, complex)))
     for k in range(_POLY_PROBES):
         coeffs = np.zeros(k + 2)
         coeffs[-1] = 1.0
-        y = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        probes.append((PolyForcing(coeffs, y / np.linalg.norm(y)),
-                       np.zeros(dim, complex)))
+        probes.append((PolyForcing(coeffs, _random_unit(rng, dim)), np.zeros(dim, complex)))
     diag = op.diagonalization
     for k in range(_IC_PROBES):
         if diag is not None and k < min(2, dim):
@@ -125,7 +128,6 @@ def default_probes(op, seed=0):
             Z = diag[0]
             x = np.eye(1, dim, k, dtype=complex)[0] if Z is None else Z[:, k].astype(complex)
         else:
-            x = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-            x = x / np.linalg.norm(x)
+            x = _random_unit(rng, dim)
         probes.append((ZeroForcing(dim), x))
     return probes

@@ -26,12 +26,11 @@ from .timegrid import TimeGrid
 
 # resolvent_from_solver sums the n = ceil(log NEUMANN_TOL / log ||V_mu||) Neumann
 # terms that bound the remainder by NEUMANN_TOL ||y|| and refuses a series that
-# needs more than NEUMANN_MAX_TERMS; omega2_search returns the end of the bisection
-# of [OMEGA2_TOL, 64 / T] down to a bracket of width OMEGA2_TOL, which it replays
-# from a crossing located to CROSSING_TOL in at most CROSSING_MAX_STEPS secant
-# steps, evaluating only the midpoints within REPLAY_MARGIN of it
+# needs more than NEUMANN_MAX_TERMS; omega2_search brackets the crossing of
+# ||V_mu|| = 1/2 in [OMEGA2_TOL, 64 / T] to width CROSSING_TOL (or two ulps, _width),
+# by a secant of at most CROSSING_MAX_STEPS steps or, where that fails, by bisection
 _NEUMANN_TOL, _NEUMANN_MAX_TERMS, _OMEGA2_TOL = 1e-12, 200, 1e-6
-_CROSSING_TOL, _CROSSING_MAX_STEPS, _REPLAY_MARGIN = 2.5e-10, 60, 1e-9
+_CROSSING_TOL, _CROSSING_MAX_STEPS = 2.5e-10, 60
 
 
 # -- a-priori inequality -------------------------------------------------------------------
@@ -169,16 +168,14 @@ def resolvent_from_solver(solver, mu, y, sdata=None):
 
 def omega2_search(solver):
     """Sharp numerical threshold omega_2: smallest real part above which
-    ||V_mu|| < 1/2, as the bisection on real mu in [1e-6, 64 / T] down to a
-    bracket of width 1e-6 gives it, bit for bit, from about 11 solver calls.
-
-    A bracketing secant first locates the crossing (_crossing). The bisection
-    is then replayed: a midpoint farther than 1e-9 from the crossing takes its
-    side from it, a nearer one is evaluated. Where the final bracket then
-    fails ||V_lo|| >= 1/2 > ||V_hi||, or the secant finds no crossing, the
-    bisection runs again and evaluates every midpoint. So the result is the
-    plain bisection's wherever ||V_mu|| crosses 1/2 once. The end checks, and
-    so their exceptions, are the bisection's; no point is evaluated twice."""
+    ||V_mu|| < 1/2, from about 9 solver calls. It is the upper end b of a
+    bracket [a, b] in [1e-6, 64 / T] of width at most 2.5e-10 (two ulps of b
+    from b = 2^20 on, where the doubles are coarser) with
+    ||V_a|| >= 1/2 > ||V_b||, both evaluated: the bracketing secant's
+    (_crossing), or the bisection's where the secant meets a zero, infinite or
+    NaN norm or stalls. It is 0 where ||V_mu|| < 1/2 already at 1e-6, and
+    SlowConvergence is raised where that fails at 64 / T, a NaN norm included.
+    No point is evaluated twice."""
     norms = {}
 
     def v(r):
@@ -191,33 +188,21 @@ def omega2_search(solver):
         return 0.0
     if not v(hi) < 0.5:  # also refuses a NaN norm
         raise SlowConvergence(f"||V_mu|| < 1/2 fails even at Re mu = {hi}")
-    crossing = _crossing(v, lo, hi)
-    if crossing is not None:
-        a, b = _bisect(v, lo, hi, crossing)
-        if v(a) >= 0.5 > v(b):
-            return b
-    return _bisect(v, lo, hi)[1]
-
-
-def _bisect(v, lo, hi, crossing=None):
-    """The bisection's final bracket: each midpoint is evaluated, or, given a
-    crossing farther than _REPLAY_MARGIN from it, takes its side from it."""
-    while hi - lo > _OMEGA2_TOL:
+    bracket = _crossing(v, lo, hi)
+    if bracket is not None:
+        return bracket[1]
+    while hi - lo > _width(hi):
         mid = 0.5 * (lo + hi)
-        if crossing is None or abs(mid - crossing) <= _REPLAY_MARGIN:
-            below = v(mid) < 0.5
-        else:
-            below = mid > crossing
-        if below:
+        if v(mid) < 0.5:
             hi = mid
         else:
             lo = mid
-    return lo, hi
+    return hi
 
 
 def _crossing(v, a, b):
-    """Centre of a bracket of width <= _CROSSING_TOL on which ||V_mu|| falls
-    below 1/2, given v(a) >= 1/2 > v(b): regula falsi on log(2 v), with an end
+    """Bracket (a, b) of width <= _width(b) with v(a) >= 1/2 > v(b), both
+    evaluated, given that of the ends: regula falsi on log(2 v), with an end
     kept twice in a row scaled down as Anderson and Bjorck do (BIT 12, 1972;
     Dekker 1969 and Brent 1973, ch. 4, for such bracketing secants). None where
     v is 0, infinite or NaN, or after _CROSSING_MAX_STEPS steps."""
@@ -226,14 +211,14 @@ def _crossing(v, a, b):
         x = v(r)
         return math.log(2.0 * x) if 0.0 < x < math.inf else None
 
-    half = 0.5 * _CROSSING_TOL
     ga, gb, kept = g(a), g(b), 0  # kept: the end the last step kept, -1 for a
     if ga is None or gb is None:
         return None
     for _ in range(_CROSSING_MAX_STEPS):
-        if b - a <= _CROSSING_TOL:
-            return 0.5 * (a + b)
-        # at least half the tolerance inside, so a converged end closes the bracket
+        half = 0.5 * _width(b)
+        if b - a <= 2.0 * half:
+            return a, b
+        # at least half the width inside, so a converged end closes the bracket
         c = min(max(b - gb * (b - a) / (gb - ga), a + half), b - half)
         gc = g(c)
         if gc is None:
@@ -247,6 +232,12 @@ def _crossing(v, a, b):
             gb *= (m if m > 0.0 else 0.5) if kept > 0 else 1.0
             a, ga, kept = c, gc, 1
     return None
+
+
+def _width(b):
+    """_CROSSING_TOL, or two ulps of b where that is wider (from b = 2^20 on):
+    a bracket wider than this has a double inside, so both loops end."""
+    return max(_CROSSING_TOL, 2.0 * math.ulp(b))
 
 
 def vnorm_decay(op, mu, T_values, panels=16):

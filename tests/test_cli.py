@@ -154,7 +154,7 @@ class TestExperiments:
 
     @pytest.mark.filterwarnings("error")
     def test_verdict_without_omega2(self, tmp_path):
-        # s(A) = 100: the bisection finds no omega2, so no decay is sampled
+        # s(A) = 100: the search finds no omega2, so no decay is sampled
         f = tmp_path / "unstable.op"
         f.write_text("matrix = diag 100,-1\n")
         code, report, out = run(tmp_path, "verdict", "--operator", str(f))
@@ -392,6 +392,18 @@ class TestExitCodes:
         self._one_line_error(tmp_path, capsys, experiment, "--operator", diag_file, flag, value)
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("experiment", ["spectrum", "verdict"])
+    @pytest.mark.parametrize("matrix", ["laplacian1d n=", "jordan lambda=-1 size=",
+                                        "random-normal dim="])
+    def test_allocation_failure(self, tmp_path, capsys, matrix, experiment):
+        # 10**15 entries of 8 or 16 bytes lie past the 128 TiB user address
+        # space, so the operator's first array fails to allocate under any
+        # overcommit setting: a MemoryError, reported like a SemilabError
+        f = tmp_path / "huge.op"
+        f.write_text(f"matrix = {matrix}{10**15}\n")
+        self._one_line_error(tmp_path, capsys, experiment, "--operator", str(f))
+        assert not (tmp_path / "out").exists()
+
     def test_factorization_failure(self, tmp_path, capsys, monkeypatch):
         def fail(*args, **kwargs):
             raise np.linalg.LinAlgError("schur form not found")
@@ -403,7 +415,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("experiment", ["identity-check", "reconstruct"])
     def test_degenerate_horizon(self, tmp_path, capsys, diag_file, experiment):
         # 1 - exp(-2 Re mu T) rounds to 0: V_mu is not defined, and reconstruct's
-        # omega2 bisection must stop at its first point instead of running on NaN
+        # omega2 search must stop at its first point instead of running on NaN
         start = time.monotonic()
         err = self._one_line_error(tmp_path, capsys, experiment, "--operator", diag_file,
                                    "--T", "1e-300")

@@ -3,6 +3,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 import semilab as sl
 from semilab import theorem
@@ -242,15 +243,15 @@ OMEGA2_OPERATORS.update({
 })
 
 
-def bisection(v, T):
-    """omega_2 as the plain bisection of [1e-6, 64 / T] down to width 1e-6
-    gives it, with v(r) the norm ||V_r||."""
+def bisection(v, T, width=1e-6):
+    """omega_2 as the plain bisection of [1e-6, 64 / T] down to the given
+    width gives it, with v(r) the norm ||V_r||."""
     lo, hi = 1e-6, 64.0 / T
     if v(lo) < 0.5:
         return 0.0
     if not v(hi) < 0.5:
         raise SlowConvergence(f"||V_mu|| < 1/2 fails even at Re mu = {hi}")
-    while hi - lo > 1e-6:
+    while hi - lo > width:
         mid = 0.5 * (lo + hi)
         if v(mid) < 0.5:
             hi = mid
@@ -290,54 +291,98 @@ def crossing_at_one(r):
 class TestOmega2Search:
     @pytest.mark.parametrize("T", [1.0, 0.5])
     @pytest.mark.parametrize("name", sorted(OMEGA2_OPERATORS))
-    def test_bit_equal_to_bisection(self, name, T):
+    def test_bracket_at_the_crossing(self, monkeypatch, name, T):
+        # omega2 is the evaluated end b of a bracket [a, b] of width <= 2.5e-10
+        # with ||V_a|| >= 1/2 > ||V_b||, and within 1e-6 of the bisection to
+        # width 1e-6
         solver = sl.CauchySolver(parse_operator_text(OMEGA2_OPERATORS[name]),
                                  sl.TimeGrid.uniform(T, 16))
-        expected = bisection(lambda r: sl.assemble_U_V(solver, complex(r)).V_norm, T)
-        assert repr(sl.omega2_search(solver)) == repr(expected)
+
+        def v(r):
+            return sl.assemble_U_V(solver, complex(r)).V_norm
+
+        rs = counting_assemble(monkeypatch)
+        w2 = sl.omega2_search(solver)
+        expected = bisection(v, T)
+        if expected == 0.0:
+            assert w2 == 0.0
+            return
+        assert w2 in rs and v(w2) < 0.5
+        assert any(w2 - 2.5e-10 <= r < w2 and v(r) >= 0.5 for r in rs)
+        assert abs(w2 - expected) < 1e-6
 
     @pytest.mark.parametrize("T", [1.0, 0.5])
     @pytest.mark.parametrize("name", sorted(OMEGA2_OPERATORS))
     def test_solver_calls(self, monkeypatch, name, T):
-        # the bisection takes 28 calls at T = 1 (29 at T = 0.5) where omega2 > 0
+        # the bisection to width 1e-6 took 28 calls at T = 1 (29 at T = 0.5)
+        # where omega2 > 0
         solver = sl.CauchySolver(parse_operator_text(OMEGA2_OPERATORS[name]),
                                  sl.TimeGrid.uniform(T, 16))
         rs = counting_assemble(monkeypatch)
         w2 = sl.omega2_search(solver)
-        assert len(rs) == 1 if w2 == 0.0 else len(rs) <= 13
+        assert len(rs) == 1 if w2 == 0.0 else len(rs) <= 11
         assert len(set(rs)) == len(rs)
 
-    def test_norm_back_at_half_past_the_crossing(self, monkeypatch):
-        # the replay ends on a bracket whose hi is the bisection's answer for
-        # crossing_at_one; with ||V|| = 1/2 at that one point the norm crosses
-        # 1/2 twice more, the bisection moves on past it, and so must the search
-        solver = SimpleNamespace(T=1.0)
+    def test_crossing_at_one(self, monkeypatch):
+        # ||V_r|| = e^{1 - r} / 2 crosses 1/2 at r = 1 exactly
         counting_assemble(monkeypatch, crossing_at_one)
-        replayed = sl.omega2_search(solver)
-        assert replayed == bisection(crossing_at_one, 1.0)
+        assert 1.0 <= sl.omega2_search(SimpleNamespace(T=1.0)) <= 1.0 + 2.5e-10
+
+    @pytest.mark.parametrize("case", ["secant", "bisection"])
+    def test_crossing_where_the_doubles_are_coarser(self, monkeypatch, case):
+        # at T = 1e-5 the search runs up to r = 6.4e6; diag 3e6 crosses 1/2 near
+        # r = 3.07e6, where adjacent doubles lie 4.7e-10 apart, more than the
+        # 2.5e-10 width: the bracket closes at two ulps, by the secant or, on a
+        # norm that drops to 0 there, by the bisection
+        solver = sl.CauchySolver(sl.diagonal_operator([3e6]), sl.TimeGrid.uniform(1e-5, 16))
 
         def norm(r):
-            return 0.5 if r == replayed else crossing_at_one(r)
+            if case == "bisection":
+                return 0.75 if r < 3e6 else 0.0
+            return sl.assemble_U_V(solver, complex(r)).V_norm
 
         rs = counting_assemble(monkeypatch, norm)
         w2 = sl.omega2_search(solver)
-        assert w2 == bisection(norm, 1.0) != replayed
-        assert len(rs) > 26 and len(set(rs)) == len(rs)  # every midpoint evaluated
+        assert w2 > 2.0 ** 21 and w2 in rs and norm(w2) < 0.5
+        assert any(w2 - 2.0 * math.ulp(w2) <= r < w2 and norm(r) >= 0.5 for r in rs)
+        assert len(set(rs)) == len(rs)
+
+    def test_norm_back_at_half_past_the_crossing(self, monkeypatch):
+        # with ||V|| = 1/2 exactly at the point the search returns for
+        # crossing_at_one, that point no longer has ||V|| < 1/2: the search
+        # must move on past it and still end on an evaluated bracket
+        solver = SimpleNamespace(T=1.0)
+        counting_assemble(monkeypatch, crossing_at_one)
+        first = sl.omega2_search(solver)
+
+        def norm(r):
+            return 0.5 if r == first else crossing_at_one(r)
+
+        rs = counting_assemble(monkeypatch, norm)
+        w2 = sl.omega2_search(solver)
+        assert w2 != first and w2 in rs and norm(w2) < 0.5
+        assert any(w2 - 2.5e-10 <= r < w2 and norm(r) >= 0.5 for r in rs)
+        assert len(set(rs)) == len(rs)
 
     @pytest.mark.parametrize("offset", [-1e-10, -5e-11, 5e-11, 1e-10])
     def test_midpoint_near_the_crossing_is_evaluated(self, monkeypatch, offset):
-        # a bisection midpoint m a little off the crossing: the located
-        # crossing may lie on either side of m, so the replay must evaluate m
+        # the crossing moved a little off the point m the search returns for
+        # crossing_at_one, to either side of it: omega2 is still the evaluated
+        # upper end of a bracket of width <= 2.5e-10 about the moved crossing
         solver = SimpleNamespace(T=1.0)
         counting_assemble(monkeypatch, crossing_at_one)
         m = sl.omega2_search(solver)
+        crossing = m + offset
 
         def norm(r):
-            return crossing_at_one(r - (m + offset - 1.0))
+            return crossing_at_one(r - (crossing - 1.0))
 
         rs = counting_assemble(monkeypatch, norm)
-        assert sl.omega2_search(solver) == bisection(norm, 1.0)
-        assert m in rs and len(rs) <= 13
+        w2 = sl.omega2_search(solver)
+        assert w2 in rs and norm(w2) < 0.5
+        assert any(w2 - 2.5e-10 <= r < w2 and norm(r) >= 0.5 for r in rs)
+        assert crossing - 1e-15 <= w2 <= crossing + 2.5e-10 + 1e-15
+        assert len(rs) <= 11 and len(set(rs)) == len(rs)
 
     @pytest.mark.parametrize("case", ["zero past r = 3", "zero past a jump at r = 1",
                                       "nan at the first secant point", "flat, then a cliff",
@@ -346,6 +391,7 @@ class TestOmega2Search:
         # a norm whose log is undefined where the secant meets it (0 or NaN),
         # or one on which the secant stalls (a slope of 1e-8 up to a drop to
         # 1e-300 at r = 1): every midpoint is evaluated, as in the bisection
+        # to the secant's width 2.5e-10
         solver = SimpleNamespace(T=1.0)
         if case == "nan at the first secant point":
             rs = counting_assemble(monkeypatch, crossing_at_one)
@@ -363,9 +409,41 @@ class TestOmega2Search:
                 "nan at the top end": lambda r: crossing_at_one(r) if r < 64.0 else math.nan,
             }[case]
         rs = counting_assemble(monkeypatch, norm)
-        assert outcome(sl.omega2_search, solver) == outcome(bisection, norm, 1.0)
-        assert len(rs) == 2 if case == "nan at the top end" else len(rs) > 26
+        assert outcome(sl.omega2_search, solver) == outcome(bisection, norm, 1.0, 2.5e-10)
+        assert len(rs) == 2 if case == "nan at the top end" else len(rs) > 36
         assert len(set(rs)) == len(rs)
+
+
+def closed_form_vnorm(lams, r, T):
+    """||V_r|| of a normal operator with eigenvalues lams in the euclidean norm:
+    |c| max_k |(e^{lam_k T} - e^{-rT}) / (lam_k + r)| with
+    c = 2r e^{-rT} / (1 - e^{-2rT}), that is
+    2r / (e^{2rT} - 1) max_k |(e^{(lam_k + r) T} - 1) / (lam_k + r)|."""
+    z = np.asarray(lams) + r
+    with np.errstate(divide="ignore", invalid="ignore"):
+        phi = np.where(z == 0, T, np.expm1(z * T) / z)
+    return 2.0 * r / math.expm1(2.0 * r * T) * float(np.max(np.abs(phi)))
+
+
+class TestOmega2ClosedForm:
+    # on normal operators omega2 lies within the secant's 2.5e-10 width above
+    # the exact crossing of ||V_r|| = 1/2 (brentq on the closed form); the
+    # 1e-12 slack covers the lab's error in ||V_r||
+    MAKERS = {
+        "diag4": lambda: sl.diagonal_operator([-1.0, -2.5, -4.0, -7.0]),
+        "normal16": lambda: sl.random_normal_operator(16, seed=3),
+        "normal64": lambda: sl.random_normal_operator(64, seed=1),
+    }
+
+    @pytest.mark.parametrize("name, T", [("diag4", 1.0), ("diag4", 0.5), ("normal16", 0.5),
+                                         ("normal64", 1.0), ("normal64", 0.5)])
+    def test_within_the_bracket_above_the_crossing(self, name, T):
+        op = self.MAKERS[name]()
+        lams = op.eigenvalues
+        w2 = sl.omega2_search(sl.CauchySolver(op, sl.TimeGrid.uniform(T, 16)))
+        exact = scipy.optimize.brentq(lambda r: closed_form_vnorm(lams, r, T) - 0.5,
+                                      1e-6, 64.0 / T, xtol=1e-15)
+        assert -1e-12 <= w2 - exact <= 2.5e-10 + 1e-12
 
 
 class TestAprioriInequality:
