@@ -74,7 +74,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import EmptyProbeSet
-from .operators import _adjoint_times, _times, chunks
+from .operators import EigenMap, chunks
 from .phi import phi_matrices, phi_scalar
 from .timegrid import GridFunction, e0_norm_J, e0_samples, e1_norm_J, gauss_legendre_01
 
@@ -102,37 +102,6 @@ def _panel_weights(q, nodes):
     rs = np.append(xi, 1.0) if nodes else np.ones(1)
     coef = C * np.array([math.factorial(p) for p in range(q)])
     return rs, coef, rs[None, :] ** np.arange(1, q + 1)[:, None]
-
-
-class EigenMap:
-    """The matrix Z diag(d) Z* (diag(d) when Z is None) of a normal operator's
-    solution functional, kept in eigen coordinates: @ applies it in O(dim^2)
-    per column (_times and _adjoint_times, which copy no dim x dim array),
-    a scalar * scales d, and np.asarray alone makes it dense."""
-
-    __array_ufunc__ = None  # so c * map with a numpy scalar c defers to __rmul__
-
-    def __init__(self, Z, d):
-        self.Z, self.d = Z, d
-
-    def __matmul__(self, x):
-        d = self.d.reshape(self.d.shape + (1,) * (np.ndim(x) - 1))
-        return d * x if self.Z is None else _times(self.Z, d * _adjoint_times(self.Z, x))
-
-    def __mul__(self, c):
-        return EigenMap(self.Z, c * self.d) if np.ndim(c) == 0 else NotImplemented
-
-    __rmul__ = __mul__
-
-    def __array__(self, dtype=None, copy=None):
-        Z, d = self.Z, self.d
-        if Z is None:
-            dense = np.diag(d)
-        elif Z.dtype.kind == "c":
-            dense = (Z * d) @ Z.conj().T
-        else:  # Z (diag(d) Z^T), with Z on the float view
-            dense = _times(Z, np.multiply(d[:, None], Z.T, order="C"))
-        return np.asarray(dense, dtype)
 
 
 class CauchySolver:
@@ -206,7 +175,7 @@ class CauchySolver:
         lead, diag = shift.shape[:-2], self.op.diagonalization
         if diag is not None:
             # PHI[k, ..., j] = phi_k(h r_j B), shape (q+2,) + lead + (len(rs), dim, 1)
-            z = hrs * (diag[1] - shift)
+            z = hrs * (diag.d - shift)
             PHI = phi_scalar(q + 1, z.reshape(-1, self.dim)).reshape((q + 2,) + z.shape + (1,))
         else:
             B = self.op.matrix - shift * np.eye(self.dim)
@@ -327,9 +296,8 @@ class CauchySolver:
         # the Gauss-node entries of p follow each panel's left edge
         F = p[..., :-1].reshape(p.shape[:-1] + (grid.panels, grid.nodes_per_panel + 1))[..., 1:]
         Y, v0 = y[..., None], x0[..., None]
-        diag = op.diagonalization
-        if diag is not None and diag[0] is not None:
-            Y, v0 = _adjoint_times(diag[0], Y), _adjoint_times(diag[0], v0)
+        if op.diagonalization is not None:
+            Y, v0 = op.diagonalization.adjoint(Y), op.diagonalization.adjoint(v0)
         v, _ = self._propagate(0.0, F, Y, v0, nodes=True)
         return _Solution(grid, op, v[..., 0], p[..., None] * Y[..., None, :, 0], p, y, x0)
 
@@ -378,9 +346,9 @@ class CauchySolver:
             return list(zip(w, UT, norms.tolist())) if np.ndim(m) else [(w, UT, norms)]
         out = []
         for wj, UTj in zip(w, UT) if np.ndim(m) else [(w, UT)]:
-            UTj = EigenMap(diag[0], UTj[:, 0])
+            UTj = EigenMap(diag.Z, UTj[:, 0])
             norm = float(abs(UTj.d).max()) if op.e0_norm == "euclidean" else op.operator_norm(UTj)
-            out.append((EigenMap(diag[0], wj[:, 0]), UTj, norm))
+            out.append((EigenMap(diag.Z, wj[:, 0]), UTj, norm))
         return out
 
 
@@ -396,7 +364,7 @@ class _Solution(GridFunction):
 
     def __init__(self, grid, op, v, fv, p, y, x0):
         diag = op.diagonalization
-        Av = v @ op.matrix.T if diag is None else diag[1] * v
+        Av = v @ op.matrix.T if diag is None else diag.d * v
         self.grid, self.operator = grid, op
         self.coordinates = GridFunction(grid, v, Av + fv)
         self.coordinates.operator_values, self.coordinates.forcing_values = Av, fv
@@ -405,11 +373,11 @@ class _Solution(GridFunction):
     @cached_property
     def _standard(self):
         diag = self.operator.diagonalization
-        if diag is None or diag[0] is None:
+        if diag is None or diag.Z is None:
             return self.coordinates
-        Z, v = diag[0], self.coordinates.values
+        Z, v = diag.Z, self.coordinates.values
         # u = v Z^T: a real Z takes the columns v^T on their float view
-        values = v @ Z.T if Z.dtype.kind == "c" else _times(Z, v.swapaxes(-1, -2)).swapaxes(-1, -2)
+        values = v @ Z.T if Z.dtype.kind == "c" else diag.apply(v.swapaxes(-1, -2)).swapaxes(-1, -2)
         values[..., 0, :] = self._x0
         S, Au = self._p[..., None] * self._y[..., None, :], values @ self.operator.matrix.T
         u = GridFunction(self.grid, values, Au + S)

@@ -124,9 +124,7 @@ def default_probes(op, seed=0):
     diag = op.diagonalization
     for k in range(_IC_PROBES):
         if diag is not None and k < min(2, dim):
-            # eigenvector k: column k of the unitary Z, or e_k when Z = I
-            Z = diag[0]
-            x = np.eye(1, dim, k, dtype=complex)[0] if Z is None else Z[:, k].astype(complex)
+            x = diag.column(k)  # eigenvector k
         else:
             x = _random_unit(rng, dim)
         probes.append((ZeroForcing(dim), x))

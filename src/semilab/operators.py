@@ -235,12 +235,8 @@ class OperatorPair:
 
     @cached_property
     def resolvent_factor(self):
-        """(Z, T, normal) with A = Z T Z*, Z unitary: T is the 1-D eigenvalue
-        vector if A is normal, else the upper-triangular complex Schur factor.
-        Z is None for structure=diagonal, where Z = I is never formed; it is
-        real (float64) for a Hermitian tridiagonal whose off-diagonal has no
-        imaginary part, complex otherwise; _times and _adjoint_times apply
-        it. Z and T are read-only."""
+        """A = Z T Z*, Z unitary, Z and T read-only: EigenMap(Z, lam) if A is normal
+        (lam its eigenvalues), else the pair (Z, T) of its complex Schur form."""
         A, Z = self.matrix, None
         with _serial_lapack():
             if self.structure == "diagonal":
@@ -261,11 +257,11 @@ class OperatorPair:
         for part in (Z, T):
             if part is not None:
                 part.setflags(write=False)
-        return Z, T, T.ndim == 1
+        return EigenMap(Z, T) if T.ndim == 1 else (Z, T)
 
     @property
     def resolvent_backend(self):
-        return "normal" if self.resolvent_factor[2] else "schur"
+        return "normal" if isinstance(self.resolvent_factor, EigenMap) else "schur"
 
     def resolvent_solve(self, mu, y):
         """Solve (mu - A)x = y for a vector y: the one-shift resolvent_sum."""
@@ -280,17 +276,16 @@ class OperatorPair:
         mus, weights = np.asarray(mus, dtype=complex), np.asarray(weights)
         y = self.check_vector(y)
         self._shift_distances(mus)
-        Z, T, normal = self.resolvent_factor
-        w = y if Z is None else _adjoint_times(Z, y)
-        if normal:
-            x = (w[:, None] / (mus - T[:, None])) @ weights
-        else:
-            M, t, x = _shifted_schur(0.0, T), np.diag(T), np.zeros(self.dim, dtype=complex)
-            diagonal = np.einsum("ii->i", M)
-            for mu, weight in zip(mus, weights):
-                np.subtract(mu, t, out=diagonal)
-                x = zaxpy(ztrsv(M, w), x, a=weight)
-        return x if Z is None else _times(Z, x)
+        factor = self.resolvent_factor
+        if isinstance(factor, EigenMap):
+            return factor.apply((factor.adjoint(y)[:, None] / (mus - factor.d[:, None])) @ weights)
+        Z, T = factor
+        M, t, x = _shifted_schur(0.0, T), np.diag(T), np.zeros(self.dim, dtype=complex)
+        diagonal, w = np.einsum("ii->i", M), np.conj(Z.T @ np.conj(y))
+        for mu, weight in zip(mus, weights):
+            np.subtract(mu, t, out=diagonal)
+            x = zaxpy(ztrsv(M, w), x, a=weight)
+        return Z @ x
 
     def resolvent_norms(self, mus):
         """E0 operator norms of (mu - A)^-1 at the points of the sequence mus,
@@ -304,7 +299,7 @@ class OperatorPair:
         dist, near = self._shift_distances(mus, refuse=False)
         norms, ok = np.full(len(mus), math.inf), np.flatnonzero(~near)
         euclidean = self.e0_norm == "euclidean"
-        if euclidean and self.resolvent_factor[2]:
+        if euclidean and isinstance(self.resolvent_factor, EigenMap):
             norms[ok] = 1.0 / dist[ok]
         elif euclidean and self.dim >= _GKL_MIN_DIM:
             for i in ok:
@@ -324,11 +319,11 @@ class OperatorPair:
         steps; any other point is the one-point resolvent_norms."""
         mu = complex(mu)
         self._shift_distances(np.array([mu]))
-        _, T, normal = self.resolvent_factor if self.e0_norm == "euclidean" else (None, None, True)
-        if normal or self.dim < _GKL_MIN_DIM:
+        factor = self.resolvent_factor if self.e0_norm == "euclidean" else None
+        if factor is None or isinstance(factor, EigenMap) or self.dim < _GKL_MIN_DIM:
             norm = self.resolvent_norms([mu])[0]
         else:
-            norm = _inverse_norm(_shifted_schur(mu, T))
+            norm = _inverse_norm(_shifted_schur(mu, factor[1]))
             if norm is None:
                 norm = self._dense_norms(np.array([mu]))[0]
         if norm == math.inf:
@@ -365,18 +360,65 @@ class OperatorPair:
         if self.structure == "tridiagonal" and not d.imag.any() and np.array_equal(lo, up.conj()):
             with _serial_lapack():
                 lam, V = scipy.linalg.eigh(B)
-            return _times(V, np.exp(t * lam) * _adjoint_times(V, x))
+            return EigenMap(V, np.exp(t * lam)) @ x
         return _times(scipy.linalg.expm(t * B), x)
 
     # -- evolution backend for the Cauchy solver ------------------------------
 
     @cached_property
     def diagonalization(self):
-        """(Z, lam) with A = Z diag(lam) Z*, read from the resolvent factor of
-        a normal A (Z is None for structure=diagonal); None otherwise, which
-        sends the Cauchy solver to its dense backend."""
-        Z, lam, normal = self.resolvent_factor
-        return (Z, lam) if normal else None
+        """The resolvent factor EigenMap(Z, lam), A = Z diag(lam) Z*, of a normal
+        A; None otherwise, which sends the Cauchy solver to its dense backend."""
+        return self.resolvent_factor if isinstance(self.resolvent_factor, EigenMap) else None
+
+
+class EigenMap:
+    """Z diag(d) Z*, Z unitary: a normal operator's resolvent factor (d its
+    eigenvalues) or a Cauchy solution functional in its eigen coordinates. Z is
+    None for I (structure=diagonal, never formed), float64 for a Hermitian
+    tridiagonal with a real off-diagonal, complex otherwise. @ applies it in
+    O(dim^2) per column; a scalar * scales d; only np.asarray makes it dense."""
+
+    __array_ufunc__ = None  # so c * map with a numpy scalar c defers to __rmul__
+
+    def __init__(self, Z, d):
+        self.Z, self.d = Z, d
+
+    def apply(self, x):
+        """Z x for a vector x or a stack of columns x (..., n, k), as _times."""
+        return x if self.Z is None else _times(self.Z, x)
+
+    def adjoint(self, y):
+        """Z* y as apply takes x, written conj(Z^T conj(y)), so no conjugated
+        copy of Z is made; a real Z is Z^T on the float view of y."""
+        Z = self.Z
+        if Z is not None and Z.dtype.kind == "c":
+            return np.conj(Z.T @ np.conj(y))
+        return y if Z is None else _times(Z.T, y)
+
+    def column(self, k):
+        """Column k of Z as a new complex vector (e_k for I)."""
+        Z, n = self.Z, len(self.d)
+        return np.eye(1, n, k, dtype=complex)[0] if Z is None else Z[:, k].astype(complex)
+
+    def __matmul__(self, x):
+        d = self.d.reshape(self.d.shape + (1,) * (np.ndim(x) - 1))
+        return self.apply(d * self.adjoint(x))
+
+    def __mul__(self, c):
+        return EigenMap(self.Z, c * self.d) if np.ndim(c) == 0 else NotImplemented
+
+    __rmul__ = __mul__
+
+    def __array__(self, dtype=None, copy=None):
+        Z, d = self.Z, self.d
+        if Z is None:
+            dense = np.diag(d)
+        elif Z.dtype.kind == "c":
+            dense = (Z * d) @ Z.conj().T
+        else:  # Z (diag(d) Z^T), with Z on the float view
+            dense = _times(Z, np.multiply(d[:, None], Z.T, order="C"))
+        return np.asarray(dense, dtype)
 
 
 def _times(E, x):
@@ -391,14 +433,6 @@ def _times(E, x):
     with _serial_lapack() if X.shape[-1] > 2 else nullcontext():
         out = (E @ X).view(complex)
     return out[:, 0] if x.ndim == 1 else out
-
-
-def _adjoint_times(E, y):
-    """E* y as _times takes y, written conj(E^T conj(y)), so no conjugated
-    copy of E is made; a real E is E^T on the float view of y."""
-    if E.dtype.kind == "c":
-        return np.conj(E.T @ np.conj(y))
-    return _times(E.T, y)
 
 
 # -- triangular kernels on the Schur factor ----------------------------------

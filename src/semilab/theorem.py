@@ -79,7 +79,7 @@ def omega1(M_hat, T):
 
 @dataclass
 class SurjectivityData:
-    """U_mu, V_mu (EigenMaps when A is normal) and the surjectivity constants."""
+    """U_mu, V_mu (EigenMaps on a normal A) and the surjectivity constants."""
 
     mu: complex
     T: float

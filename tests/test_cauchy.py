@@ -527,7 +527,7 @@ class TestPanelTableProducts:
         rs, coef, rpow = cauchy._panel_weights(q, nodes)
         diag = solver.op.diagonalization
         if diag is not None:
-            PHI = cauchy.phi_scalar(q + 1, np.multiply.outer(h * rs, diag[1] - shift))[..., None]
+            PHI = cauchy.phi_scalar(q + 1, np.multiply.outer(h * rs, diag.d - shift))[..., None]
         else:
             B = solver.op.matrix - shift * np.eye(solver.dim)
             PHI = cauchy.phi_matrices(np.multiply.outer(h * rs, B), q + 1)
@@ -691,7 +691,7 @@ class TestEigenMap:
     @pytest.mark.parametrize("name", ["diag", "lap64", "normal16"])
     def test_dense_form_is_the_product(self, corpus, grid, rng, name):
         op = corpus[name]
-        Z = op.diagonalization[0]
+        Z = op.diagonalization.Z
         assert (Z is None) == (name == "diag")
         mu = 2.0 + 4.0j
         solver = sl.CauchySolver(op, grid)
@@ -878,11 +878,11 @@ def standard_solve(solver, f, x0):
     p = f.profile(grid.nodes)
     F = p[:-1].reshape(grid.panels, grid.nodes_per_panel + 1)[:, 1:]
     diag = op.diagonalization
-    Z = None if diag is None else diag[0]
+    Z = None if diag is None else diag.Z
     if Z is None:
         v, _ = solver._propagate(0.0, F, f.y[:, None], x0[:, None], nodes=True)
         values = v[..., 0]
-        Au = values @ op.matrix.T if diag is None else diag[1] * values
+        Au = values @ op.matrix.T if diag is None else diag.d * values
     else:
         v, _ = solver._propagate(0.0, F, to_eigen(Z, f.y[:, None]), to_eigen(Z, x0[:, None]),
                                  nodes=True)
@@ -956,7 +956,7 @@ class TestEigenCoordinates:
     @pytest.mark.parametrize("name", sorted(MAKERS))
     def test_materialized_samples(self, grid, name):
         op = self.MAKERS[name]("euclidean")
-        Z = op.diagonalization[0]
+        Z = op.diagonalization.Z
         solver = sl.CauchySolver(op, grid)
         for f, x in sl.default_probes(op, seed=3):
             u = solver.solve(f, x)
@@ -1026,8 +1026,8 @@ class TestEigenCoordinates:
         # estimate_M, the weighted check and the trace bound take every
         # euclidean norm from the eigen coordinates: no node stack meets Z or A
         op = self.MAKERS[name]("euclidean")
-        Z, lam = op.diagonalization
-        op.__dict__["diagonalization"] = (Z.view(CountingProducts), lam)
+        diag = op.diagonalization
+        op.__dict__["diagonalization"] = cauchy.EigenMap(diag.Z.view(CountingProducts), diag.d)
         op.matrix = op.matrix.view(CountingProducts)
         solver = sl.CauchySolver(op, grid)
         x = sl.default_probes(op, seed=3)[-1][1]
@@ -1049,8 +1049,8 @@ class TestRealBasis:
     def complex_twin(op):
         """A fresh copy of op whose cached factor holds its basis as complex."""
         twin = sl.OperatorPair(op.matrix, op.e0_norm)
-        Z, T, normal = op.resolvent_factor
-        twin.__dict__["resolvent_factor"] = (Z.astype(complex), T, normal)
+        factor = op.resolvent_factor
+        twin.__dict__["resolvent_factor"] = cauchy.EigenMap(factor.Z.astype(complex), factor.d)
         return twin
 
     @staticmethod
@@ -1061,7 +1061,7 @@ class TestRealBasis:
     def test_real_basis_matches_its_complex_form(self, grid, rng, n):
         op = sl.laplacian_1d(n)
         twin = self.complex_twin(op)
-        Z, Zc = op.diagonalization[0], twin.diagonalization[0]
+        Z, Zc = op.diagonalization.Z, twin.diagonalization.Z
         assert Z.dtype == np.float64 and Zc.dtype == complex
         x = random_vector(rng, n)
         mus, weights = sl.build_contour(op, 0.1, node_count=32).nodes_and_weights()

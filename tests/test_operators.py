@@ -364,7 +364,8 @@ class TestResolventFactor:
     def test_diagonal_solve_is_elementwise(self, rng):
         lam = -np.arange(1.0, 257.0) + 1j * np.linspace(-3.0, 3.0, 256)
         op = sl.diagonal_operator(lam)
-        assert all(np.ndim(part) < 2 for part in op.resolvent_factor)
+        factor = op.resolvent_factor
+        assert all(np.ndim(part) < 2 for part in (factor.Z, factor.d))
         Y = np.stack([random_vector(rng, 256) for _ in range(3)], axis=1)
         for mu in MUS:
             for y in Y.T:
@@ -381,9 +382,8 @@ class TestResolventFactor:
         monkeypatch.setattr(np.linalg, "eigh", refuse)
         G = np.random.default_rng(8).standard_normal((12, 12))
         for op in (sl.laplacian_1d(16), sl.OperatorPair(G + G.T)):
-            Q, lam = op.diagonalization
-            Z, T, normal = op.resolvent_factor
-            assert Q is Z and lam is T and normal and op.resolvent_backend == "normal"
+            assert op.diagonalization is op.resolvent_factor
+            assert op.resolvent_backend == "normal"
             y = random_vector(rng, op.dim)
             for mu in MUS:
                 ref = np.linalg.solve(mu * np.eye(op.dim) - op.matrix, y)
@@ -398,10 +398,10 @@ class TestResolventFactor:
                                       lambda: nonnormal_dense(128, seed=4)],
                              ids=["diag", "lap16", "normal16", "nonnormal128"])
     def test_factor_is_read_only(self, make):
-        op = make()
-        Z = op.resolvent_factor[0]
+        factor = make().resolvent_factor
+        Z, T = (factor.Z, factor.d) if isinstance(factor, operators.EigenMap) else factor
         with pytest.raises(ValueError):
-            op.resolvent_factor[1][0] = 0.0
+            T[0] = 0.0
         if Z is not None:
             with pytest.raises(ValueError):
                 Z[0, 0] = 0.0
@@ -427,8 +427,9 @@ class TestResolventFactor:
 
     def test_diagonal_diagonalization_forms_no_basis(self):
         op = sl.diagonal_operator(-np.arange(1.0, 257.0))
-        assert all(np.ndim(part) < 2 for part in op.diagonalization)
-        assert op.diagonalization[1] is op.resolvent_factor[1]
+        diag = op.diagonalization
+        assert all(np.ndim(part) < 2 for part in (diag.Z, diag.d))
+        assert diag is op.resolvent_factor
 
     def test_normal_norms_and_contour_need_no_svd_or_solve(self, monkeypatch, rng):
         op = sl.random_normal_operator(32, seed=5)
@@ -445,15 +446,16 @@ class TestResolventFactor:
 
     @pytest.mark.parametrize("n", [16, 64, 512])
     def test_laplacian_basis_is_real(self, n):
-        Z = sl.laplacian_1d(n).resolvent_factor[0]
+        Z = sl.laplacian_1d(n).resolvent_factor.Z
         assert Z.dtype == np.float64 and Z.nbytes == 8 * n * n
 
     def test_basis_is_real_where_the_off_diagonal_is(self):
         signs = sl.parse_operator_text("row = -2 -1 0\nrow = -1 -2 -1\nrow = 0 -1 -2\n")
         phase = sl.parse_operator_text("row = -2 1j 0\nrow = -1j -2 1j\nrow = 0 -1j -2\n")
         for op, kind in ((signs, "f"), (phase, "c")):
-            Z, lam, normal = op.resolvent_factor
-            assert normal and Z.dtype.kind == kind
+            factor = op.resolvent_factor
+            Z, lam = factor.Z, factor.d
+            assert isinstance(factor, operators.EigenMap) and Z.dtype.kind == kind
             assert np.allclose((Z * lam) @ Z.conj().T, op.matrix, rtol=0, atol=1e-14)
 
     def test_real_basis_sum_forms_no_complex_square(self, rng):
@@ -475,10 +477,55 @@ class TestResolventFactor:
         ref = np.linalg.eigvalsh(A)
         assert np.allclose(np.sort(op.eigenvalues.real), ref, rtol=0, atol=1e-13)
         assert op.spectral_bound == pytest.approx(ref[-1], abs=1e-13)
-        Z, lam, normal = op.resolvent_factor
-        assert normal
+        factor = op.resolvent_factor
+        Z, lam = factor.Z, factor.d
+        assert isinstance(factor, operators.EigenMap)
         assert np.allclose(Z @ np.diag(lam) @ Z.conj().T, A, rtol=0, atol=1e-13)
         assert np.allclose(Z.conj().T @ Z, np.eye(6), rtol=0, atol=1e-14)
+
+
+class TestEigenMapBasis:
+    """EigenMap.apply, adjoint and column against Z @ x, Z* y and Z[:, k] of
+    the dense basis (I where Z is None), on each kind of basis a normal
+    factor holds, for a vector and for a stack of three columns."""
+
+    KINDS = {
+        "diag": (lambda: sl.diagonal_operator(-np.arange(1.0, 17.0)), None),
+        "lap16": (lambda: sl.laplacian_1d(16), "f"),
+        "phase3": (lambda: sl.parse_operator_text(
+            "row = -2 1j 0\nrow = -1j -2 1j\nrow = 0 -1j -2\n"), "c"),  # eigh_tridiagonal
+        "normal16": (lambda: sl.random_normal_operator(16, seed=3), "c"),  # Schur
+    }
+
+    @staticmethod
+    def close(a, b):
+        return np.linalg.norm(a - b) <= 1e-14 * np.linalg.norm(b)
+
+    @pytest.mark.parametrize("name", sorted(KINDS))
+    def test_methods_match_the_dense_basis(self, rng, name):
+        make, kind = self.KINDS[name]
+        op = make()
+        factor = op.resolvent_factor
+        assert isinstance(factor, operators.EigenMap) and op.diagonalization is factor
+        assert factor.Z is None if kind is None else factor.Z.dtype.kind == kind
+        n = op.dim
+        Z = np.eye(n) if factor.Z is None else factor.Z
+        X = np.stack([random_vector(rng, n) for _ in range(3)], axis=1)
+        for arg in (X[:, 0], X):
+            assert self.close(factor.apply(arg), Z @ arg)
+            assert self.close(factor.adjoint(arg), Z.conj().T @ arg)
+            assert factor.apply(arg).shape == factor.adjoint(arg).shape == arg.shape
+        for k in range(n):
+            column = factor.column(k)
+            assert column.dtype == complex and np.array_equal(column, Z[:, k])
+            column[0] = 7.0  # a writable copy: a view of the read-only Z would raise
+
+    def test_nonnormal_factor_is_a_read_only_pair(self):
+        factor = nonnormal_dense(128, seed=4).resolvent_factor
+        assert type(factor) is tuple and len(factor) == 2
+        Z, T = factor
+        assert Z.shape == T.shape == (128, 128) and Z.dtype == T.dtype == complex
+        assert not Z.flags.writeable and not T.flags.writeable
 
 
 class TestGKLNorm:
@@ -571,7 +618,8 @@ class TestGKLNorm:
     def test_memory_is_linear_in_n(self):
         op = nonnormal_dense(256, 4)
         n = op.dim
-        M = operators._shifted_schur(MUS[2], op.resolvent_factor[1])
+        _, T = op.resolvent_factor
+        M = operators._shifted_schur(MUS[2], T)
         tracemalloc.start()
         try:
             operators._inverse_norm(M)
