@@ -274,7 +274,7 @@ class CauchySolver:
         return solver._solve(forcing.profile(solver.grid.nodes), forcing.y, x0)
 
     def solve_batch(self, probes):
-        """The solves of the probes (f, x), x None for 0, in stacks: yields
+        """The solves of the probes (f, x), x the initial value, in stacks: yields
         (indices, u) with u a _Solution holding the solutions of the
         probes at those indices on a leading axis, one per chunk of the
         probes that share a refined solver, each from one propagation."""
@@ -282,10 +282,9 @@ class CauchySolver:
             nodes = solver.grid.nodes
             # node values, solution, A u, f and u' of each probe
             for part in chunks(idx, 5 * 16 * len(nodes) * self.dim):
-                x0 = [np.zeros(self.dim) if probes[i][1] is None else probes[i][1] for i in part]
                 yield part, solver._solve(np.array([probes[i][0].profile(nodes) for i in part]),
                                           np.array([probes[i][0].y for i in part]),
-                                          np.array(x0, dtype=complex))
+                                          np.array([probes[i][1] for i in part], dtype=complex))
 
     def _solve(self, p, y, x0):
         """The _Solution on this solver's grid for the profile p at its nodes,
@@ -413,7 +412,7 @@ def estimate_M(solver, probes):
     if not probes:
         raise EmptyProbeSet("estimate_M needs at least one probe")
     op = solver.op
-    x = np.array([np.zeros(op.dim) if x is None else x for _, x in probes], dtype=complex)
+    x = np.array([x for _, x in probes], dtype=complex)
     nx1 = op.norm1(x)  # the initial values u(0)
     norms = [None] * len(probes)  # (||f||_E0, ||x||_1, ||u||_E1) of each probe
     for idx, u in solver.solve_batch(probes):

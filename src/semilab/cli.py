@@ -150,18 +150,17 @@ def run_identity_check(solver, args, out):
 def run_reconstruct(solver, args, out):
     op = solver.op
     w2 = omega2_search(solver)
-    y = _random_unit(np.random.default_rng(args.seed), op.dim)
     mus = args.mus or mu_box(w2 + 0.5, w2 + 16, 3, -4.0, 4.0, 3)
-    # the mus before the first one at or left of omega2 are assembled at once
-    bad = next((i for i, mu in enumerate(mus) if mu.real <= w2), len(mus))
+    bad = next((mu for mu in mus if mu.real <= w2), None)
+    if bad is not None:
+        raise _UsageError(f"mu={bad} has Re mu <= omega2={w2:.6g}")
+    y = _random_unit(np.random.default_rng(args.seed), op.dim)
     rows = []
-    for sd in assemble_U_V_batch(solver, mus[:bad]):
+    for sd in assemble_U_V_batch(solver, mus):
         mu = sd.mu
         x = resolvent_from_solver(solver, mu, y, sdata=sd)
         err = float(op.norm0(x - op.resolvent_solve(mu, y)) / op.norm0(y))
         rows.append((mu.real, mu.imag, sd.V_norm, err, sd.neumann_terms))
-    if bad < len(mus):
-        raise _UsageError(f"mu={mus[bad]} has Re mu <= omega2={w2:.6g}")
     _csv(os.path.join(out, "reconstruct.csv"),
          "re_mu,im_mu,V_norm,reconstruction_error,neumann_terms", rows)
     worst = float(np.max([0.0] + [row[3] for row in rows]))  # NaN if a row is NaN

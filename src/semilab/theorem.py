@@ -27,8 +27,8 @@ from .timegrid import TimeGrid
 # resolvent_from_solver sums the n = ceil(log NEUMANN_TOL / log ||V_mu||) Neumann
 # terms that bound the remainder by NEUMANN_TOL ||y|| and refuses a series that
 # needs more than NEUMANN_MAX_TERMS; omega2_search brackets the crossing of
-# ||V_mu|| = 1/2 in [OMEGA2_TOL, 64 / T] to width CROSSING_TOL (or two ulps, _width),
-# by a secant of at most CROSSING_MAX_STEPS steps or, where that fails, by bisection
+# ||V_mu|| = 1/2 in [OMEGA2_TOL, 64 / T] to width CROSSING_TOL (or two ulps, _width)
+# in one loop: a secant step, at most CROSSING_MAX_STEPS of them, or else the midpoint
 _NEUMANN_TOL, _NEUMANN_MAX_TERMS, _OMEGA2_TOL = 1e-12, 200, 1e-6
 _CROSSING_TOL, _CROSSING_MAX_STEPS = 2.5e-10, 60
 
@@ -170,73 +170,56 @@ def omega2_search(solver):
     """Sharp numerical threshold omega_2: smallest real part above which
     ||V_mu|| < 1/2, from about 9 solver calls. It is the upper end b of a
     bracket [a, b] in [1e-6, 64 / T] of width at most 2.5e-10 (two ulps of b
-    from b = 2^20 on, where the doubles are coarser) with
-    ||V_a|| >= 1/2 > ||V_b||, both evaluated: the bracketing secant's
-    (_crossing), or the bisection's where the secant meets a zero, infinite or
-    NaN norm or stalls. It is 0 where ||V_mu|| < 1/2 already at 1e-6, and
-    SlowConvergence is raised where that fails at 64 / T, a NaN norm included.
-    No point is evaluated twice."""
-    norms = {}
+    from b = 2^20 on, where the doubles are coarser) with ||V_a|| not below
+    1/2 and ||V_b|| < 1/2, both evaluated. One loop closes it (Dekker 1969
+    and Brent 1973, ch. 4, for such safeguarded secants): regula falsi on
+    log(2 ||V||), with an end kept twice in a row scaled down as Anderson and
+    Bjorck do (BIT 12, 1972), while both ends' logs are defined (the norm
+    neither 0, infinite nor NaN) and fewer than 60 such steps have run, else
+    the midpoint. The new point c replaces b where ||V_c|| < 1/2 and a
+    otherwise, a NaN norm included. It is 0 where ||V_mu|| < 1/2 already at
+    1e-6, and SlowConvergence is raised where that fails at 64 / T, a NaN
+    norm included. No point is evaluated twice."""
 
     def v(r):
-        if r not in norms:
-            norms[r] = assemble_U_V(solver, complex(r)).V_norm
-        return norms[r]
+        return assemble_U_V(solver, complex(r)).V_norm
 
-    lo, hi = _OMEGA2_TOL, 64.0 / solver.T
-    if v(lo) < 0.5:
-        return 0.0
-    if not v(hi) < 0.5:  # also refuses a NaN norm
-        raise SlowConvergence(f"||V_mu|| < 1/2 fails even at Re mu = {hi}")
-    bracket = _crossing(v, lo, hi)
-    if bracket is not None:
-        return bracket[1]
-    while hi - lo > _width(hi):
-        mid = 0.5 * (lo + hi)
-        if v(mid) < 0.5:
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
-def _crossing(v, a, b):
-    """Bracket (a, b) of width <= _width(b) with v(a) >= 1/2 > v(b), both
-    evaluated, given that of the ends: regula falsi on log(2 v), with an end
-    kept twice in a row scaled down as Anderson and Bjorck do (BIT 12, 1972;
-    Dekker 1969 and Brent 1973, ch. 4, for such bracketing secants). None where
-    v is 0, infinite or NaN, or after _CROSSING_MAX_STEPS steps."""
-
-    def g(r):
-        x = v(r)
+    def g(x):
         return math.log(2.0 * x) if 0.0 < x < math.inf else None
 
-    ga, gb, kept = g(a), g(b), 0  # kept: the end the last step kept, -1 for a
-    if ga is None or gb is None:
-        return None
-    for _ in range(_CROSSING_MAX_STEPS):
-        half = 0.5 * _width(b)
-        if b - a <= 2.0 * half:
-            return a, b
+    a, b = _OMEGA2_TOL, 64.0 / solver.T
+    va = v(a)
+    if va < 0.5:
+        return 0.0
+    vb = v(b)
+    if not vb < 0.5:  # also refuses a NaN norm
+        raise SlowConvergence(f"||V_mu|| < 1/2 fails even at Re mu = {b}")
+    ga, gb, kept, steps = g(va), g(vb), 0, 0  # kept: the end the last step kept, -1 for a
+    while b - a > _width(b):
+        secant = ga is not None and gb is not None and steps < _CROSSING_MAX_STEPS
+        steps += secant
         # at least half the width inside, so a converged end closes the bracket
-        c = min(max(b - gb * (b - a) / (gb - ga), a + half), b - half)
-        gc = g(c)
-        if gc is None:
-            return None
-        if gc < 0.0:
-            m = 1.0 - gc / gb
-            ga *= (m if m > 0.0 else 0.5) if kept < 0 else 1.0
+        half = 0.5 * _width(b)
+        c = min(max(b - gb * (b - a) / (gb - ga), a + half), b - half) if secant else 0.5 * (a + b)
+        vc = v(c)
+        gc = g(vc)
+        scale = secant and gc is not None  # a midpoint or an undefined log scales no end
+        if vc < 0.5:
+            if scale:
+                m = 1.0 - gc / gb
+                ga *= (m if m > 0.0 else 0.5) if kept < 0 else 1.0
             b, gb, kept = c, gc, -1
         else:
-            m = 1.0 - gc / ga if ga else 0.5
-            gb *= (m if m > 0.0 else 0.5) if kept > 0 else 1.0
+            if scale:
+                m = 1.0 - gc / ga if ga else 0.5
+                gb *= (m if m > 0.0 else 0.5) if kept > 0 else 1.0
             a, ga, kept = c, gc, 1
-    return None
+    return b
 
 
 def _width(b):
     """_CROSSING_TOL, or two ulps of b where that is wider (from b = 2^20 on):
-    a bracket wider than this has a double inside, so both loops end."""
+    a bracket wider than this has a double inside, so the loop ends."""
     return max(_CROSSING_TOL, 2.0 * math.ulp(b))
 
 

@@ -422,6 +422,23 @@ class TestExitCodes:
         assert "rounds to 0" in err
         assert time.monotonic() - start < 10.0
 
+    def test_reconstruct_refuses_the_grid_first(self, tmp_path, capsys, monkeypatch):
+        # a mu at or left of omega2 is refused before any mu is assembled or
+        # reconstructed, and no reconstruct.csv is written
+        calls = []
+        for name in ("assemble_U_V_batch", "resolvent_from_solver"):
+            def counted(*args, _name=name, _fn=getattr(cli, name), **kwargs):
+                calls.append(_name)
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(cli, name, counted)
+        f = tmp_path / "diag4.op"
+        f.write_text("matrix = diag -1,-2.5,-4,-7\n")
+        err = self._one_line_error(tmp_path, capsys, "reconstruct", "--operator", str(f),
+                                   "--mu-grid", "1,0.1")
+        assert err == "semilab: error: mu=(0.1+0j) has Re mu <= omega2=0.372841\n"
+        assert not (tmp_path / "out" / "reconstruct.csv").exists()
+        assert calls == []
+
     @pytest.mark.parametrize("experiment", ["maxreg-estimate", "verdict"])
     def test_degenerate_horizon_names_T(self, tmp_path, capsys, diag_file, experiment):
         # the default probes underflow to 0 on [0, 1e-300]: the error blames the

@@ -4,6 +4,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 import scipy.optimize
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import semilab as sl
 from semilab import theorem
@@ -333,7 +335,7 @@ class TestOmega2Search:
         # at T = 1e-5 the search runs up to r = 6.4e6; diag 3e6 crosses 1/2 near
         # r = 3.07e6, where adjacent doubles lie 4.7e-10 apart, more than the
         # 2.5e-10 width: the bracket closes at two ulps, by the secant or, on a
-        # norm that drops to 0 there, by the bisection
+        # norm that drops to 0 there, by midpoints
         solver = sl.CauchySolver(sl.diagonal_operator([3e6]), sl.TimeGrid.uniform(1e-5, 16))
 
         def norm(r):
@@ -390,8 +392,9 @@ class TestOmega2Search:
     def test_fallback_gives_the_bisection(self, monkeypatch, case):
         # a norm whose log is undefined where the secant meets it (0 or NaN),
         # or one on which the secant stalls (a slope of 1e-8 up to a drop to
-        # 1e-300 at r = 1): every midpoint is evaluated, as in the bisection
-        # to the secant's width 2.5e-10
+        # 1e-300 at r = 1): the loop takes midpoints from the bracket it holds.
+        # Where no secant step can run (0 or NaN at the top end), that is the
+        # bisection to the secant's width 2.5e-10
         solver = SimpleNamespace(T=1.0)
         if case == "nan at the first secant point":
             rs = counting_assemble(monkeypatch, crossing_at_one)
@@ -409,9 +412,69 @@ class TestOmega2Search:
                 "nan at the top end": lambda r: crossing_at_one(r) if r < 64.0 else math.nan,
             }[case]
         rs = counting_assemble(monkeypatch, norm)
-        assert outcome(sl.omega2_search, solver) == outcome(bisection, norm, 1.0, 2.5e-10)
-        assert len(rs) == 2 if case == "nan at the top end" else len(rs) > 36
-        assert len(set(rs)) == len(rs)
+        if case in ("zero past a jump at r = 1", "nan at the top end"):
+            assert outcome(sl.omega2_search, solver) == outcome(bisection, norm, 1.0, 2.5e-10)
+            assert len(rs) == 2 if case == "nan at the top end" else len(rs) > 36
+            assert len(set(rs)) == len(rs)
+        else:
+            assert_bracket(sl.omega2_search(solver), rs, norm, 1.0)
+
+    @settings(max_examples=200, derandomize=True, deadline=None, database=None)
+    @given(T=st.sampled_from([1.0, 0.25, 1e-5]), where=st.floats(0.0, 1.0),
+           slope=st.floats(-3.0, 3.0), zero_from=st.none() | st.floats(0.0, 1.0),
+           holes=st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 0.1)), max_size=3),
+           shelves=st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 0.3)), max_size=2))
+    def test_bracket_contract_property(self, T, where, slope, zero_from, holes, shelves):
+        # ||V_r|| = e^{-s (r - r*)} / 2 (infinite where that overflows) with r* in
+        # [1e-6, 64 / T] (log-spaced) and s in [1e-3, 1e3], zero from some point
+        # on, NaN on some holes and flat on some shelves (positions as fractions
+        # of [0, 64 / T]): the search ends on the evaluated bracket (or 0, or
+        # SlowConvergence, from the ends alone) within search_calls(T) calls
+        lo, hi = 1e-6, 64.0 / T
+        crossing, s = lo * (hi / lo) ** where, 10.0 ** slope
+
+        def smooth(r):
+            for start, width in shelves:
+                if start * hi <= r < (start + width) * hi:
+                    r = start * hi
+            x = -s * (r - crossing)
+            return 0.5 * math.exp(x) if x < 709.0 else math.inf
+
+        def norm(r):
+            assert len(rs) <= search_calls(T), "too many solver calls"
+            if zero_from is not None and r >= zero_from * hi:
+                return 0.0
+            if any(start * hi <= r < (start + width) * hi for start, width in holes):
+                return math.nan
+            return smooth(r)
+
+        with pytest.MonkeyPatch.context() as mp:
+            rs = counting_assemble(mp, norm)
+            w2 = outcome(sl.omega2_search, SimpleNamespace(T=T))
+            if norm(lo) < 0.5:
+                assert w2 == 0.0 and rs == [lo]
+            elif not norm(hi) < 0.5:
+                assert w2 is SlowConvergence and rs == [lo, hi]
+            else:
+                assert_bracket(w2, rs, norm, T)
+
+
+def search_calls(T):
+    """The most solver calls omega2_search may make at horizon T: the two
+    ends, 60 secant steps and the midpoints of a bisection of [1e-6, 64 / T]
+    to width 2.5e-10, one more for rounding."""
+    return 3 + 60 + math.ceil(math.log2(64.0 / T / 2.5e-10))
+
+
+def assert_bracket(w2, rs, norm, T):
+    """omega2 = w2 is the evaluated upper end b of a bracket [a, b] of width
+    <= 2.5e-10 (two ulps of b where that is wider) with ||V_a|| = norm(a) not
+    below 1/2 and ||V_b|| < 1/2, among the points rs the search evaluated:
+    none of them twice, and no more than search_calls(T)."""
+    assert w2 in rs and norm(w2) < 0.5
+    width = max(2.5e-10, 2.0 * math.ulp(w2))
+    assert any(w2 - width <= r < w2 and not norm(r) < 0.5 for r in rs)
+    assert len(set(rs)) == len(rs) <= search_calls(T)
 
 
 def closed_form_vnorm(lams, r, T):
