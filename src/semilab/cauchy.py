@@ -17,7 +17,7 @@ unshifted (s = 0) tables for all its solves; a shifted table serves one mu
 and is dropped with its call. The runs of panels on one nominal width are
 found once per solver. When A is normal the tables are (dim, 1) columns in
 the unitary eigenbasis Z of the operator's resolvent factor, from scalar phi
-functions, applied elementwise, and W and UT stay EigenMaps; for non-normal A
+functions, applied elementwise, and W and VT stay EigenMaps; for non-normal A
 they are dim x dim matrices, all output points at once by batched Taylor sums
 and modified squarings, applied by products. On either backend a table's
 weights are BLAS products on the float view of its phi rows: one batched
@@ -61,8 +61,8 @@ live as long as the parent: on the dense backend a table of all nodes holds
 
 The solver doubles as the black-box K_A interface of the resolvent
 reconstruction: it exposes solutions and solution functionals (panel
-integrals and u(T) with its E0 norm, from panel edges only) but never
-hands out the matrix.
+integrals and the tilted end value e^{-mu T} u(T) with its E0 norm, from
+panel edges only) but never hands out the matrix.
 """
 
 from __future__ import annotations
@@ -302,20 +302,19 @@ class CauchySolver:
 
     def exp_functionals(self, mu):
         """For the forcing f(t) = e^{-conj(mu) t} (columnwise identity),
-        return (W, UT, ut_norm) with W = int_0^T e^{-mu t} u(t) dt and
-        UT = u(T), both dim x dim (u(., x) depends linearly on x; EigenMaps
-        in the eigen backend), and ut_norm the E0 operator norm of UT:
-        exp_functionals_batch for one mu, without a batch axis.
-
-        Internally solves the tilted system v = e^{-mu t} u, whose forcing
-        profile e^{-2 Re mu t} is smooth, so oscillation in mu never meets
-        the interpolation. Only panel edges are propagated; Z being unitary,
-        the eigen backend's euclidean ut_norm is the largest |eigenvalue| of UT."""
+        return (W, VT, vt_norm) with W = int_0^T v(t) dt and VT = v(T) for
+        the tilted v = e^{-mu t} u, both dim x dim (u(., x) depends linearly
+        on x; EigenMaps in the eigen backend), and vt_norm the E0 operator
+        norm of VT: exp_functionals_batch for one mu, without a batch axis.
+        v solves v' = (A - mu) v + e^{-2 Re mu t} x, whose smooth profile keeps
+        oscillation in mu from the interpolation; no e^{mu T} is formed. Only
+        panel edges are propagated; Z being unitary, the eigen backend's
+        euclidean vt_norm is the largest |eigenvalue| of VT."""
         mu = complex(mu)
         return self.refined_for(2.0 * mu.real)._exp_functionals(mu)[0]
 
     def exp_functionals_batch(self, mus):
-        """[(W, UT, ut_norm)] of exp_functionals for each mu, from one
+        """[(W, VT, vt_norm)] of exp_functionals for each mu, from one
         propagation per chunk of the mus that share a refined solver."""
         mus = [complex(mu) for mu in mus]
         width = self.dim if self.op.diagonalization is None else 1
@@ -330,7 +329,7 @@ class CauchySolver:
         return out
 
     def _exp_functionals(self, m):
-        """[(W, UT, ut_norm)] on this solver's grid for the shift m, or for
+        """[(W, VT, vt_norm)] on this solver's grid for the shift m, or for
         each shift of the 1-D array m."""
         grid, op = self.grid, self.op
         diag = op.diagonalization
@@ -339,15 +338,15 @@ class CauchySolver:
         v0 = np.zeros(np.shape(m) + (self.dim, self.dim if diag is None else 1), dtype=complex)
         v, w = self._propagate(m, np.exp(np.multiply.outer(-2.0 * m.real, grid.gl_times)), None,
                                v0, nodes=False)
-        UT = np.exp(m * grid.T)[..., None, None] * v[..., -1, :, :]
+        VT = v[..., -1, :, :].copy()  # not a view that keeps every edge value
         if diag is None:  # one operator_norm call for the whole batch
-            norms = op.operator_norm(UT)
-            return list(zip(w, UT, norms.tolist())) if np.ndim(m) else [(w, UT, norms)]
+            norms = op.operator_norm(VT)
+            return list(zip(w, VT, norms.tolist())) if np.ndim(m) else [(w, VT, norms)]
         out = []
-        for wj, UTj in zip(w, UT) if np.ndim(m) else [(w, UT)]:
-            UTj = EigenMap(diag.Z, UTj[:, 0])
-            norm = float(abs(UTj.d).max()) if op.e0_norm == "euclidean" else op.operator_norm(UTj)
-            out.append((EigenMap(diag.Z, wj[:, 0]), UTj, norm))
+        for wj, VTj in zip(w, VT) if np.ndim(m) else [(w, VT)]:
+            VTj = EigenMap(diag.Z, VTj[:, 0])
+            norm = float(abs(VTj.d).max()) if op.e0_norm == "euclidean" else op.operator_norm(VTj)
+            out.append((EigenMap(diag.Z, wj[:, 0]), VTj, norm))
         return out
 
 

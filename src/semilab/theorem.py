@@ -94,11 +94,11 @@ def assemble_U_V(solver, mu):
     """Assemble U_mu and V_mu from the black-box solver:
 
       U_mu x = 2 Re mu * int_0^T e^{-mu t} u(t, x) dt,
-      V_mu x = 2 Re mu e^{-mu T} / (1 - e^{-2 Re mu T}) * u(T, x),
+      V_mu x = 2 Re mu / (1 - e^{-2 Re mu T}) * e^{-mu T} u(T, x),
 
     with u(., x) the zero-initial-data solution for f(t) = e^{-conj(mu) t}x.
-    Only solution functionals are requested from the solver; ||V_mu|| is the
-    scalar factor's modulus times the E0 norm of u(T) the solver returns.
+    Both are real multiples of the solver's tilted functionals (W and
+    VT = e^{-mu T} u(T)), so ||V_mu|| is that multiple times VT's E0 norm.
     """
     mu, damping = _damping(complex(mu), solver.T)
     return _surjectivity_data(mu, solver.T, damping, solver.exp_functionals(mu))
@@ -125,10 +125,10 @@ def _damping(mu, T):
 
 
 def _surjectivity_data(mu, T, damping, functionals):
-    W, UT, ut_norm = functionals
-    c = 2.0 * mu.real * np.exp(-mu * T) / damping
-    return SurjectivityData(mu=mu, T=T, U=2.0 * mu.real * W, V=c * UT,
-                            V_norm=float(abs(c) * ut_norm), damping=damping)
+    W, VT, vt_norm = functionals
+    c = 2.0 * mu.real / damping
+    return SurjectivityData(mu=mu, T=T, U=2.0 * mu.real * W, V=c * VT,
+                            V_norm=float(c * vt_norm), damping=damping)
 
 
 def surjectivity_identity_check(op, sdata, x):

@@ -291,7 +291,7 @@ class TestBackendsAgree:
 
 class TestEdgeFunctionals:
     """exp_functionals propagates panel edges only and, for a normal operator
-    in the euclidean norm, reads ||u(T)|| from eigen coordinates; checked
+    in the euclidean norm, reads ||v(T)|| from eigen coordinates; checked
     against all-node tables, against solve and against the SVD / row-sum norm."""
 
     MAKERS = {
@@ -325,13 +325,14 @@ class TestEdgeFunctionals:
 
         monkeypatch.setattr(cauchy.CauchySolver, "_propagate", node_path)
         solver = sl.CauchySolver(op, grid)
-        for mu, (W, UT, ut_norm) in zip(self.MUS, edges):
-            Wn, UTn, ut_norm_n = solver.exp_functionals(mu)
-            assert np.array_equal(W, Wn) and np.array_equal(UT, UTn) and ut_norm == ut_norm_n
+        for mu, (W, VT, vt_norm) in zip(self.MUS, edges):
+            Wn, VTn, vt_norm_n = solver.exp_functionals(mu)
+            assert np.array_equal(W, Wn) and np.array_equal(VT, VTn) and vt_norm == vt_norm_n
             # against an independent discretization: the untilted solve on
-            # its own grid; both sit within about 2e-12 of the closed form
-            ref = solver.solve(sl.ExpForcing(np.conj(mu), x)).values[-1]
-            assert np.linalg.norm(UT @ x - ref) <= 1e-11 * np.linalg.norm(ref), mu
+            # its own grid, tilted by e^{-mu T}; both sit within about 2e-12
+            # of the closed form
+            ref = np.exp(-mu * grid.T) * solver.solve(sl.ExpForcing(np.conj(mu), x)).values[-1]
+            assert np.linalg.norm(VT @ x - ref) <= 1e-11 * np.linalg.norm(ref), mu
 
     @pytest.mark.parametrize("e0_norm", ["euclidean", "sup"])
     @pytest.mark.parametrize("backend", ["eigen", "dense"])
@@ -377,12 +378,13 @@ class TestScalarProfile:
             op.__dict__["diagonalization"] = None
         solver, T = sl.CauchySolver(op, grid), grid.T
         for mu in (0.5, 2.0 + 4.0j, 32.0 - 16.0j):  # the last one refines the grid
-            W, UT, _ = solver.exp_functionals(mu)
-            # u' = lam u + e^{-conj(mu) t}, u(0) = 0, and W = int_0^T e^{-mu t} u dt
+            W, VT, _ = solver.exp_functionals(mu)
+            # u' = lam u + e^{-conj(mu) t}, u(0) = 0, VT = e^{-mu T} u(T) and
+            # W = int_0^T e^{-mu t} u dt
             uT = (np.exp(lam * T) - np.exp(-np.conj(mu) * T)) / (lam + np.conj(mu))
             w = ((np.exp((lam - mu) * T) - 1) / (lam - mu)
                  - (1 - np.exp(-2 * mu.real * T)) / (2 * mu.real)) / (lam + np.conj(mu))
-            for got, exact in ((UT, uT), (W, w)):
+            for got, exact in ((VT, np.exp(-mu * T) * uT), (W, w)):
                 got = np.asarray(got)
                 assert np.max(np.abs(got - np.diag(exact))) <= 1e-10 * np.max(np.abs(exact)), mu
                 assert np.allclose(np.diag(got), exact, rtol=1e-10, atol=0), mu
@@ -458,8 +460,8 @@ class TestOneFactorization:
         u = solver.solve(sl.ExpForcing(3.0 + 2.0j, random_vector(rng, 8)), random_vector(rng, 8))
         assert np.all(np.isfinite(u.values))
         for mu in (0.5, 2.0 + 4.0j, 32.0 - 16.0j):  # the last one refines the grid
-            W, UT, ut_norm = solver.exp_functionals(mu)
-            assert np.all(np.isfinite(W)) and np.all(np.isfinite(UT)) and np.isfinite(ut_norm)
+            W, VT, vt_norm = solver.exp_functionals(mu)
+            assert np.all(np.isfinite(W)) and np.all(np.isfinite(VT)) and np.isfinite(vt_norm)
 
 
 class TestPanelTables:
@@ -673,7 +675,7 @@ class TestRefinedSolvers:
 
 
 class TestEigenMap:
-    """A normal operator's W, UT and so U_mu, V_mu stay Z diag(d) Z* maps."""
+    """A normal operator's W, VT and so U_mu, V_mu stay Z diag(d) Z* maps."""
 
     def test_identity_check_takes_no_dense_map(self, corpus, grid, monkeypatch, rng):
         def refuse(self, *args, **kwargs):
@@ -695,15 +697,16 @@ class TestEigenMap:
         assert (Z is None) == (name == "diag")
         mu = 2.0 + 4.0j
         solver = sl.CauchySolver(op, grid)
-        W, UT, _ = solver.exp_functionals(mu)
+        W, VT, _ = solver.exp_functionals(mu)
         sd = sl.assemble_U_V(solver, mu)
-        # the dense products exp_functionals and assemble_U_V used to form
+        # the dense products of W and VT = e^{-mu T} u(T), and the real
+        # multiples of them that U_mu and V_mu are
         dense = np.diag if Z is None else (lambda d: (Z * d) @ Z.conj().T)
-        W_old, UT_old = dense(W.d), dense(UT.d)
-        c = 2.0 * mu.real * np.exp(-mu * grid.T) / (1.0 - np.exp(-2.0 * mu.real * grid.T))
+        W_old, VT_old = dense(W.d), dense(VT.d)
+        c = 2.0 * mu.real / (1.0 - np.exp(-2.0 * mu.real * grid.T))
         x = random_vector(rng, op.dim)
-        U_old, V_old = 2.0 * mu.real * W_old, c * UT_old
-        for M, old in ((W, W_old), (UT, UT_old), (sd.U, U_old), (sd.V, V_old)):
+        U_old, V_old = 2.0 * mu.real * W_old, c * VT_old
+        for M, old in ((W, W_old), (VT, VT_old), (sd.U, U_old), (sd.V, V_old)):
             assert np.linalg.norm(np.asarray(M) - old) <= 1e-13 * np.linalg.norm(old)
             assert np.linalg.norm(M @ x - old @ x) <= 1e-13 * np.linalg.norm(old @ x)
 
@@ -776,10 +779,10 @@ class TestBatches:
         op = self.MAKERS[name](e0_norm)
         batch = sl.CauchySolver(op, grid).exp_functionals_batch(MU_GRID_25)
         solver = sl.CauchySolver(op, grid)
-        for mu, (W, UT, ut_norm) in zip(MU_GRID_25, batch):
-            W1, UT1, ut_norm1 = solver.exp_functionals(mu)
-            assert ut_norm == ut_norm1, mu
-            for a, b in ((W, W1), (UT, UT1)):
+        for mu, (W, VT, vt_norm) in zip(MU_GRID_25, batch):
+            W1, VT1, vt_norm1 = solver.exp_functionals(mu)
+            assert vt_norm == vt_norm1, mu
+            for a, b in ((W, W1), (VT, VT1)):
                 assert type(a) is type(b)
                 if isinstance(a, cauchy.EigenMap):
                     assert a.Z is b.Z and np.array_equal(a.d, b.d), mu
@@ -803,11 +806,11 @@ class TestBatches:
         small = sl.estimate_M(sl.CauchySolver(op, grid), probes)
         assert len(calls) > 3  # the budget cut the three groups into chunks
         assert (small.ratios, small.M_hat, small.c2_hat) == (est.ratios, est.M_hat, est.c2_hat)
-        for (W, UT, n), (W1, UT1, n1) in zip(funcs, sl.CauchySolver(op, grid)
+        for (W, VT, n), (W1, VT1, n1) in zip(funcs, sl.CauchySolver(op, grid)
                                              .exp_functionals_batch(MU_GRID_25)):
             assert n == n1
             assert np.array_equal(np.asarray(W), np.asarray(W1))
-            assert np.array_equal(np.asarray(UT), np.asarray(UT1))
+            assert np.array_equal(np.asarray(VT), np.asarray(VT1))
 
     @pytest.mark.parametrize("name", ["diag", "lap16", "jordan8"])
     def test_one_propagation_per_refined_grid(self, grid, corpus, monkeypatch, name):

@@ -189,6 +189,26 @@ class TestExperiments:
             assert "RuntimeWarning" not in err
         assert len(err.splitlines()) == 1  # resolvent-scan's one error line
 
+    @pytest.mark.parametrize("text", ["matrix = diag -1,-2\n", "matrix = jordan lambda=-1 size=3\n",
+                                      "matrix = diag -1,-2\ne0_norm = sup\n"],
+                             ids=["diag", "jordan", "diag-sup"])
+    def test_past_the_overflow_of_e_mu_T(self, tmp_path, text):
+        # Re mu T beyond log(max double) ~ 709.8, below the panel cap: V_mu is
+        # a real multiple of the tilted v(T), so its norm reads the tiny truth
+        f = tmp_path / "op.op"
+        f.write_text(text)
+        code, _, out = run(tmp_path / "ic", "identity-check", "--operator", str(f), "--T", "23")
+        rows = (out / "identity.csv").read_text().splitlines()[1:]
+        assert code == 0 and len(rows) == 25
+        assert all(float(row.split(",")[3]) <= 1e-8 for row in rows)
+        code, report, _ = run(tmp_path / "rc", "reconstruct", "--operator", str(f),
+                              "--mu-grid", "1000")
+        assert code == 0 and report["omega2"] < 1000
+        assert report["max_reconstruction_error"] <= 1e-6
+        code, _, out = run(tmp_path / "v", "verdict", "--operator", str(f), "--T", "23")
+        last = (out / "vnorm_decay.csv").read_text().splitlines()[-1]
+        assert code == 0 and last.startswith("736,") and math.isfinite(float(last.split(",")[1]))
+
     def test_resolvent_scan_above_1e3(self, tmp_path):
         # s(A) = 2000: the default grid starts above omega and still spans 5 x 21 points
         f = tmp_path / "far.op"

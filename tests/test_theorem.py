@@ -480,12 +480,18 @@ def assert_bracket(w2, rs, norm, T):
 def closed_form_vnorm(lams, r, T):
     """||V_r|| of a normal operator with eigenvalues lams in the euclidean norm:
     |c| max_k |(e^{lam_k T} - e^{-rT}) / (lam_k + r)| with
-    c = 2r e^{-rT} / (1 - e^{-2rT}), that is
-    2r / (e^{2rT} - 1) max_k |(e^{(lam_k + r) T} - 1) / (lam_k + r)|."""
-    z = np.asarray(lams) + r
+    c = 2r e^{-rT} / (1 - e^{-2rT}), that is, with z = lam_k + r,
+    2r / (1 - e^{-2rT}) max_k |e^{(lam_k - r) T} - e^{-2rT}| / |z|. No e^{rT}
+    is formed, so nothing overflows at large rT; where |zT| <= 1 the
+    difference is taken as e^{-2rT} expm1(zT), free of cancellation."""
+    z = np.asarray(lams, dtype=complex) + r
+    tail = math.exp(-2.0 * r * T)
+    small = np.abs(z * T) <= 1.0
+    zs, zf = np.where(small, z, 1.0), np.where(small, 1.0, z)
     with np.errstate(divide="ignore", invalid="ignore"):
-        phi = np.where(z == 0, T, np.expm1(z * T) / z)
-    return 2.0 * r / math.expm1(2.0 * r * T) * float(np.max(np.abs(phi)))
+        phi = np.where(zs == 0, T, np.expm1(zs * T) / zs)
+    gap = np.where(small, tail * phi, (np.exp((z - 2.0 * r) * T) - tail) / zf)
+    return 2.0 * r / -math.expm1(-2.0 * r * T) * float(np.max(np.abs(gap)))
 
 
 class TestOmega2ClosedForm:
@@ -507,6 +513,20 @@ class TestOmega2ClosedForm:
         exact = scipy.optimize.brentq(lambda r: closed_form_vnorm(lams, r, T) - 0.5,
                                       1e-6, 64.0 / T, xtol=1e-15)
         assert -1e-12 <= w2 - exact <= 2.5e-10 + 1e-12
+
+    @pytest.mark.parametrize("T", [1.0, 23.0])
+    @pytest.mark.parametrize("name", ["diag4", "normal16"])
+    def test_vnorm_past_the_overflow_of_e_mu_T(self, name, T):
+        # Re mu T up to 1200, beyond log(max double) ~ 709.8 and below the
+        # 4096-panel cap: ||V_r|| agrees with the closed form, or both are tiny
+        op = self.MAKERS[name]()
+        solver = sl.CauchySolver(op, sl.TimeGrid.uniform(T, 16))
+        for rT in (1.0, 700.0, 710.0, 736.0, 1000.0, 1200.0):
+            got = sl.assemble_U_V(solver, rT / T).V_norm
+            exact = closed_form_vnorm(op.eigenvalues, rT / T, T)
+            assert math.isfinite(exact), rT
+            assert (got == pytest.approx(exact, rel=1e-10, abs=0)
+                    or (got < 1e-300 and exact < 1e-300)), (rT, got, exact)
 
 
 class TestAprioriInequality:

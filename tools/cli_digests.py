@@ -3,10 +3,12 @@
 Runs the 8 experiments of ``semilab.cli``, and ``weighted --sigma 0.5``,
 ``reconstruct --T 0.5``, ``resolvent-scan`` on a 5 x 21 ``grid:`` box,
 ``maxreg-estimate`` and ``verdict`` with a probe file, ``identity-check`` on a
-comma list of three shifts and ``maxreg-estimate --T 16`` (whose h = 1 phi
-tables square) besides, with ``--seed 61`` on eight operator files (a diagonal
-n=4, lap64, jordan8 and a random normal operator of dim 16, each with the
-euclidean and with the sup E0 norm): 120 runs, then ``maxreg-estimate`` and
+comma list of three shifts, ``maxreg-estimate --T 16`` (whose h = 1 phi
+tables square), and ``identity-check --T 23`` and ``reconstruct --mu-grid
+1000``, whose Re mu T passes log(max double) ~ 709.8, besides, with ``--seed
+61`` on eight operator files (a diagonal n=4, lap64, jordan8 and a random
+normal operator of dim 16, each with the euclidean and with the sup E0
+norm): 136 runs, then ``maxreg-estimate`` and
 ``weighted`` on lap256, ``identity-check``, ``reconstruct`` and ``verdict``
 on the dense 2 x 2 rows ``800 1`` / ``0 -1``, whose u(T) overflows, and
 ``maxreg-estimate`` and ``weighted`` on the complex diagonal
@@ -16,7 +18,7 @@ tridiagonals, rows ``-2 1j 0`` / ``-1j -2 1j`` / ``0 -1j -2``, whose complex
 eigenbasis carries the phases of its off-diagonal, and rows ``-2 -1 0`` /
 ``-1 -2 -1`` / ``0 -1 -2``, whose real eigenbasis flips signs, and
 ``resolvent-scan``, ``reconstruct`` and ``verdict`` on jordan64, whose
-euclidean resolvent norms take Golub-Kahan-Lanczos on its Schur factor: 140 runs.
+euclidean resolvent norms take Golub-Kahan-Lanczos on its Schur factor: 156 runs.
 The probe file puts two steep exponential probes on each grid the 16-panel
 solves refine to (panels split in 2, 3 and 4), so the batched solves there
 stack more than one probe, next to two base-grid exponentials, a polynomial
@@ -53,7 +55,8 @@ OPERATORS = {**EUCLIDEAN,
 PROBES = "probes.txt"  # written under the run's root for each operator
 # every experiment with its defaults, then the weighted path below sigma = 1,
 # the omega2 search on a second bracket, [1e-6, 128], a scan of a grid: box, the
-# probe file, a comma-list --mu-grid and T = 16, where unshifted panels reach h = 1
+# probe file, a comma-list --mu-grid, T = 16, where unshifted panels reach h = 1,
+# and two runs past Re mu T ~ 709.8, where e^{mu T} would overflow
 RUNS = [[experiment] for experiment in EXPERIMENTS] + [
     ["weighted", "--sigma", "0.5"],
     ["reconstruct", "--T", "0.5"],
@@ -61,7 +64,9 @@ RUNS = [[experiment] for experiment in EXPERIMENTS] + [
     ["maxreg-estimate", "--probes", PROBES],
     ["verdict", "--probes", PROBES],
     ["identity-check", "--mu-grid", "0.5,1+2i,4-3i"],
-    ["maxreg-estimate", "--T", "16"]]
+    ["maxreg-estimate", "--T", "16"],
+    ["identity-check", "--T", "23"],
+    ["reconstruct", "--mu-grid", "1000"]]
 # the eigen-coordinate solves at a size where mapping every node back to the
 # standard basis would dominate them, a dense operator whose u(T) has
 # non-finite entries, which the dense E0 norms read as inf, and a complex
