@@ -28,7 +28,6 @@ from .theorem import (
     SurjectivityData,
     assemble_U_V,
     assemble_U_V_batch,
-    apriori_inequality_check,
     halfplane_scan,
     maxreg_inequality_check,
     omega1,
@@ -44,7 +43,6 @@ from .weighted import (
     theta_sweep,
     trace_norm_upper,
     weighted_maxreg_check,
-    weighted_norm,
 )
 
 __version__ = "0.1.0"

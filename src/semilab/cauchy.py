@@ -353,16 +353,16 @@ class CauchySolver:
 class _Solution(GridFunction):
     """A solve's GridFunction, kept in the coordinates v it was propagated in:
     v = Z* u on a normal operator A = Z diag(lam) Z* with a basis Z, u itself
-    otherwise. ``coordinates`` holds v, A v (lam v on a normal operator, v A^T
-    on the dense backend), the forcing p y in those coordinates and their sum;
-    every euclidean norm reads them as they are (e0_samples). With a basis,
-    the four standard-basis samples are formed together on first access of
-    one: u = v Z^T with row 0 set to x0 exactly, A u = u A^T, f = p y and
-    u' = A u + f."""
+    otherwise. ``coordinates`` holds v, A v (lam v on a normal operator,
+    OperatorPair.apply on the dense backend), the forcing p y in those
+    coordinates and their sum; every euclidean norm reads them as they are
+    (e0_samples). With a basis, the four standard-basis samples are formed
+    together on first access of one: u = v Z^T with row 0 set to x0 exactly,
+    A u from OperatorPair.apply, f = p y and u' = A u + f."""
 
     def __init__(self, grid, op, v, fv, p, y, x0):
         diag = op.diagonalization
-        Av = v @ op.matrix.T if diag is None else diag.d * v
+        Av = op.apply(v) if diag is None else diag.d * v
         self.grid, self.operator = grid, op
         self.coordinates = GridFunction(grid, v, Av + fv)
         self.coordinates.operator_values, self.coordinates.forcing_values = Av, fv
@@ -377,7 +377,7 @@ class _Solution(GridFunction):
         # u = v Z^T: a real Z takes the columns v^T on their float view
         values = v @ Z.T if Z.dtype.kind == "c" else diag.apply(v.swapaxes(-1, -2)).swapaxes(-1, -2)
         values[..., 0, :] = self._x0
-        S, Au = self._p[..., None] * self._y[..., None, :], values @ self.operator.matrix.T
+        S, Au = self._p[..., None] * self._y[..., None, :], self.operator.apply(values)
         u = GridFunction(self.grid, values, Au + S)
         u.forcing_values, u.operator_values = S, Au
         return u

@@ -34,8 +34,8 @@ from .theorem import (  # assemble_U_V unused here: the benchmark's tracer test 
     surjectivity_identity_check,
     vnorm_decay,
 )
-from .timegrid import TimeGrid
-from .weighted import theta_sweep, trace_norm_upper, weighted_maxreg_check, weighted_norm
+from .timegrid import TimeGrid, e0_norm_J
+from .weighted import theta_sweep, trace_norm_upper, weighted_maxreg_check
 
 # glibc malloc keeps freed blocks below _MMAP_THRESHOLD on its heap and trims the
 # heap only past _TRIM_THRESHOLD (mallopt(3)), so freed probe and shift stacks stay
@@ -174,7 +174,7 @@ def run_weighted(solver, args, out):
     x = _random_unit(np.random.default_rng(args.seed), op.dim)
     chk = weighted_maxreg_check(solver, args.sigma, mu, x, est.M_hat,
                                 c2_hat=est.c2_hat)
-    wn = weighted_norm(op, chk.u, args.sigma)
+    wn = e0_norm_J(op, chk.u, args.sigma)
     tr = trace_norm_upper(solver, x, args.sigma)
     report = {"sigma": args.sigma, "lhs": chk.lhs, "rhs": chk.rhs,
               "inequality_pass": chk.passed,

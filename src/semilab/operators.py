@@ -93,38 +93,88 @@ def _serial_lapack():
 class OperatorPair:
     """A closed operator A on C^dim together with the E0 and graph norms.
 
+    Storage follows structure: a diagonal or tridiagonal A is held as its
+    bands (lower, diag, upper), read-only complex vectors of lengths dim - 1,
+    dim and dim - 1, and its dim x dim ``matrix`` is formed only when a dense
+    consumer first asks for it; a dense A keeps its matrix and has bands None.
     Immutable after construction; all derived data (spectrum, factorizations)
     is cached lazily and never mutated afterwards.
     """
 
     def __init__(self, matrix, e0_norm="euclidean"):
+        """A from a dense square array, reduced to its bands where every
+        entry off the three central diagonals is zero."""
         matrix = np.array(matrix, dtype=complex)
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1] or matrix.size == 0:
             raise DimensionMismatch(f"matrix must be square and nonempty, got {matrix.shape}")
+        bands = [np.diagonal(matrix, k) for k in (-1, 0, 1)]
+        banded = np.count_nonzero(matrix) == sum(np.count_nonzero(b) for b in bands)
+        self._store(bands if banded else None, e0_norm)
+        if not banded:
+            matrix.setflags(write=False)
+            self.matrix = matrix
+
+    @classmethod
+    def from_bands(cls, lower, diag, upper, e0_norm="euclidean"):
+        """The A with sub-, main and super-diagonal lower, diag and upper and
+        zeros elsewhere, built without a dim x dim array."""
+        op = cls.__new__(cls)
+        op._store([lower, diag, upper], e0_norm)
+        return op
+
+    def _store(self, bands, e0_norm):
         if e0_norm not in E0_NORMS:
             raise ConfigError(f"unknown e0_norm {e0_norm!r}")
-        matrix.setflags(write=False)
-        self.matrix = matrix
-        self.e0_norm = e0_norm
+        if bands is not None:
+            bands = tuple(np.array(b, dtype=complex) for b in bands)
+            n = bands[1].size
+            if n == 0 or [b.shape for b in bands] != [(n - 1,), (n,), (n - 1,)]:
+                raise DimensionMismatch(f"bands of shapes {[b.shape for b in bands]}")
+            for b in bands:
+                b.setflags(write=False)
+        self.bands, self.e0_norm = bands, e0_norm
 
     @property
     def dim(self):
-        return self.matrix.shape[0]
+        return self.matrix.shape[0] if self.bands is None else len(self.bands[1])
+
+    @cached_property
+    def matrix(self):
+        """A as a read-only dim x dim array, formed from the bands on first
+        request. Only the dense consumers ask: the Cauchy solver's dense
+        backend, _dense_norms, the eigenvalues and Schur factor of a
+        non-Hermitian A, and the expm oracle."""
+        A = _from_bands(*self.bands)
+        A.setflags(write=False)
+        return A
 
     @cached_property
     def structure(self):
-        """Read from the zeros of the matrix: "diagonal", "tridiagonal" (zero off
-        the three central diagonals) or "dense". Picks the spectral and resolvent paths."""
-        A = self.matrix
-        nonzero = np.count_nonzero(A)
-        if nonzero == np.count_nonzero(np.diagonal(A)):
-            return "diagonal"
-        band = sum(np.count_nonzero(np.diagonal(A, k)) for k in (-1, 0, 1))
-        return "tridiagonal" if nonzero == band else "dense"
+        """"diagonal", "tridiagonal" (zero off the three central diagonals) or
+        "dense", read from the zeros of A. Picks the spectral and resolvent paths."""
+        if self.bands is None:
+            return "dense"
+        lower, _, upper = self.bands
+        return "tridiagonal" if lower.any() or upper.any() else "diagonal"
 
     def __repr__(self):
         return (f"OperatorPair(dim={self.dim}, structure={self.structure!r}, "
                 f"e0_norm={self.e0_norm!r})")
+
+    def apply(self, X):
+        """A x along the last axis of X: A x for a vector, x A^T for the rows x
+        of a stack. From the bands in O(dim) per row, (d x_i + u x_{i+1}) +
+        l x_{i-1}; a dense A takes the one product X A^T, for a vector
+        bit-equal to A @ x."""
+        X = np.asarray(X)
+        if self.bands is None:
+            return X @ self.matrix.T
+        lower, d, upper = self.bands
+        Y = d * X
+        if self.structure == "tridiagonal":
+            Y[..., :-1] += upper * X[..., 1:]
+            Y[..., 1:] += lower * X[..., :-1]
+        return Y
 
     # -- norms -------------------------------------------------------------
 
@@ -148,9 +198,12 @@ class OperatorPair:
 
     def norm1(self, x):
         """Graph norm ||x||_1 = ||x||_0 + ||Ax||_0 of a vector (a float), or of
-        each row of a stack of them."""
+        each row of a stack of them. A dense A takes the rows one at a time, so
+        a row's norm has the bits of the vector's whatever stack it sits in."""
         x = np.asarray(x)
-        n = self.norm0_rows(x) + self.norm0_rows((self.matrix @ x[..., None])[..., 0])
+        Ax = (np.array([self.apply(row) for row in x]) if x.ndim > 1 and self.bands is None
+              else self.apply(x))
+        n = self.norm0_rows(x) + self.norm0_rows(Ax)
         return float(n) if n.ndim == 0 else n
 
     def operator_norm(self, B, inverse=False):
@@ -179,32 +232,39 @@ class OperatorPair:
     @cached_property
     def matrix_norm(self):
         """||A||_F, the scale of every tolerance: it bounds both E0 operator
-        norms within a factor sqrt(dim). One overflow-safe BLAS dznrm2."""
-        return float(dznrm2(self.matrix.ravel()))
+        norms within a factor sqrt(dim). One overflow-safe BLAS dznrm2, over
+        the bands' entries in the row-major order of A: the zeros it skips
+        there add nothing, so the norm is the dense matrix's, bit for bit."""
+        if self.bands is None:
+            return float(dznrm2(self.matrix.ravel()))
+        lower, d, upper = self.bands
+        entries = np.empty(3 * len(d) - 2, dtype=complex)
+        entries[0::3], entries[1::3], entries[2::3] = d, upper, lower
+        return float(dznrm2(entries))
 
     # -- spectrum ----------------------------------------------------------
 
     @cached_property
     def is_hermitian(self):
         """A = A* entrywise to 1e-14 (1 + ||A||_F), as np.allclose compares them. Only
-        asked of structure=tridiagonal, so only the three central diagonals are
-        compared: every other entry of A and of A* is zero."""
-        A, tol = self.matrix, 1e-14 * (1 + self.matrix_norm)
-        d, up, lo = (np.diagonal(A, k) for k in (0, 1, -1))
+        asked of structure=tridiagonal, so only the bands are compared: every
+        other entry of A and of A* is zero."""
+        lo, d, up = self.bands
+        tol = 1e-14 * (1 + self.matrix_norm)
         return bool(np.allclose(np.concatenate([d, up, lo]), np.concatenate([d, lo, up]).conj(),
                                 rtol=0, atol=tol))
 
     @cached_property
     def eigenvalues(self):
-        A = self.matrix
         if self.structure == "diagonal":
-            return np.diag(A).copy()
+            return self.bands[1].copy()
         with _serial_lapack():
             if self.structure == "tridiagonal" and self.is_hermitian:
                 # a diagonal unitary similarity makes the off-diagonal |e|
-                d, e = np.real(np.diag(A)), np.abs(np.diag(A, 1))
-                return scipy.linalg.eigh_tridiagonal(d, e, eigvals_only=True).astype(complex)
-            return np.linalg.eigvals(A)
+                _, d, e = self.bands
+                return scipy.linalg.eigh_tridiagonal(d.real, np.abs(e),
+                                                     eigvals_only=True).astype(complex)
+            return np.linalg.eigvals(self.matrix)
 
     @property
     def spectral_bound(self):
@@ -237,20 +297,20 @@ class OperatorPair:
     def resolvent_factor(self):
         """A = Z T Z*, Z unitary, Z and T read-only: EigenMap(Z, lam) if A is normal
         (lam its eigenvalues), else the pair (Z, T) of its complex Schur form."""
-        A, Z = self.matrix, None
+        Z = None
         with _serial_lapack():
             if self.structure == "diagonal":
-                T = np.diag(A).copy()
+                T = self.bands[1].copy()
             elif self.structure == "tridiagonal" and self.is_hermitian:
-                e = np.diag(A, 1)
-                lam, V = scipy.linalg.eigh_tridiagonal(np.real(np.diag(A)), np.abs(e))
+                _, d, e = self.bands
+                lam, V = scipy.linalg.eigh_tridiagonal(d.real, np.abs(e))
                 # A = P V diag(lam) V^T P*, P = diag(p) carrying the phases of e:
                 # p = +-1 exactly where e is real, so Z = P V stays real there
                 p = np.cumprod(np.divide(e.conj(), np.abs(e), out=np.ones_like(e), where=e != 0))
                 p = p if e.imag.any() else p.real
                 Z, T = np.concatenate([[1.0], p])[:, None] * V, lam.astype(complex)
             else:
-                T, Z = scipy.linalg.schur(A, output="complex")
+                T, Z = scipy.linalg.schur(self.matrix, output="complex")
         # Weyl: dropping N = triu(T, 1) moves each singular value of mu - T by <= ||N||
         if T.ndim == 2 and np.linalg.norm(np.triu(T, 1)) <= self.singular_tol:
             T = np.diag(T).copy()
@@ -346,22 +406,25 @@ class OperatorPair:
         to its conjugate transpose exactly, with no tolerance: Householder and
         MRRR, where the factor runs divide and conquer on (d, |e|)), or scaling
         and squaring (any other A). t = 0 returns x unchanged. A matrix with no
-        imaginary part is decomposed or exponentiated in real arithmetic."""
+        imaginary part is decomposed or exponentiated in real arithmetic. The
+        tridiagonal branch forms its own transient matrix from the bands and
+        leaves ``matrix`` unformed."""
         if t < 0:
             raise ValueError("t must be nonnegative")
         x = self.check_vector(x)
         if t == 0:
             return x.copy()
-        A = self.matrix
         if self.structure == "diagonal":
-            return np.exp(t * np.diag(A)) * x
-        B = A if A.imag.any() else A.real
-        d, up, lo = (np.diagonal(A, k) for k in (0, 1, -1))
-        if self.structure == "tridiagonal" and not d.imag.any() and np.array_equal(lo, up.conj()):
-            with _serial_lapack():
-                lam, V = scipy.linalg.eigh(B)
-            return EigenMap(V, np.exp(t * lam)) @ x
-        return _times(scipy.linalg.expm(t * B), x)
+            return np.exp(t * self.bands[1]) * x
+        if self.structure == "tridiagonal":
+            lo, d, up = self.bands
+            if not d.imag.any() and np.array_equal(lo, up.conj()):
+                B = _from_bands(*(b if up.imag.any() else b.real for b in self.bands))
+                with _serial_lapack():
+                    lam, V = scipy.linalg.eigh(B)
+                return EigenMap(V, np.exp(t * lam)) @ x
+        A = self.matrix
+        return _times(scipy.linalg.expm(t * (A if A.imag.any() else A.real)), x)
 
     # -- evolution backend for the Cauchy solver ------------------------------
 
@@ -419,6 +482,15 @@ class EigenMap:
         else:  # Z (diag(d) Z^T), with Z on the float view
             dense = _times(Z, np.multiply(d[:, None], Z.T, order="C"))
         return np.asarray(dense, dtype)
+
+
+def _from_bands(lower, diag, upper):
+    """The dim x dim array of diag's dtype with sub-, main and super-diagonal
+    lower, diag and upper and zeros elsewhere."""
+    n = len(diag)
+    A = np.zeros((n, n), dtype=diag.dtype)
+    A.flat[::n + 1], A.flat[1::n + 1], A.flat[n::n + 1] = diag, upper, lower
+    return A
 
 
 def _times(E, x):
@@ -517,20 +589,22 @@ def _inverse_norm(M):
 
 
 def diagonal_operator(entries, e0_norm="euclidean"):
-    return OperatorPair(np.diag(np.asarray(entries, dtype=complex)), e0_norm=e0_norm)
+    d = np.asarray(entries, dtype=complex)
+    zeros = np.zeros(max(d.size - 1, 0))
+    return OperatorPair.from_bands(zeros, d, zeros, e0_norm=e0_norm)
 
 
 def laplacian_1d(n, e0_norm="euclidean"):
-    """1D Dirichlet Laplacian on n interior points of (0,1), mesh h = 1/(n+1)."""
+    """1D Dirichlet Laplacian on n interior points of (0,1), mesh h = 1/(n+1):
+    -2/h^2 on the diagonal and 1/h^2 beside it."""
     h = 1.0 / (n + 1)
-    A = (np.diag(-2.0 * np.ones(n)) + np.diag(np.ones(n - 1), 1)
-         + np.diag(np.ones(n - 1), -1)) / h**2
-    return OperatorPair(A, e0_norm=e0_norm)
+    off = np.ones(n - 1) / h**2
+    return OperatorPair.from_bands(off, -2.0 * np.ones(n) / h**2, off, e0_norm=e0_norm)
 
 
 def jordan_block(lam, size, e0_norm="euclidean"):
-    A = np.diag(np.full(size, complex(lam))) + np.diag(np.ones(size - 1), 1)
-    return OperatorPair(A, e0_norm=e0_norm)
+    return OperatorPair.from_bands(np.zeros(size - 1), np.full(size, complex(lam)),
+                                   np.ones(size - 1), e0_norm=e0_norm)
 
 
 def random_normal_operator(dim, seed, e0_norm="euclidean"):

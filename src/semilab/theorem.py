@@ -51,12 +51,8 @@ def maxreg_inequality_check(op, grid, mu, x, M_hat, sigma=1.0):
     sup_w = grid.sup(np.exp(mu.real * grid.nodes), sigma)
     n0, n1 = op.norm0(x), op.norm1(x)
     lhs = sup_w * (n1 + abs(mu) * n0)
-    rhs = M_hat * (sup_w * op.norm0(mu * x - op.matrix @ x) + n1)
+    rhs = M_hat * (sup_w * op.norm0(mu * x - op.apply(x)) + n1)
     return lhs, rhs, bool(math.isfinite(lhs) and math.isfinite(rhs) and lhs <= rhs * (1 + 1e-9))
-
-
-# the unweighted inequality is the sigma = 1 case
-apriori_inequality_check = maxreg_inequality_check
 
 
 def omega1_weighted(M_hat, T, sigma):
@@ -138,7 +134,7 @@ def surjectivity_identity_check(op, sdata, x):
     if nx == 0:
         return 0.0
     Ux = sdata.U @ x
-    lhs = sdata.mu * Ux - op.matrix @ Ux
+    lhs = sdata.mu * Ux - op.apply(Ux)
     rhs = sdata.damping * (x - sdata.V @ x)
     return float(op.norm0(lhs - rhs) / nx)
 

@@ -133,5 +133,5 @@ def e1_norm_J(op, u, sigma=1.0):
         raise MissingDerivative("e1_norm_J needs derivative samples")
     n_du = op.norm0_rows(w.derivative_values)
     n_u = op.norm0_rows(w.values)
-    n_Au = op.norm0_rows(w.operator_values if u.operator is op else u.values @ op.matrix.T)
+    n_Au = op.norm0_rows(w.operator_values if u.operator is op else op.apply(u.values))
     return u.grid.sup(n_du + n_u + n_Au, sigma)

@@ -18,10 +18,7 @@ from .cauchy import estimate_M
 from .errors import ConfigError, NotDiagonal
 from .forcing import ExpForcing, ZeroForcing
 from .theorem import halfplane_scan, maxreg_inequality_check, mu_box, omega1
-from .timegrid import GridFunction, e0_norm_J, e0_samples, e1_norm_J
-
-# sup_t t^{1-sigma} ||u(t)||_0 is the weighted E0(J) norm
-weighted_norm = e0_norm_J
+from .timegrid import GridFunction, e0_samples, e1_norm_J
 
 
 @dataclass
@@ -99,7 +96,7 @@ def theta_sweep(solver, thetas, probes):
     if op.structure != "diagonal":
         raise NotDiagonal(f"theta sweep needs a diagonal operator, got structure={op.structure!r}")
     N = halfplane_scan(op, 0.0, mu_box(0.5, 1e2, 3, -4.0, 4.0, 3)).bound_constant
-    lam, n = np.diag(op.matrix), len(probes)
+    lam, n = op.bands[1], len(probes)
     weights = [(1.0 + np.abs(lam)) ** theta for theta in thetas]  # coordinates of E_theta
     scaled = [_scale_probe(pr, w) for w in weights for pr in probes]
     ratios = estimate_M(solver, scaled).ratios if thetas else []

@@ -123,13 +123,13 @@ def test_criterion_8_sigma_one_bitwise(acceptance_grid, corpus, rng):
     for op in (corpus["diag"], corpus["lap16"]):
         u = sl.CauchySolver(op, grid).solve(
             sl.ExpForcing(1.0, random_vector(rng, op.dim)))
-        wn = sl.weighted_norm(op, u, 1.0)
+        wn = sl.e0_norm_J(op, u, 1.0)
         assert wn == sl.e0_norm_J(op, u)
 
         x = random_vector(rng, op.dim)
         mu, M_hat = 1.5 + 0.5j, 2.0
         chk = sl.weighted_maxreg_check(sl.CauchySolver(op, grid), 1.0, mu, x, M_hat)
-        assert (chk.lhs, chk.rhs, chk.passed) == sl.apriori_inequality_check(op, grid, mu, x, M_hat)
+        assert (chk.lhs, chk.rhs, chk.passed) == sl.maxreg_inequality_check(op, grid, mu, x, M_hat)
 
     for M_hat, T in [(1.5, 1.0), (4.0, 2.0), (0.4, 0.25)]:
         assert sl.omega1_weighted(M_hat, T, 1.0) == sl.omega1(M_hat, T)

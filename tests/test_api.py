@@ -3,25 +3,18 @@
 A name exported from ``semilab`` must be loaded, as a bare name or as an
 attribute, by code in the library (``src/semilab``) or in the benchmark
 harness (``bench``), the package ``__init__`` aside. Its own ``def`` or
-``class``, imports, docstrings and comments do not count. Names that only an
-acceptance criterion calls are listed explicitly.
+``class``, imports, docstrings and comments do not count.
 """
 
 import ast
 import inspect
 import pathlib
-import re
 
 import pytest
 
 import semilab as sl
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
-
-# (name, the acceptance criterion that calls it)
-CRITERION_ONLY = (
-    ("apriori_inequality_check", "criterion 8: the sigma = 1 weighted check is bitwise"),
-)
 
 SOURCES = [p for d in (ROOT / "src" / "semilab", ROOT / "bench") for p in sorted(d.glob("*.py"))
            if p.name != "__init__.py"]
@@ -34,13 +27,6 @@ LOADED = {node.id if isinstance(node, ast.Name) else node.attr
           if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)}
 
 
-@pytest.mark.parametrize("name", [n for n in PUBLIC if n not in dict(CRITERION_ONLY)])
+@pytest.mark.parametrize("name", PUBLIC)
 def test_public_name_has_a_caller(name):
     assert name in LOADED, f"semilab.{name} is called only from tests"
-
-
-@pytest.mark.parametrize("name, criterion", CRITERION_ONLY)
-def test_criterion_only_names_are_exported_and_used(name, criterion):
-    assert name in PUBLIC, name
-    tests = (ROOT / "tests" / "test_acceptance.py").read_text()
-    assert re.search(rf"\bsl\.{name}\(", tests), (name, criterion)

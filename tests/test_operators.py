@@ -894,6 +894,162 @@ class TestStructure:
         assert not sl.jordan_block(-2.0, 8).is_hermitian
 
 
+def _parent_laplacian(n):
+    h = 1.0 / (n + 1)
+    return (np.diag(-2.0 * np.ones(n)) + np.diag(np.ones(n - 1), 1)
+            + np.diag(np.ones(n - 1), -1)) / h**2
+
+
+def _parent_jordan(lam, size):
+    return np.diag(np.full(size, complex(lam))) + np.diag(np.ones(size - 1), 1)
+
+
+_PHASE3 = "row = -2 1j 0\nrow = -1j -2 1j\nrow = 0 -1j -2\n"
+_SIGNS3 = "row = -2 -1 0\nrow = -1 -2 -1\nrow = 0 -1 -2\n"
+_SKEW3 = "row = -1 2 0\nrow = 0.5 -3 1+1j\nrow = 0 4 -2\n"
+_DIAG4 = [-1.0, -2.5 + 1j, 0.0, -7.0]
+
+# (the operator, its dense matrix as the constructors formed it before bands)
+STORAGE = {
+    **{f"lap{n}": (lambda n=n: sl.laplacian_1d(n), lambda n=n: _parent_laplacian(n))
+       for n in (1, 2, 3, 64, 512)},
+    **{f"jordan{k}": (lambda k=k: sl.jordan_block(-2.0, k), lambda k=k: _parent_jordan(-2.0, k))
+       for k in (1, 2, 8)},
+    "phase3": (lambda: sl.parse_operator_text(_PHASE3),
+               lambda: np.array([[-2, 1j, 0], [-1j, -2, 1j], [0, -1j, -2]])),
+    "signs3": (lambda: sl.parse_operator_text(_SIGNS3),
+               lambda: np.array([[-2.0, -1, 0], [-1, -2, -1], [0, -1, -2]])),
+    "skew3": (lambda: sl.parse_operator_text(_SKEW3),
+              lambda: np.array([[-1, 2, 0], [0.5, -3, 1 + 1j], [0, 4, -2]])),
+    "diag4": (lambda: sl.diagonal_operator(_DIAG4), lambda: np.diag(_DIAG4)),
+}
+
+
+def _parent_reads(A):
+    """(structure, is_hermitian, matrix_norm, eigenvalues, (Z, T)) of the dense A
+    by the formulas OperatorPair applied to its matrix before it held bands."""
+    nonzero = np.count_nonzero(A)
+    if nonzero == np.count_nonzero(np.diagonal(A)):
+        structure = "diagonal"
+    elif nonzero == sum(np.count_nonzero(np.diagonal(A, k)) for k in (-1, 0, 1)):
+        structure = "tridiagonal"
+    else:
+        structure = "dense"
+    norm = float(scipy.linalg.blas.dznrm2(A.ravel()))
+    d, up, lo = (np.diagonal(A, k) for k in (0, 1, -1))
+    hermitian = bool(np.allclose(np.concatenate([d, up, lo]), np.concatenate([d, lo, up]).conj(),
+                                 rtol=0, atol=1e-14 * (1 + norm)))
+    Z = None
+    with operators._serial_lapack():
+        if structure == "diagonal":
+            eigs, T = np.diag(A).copy(), np.diag(A).copy()
+        elif structure == "tridiagonal" and hermitian:
+            e = np.diag(A, 1)
+            eigs = scipy.linalg.eigh_tridiagonal(np.real(np.diag(A)), np.abs(e),
+                                                 eigvals_only=True).astype(complex)
+            lam, V = scipy.linalg.eigh_tridiagonal(np.real(np.diag(A)), np.abs(e))
+            p = np.cumprod(np.divide(e.conj(), np.abs(e), out=np.ones_like(e), where=e != 0))
+            p = p if e.imag.any() else p.real
+            Z, T = np.concatenate([[1.0], p])[:, None] * V, lam.astype(complex)
+        else:
+            eigs = np.linalg.eigvals(A)
+            T, Z = scipy.linalg.schur(A, output="complex")
+    if T.ndim == 2 and np.linalg.norm(np.triu(T, 1)) <= 1e-12 * (1.0 + norm):
+        T = np.diag(T).copy()
+    return structure, hermitian, norm, eigs, (Z, T)
+
+
+class TestBandedStorage:
+    """A diagonal or tridiagonal operator is held as its bands: everything read
+    from them equals, bit for bit, what the dense matrix gave, and its matrix
+    is formed only for a dense consumer."""
+
+    @pytest.mark.parametrize("name", sorted(STORAGE))
+    def test_bands_read_as_the_dense_matrix(self, name):
+        make, dense = STORAGE[name]
+        op, A = make(), np.array(dense(), dtype=complex)
+        structure, hermitian, norm, eigs, (Z, T) = _parent_reads(A)
+        assert op.bands is not None and op.dim == len(A)
+        assert op.structure == structure and op.matrix_norm == norm
+        if structure == "tridiagonal":
+            assert op.is_hermitian == hermitian
+        assert "matrix" not in op.__dict__
+        assert np.array_equal(op.eigenvalues, eigs)
+        factor = op.resolvent_factor
+        if isinstance(factor, operators.EigenMap):
+            got_Z, got_T = factor.Z, factor.d
+        else:
+            got_Z, got_T = factor
+        assert (got_Z is None) == (Z is None) and np.array_equal(got_T, T)
+        if Z is not None:
+            assert got_Z.dtype == Z.dtype and np.array_equal(got_Z, Z)
+        # only a non-Hermitian tridiagonal's eigenvalues and Schur form read the matrix
+        assert ("matrix" in op.__dict__) == (structure == "tridiagonal" and not hermitian)
+        assert np.array_equal(op.matrix, A) and not op.matrix.flags.writeable
+        assert op.matrix is op.matrix
+
+    @pytest.mark.parametrize("name", sorted(STORAGE))
+    def test_apply_matches_the_dense_product(self, name, rng):
+        make, dense = STORAGE[name]
+        op, A = make(), np.array(dense(), dtype=complex)
+        n = op.dim
+        for shape in ((n,), (3, n), (2, 5, n)):
+            X = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            got, ref = op.apply(X), X @ A.T
+            assert got.shape == ref.shape
+            assert np.all(np.linalg.norm(got - ref, axis=-1)
+                          <= 1e-15 * np.linalg.norm(ref, axis=-1))
+        assert "matrix" not in op.__dict__
+
+    @pytest.mark.parametrize("n", [3, 16, 64, 255, 256])
+    def test_dense_apply_is_the_matrix_vector_product(self, n, rng):
+        # bit for bit on a vector (a 2 x 2 is tridiagonal); a stack's norm1
+        # reads each row as the vector's
+        op = nonnormal_dense(n, seed=n)
+        assert op.bands is None and op.structure == "dense"
+        X = rng.standard_normal((4, n)) + 1j * rng.standard_normal((4, n))
+        assert np.array_equal(op.apply(X[0]), op.matrix @ X[0])
+        assert np.array_equal(op.apply(X), X @ op.matrix.T)
+        assert op.norm1(X).tolist() == [op.norm1(x) for x in X]
+
+    def test_dense_input_is_reduced_to_its_bands(self):
+        A = _parent_laplacian(6)
+        op = sl.OperatorPair(A)
+        assert op.bands is not None and "matrix" not in op.__dict__
+        assert np.array_equal(op.matrix, A)
+        assert np.array_equal(sl.OperatorPair(np.eye(3)).bands[1], np.ones(3))
+        assert sl.OperatorPair(np.ones((3, 3))).bands is None
+
+    def test_bands_must_fit(self):
+        with pytest.raises(DimensionMismatch):
+            sl.OperatorPair.from_bands([1.0], [1.0, 2.0, 3.0], [1.0, 2.0])
+        with pytest.raises(DimensionMismatch):
+            sl.diagonal_operator([])
+
+    def test_laplacian_memory_is_linear(self):
+        # the dense 2048 x 2048 complex matrix alone is 67 MB
+        tracemalloc.start()
+        try:
+            op = sl.laplacian_1d(2048)
+            op.eigenvalues, op.matrix_norm
+            op.norm1(np.ones(op.dim))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_spectral_path_forms_no_matrix(self, rng):
+        op = sl.laplacian_1d(512)
+        x = random_vector(rng, op.dim)
+        sl.halfplane_scan(op, max(0.0, op.spectral_bound + 1e-9))
+        assert sl.rplus_verdict(op).passed
+        for t in (0.01, 0.1, 1.0):
+            res = sl.semigroup_apply_contour(op, sl.build_contour(op, t, node_count=64), t, x)
+            exact = op.semigroup_apply_oracle(t, x)
+            assert op.norm0(res.value - exact) <= 1e-6 * op.norm0(exact)
+        assert "matrix" not in op.__dict__
+
+
 class TestSemigroupOracle:
     def test_identity_semigroup(self, rng):
         op = sl.diagonal_operator([0.0, 0.0, 0.0])

@@ -533,7 +533,7 @@ class TestAprioriInequality:
     def test_scalar_independent_evaluation(self, grid, scalar_minus_one):
         # A = -1, mu = 2, x = 1, M_hat = 1.5: sides recomputed from scratch
         mu, M_hat = 2.0, 1.5
-        lhs, rhs, ok = sl.apriori_inequality_check(scalar_minus_one, grid, mu, np.array([1.0]), M_hat)
+        lhs, rhs, ok = sl.maxreg_inequality_check(scalar_minus_one, grid, mu, np.array([1.0]), M_hat)
         sup = np.max(np.exp(mu * grid.nodes).real)
         n0, n1 = 1.0, 2.0
         assert lhs == pytest.approx(sup * (n1 + mu * n0), rel=1e-10)
@@ -543,7 +543,7 @@ class TestAprioriInequality:
     def test_nonpositive_re_mu_sup_is_one(self, grid, diag_12, rng):
         x = random_vector(rng, 2)
         mu = -2.0 + 1.0j
-        lhs, _, _ = sl.apriori_inequality_check(diag_12, grid, mu, x, 10.0)
+        lhs, _, _ = sl.maxreg_inequality_check(diag_12, grid, mu, x, 10.0)
         assert lhs == pytest.approx(diag_12.norm1(x) + abs(mu) * diag_12.norm0(x),
                                     rel=1e-12)
 

@@ -12,7 +12,7 @@ class TestWeightedNorm:
     def test_sigma_one_is_plain_sup(self, grid, diag_12, rng):
         vals = rng.standard_normal((len(grid.nodes), 2))
         u = sl.GridFunction(grid, vals)
-        wn = sl.weighted_norm(diag_12, u, 1.0)
+        wn = sl.e0_norm_J(diag_12, u, 1.0)
         assert wn == sl.e0_norm_J(diag_12, u)  # bit-for-bit
 
     def test_weight_cancels_singularity(self, grid, scalar_zero):
@@ -21,14 +21,14 @@ class TestWeightedNorm:
         vals = np.zeros(len(grid.nodes))
         pos = grid.nodes > 0
         vals[pos] = grid.nodes[pos] ** (sigma - 1.0)
-        wn = sl.weighted_norm(scalar_zero, sl.GridFunction(grid, vals), sigma)
+        wn = sl.e0_norm_J(scalar_zero, sl.GridFunction(grid, vals), sigma)
         assert wn == pytest.approx(1.0, rel=1e-12)
 
     def test_constant_function(self, grid, scalar_zero):
         # u = c: sup of t^{1-sigma}|c| = T^{1-sigma}|c|
-        wn = sl.weighted_norm(scalar_zero,
-                              sl.GridFunction(grid, np.full(len(grid.nodes), 2.0)),
-                              0.25)
+        wn = sl.e0_norm_J(scalar_zero,
+                          sl.GridFunction(grid, np.full(len(grid.nodes), 2.0)),
+                          0.25)
         assert wn == pytest.approx(1.0 ** 0.75 * 2.0, rel=1e-12)
 
 
@@ -76,7 +76,7 @@ class TestWeightedMaxreg:
         mu = 1.5 + 0.5j
         M_hat = 2.0
         chk = sl.weighted_maxreg_check(sl.CauchySolver(diag_12, grid), 1.0, mu, x, M_hat)
-        lhs, rhs, ok = sl.apriori_inequality_check(diag_12, grid, mu, x, M_hat)
+        lhs, rhs, ok = sl.maxreg_inequality_check(diag_12, grid, mu, x, M_hat)
         assert (chk.lhs, chk.rhs, chk.passed) == (lhs, rhs, ok)
 
     def test_scalar_endpoint_value(self, grid, scalar_zero):

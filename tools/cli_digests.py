@@ -18,7 +18,9 @@ tridiagonals, rows ``-2 1j 0`` / ``-1j -2 1j`` / ``0 -1j -2``, whose complex
 eigenbasis carries the phases of its off-diagonal, and rows ``-2 -1 0`` /
 ``-1 -2 -1`` / ``0 -1 -2``, whose real eigenbasis flips signs, and
 ``resolvent-scan``, ``reconstruct`` and ``verdict`` on jordan64, whose
-euclidean resolvent norms take Golub-Kahan-Lanczos on its Schur factor: 156 runs.
+euclidean resolvent norms take Golub-Kahan-Lanczos on its Schur factor, and
+``spectrum``, ``maxreg-estimate``, ``identity-check`` and ``verdict`` on
+lap1023, which run from its bands: 160 runs.
 The probe file puts two steep exponential probes on each grid the 16-panel
 solves refine to (panels split in 2, 3 and 4), so the batched solves there
 stack more than one probe, next to two base-grid exponentials, a polynomial
@@ -73,7 +75,8 @@ RUNS = [[experiment] for experiment in EXPERIMENTS] + [
 # diagonal, whose solves form A u as lam u, not as the product u A^T; then a
 # Hermitian tridiagonal with a complex and one with a real eigenbasis, and a
 # non-normal operator at _GKL_MIN_DIM, whose scans and resolvent solves run on
-# its Schur factor
+# its Schur factor, and a Laplacian stored by its bands whose dense matrix
+# no run forms
 CDIAG = "matrix = diag -1+2i,-0.5-3i,-2+0.25i,-0.1+7i\n"
 TRIDIAGONAL_RUNS = [["maxreg-estimate"], ["identity-check"], ["reconstruct"], ["weighted"]]
 LARGE = {"lap256": ("matrix = laplacian1d n=256\n", [["maxreg-estimate"], ["weighted"]]),
@@ -84,7 +87,9 @@ LARGE = {"lap256": ("matrix = laplacian1d n=256\n", [["maxreg-estimate"], ["weig
          "phase3": ("row = -2 1j 0\nrow = -1j -2 1j\nrow = 0 -1j -2\n", TRIDIAGONAL_RUNS),
          "signs3": ("row = -2 -1 0\nrow = -1 -2 -1\nrow = 0 -1 -2\n", TRIDIAGONAL_RUNS),
          "jordan64": ("matrix = jordan lambda=-2 size=64\n",
-                      [["resolvent-scan"], ["reconstruct"], ["verdict"]])}
+                      [["resolvent-scan"], ["reconstruct"], ["verdict"]]),
+         "lap1023": ("matrix = laplacian1d n=1023\n",
+                     [["spectrum"], ["maxreg-estimate"], ["identity-check"], ["verdict"]])}
 
 
 def probe_text(dim):
