@@ -16,8 +16,10 @@ point, and the weights of the integral over the panel. The solver keeps the
 unshifted (s = 0) tables for all its solves; a shifted table serves one mu
 and is dropped with its call. The runs of panels on one nominal width are
 found once per solver. When A is normal the tables are (dim, 1) columns in
-the unitary eigenbasis Z of the operator's resolvent factor, from scalar phi
-functions, applied elementwise, and W and VT stay EigenMaps; for non-normal A
+the eigen coordinates of the operator's resolvent factor, an EigenMap (a
+stored unitary basis Z, or the DST-I sine basis of a SineMap, applied by FFT,
+for a large Laplacian), from scalar phi functions, applied elementwise, and
+W and VT stay EigenMaps on the same basis; for non-normal A
 they are dim x dim matrices, all output points at once by batched Taylor sums
 and modified squarings, applied by products. On either backend a table's
 weights are BLAS products on the float view of its phi rows: one batched
@@ -33,7 +35,8 @@ by Y once, so on either backend a run's forcing terms are one BLAS product
 of the run's (run, q) profile block with the (q, rest) weights, and no
 dim x dim forcing sample per node is formed. Every solve comes back in the
 coordinates it was propagated in (_Solution): v = Z* u when the normal
-factor has a basis Z, u itself otherwise.
+factor has a basis Z other than I, u itself otherwise. Z is reached only
+through the factor's methods (apply, adjoint, rows, column, with_values).
 
 The panel edges of a run follow e_{i+1} = P e_i + b_i, with P the table's
 propagator to the right edge and b_i the forcing term. The eigen backend,
@@ -74,7 +77,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import EmptyProbeSet
-from .operators import EigenMap, chunks
+from .operators import chunks
 from .phi import phi_matrices, phi_scalar
 from .timegrid import GridFunction, e0_norm_J, e0_samples, e1_norm_J, gauss_legendre_01
 
@@ -344,9 +347,9 @@ class CauchySolver:
             return list(zip(w, VT, norms.tolist())) if np.ndim(m) else [(w, VT, norms)]
         out = []
         for wj, VTj in zip(w, VT) if np.ndim(m) else [(w, VT)]:
-            VTj = EigenMap(diag.Z, VTj[:, 0])
+            VTj = diag.with_values(VTj[:, 0])
             norm = float(abs(VTj.d).max()) if op.e0_norm == "euclidean" else op.operator_norm(VTj)
-            out.append((EigenMap(diag.Z, wj[:, 0]), VTj, norm))
+            out.append((diag.with_values(wj[:, 0]), VTj, norm))
         return out
 
 
@@ -371,11 +374,9 @@ class _Solution(GridFunction):
     @cached_property
     def _standard(self):
         diag = self.operator.diagonalization
-        if diag is None or diag.Z is None:
+        if diag is None or diag.identity:
             return self.coordinates
-        Z, v = diag.Z, self.coordinates.values
-        # u = v Z^T: a real Z takes the columns v^T on their float view
-        values = v @ Z.T if Z.dtype.kind == "c" else diag.apply(v.swapaxes(-1, -2)).swapaxes(-1, -2)
+        values = diag.rows(self.coordinates.values)  # u = v Z^T
         values[..., 0, :] = self._x0
         S, Au = self._p[..., None] * self._y[..., None, :], self.operator.apply(values)
         u = GridFunction(self.grid, values, Au + S)

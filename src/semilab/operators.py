@@ -35,6 +35,11 @@ _GENERATOR_KEYS = {"laplacian1d": ("n",), "diag": None, "jordan": ("lambda", "si
                    "random-normal": ("dim", "seed")}
 # non-normal euclidean norms: GKL on T from this dimension on, a dense SVD below (README)
 _GKL_MIN_DIM = 64
+# a real symmetric tridiagonal Toeplitz A takes the DST-I sine basis (SineMap) from this
+# dimension on, a stored eigh_tridiagonal basis below: the measured crossover (README)
+_SINE_MIN_DIM = 512
+# the largest dim whose dim x dim matrix a dense consumer may form (README)
+_DENSE_MAX_DIM = 4096
 # the Ritz value is read every _GKL_CHECK steps; it stops once it moves by <= _GKL_RTOL
 _GKL_CHECK, _GKL_RTOL = 4, 1e-10
 # bytes the stacked arrays of one batched call (probes, shifts or scan points) may
@@ -96,9 +101,12 @@ class OperatorPair:
     Storage follows structure: a diagonal or tridiagonal A is held as its
     bands (lower, diag, upper), read-only complex vectors of lengths dim - 1,
     dim and dim - 1, and its dim x dim ``matrix`` is formed only when a dense
-    consumer first asks for it; a dense A keeps its matrix and has bands None.
-    Immutable after construction; all derived data (spectrum, factorizations)
-    is cached lazily and never mutated afterwards.
+    consumer first asks for it, and never past _DENSE_MAX_DIM (a ConfigError);
+    a dense A keeps its matrix and has bands None. A real symmetric
+    tridiagonal Toeplitz A (every laplacian_1d) from _SINE_MIN_DIM on holds no
+    n x n array at all: its resolvent factor is a SineMap, whose basis is
+    applied by FFT. Immutable after construction; all derived data (spectrum,
+    factorizations) is cached lazily and never mutated afterwards.
     """
 
     def __init__(self, matrix, e0_norm="euclidean"):
@@ -143,7 +151,8 @@ class OperatorPair:
         """A as a read-only dim x dim array, formed from the bands on first
         request. Only the dense consumers ask: the Cauchy solver's dense
         backend, _dense_norms, the eigenvalues and Schur factor of a
-        non-Hermitian A, and the expm oracle."""
+        non-Hermitian A, and the expm oracle. Past _DENSE_MAX_DIM it is
+        refused with a ConfigError instead of allocated."""
         A = _from_bands(*self.bands)
         A.setflags(write=False)
         return A
@@ -296,7 +305,14 @@ class OperatorPair:
     @cached_property
     def resolvent_factor(self):
         """A = Z T Z*, Z unitary, Z and T read-only: EigenMap(Z, lam) if A is normal
-        (lam its eigenvalues), else the pair (Z, T) of its complex Schur form."""
+        (lam its eigenvalues), else the pair (Z, T) of its complex Schur form. A
+        real symmetric tridiagonal Toeplitz A from _SINE_MIN_DIM on is the
+        SineMap of its closed-form spectrum, which stores no basis."""
+        if self.structure == "tridiagonal" and self.dim >= _SINE_MIN_DIM:
+            lo, d, up = self.bands
+            if (not (d.imag.any() or up.imag.any()) and np.array_equal(lo, up)
+                    and (d == d[0]).all() and (up == up[0]).all()):
+                return SineMap.toeplitz(d[0].real, up[0].real, self.dim)
         Z = None
         with _serial_lapack():
             if self.structure == "diagonal":
@@ -392,9 +408,9 @@ class OperatorPair:
 
     def _dense_norms(self, mus):
         """The inverse operator_norm of mu - A at each shift of mus, stacked in chunks."""
-        norms = np.empty(len(mus))
+        A, norms = self.matrix, np.empty(len(mus))  # refused past _DENSE_MAX_DIM before any eye
         for part in chunks(np.arange(len(mus)), 64 * self.dim ** 2):
-            R = mus[part, None, None] * np.eye(self.dim) - self.matrix
+            R = mus[part, None, None] * np.eye(self.dim) - A
             norms[part] = self.operator_norm(R, inverse=True)
         return norms
 
@@ -439,13 +455,25 @@ class EigenMap:
     """Z diag(d) Z*, Z unitary: a normal operator's resolvent factor (d its
     eigenvalues) or a Cauchy solution functional in its eigen coordinates. Z is
     None for I (structure=diagonal, never formed), float64 for a Hermitian
-    tridiagonal with a real off-diagonal, complex otherwise. @ applies it in
-    O(dim^2) per column; a scalar * scales d; only np.asarray makes it dense."""
+    tridiagonal with a real off-diagonal, complex otherwise. Every consumer
+    reaches Z through apply, adjoint, rows and column, O(dim^2) per column
+    with a stored Z, and never reads Z itself; with_values and a scalar *
+    keep the basis and change d; only np.asarray makes it dense. SineMap is
+    the kind whose basis is not stored."""
 
     __array_ufunc__ = None  # so c * map with a numpy scalar c defers to __rmul__
 
     def __init__(self, Z, d):
         self.Z, self.d = Z, d
+
+    @property
+    def identity(self):
+        """The basis is I: apply and adjoint return their argument."""
+        return self.Z is None
+
+    def with_values(self, d):
+        """The map on this basis with eigenvalues d."""
+        return EigenMap(self.Z, d)
 
     def apply(self, x):
         """Z x for a vector x or a stack of columns x (..., n, k), as _times."""
@@ -459,6 +487,13 @@ class EigenMap:
             return np.conj(Z.T @ np.conj(y))
         return y if Z is None else _times(Z.T, y)
 
+    def rows(self, v):
+        """v Z^T, Z applied along the last axis of a stack of rows v, as a new
+        array (not asked of I): a complex Z as the one product v @ Z^T, which
+        (Z v^T)^T would not match bit for bit, a real one as apply."""
+        Z = self.Z
+        return v @ Z.T if Z.dtype.kind == "c" else self.apply(v.swapaxes(-1, -2)).swapaxes(-1, -2)
+
     def column(self, k):
         """Column k of Z as a new complex vector (e_k for I)."""
         Z, n = self.Z, len(self.d)
@@ -469,7 +504,7 @@ class EigenMap:
         return self.apply(d * self.adjoint(x))
 
     def __mul__(self, c):
-        return EigenMap(self.Z, c * self.d) if np.ndim(c) == 0 else NotImplemented
+        return self.with_values(c * self.d) if np.ndim(c) == 0 else NotImplemented
 
     __rmul__ = __mul__
 
@@ -484,10 +519,78 @@ class EigenMap:
         return np.asarray(dense, dtype)
 
 
+class SineMap(EigenMap):
+    """The EigenMap of a real symmetric tridiagonal Toeplitz matrix, a on the
+    diagonal and b != 0 beside it, with no stored basis: its eigenvectors are
+    the columns of the orthonormal DST-I matrix S, S_jk = sqrt(2/(n+1))
+    sin(jk pi/(n+1)), symmetric with S = S^-1 (Strang, SIAM Rev. 41, 1999).
+    The columns are ordered as the eigenvalues ascend: the basis is Z = S R
+    for b > 0, R the reversal, and Z = S for b < 0. S x is the entries 1..n of
+    the FFT of length 2(n+1) of the odd extension (0, x, 0, -reversed x),
+    times i / sqrt(2(n+1)) (Van Loan, Computational Frameworks for the FFT,
+    1992, section 4.4): one FFT per column, and no n x n array."""
+
+    identity = False
+
+    def __init__(self, d, order):
+        self.d, self._order = d, order
+
+    @classmethod
+    def toeplitz(cls, a, b, n):
+        """The factor of the n x n matrix: the closed-form eigenvalues (a + 2b)
+        - 4b sin^2(k pi / (2(n+1))) of the modes k = 1..n, read-only and
+        ascending as eigh_tridiagonal returns them."""
+        order = slice(None, None, -1 if b > 0 else 1)
+        k = np.arange(1, n + 1)[order]
+        lam = ((a + 2 * b) - 4 * b * np.sin(k * np.pi / (2 * (n + 1))) ** 2).astype(complex)
+        lam.setflags(write=False)
+        return cls(lam, order)
+
+    def with_values(self, d):
+        return SineMap(d, self._order)
+
+    def _along(self, x, axis, adjoint=False):
+        """Z x = S (R x), or Z^T x = R (S x) where adjoint (Z is real), along
+        the given axis of x; R is the identity for b < 0."""
+        x = np.moveaxis(x, axis, -1)
+        n, order = x.shape[-1], self._order
+        y = x if adjoint else x[..., order]
+        z = np.zeros(x.shape[:-1] + (2 * n + 2,), dtype=complex)
+        z[..., 1:n + 1], z[..., :n + 1:-1] = y, -y
+        Sx = np.fft.fft(z, norm="ortho")[..., 1:n + 1]
+        return np.moveaxis(1j * (Sx[..., order] if adjoint else Sx), -1, axis)
+
+    def apply(self, x):
+        return self._along(x, 0 if np.ndim(x) == 1 else -2)
+
+    def adjoint(self, y):
+        return self._along(y, 0 if np.ndim(y) == 1 else -2, adjoint=True)
+
+    def rows(self, v):
+        return self._along(v, -1)
+
+    def column(self, k):
+        return self.apply(np.eye(1, len(self.d), k, dtype=complex)[0])
+
+    def __array__(self, dtype=None, copy=None):
+        n = len(self.d)
+        _dense_cap(n)
+        dense = self.apply(self.d[:, None] * self.adjoint(np.eye(n, dtype=complex)))
+        return np.asarray(dense, dtype)
+
+
+def _dense_cap(n):
+    """ConfigError where an n x n array would pass _DENSE_MAX_DIM."""
+    if n > _DENSE_MAX_DIM:
+        raise ConfigError(f"dim {n} is past {_DENSE_MAX_DIM}, the largest for which "
+                          f"a dense {n} x {n} matrix is formed")
+
+
 def _from_bands(lower, diag, upper):
     """The dim x dim array of diag's dtype with sub-, main and super-diagonal
-    lower, diag and upper and zeros elsewhere."""
+    lower, diag and upper and zeros elsewhere; refused past _DENSE_MAX_DIM."""
     n = len(diag)
+    _dense_cap(n)
     A = np.zeros((n, n), dtype=diag.dtype)
     A.flat[::n + 1], A.flat[1::n + 1], A.flat[n::n + 1] = diag, upper, lower
     return A

@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg
 
 import semilab as sl
-from semilab import cauchy
+from semilab import cauchy, operators
 from semilab.errors import ConfigError, EmptyProbeSet
 from semilab.operators import _serial_lapack, parse_operator_text
 from semilab.timegrid import e0_samples
@@ -681,13 +681,13 @@ class TestEigenMap:
         def refuse(self, *args, **kwargs):
             raise AssertionError("EigenMap made dense")
 
-        monkeypatch.setattr(cauchy.EigenMap, "__array__", refuse)
+        monkeypatch.setattr(operators.EigenMap, "__array__", refuse)
         op = corpus["lap256"]
         solver = sl.CauchySolver(op, grid)
         x = random_vector(rng, op.dim)
         for mu in (0.5, 2.0 + 4.0j, 32.0 - 16.0j):
             sd = sl.assemble_U_V(solver, mu)
-            assert isinstance(sd.U, cauchy.EigenMap) and isinstance(sd.V, cauchy.EigenMap)
+            assert isinstance(sd.U, operators.EigenMap) and isinstance(sd.V, operators.EigenMap)
             assert sl.surjectivity_identity_check(op, sd, x) <= 1e-8
 
     @pytest.mark.parametrize("name", ["diag", "lap64", "normal16"])
@@ -784,7 +784,7 @@ class TestBatches:
             assert vt_norm == vt_norm1, mu
             for a, b in ((W, W1), (VT, VT1)):
                 assert type(a) is type(b)
-                if isinstance(a, cauchy.EigenMap):
+                if isinstance(a, operators.EigenMap):
                     assert a.Z is b.Z and np.array_equal(a.d, b.d), mu
                 else:
                     assert np.array_equal(a, b), mu
@@ -1030,7 +1030,7 @@ class TestEigenCoordinates:
         # euclidean norm from the eigen coordinates: no node stack meets Z or A
         op = self.MAKERS[name]("euclidean")
         diag, apply = op.diagonalization, op.apply
-        op.__dict__["diagonalization"] = cauchy.EigenMap(diag.Z.view(CountingProducts), diag.d)
+        op.__dict__["diagonalization"] = operators.EigenMap(diag.Z.view(CountingProducts), diag.d)
 
         def counted_apply(X):  # A against a stack of node samples
             CountingProducts.products += int(np.ndim(X) >= 2 and np.shape(X)[-2] > op.dim)
@@ -1057,7 +1057,7 @@ class TestRealBasis:
         """A fresh copy of op whose cached factor holds its basis as complex."""
         twin = sl.OperatorPair(op.matrix, op.e0_norm)
         factor = op.resolvent_factor
-        twin.__dict__["resolvent_factor"] = cauchy.EigenMap(factor.Z.astype(complex), factor.d)
+        twin.__dict__["resolvent_factor"] = operators.EigenMap(factor.Z.astype(complex), factor.d)
         return twin
 
     @staticmethod
@@ -1076,8 +1076,9 @@ class TestRealBasis:
         d = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         X = np.stack([x, random_vector(rng, n)], axis=1)
         for arg in (x, X):
-            assert self.close(cauchy.EigenMap(Z, d) @ arg, cauchy.EigenMap(Zc, d) @ arg)
-        assert self.close(np.asarray(cauchy.EigenMap(Z, d)), np.asarray(cauchy.EigenMap(Zc, d)))
+            assert self.close(operators.EigenMap(Z, d) @ arg, operators.EigenMap(Zc, d) @ arg)
+        assert self.close(np.asarray(operators.EigenMap(Z, d)),
+                          np.asarray(operators.EigenMap(Zc, d)))
         f, x0 = sl.ExpForcing(3.0 + 2.0j, x), random_vector(rng, n)
         u, ref = sl.CauchySolver(op, grid).solve(f, x0), sl.CauchySolver(twin, grid).solve(f, x0)
         for attr in SAMPLES:

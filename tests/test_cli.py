@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -299,6 +300,24 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("semilab: error: ") and err.count("\n") == 1
         return err
+
+    @pytest.mark.parametrize("experiment, text", [
+        ("resolvent-scan", "matrix = laplacian1d n=4097\ne0_norm = sup\n"),
+        ("spectrum", "matrix = jordan lambda=-1 size=4097\n")],
+        ids=["laplacian-sup-scan", "jordan-spectrum"])
+    def test_dense_matrix_past_the_cap(self, tmp_path, capsys, experiment, text):
+        # one stderr line and exit 1 instead of a 268 MB complex matrix; the scan
+        # takes its (points, n) distances to the spectrum first, about 10 MB
+        assert operators._DENSE_MAX_DIM == 4096
+        f = tmp_path / "large.op"
+        f.write_text(text)
+        tracemalloc.start()
+        try:
+            err = self._one_line_error(tmp_path, capsys, experiment, "--operator", str(f))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert "dense 4097 x 4097 matrix" in err and peak < 32 << 20  # points x n distances
 
     @pytest.mark.parametrize(
         "matrix, key",

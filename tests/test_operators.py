@@ -16,6 +16,18 @@ from semilab.theorem import mu_box
 from conftest import nonnormal_dense, random_vector
 
 
+def sine_basis(n):
+    """The orthonormal DST-I matrix S_jk = sqrt(2/(n+1)) sin(jk pi/(n+1)), formed
+    with jk reduced mod 2(n+1) in integers, so each entry is good to a few ulps."""
+    k = np.arange(1, n + 1)
+    return np.sqrt(2.0 / (n + 1)) * np.sin(np.outer(k, k) % (2 * (n + 1)) * np.pi / (n + 1))
+
+
+def largest_array(obj):
+    """The most entries of any array among obj's attributes (0 if none)."""
+    return max([v.size for v in vars(obj).values() if isinstance(v, np.ndarray)], default=0)
+
+
 def complex_hermitian_tridiagonal():
     """A 6 x 6 tridiagonal equal to its conjugate transpose, complex off the diagonal."""
     rng = np.random.default_rng(6)
@@ -446,8 +458,14 @@ class TestResolventFactor:
 
     @pytest.mark.parametrize("n", [16, 64, 512])
     def test_laplacian_basis_is_real(self, n):
-        Z = sl.laplacian_1d(n).resolvent_factor.Z
-        assert Z.dtype == np.float64 and Z.nbytes == 8 * n * n
+        # below _SINE_MIN_DIM a stored real basis; from it on, none at all
+        factor = sl.laplacian_1d(n).resolvent_factor
+        if n < operators._SINE_MIN_DIM:
+            Z = factor.Z
+            assert Z.dtype == np.float64 and Z.nbytes == 8 * n * n
+        else:
+            assert isinstance(factor, operators.SineMap) and not hasattr(factor, "Z")
+            assert largest_array(factor) == n
 
     def test_basis_is_real_where_the_off_diagonal_is(self):
         signs = sl.parse_operator_text("row = -2 -1 0\nrow = -1 -2 -1\nrow = 0 -1 -2\n")
@@ -459,7 +477,7 @@ class TestResolventFactor:
             assert np.allclose((Z * lam) @ Z.conj().T, op.matrix, rtol=0, atol=1e-14)
 
     def test_real_basis_sum_forms_no_complex_square(self, rng):
-        op = sl.laplacian_1d(512)
+        op = sl.laplacian_1d(256)
         op.resolvent_factor  # the factor itself is kept, not part of the sum
         mus, weights = sl.build_contour(op, 0.1, node_count=64).nodes_and_weights()
         x = random_vector(rng, op.dim)
@@ -492,6 +510,7 @@ class TestEigenMapBasis:
     KINDS = {
         "diag": (lambda: sl.diagonal_operator(-np.arange(1.0, 17.0)), None),
         "lap16": (lambda: sl.laplacian_1d(16), "f"),
+        "lap512": (lambda: sl.laplacian_1d(512), "sine"),  # no stored basis
         "phase3": (lambda: sl.parse_operator_text(
             "row = -2 1j 0\nrow = -1j -2 1j\nrow = 0 -1j -2\n"), "c"),  # eigh_tridiagonal
         "normal16": (lambda: sl.random_normal_operator(16, seed=3), "c"),  # Schur
@@ -507,17 +526,28 @@ class TestEigenMapBasis:
         op = make()
         factor = op.resolvent_factor
         assert isinstance(factor, operators.EigenMap) and op.diagonalization is factor
-        assert factor.Z is None if kind is None else factor.Z.dtype.kind == kind
         n = op.dim
-        Z = np.eye(n) if factor.Z is None else factor.Z
+        if kind == "sine":  # the explicit S, columns in ascending order of d
+            assert isinstance(factor, operators.SineMap)
+            Z = sine_basis(n)[:, ::-1]
+        else:
+            assert factor.Z is None if kind is None else factor.Z.dtype.kind == kind
+            Z = np.eye(n) if factor.Z is None else factor.Z
         X = np.stack([random_vector(rng, n) for _ in range(3)], axis=1)
         for arg in (X[:, 0], X):
             assert self.close(factor.apply(arg), Z @ arg)
             assert self.close(factor.adjoint(arg), Z.conj().T @ arg)
             assert factor.apply(arg).shape == factor.adjoint(arg).shape == arg.shape
+        if not factor.identity:
+            assert self.close(factor.rows(X.T), X.T @ Z.T)
+        assert self.close(np.asarray(factor), (Z * factor.d) @ Z.conj().T)
         for k in range(n):
             column = factor.column(k)
-            assert column.dtype == complex and np.array_equal(column, Z[:, k])
+            assert column.dtype == complex
+            if kind == "sine":
+                assert np.linalg.norm(column - Z[:, k]) <= 1e-14
+            else:
+                assert np.array_equal(column, Z[:, k])
             column[0] = 7.0  # a writable copy: a view of the read-only Z would raise
 
     def test_nonnormal_factor_is_a_read_only_pair(self):
@@ -526,6 +556,145 @@ class TestEigenMapBasis:
         Z, T = factor
         assert Z.shape == T.shape == (128, 128) and Z.dtype == T.dtype == complex
         assert not Z.flags.writeable and not T.flags.writeable
+
+
+def _toeplitz(n, a, b):
+    """The real symmetric tridiagonal Toeplitz operator with a on the diagonal, b beside it."""
+    return sl.OperatorPair.from_bands(np.full(n - 1, b), np.full(n, a), np.full(n - 1, b))
+
+
+class TestSineBasis:
+    """From _SINE_MIN_DIM on, a real symmetric tridiagonal Toeplitz operator's
+    factor is a SineMap, the DST-I basis with the closed-form spectrum and no
+    stored basis, checked against eigh_tridiagonal, which gave the factor
+    before, and against the stored factor the same operator takes below."""
+
+    @staticmethod
+    def check_against_eigh(op):
+        """The factor's columns, signs matched, and its eigenvalues against
+        eigh_tridiagonal of op's bands: to 1e-10, and within its backward
+        error n eps ||A||_2."""
+        factor, n = op.resolvent_factor, op.dim
+        assert isinstance(factor, operators.SineMap)
+        _, d, e = op.bands
+        lam, V = scipy.linalg.eigh_tridiagonal(d.real, e.real)
+        got = factor.d
+        assert not got.flags.writeable and not got.imag.any() and np.all(np.diff(got.real) > 0)
+        assert np.max(np.abs(got.real - lam)) <= n * np.finfo(float).eps * np.max(np.abs(lam))
+        for block in np.array_split(np.arange(n), 4):
+            E = np.zeros((n, len(block)), dtype=complex)
+            E[block, np.arange(len(block))] = 1.0
+            columns = factor.apply(E)
+            signs = np.sign(np.sum(columns.real * V[:, block], axis=0))
+            assert np.max(np.abs(columns - signs * V[:, block])) <= 1e-10
+
+    @pytest.mark.parametrize("n", [512, 1023, 2047])
+    def test_laplacian_matches_eigh_tridiagonal(self, n):
+        self.check_against_eigh(sl.laplacian_1d(n))
+
+    @pytest.mark.parametrize("n, a, b", [(512, 3.0, -0.7), (600, -1.5, 2.5)])
+    def test_any_real_toeplitz(self, n, a, b, rng):
+        # b < 0 keeps the modes in order, b > 0 reverses them; 601 is prime
+        op = _toeplitz(n, a, b)
+        self.check_against_eigh(op)
+        y = random_vector(rng, n)
+        for mu in MUS:
+            bands = np.array([np.full(n, -b), np.full(n, mu - a), np.full(n, -b)])
+            ref = scipy.linalg.solve_banded((1, 1), bands, y)
+            assert np.linalg.norm(op.resolvent_solve(mu, y) - ref) <= 1e-10 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("make", [
+        lambda: sl.laplacian_1d(operators._SINE_MIN_DIM - 1),
+        lambda: sl.OperatorPair.from_bands(np.ones(511), -2.0 + 1e-3 * np.arange(512),
+                                           np.ones(511)),
+        lambda: sl.OperatorPair.from_bands(np.full(511, -1j), np.full(512, -2.0),
+                                           np.full(511, 1j)),
+        lambda: sl.OperatorPair.from_bands(np.full(511, 0.5), np.full(512, -2.0),
+                                           np.full(511, 1.5))],
+        ids=["lap511", "varying-diagonal", "complex-off-diagonal", "nonsymmetric"])
+    def test_other_operators_keep_a_stored_factor(self, make):
+        factor = make().resolvent_factor
+        assert not isinstance(factor, operators.SineMap)
+
+    def test_consumers_match_the_stored_basis(self, monkeypatch, rng):
+        # the same lap512 through the DST and through eigh_tridiagonal's basis:
+        # resolvent sums, solves in both coordinates, U_mu and V_mu, estimate_M
+        grid = sl.TimeGrid.uniform(1.0, panels=4, nodes_per_panel=4)
+        x, x0 = random_vector(rng, 512), random_vector(rng, 512)
+        contour = sl.build_contour(sl.laplacian_1d(512), 0.1, node_count=32)
+        mus, weights = contour.nodes_and_weights()
+        results = []
+        for threshold in (operators._SINE_MIN_DIM, 10**9):
+            monkeypatch.setattr(operators, "_SINE_MIN_DIM", threshold)
+            for e0 in ("euclidean", "sup"):
+                op = sl.laplacian_1d(512, e0_norm=e0)
+                kind = type(op.resolvent_factor)
+                solver = sl.CauchySolver(op, grid)
+                u = solver.solve(sl.ExpForcing(3.0 + 2.0j, x), x0)
+                sd = sl.assemble_U_V(solver, 2.0 + 4.0j)
+                results.append((kind, op.resolvent_sum(mus, weights, x),
+                                *(getattr(u, attr) for attr in ("values", "derivative_values",
+                                                                 "operator_values")),
+                                sd.U @ x, np.asarray(sd.V), sd.V_norm,
+                                sl.estimate_M(solver, sl.default_probes(op, seed=1)).ratios))
+                # a residual of rounding size, not a value to compare
+                assert sl.surjectivity_identity_check(op, sd, x) <= 1e-10
+        for sine, stored in zip(results[:2], results[2:]):
+            assert sine[0] is operators.SineMap and stored[0] is operators.EigenMap
+            for a, b in zip(sine[1:], stored[1:]):
+                a, b = np.asarray(a), np.asarray(b)
+                assert np.linalg.norm(a - b) <= 1e-11 * np.linalg.norm(b)
+
+    def test_memory_is_of_order_n_times_nodes(self, rng):
+        # n = 16383: the stored basis would be 2.1 GB real; eigh_tridiagonal's
+        # O(n^2) eigenvalues (about 4 s here) are taken outside the trace
+        op = sl.laplacian_1d(16383)
+        op.eigenvalues
+        n, nodes = op.dim, 64
+        x = random_vector(rng, n)
+        grid = sl.TimeGrid.uniform(1.0, panels=4, nodes_per_panel=4)
+        tracemalloc.start()
+        try:
+            factor = op.resolvent_factor
+            mus, weights = sl.build_contour(op, 0.1, node_count=nodes).nodes_and_weights()
+            op.resolvent_sum(mus, weights, x)
+            sl.estimate_M(sl.CauchySolver(op, grid),
+                          [(sl.ExpForcing(1.0, x), np.zeros(n, complex)),
+                           (sl.ZeroForcing(n), factor.column(0))])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert isinstance(factor, operators.SineMap) and len(grid.nodes) <= nodes
+        assert peak < 8 * 16 * n * nodes  # 134 MB; an n x n real array is 2147 MB
+
+
+class TestDenseCap:
+    """A dense consumer refuses a dim x dim array past _DENSE_MAX_DIM with a
+    ConfigError, allocating nothing of that size."""
+
+    def test_refused_past_the_cap(self, monkeypatch, rng):
+        monkeypatch.setattr(operators, "_DENSE_MAX_DIM", 8)
+        assert sl.laplacian_1d(8).matrix.shape == (8, 8)
+        for op in (sl.laplacian_1d(9), sl.jordan_block(-1.0, 9)):
+            with pytest.raises(ConfigError, match="dense 9 x 9"):
+                op.matrix
+
+    def test_large_operators_allocate_nothing(self, rng):
+        n = operators._DENSE_MAX_DIM + 1
+        lap, x = sl.laplacian_1d(n), random_vector(rng, n)
+        lap.eigenvalues  # eigh_tridiagonal, O(n) memory; not a dense consumer
+        tracemalloc.start()
+        try:
+            for consume in (lambda: lap.matrix, lambda: sl.jordan_block(-1.0, n).eigenvalues,
+                            lambda: lap.semigroup_apply_oracle(0.5, x),
+                            lambda: np.asarray(lap.resolvent_factor),
+                            lambda: sl.laplacian_1d(n, e0_norm="sup").resolvent_norms([1.0])):
+                with pytest.raises(ConfigError, match=f"dense {n} x {n}"):
+                    consume()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20  # the complex matrix would be 268 MB
 
 
 class TestGKLNorm:
@@ -976,13 +1145,20 @@ class TestBandedStorage:
         assert "matrix" not in op.__dict__
         assert np.array_equal(op.eigenvalues, eigs)
         factor = op.resolvent_factor
-        if isinstance(factor, operators.EigenMap):
+        if isinstance(factor, operators.SineMap):
+            # a Laplacian from _SINE_MIN_DIM on: the closed-form spectrum within
+            # eigh_tridiagonal's backward error, and no basis (TestSineBasis)
+            assert op.dim >= operators._SINE_MIN_DIM and Z is not None
+            eps, two_norm = np.finfo(float).eps, np.max(np.abs(T))
+            assert np.max(np.abs(factor.d - T)) <= op.dim * eps * two_norm
+        elif isinstance(factor, operators.EigenMap):
             got_Z, got_T = factor.Z, factor.d
         else:
             got_Z, got_T = factor
-        assert (got_Z is None) == (Z is None) and np.array_equal(got_T, T)
-        if Z is not None:
-            assert got_Z.dtype == Z.dtype and np.array_equal(got_Z, Z)
+        if not isinstance(factor, operators.SineMap):
+            assert (got_Z is None) == (Z is None) and np.array_equal(got_T, T)
+            if Z is not None:
+                assert got_Z.dtype == Z.dtype and np.array_equal(got_Z, Z)
         # only a non-Hermitian tridiagonal's eigenvalues and Schur form read the matrix
         assert ("matrix" in op.__dict__) == (structure == "tridiagonal" and not hermitian)
         assert np.array_equal(op.matrix, A) and not op.matrix.flags.writeable
@@ -1048,6 +1224,7 @@ class TestBandedStorage:
             exact = op.semigroup_apply_oracle(t, x)
             assert op.norm0(res.value - exact) <= 1e-6 * op.norm0(exact)
         assert "matrix" not in op.__dict__
+        assert largest_array(op.resolvent_factor) == op.dim  # its eigenvalues, no basis
 
 
 class TestSemigroupOracle:

@@ -20,7 +20,12 @@ eigenbasis carries the phases of its off-diagonal, and rows ``-2 -1 0`` /
 ``resolvent-scan``, ``reconstruct`` and ``verdict`` on jordan64, whose
 euclidean resolvent norms take Golub-Kahan-Lanczos on its Schur factor, and
 ``spectrum``, ``maxreg-estimate``, ``identity-check`` and ``verdict`` on
-lap1023, which run from its bands: 160 runs.
+lap1023, which run from its bands and the DST-I sine basis,
+``maxreg-estimate`` on lap4095, where n + 1 = 2^12 and a stored basis would
+take 134 MB, ``maxreg-estimate`` and ``identity-check`` on lap512 with the
+sup norm, which map the sine basis' solves to the standard basis and form
+V_mu densely, and ``resolvent-scan`` on lap4097 with the sup norm, which
+exits 1 where its dense matrix would pass the size cap: 164 runs.
 The probe file puts two steep exponential probes on each grid the 16-panel
 solves refine to (panels split in 2, 3 and 4), so the batched solves there
 stack more than one probe, next to two base-grid exponentials, a polynomial
@@ -75,8 +80,9 @@ RUNS = [[experiment] for experiment in EXPERIMENTS] + [
 # diagonal, whose solves form A u as lam u, not as the product u A^T; then a
 # Hermitian tridiagonal with a complex and one with a real eigenbasis, and a
 # non-normal operator at _GKL_MIN_DIM, whose scans and resolvent solves run on
-# its Schur factor, and a Laplacian stored by its bands whose dense matrix
-# no run forms
+# its Schur factor, and Laplacians stored by their bands, whose factor is the
+# DST-I sine basis and whose dense matrix no run forms: a sup-norm scan past
+# the dense cap refuses it
 CDIAG = "matrix = diag -1+2i,-0.5-3i,-2+0.25i,-0.1+7i\n"
 TRIDIAGONAL_RUNS = [["maxreg-estimate"], ["identity-check"], ["reconstruct"], ["weighted"]]
 LARGE = {"lap256": ("matrix = laplacian1d n=256\n", [["maxreg-estimate"], ["weighted"]]),
@@ -89,7 +95,11 @@ LARGE = {"lap256": ("matrix = laplacian1d n=256\n", [["maxreg-estimate"], ["weig
          "jordan64": ("matrix = jordan lambda=-2 size=64\n",
                       [["resolvent-scan"], ["reconstruct"], ["verdict"]]),
          "lap1023": ("matrix = laplacian1d n=1023\n",
-                     [["spectrum"], ["maxreg-estimate"], ["identity-check"], ["verdict"]])}
+                     [["spectrum"], ["maxreg-estimate"], ["identity-check"], ["verdict"]]),
+         "lap4095": ("matrix = laplacian1d n=4095\n", [["maxreg-estimate"]]),
+         "lap512-sup": ("matrix = laplacian1d n=512\ne0_norm = sup\n",
+                        [["maxreg-estimate"], ["identity-check"]]),
+         "lap4097-sup": ("matrix = laplacian1d n=4097\ne0_norm = sup\n", [["resolvent-scan"]])}
 
 
 def probe_text(dim):

@@ -1,6 +1,6 @@
 """List the statements of ``src/semilab`` that no CLI experiment or bench unit runs.
 
-Traces, with ``sys.settrace``, the 160 runs of ``tools/cli_digests.py``
+Traces, with ``sys.settrace``, the 164 runs of ``tools/cli_digests.py``
 (8 experiments, ``weighted --sigma 0.5``, ``reconstruct --T 0.5``,
 ``resolvent-scan`` on a ``grid:`` box, ``maxreg-estimate`` and ``verdict``
 with a probe file, ``identity-check`` on a comma-list ``--mu-grid``,
@@ -13,8 +13,10 @@ norm, then ``maxreg-estimate``, ``identity-check``, ``reconstruct`` and
 ``weighted`` on a 3 x 3 Hermitian tridiagonal with a complex and one with a
 real eigenbasis, and ``resolvent-scan``, ``reconstruct`` and ``verdict`` on
 jordan64, whose euclidean norms take Golub-Kahan-Lanczos, and ``spectrum``,
-``maxreg-estimate``, ``identity-check`` and ``verdict`` on lap1023) and one
-batch of each workload of ``bench/workloads.py`` (seed 1, every unit's
+``maxreg-estimate``, ``identity-check`` and ``verdict`` on lap1023, and
+``maxreg-estimate`` on lap4095, ``maxreg-estimate`` and ``identity-check`` on
+lap512 with the sup norm and ``resolvent-scan`` on lap4097 with the sup norm)
+and one batch of each workload of ``bench/workloads.py`` (seed 1, every unit's
 ``run`` and ``check``), then prints ``path:line: source`` for every statement of
 ``src/semilab`` that never ran, in file order. The import of
 semilab itself is traced, so module-level statements count as run.
