@@ -219,7 +219,11 @@ class OperatorPair:
         """E0 operator norm of a matrix B, or of B^-1 where inverse: a float for one matrix,
         an array for a stack. Euclidean: sigma_max (np.linalg.norm(B, 2)) or 1 / sigma_min of
         one stacked SVD; sup: the largest row sum of |B|, or of |B^-1| from one stacked inverse.
-        The one place dense norms fail closed: a non-finite entry or norm reads inf."""
+        The one place dense norms fail closed: a non-finite entry or norm reads inf. The
+        sup norm of a diagonal EigenMap (Z = I) reads its d, with the same bits."""
+        if isinstance(B, EigenMap) and B.identity and self.e0_norm == "sup" and not inverse:
+            # the largest row sum of |diag(d)| is max |d|; a non-finite entry reads inf
+            return float(np.fmin(np.abs(B.d).max(), math.inf))
         B = np.asarray(B)
         if not np.isfinite(B).all():  # the non-finite matrices read inf and never reach LAPACK
             finite = np.isfinite(B).all(axis=(-2, -1))

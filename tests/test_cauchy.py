@@ -290,9 +290,11 @@ class TestBackendsAgree:
 
 
 class TestEdgeFunctionals:
-    """exp_functionals propagates panel edges only and, for a normal operator
-    in the euclidean norm, reads ||v(T)|| from eigen coordinates; checked
-    against all-node tables, against solve and against the SVD / row-sum norm."""
+    """exp_functionals takes no interior node (on the dense backend it
+    propagates panel edges only, checked against all-node tables; the eigen
+    backend sums runs without _propagate) and, for a normal operator in the
+    euclidean norm, reads ||v(T)|| from eigen coordinates; checked against
+    solve and against the SVD / row-sum norm."""
 
     MAKERS = {
         "diag": lambda e0: sl.diagonal_operator([-1.0, -2.0], e0_norm=e0),
@@ -612,11 +614,12 @@ class TestEdgeScan:
             Y = np.ones(v0.shape)
         vals = np.empty((grid.panels * step + 1,) + v0.shape, dtype=complex)
         vals[0], integral = v0, np.zeros(v0.shape, dtype=complex)
-        nominal = []
+        tables = {}  # the tables of each nominal width
         for i, h in enumerate(np.diff(grid.edges)):
-            h = next((g for g in nominal if abs(h - g) <= 1e-12 * g), h)
-            nominal.append(h)
-            P, W, H1, G = solver._panel_tables(shift, h, nodes)
+            h = next((g for g in tables if abs(h - g) <= 1e-12 * g), h)
+            if h not in tables:
+                tables[h] = solver._panel_tables(shift, h, nodes)
+            P, W, H1, G = tables[h]
             start = vals[i * step]
             for j in range(len(P)):
                 vals[i * step + 1 + j] = P[j] * start + sum(W[m, j] * Y * F[i, m]
@@ -644,6 +647,75 @@ class TestEdgeScan:
                                                       nodes)
             for got, ref in ((vals, ref_vals), (integral, ref_integral)):
                 assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref)), shift
+
+
+class TestRunSums:
+    """On a normal operator exp_functionals sums each run of equal panels by
+    binary powering (_run_sums); checked against the panel march
+    TestEdgeScan._sequential on the solver's refined grid. The grids: one run
+    of 16, 5, 7, 100 and 112 panels (the last four reach the combine of a set
+    bit), the 112-panel refined(7) grid and the mixed grid of four runs,
+    whose runs after the first start from a nonzero edge."""
+
+    MAKERS = {
+        "diag": lambda e0: sl.diagonal_operator([-1.0, -2.0], e0_norm=e0),
+        "lap16": lambda e0: sl.laplacian_1d(16, e0_norm=e0),
+        "lap256": lambda e0: sl.laplacian_1d(256, e0_norm=e0),
+        "lap512": lambda e0: sl.laplacian_1d(512, e0_norm=e0),  # a SineMap
+        "normal16": lambda e0: sl.random_normal_operator(16, seed=7, e0_norm=e0),
+    }
+    GRIDS = {"uniform": lambda T: sl.TimeGrid.uniform(T, panels=16),
+             "refined": lambda T: sl.TimeGrid.uniform(T, panels=16).refined(7),
+             "mixed": lambda T: sl.TimeGrid(T * np.array([0.0, 0.1, 0.3, 0.35, 1.0])).refined(3),
+             **{f"run{n}": (lambda T, n=n: sl.TimeGrid.uniform(T, panels=n))
+                for n in (5, 7, 100, 112)}}
+
+    @pytest.mark.parametrize("e0_norm", ["euclidean", "sup"])
+    @pytest.mark.parametrize("name", sorted(MAKERS))
+    def test_matches_panel_march(self, name, e0_norm):
+        op = self.MAKERS[name](e0_norm)
+        assert op.diagonalization is not None
+        v0 = np.zeros((op.dim, 1), dtype=complex)
+        for grid_name, make in self.GRIDS.items():
+            for T in (0.01, 1.0, 23.0):
+                solver = sl.CauchySolver(op, make(T))
+                for mu in (1e-6, 0.5, 2.0 + 4.0j, 32.0 - 16.0j):
+                    case = (grid_name, T, mu)
+                    try:
+                        refined = solver.refined_for(2.0 * mu.real)
+                    except ConfigError:  # 6372 panels, past MAX_PANELS
+                        assert case == ("mixed", 23.0, 32.0 - 16.0j)
+                        continue
+                    W, VT, vt_norm = solver.exp_functionals(mu)
+                    F = np.exp(-2.0 * mu.real * refined.grid.gl_times)
+                    vals, integral = TestEdgeScan._sequential(refined, complex(mu), F, None, v0,
+                                                              nodes=False)
+                    for got, ref in ((VT.d, vals[-1, :, 0]), (W.d, integral[:, 0])):
+                        scale = np.max(np.abs(ref))
+                        if scale < 1e-300:  # v(T) underflows
+                            assert np.max(np.abs(got)) < 1e-300, case
+                        else:
+                            assert np.max(np.abs(got - ref)) <= 1e-11 * scale, case
+                    ref = VT.with_values(vals[-1, :, 0])
+                    ref_norm = (np.max(np.abs(ref.d)) if e0_norm == "euclidean"
+                                else op.operator_norm(ref))
+                    assert vt_norm == pytest.approx(ref_norm, rel=1e-11, abs=1e-300), case
+
+    def test_memory_does_not_grow_with_panels(self):
+        # the 25 mu of identity-check on lap256: 16 panels (refined to up to
+        # 112) and 1024, where an array over the edges would take 6x the peak
+        op = sl.laplacian_1d(256)
+        op.diagonalization  # the factor is not part of the solve
+        peaks = []
+        for panels in (16, 1024):
+            solver = sl.CauchySolver(op, sl.TimeGrid.uniform(1.0, panels=panels))
+            tracemalloc.start()
+            try:
+                sl.assemble_U_V_batch(solver, MU_GRID_25)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.5 * peaks[0]
 
 
 class TestRefinedSolvers:
@@ -827,12 +899,21 @@ class TestBatches:
     @pytest.mark.parametrize("name", ["diag", "lap16", "jordan3"])
     def test_identity_mus_one_propagation_per_refined_grid(self, grid, corpus, monkeypatch,
                                                            name):
-        # the 25 mu of identity-check: real parts 0.5 .. 32 on 3 grids
-        solver = sl.CauchySolver(corpus[name], grid)
-        calls = counting_propagate(monkeypatch)
+        # the 25 mu of identity-check: real parts 0.5 .. 32 on 3 grids, each one
+        # run of equal panels; the eigen backend sums the runs without
+        # propagating, from one phi_scalar call per run and grid
+        op = corpus[name]
+        solver = sl.CauchySolver(op, grid)
+        calls, phis = counting_propagate(monkeypatch), []
+        phi_scalar = cauchy.phi_scalar
+        monkeypatch.setattr(cauchy, "phi_scalar", lambda *a: phis.append(1) or phi_scalar(*a))
         sds = sl.assemble_U_V_batch(solver, MU_GRID_25)
         grids = {solver.refined_for(2 * m.real) for m in MU_GRID_25}
-        assert len(sds) == 25 and len(calls) == len(grids) == 3
+        assert len(sds) == 25 and len(grids) == 3
+        if op.diagonalization is None:
+            assert len(calls) == 3
+        else:
+            assert len(calls) == 0 and len(phis) == 3
 
     def test_dense_memory_of_many_probes(self, grid):
         # 64 probes on a dense n = 64 operator: the stacks of a chunk stay

@@ -215,6 +215,28 @@ class TestOperatorNorm:
         assert sl.jordan_block(-2.0, 2, e0_norm="sup").operator_norm(big) == np.inf
         assert sl.jordan_block(-2.0, 2).operator_norm(np.zeros((2, 2)), inverse=True) == np.inf
 
+    def test_diagonal_sup_norm_reads_d(self, rng):
+        # diag(d) with Z = I: max |d|, or inf where an entry is not finite, with
+        # the bits of the dense row-sum rule, and no n x n array
+        op = sl.diagonal_operator([-1.0, -2.0], e0_norm="sup")
+        d = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+        for bad in (None, np.inf, -np.inf, complex(np.nan, 1.0), complex(-np.inf, np.nan)):
+            e = d.copy()
+            if bad is not None:
+                e[2] = bad
+            got = op.operator_norm(operators.EigenMap(None, e))
+            assert type(got) is float and got == op.operator_norm(np.diag(e)), bad
+            assert (got == np.inf) == (bad is not None)
+        n = 2000
+        big = operators.EigenMap(None, rng.standard_normal(n) + 0j)
+        tracemalloc.start()
+        try:
+            op.operator_norm(big)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * n * 4  # a few (n,) arrays; diag(d) would take 16 n^2 bytes
+
     def test_lapack_failure_is_an_eigen_failure(self):
         # two threads before the block, so that restoring them is seen
         pins = operators._openblas_threads()

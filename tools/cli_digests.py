@@ -5,10 +5,11 @@ Runs the 8 experiments of ``semilab.cli``, and ``weighted --sigma 0.5``,
 ``maxreg-estimate`` and ``verdict`` with a probe file, ``identity-check`` on a
 comma list of three shifts, ``maxreg-estimate --T 16`` (whose h = 1 phi
 tables square), and ``identity-check --T 23`` and ``reconstruct --mu-grid
-1000``, whose Re mu T passes log(max double) ~ 709.8, besides, with ``--seed
-61`` on eight operator files (a diagonal n=4, lap64, jordan8 and a random
-normal operator of dim 16, each with the euclidean and with the sup E0
-norm): 136 runs, then ``maxreg-estimate`` and
+1000``, whose Re mu T passes log(max double) ~ 709.8, and ``identity-check
+--panels 100``, whose runs of 100 and 200 panels have odd bits, besides, with
+``--seed 61`` on eight operator files (a diagonal n=4, lap64, jordan8 and a
+random normal operator of dim 16, each with the euclidean and with the sup E0
+norm): 144 runs, then ``maxreg-estimate`` and
 ``weighted`` on lap256, ``identity-check``, ``reconstruct`` and ``verdict``
 on the dense 2 x 2 rows ``800 1`` / ``0 -1``, whose u(T) overflows, and
 ``maxreg-estimate`` and ``weighted`` on the complex diagonal
@@ -25,7 +26,7 @@ lap1023, which run from its bands and the DST-I sine basis,
 take 134 MB, ``maxreg-estimate`` and ``identity-check`` on lap512 with the
 sup norm, which map the sine basis' solves to the standard basis and form
 V_mu densely, and ``resolvent-scan`` on lap4097 with the sup norm, which
-exits 1 where its dense matrix would pass the size cap: 164 runs.
+exits 1 where its dense matrix would pass the size cap: 172 runs.
 The probe file puts two steep exponential probes on each grid the 16-panel
 solves refine to (panels split in 2, 3 and 4), so the batched solves there
 stack more than one probe, next to two base-grid exponentials, a polynomial
@@ -63,7 +64,8 @@ PROBES = "probes.txt"  # written under the run's root for each operator
 # every experiment with its defaults, then the weighted path below sigma = 1,
 # the omega2 search on a second bracket, [1e-6, 128], a scan of a grid: box, the
 # probe file, a comma-list --mu-grid, T = 16, where unshifted panels reach h = 1,
-# and two runs past Re mu T ~ 709.8, where e^{mu T} would overflow
+# two runs past Re mu T ~ 709.8, where e^{mu T} would overflow, and runs of 100
+# panels (200 once refined), whose closed-form run sums combine odd bits
 RUNS = [[experiment] for experiment in EXPERIMENTS] + [
     ["weighted", "--sigma", "0.5"],
     ["reconstruct", "--T", "0.5"],
@@ -73,7 +75,8 @@ RUNS = [[experiment] for experiment in EXPERIMENTS] + [
     ["identity-check", "--mu-grid", "0.5,1+2i,4-3i"],
     ["maxreg-estimate", "--T", "16"],
     ["identity-check", "--T", "23"],
-    ["reconstruct", "--mu-grid", "1000"]]
+    ["reconstruct", "--mu-grid", "1000"],
+    ["identity-check", "--panels", "100"]]
 # the eigen-coordinate solves at a size where mapping every node back to the
 # standard basis would dominate them, a dense operator whose u(T) has
 # non-finite entries, which the dense E0 norms read as inf, and a complex

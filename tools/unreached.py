@@ -1,11 +1,12 @@
 """List the statements of ``src/semilab`` that no CLI experiment or bench unit runs.
 
-Traces, with ``sys.settrace``, the 164 runs of ``tools/cli_digests.py``
+Traces, with ``sys.settrace``, the 172 runs of ``tools/cli_digests.py``
 (8 experiments, ``weighted --sigma 0.5``, ``reconstruct --T 0.5``,
 ``resolvent-scan`` on a ``grid:`` box, ``maxreg-estimate`` and ``verdict``
 with a probe file, ``identity-check`` on a comma-list ``--mu-grid``,
-``maxreg-estimate --T 16``, ``identity-check --T 23`` and ``reconstruct
---mu-grid 1000``, each on 8 operator files, then
+``maxreg-estimate --T 16``, ``identity-check --T 23``, ``reconstruct
+--mu-grid 1000`` and ``identity-check --panels 100``, each on 8 operator
+files, then
 ``maxreg-estimate`` and ``weighted`` on lap256, ``identity-check``,
 ``reconstruct`` and ``verdict`` on a dense 2 x 2 whose u(T) overflows, and
 ``maxreg-estimate`` and ``weighted`` on a complex diagonal with each E0
