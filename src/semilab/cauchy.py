@@ -7,31 +7,28 @@ A = 0 this reduces to the classical panel Gauss-Legendre rule; for stiff
 spectra it keeps boundary layers accurate, which the surjectivity-identity
 checks need.
 
-Every solve runs through one panel propagator. For a shift s it builds, once
-per call and per nominal panel width h (widths within 1e-12 relative share
-one), the tables of a panel: the propagators e^{h r (A - s)} from the panel
-start to each output point r (the q Gauss nodes and the right edge, or the
-right edge alone), the weights that map the q forcing samples to each output
-point, and the weights of the integral over the panel. The solver keeps the
-unshifted (s = 0) tables for all its solves; a shifted table serves one mu
-and is dropped with its call. The runs of panels on one nominal width are
-found once per solver. When A is normal the tables are (dim, 1) columns in
-the eigen coordinates of the operator's resolvent factor, an EigenMap (a
-stored unitary basis Z, or the DST-I sine basis of a SineMap, applied by FFT,
-for a large Laplacian), from scalar phi functions, applied elementwise, and
-W and VT stay EigenMaps on the same basis; for non-normal A
-they are dim x dim matrices, all output points at once by batched Taylor sums
-and modified squarings, applied by products. On either backend a table's
+Every solve runs through one panel propagator, and its tables serve the
+solves alone. Per nominal panel width h (widths within 1e-12 relative share
+one) the solver builds once, and keeps, the tables of a panel: the
+propagators e^{h r A} from the panel start to each output point r (the q
+Gauss nodes and the right edge), the weights that map the q forcing samples
+to each output point, and the weights of the integral over the panel. The
+runs of panels on one nominal width are found once per solver. When A is
+normal the tables are (dim, 1) columns in the eigen coordinates of the
+operator's resolvent factor, an EigenMap (a stored unitary basis Z, or the
+DST-I sine basis of a SineMap, applied by FFT, for a large Laplacian), from
+scalar phi functions, applied elementwise; for non-normal A they are
+dim x dim matrices, all output points at once by batched Taylor sums and
+modified squarings, applied by products. On either backend a table's
 weights are BLAS products on the float view of its phi rows: one batched
 product with the (q x q) coefficient matrix, its powers of r folded in per
 output point, makes W, and one product makes G.
 
-Every forcing is a scalar profile p(t) times a fixed block Y: f = p y for
-solve, with y mapped into eigen coordinates once, and p = e^{-2 Re mu t}
-times the identity for exp_functionals. The panel rule is exact for such a
+Every solve's forcing is a scalar profile p(t) times a fixed block y, with
+y mapped into eigen coordinates once. The panel rule is exact for such a
 forcing with polynomial p (Hochbruck & Ostermann, Acta Numer. 19, 2010), so
 this one form loses nothing. The propagator multiplies each table's weights
-by Y once, so on either backend a run's forcing terms are one BLAS product
+by y once, so on either backend a run's forcing terms are one BLAS product
 of the run's (run, q) profile block with the (q, rest) weights, and no
 dim x dim forcing sample per node is formed. Every solve comes back in the
 coordinates it was propagated in (_Solution): v = Z* u when the normal
@@ -46,37 +43,41 @@ The dense backend loops over the panel edges, since a scan would multiply
 its dim^3 products by log(panels). On both, the interior nodes then follow
 from their panels' starts in one stacked product.
 
-exp_functionals on the eigen backend does not propagate. Its profile is
-exponential, so in a run of n panels of width h the forcing term of panel i
-is rho^i b_0, rho = e^{-2 Re mu h}, and the run's end edge and edge sum are
-closed-form sums of powers of P and rho, found by binary powering over the
-bits of n (_run_sums): O(log panels) elementwise work per shift and no
-array over the panels. The dense backend keeps the panel march: powering a
-non-normal P squares its transient growth. On a Q(D + N)Q* of dim 64 whose
-||e^{tA}|| peaks near 1.4e4, at T = 23 on 16 panels, the worst identity
-residual over the 25 mu of identity-check was 2.0e-11 by the march and
-1.8e-7 by powering.
+exp_functionals builds no panel table and does not propagate. Its forcing
+is p = e^{-2 Re mu t} times the identity and its shift mu, so for each run
+width h it takes only phi_0..phi_{q+1} of h(A - mu) at the right edge, and
+the first panel's profile samples in coefficient space, c = h f coef: the
+panel's forcing terms are beta = sum_p c_p phi_{p+1} for v and
+gamma = h sum_p c_p phi_{p+2} for its integral. The profile is exponential,
+so in a run of n panels the forcing term of panel i is rho^i beta,
+rho = e^{-2 Re mu h}. The eigen backend takes the run's end edge and edge
+sum as closed-form sums of powers of P and rho, found by binary powering
+over the bits of n (_run_sums): O(log panels) elementwise work per shift
+and no array over the panels. The dense backend marches the run's edges,
+since powering a non-normal P squares its transient growth. On a
+Q(D + N)Q* of dim 64 whose ||e^{tA}|| peaks near 1.4e4, at T = 23 on 16
+panels, the worst identity residual over the 25 mu of identity-check,
+reached at Re mu <= 2, was 1.7e-11 by the march and 2.2e-7 by powering.
 
-The propagator runs one problem, or a batch of problems on a leading axis:
-the probes of solve_batch, or the shifts of exp_functionals_batch, that
-share a refined solver. Each problem's node values are one contiguous
-block, so each per-problem product is the single problem's BLAS call; the
-shifted tables of a batch come from one phi_scalar or phi_matrices call on
-the stacked shifts, and the kept unshifted tables are broadcast over it. A
-batch whose stacks would pass operators.BATCH_BYTES is cut into chunks of
-at least one item. solve and exp_functionals run the same code on one
-item without the batch axis, with the same bits.
+solve_batch runs a batch of probes that share a refined solver through the
+propagator on a leading axis, and exp_functionals_batch a batch of shifts
+through the right-edge rows, all shifts' rows from one phi_scalar or
+phi_matrices call. Each problem's values are one contiguous block, so each
+per-problem product is the single problem's BLAS call. A batch whose stacks
+would pass operators.BATCH_BYTES is cut into chunks of at least one item.
+solve runs the same code on one item without the batch axis, and
+exp_functionals on a batch of one, with the same bits.
 
 A steep forcing profile runs on a refined solver, whose grid splits each panel
 to keep width * rate under a budget. The solver keeps one refined solver per
-split count, so a refined grid and its unshifted tables are built once. They
+split count, so a refined grid and its panel tables are built once. They
 live as long as the parent: on the dense backend a table of all nodes holds
 (q+1)(q+2) dim^2 complex entries, 94 MB at dim 256 and q = 8.
 
 The solver doubles as the black-box K_A interface of the resolvent
 reconstruction: it exposes solutions and solution functionals (panel
 integrals and the tilted end value e^{-mu T} u(T) with its E0 norm, from
-panel edges only, or from run sums) but never hands out the matrix.
+the right-edge phi rows) but never hands out the matrix.
 """
 
 from __future__ import annotations
@@ -98,11 +99,11 @@ _RATE_BUDGET = 0.6
 
 
 @lru_cache(maxsize=16)
-def _panel_weights(q, nodes):
+def _panel_weights(q):
     """(rs, coef, rpow) of a panel table with q Gauss-Legendre nodes xi on
-    [0, 1]: the output points rs (xi and then 1 if nodes, else 1 alone),
-    coef[m, p] = p! C[m, p] with C[m, p] the coefficient of sigma^p in the m-th
-    Lagrange basis polynomial on xi, and rpow[p, j] = rs[j]^{p+1}."""
+    [0, 1]: the output points rs (xi and then 1), coef[m, p] = p! C[m, p]
+    with C[m, p] the coefficient of sigma^p in the m-th Lagrange basis
+    polynomial on xi, and rpow[p, j] = rs[j]^{p+1}."""
     xi = gauss_legendre_01(q)
     C = np.zeros((q, q))
     for m in range(q):
@@ -113,7 +114,7 @@ def _panel_weights(q, nodes):
                 poly = np.polynomial.polynomial.polymul(poly, np.array([-xi[i], 1.0]))
                 denom *= xi[m] - xi[i]
         C[m, : len(poly)] = poly / denom
-    rs = np.append(xi, 1.0) if nodes else np.ones(1)
+    rs = np.append(xi, 1.0)
     coef = C * np.array([math.factorial(p) for p in range(q)])
     return rs, coef, rs[None, :] ** np.arange(1, q + 1)[:, None]
 
@@ -124,7 +125,7 @@ class CauchySolver:
     def __init__(self, op, grid):
         self.op = op
         self.grid = grid
-        self._tables, self._weights, self._refined = {}, {}, {}
+        self._tables, self._refined = {}, {}
         # runs [start, stop, h] of consecutive panels within 1e-12 of one nominal width h
         widths = np.diff(grid.edges).tolist()
         self._hmax, self._runs = max(widths), []
@@ -162,71 +163,53 @@ class CauchySolver:
             groups.setdefault(self.refined_for(rate) if rate else self, []).append(i)
         return groups.items()
 
-    # -- the panel propagator ---------------------------------------------------
+    # -- the panel propagator of the solves ---------------------------------------
 
-    def _panel_tables(self, shift, h, nodes):
-        """(P, W, H1, G) for v' = Bv + f, B = A - shift, on a panel of width
-        h, with r_j the q Gauss nodes of [0, 1] and then 1 if nodes, else 1
-        alone: P[j] = e^{h r_j B}, W[m, j] the weight of the m-th forcing
-        sample in v(h r_j), H1 = h phi_1(hB) and G[m] the weight of the m-th
-        forcing sample in the integral of v over the panel. Eigen backend:
-        (dim, 1) columns; dense backend: dim x dim matrices. A 1-D array
-        of shifts stacks one table per shift on a leading axis, all from one
-        phi_scalar or phi_matrices call. W and G are real products of (q x q)
-        coefficients with the float view of the phi rows, per table; W is
-        written into place, so no table-sized temporary is made. The
-        unshifted tables (shift 0) are kept."""
-        key = (h, nodes)
-        unshifted = np.ndim(shift) == 0 and shift == 0
-        if unshifted and key in self._tables:
-            return self._tables[key]
+    def _panel_tables(self, h):
+        """(P, W, H1, G) for u' = Au + f on a panel of width h, with r_j the q
+        Gauss nodes of [0, 1] and then 1: P[j] = e^{h r_j A}, W[m, j] the
+        weight of the m-th forcing sample in u(h r_j), H1 = h phi_1(hA) and
+        G[m] the weight of the m-th forcing sample in the integral of u over
+        the panel. Eigen backend: (dim, 1) columns; dense backend: dim x dim
+        matrices, all from one phi_scalar or phi_matrices call. W and G are
+        real products of (q x q) coefficients with the float view of the phi
+        rows; W is written into place, so no table-sized temporary is made.
+        The tables serve the solves and are kept per width."""
+        if h in self._tables:
+            return self._tables[h]
         q = self.grid.nodes_per_panel
-        if key not in self._weights:  # the h r_j column and the W and G coefficients
-            rs, coef, rpow = _panel_weights(q, nodes)
-            self._weights[key] = (h * rs)[:, None], h * coef * rpow.T[:, None, :], (h * h) * coef
-        hrs, wcoef, gcoef = self._weights[key]
-        shift = np.asarray(shift)[..., None, None]
-        lead, diag = shift.shape[:-2], self.op.diagonalization
-        if diag is not None:
-            # PHI[k, ..., j] = phi_k(h r_j B), shape (q+2,) + lead + (len(rs), dim, 1)
-            z = hrs * (diag.d - shift)
-            PHI = phi_scalar(q + 1, z.reshape(-1, self.dim)).reshape((q + 2,) + z.shape + (1,))
+        rs, coef, rpow = _panel_weights(q)
+        hrs, diag = (h * rs)[:, None], self.op.diagonalization
+        if diag is not None:  # PHI[k, j] = phi_k(h r_j A), shape (q+2, len(rs), dim, 1)
+            PHI = phi_scalar(q + 1, hrs * diag.d)[..., None]
         else:
-            B = self.op.matrix - shift * np.eye(self.dim)
-            PHI = phi_matrices(hrs[..., None] * B[..., None, :, :], q + 1)
+            PHI = phi_matrices(hrs[..., None] * self.op.matrix, q + 1)
         # the interpolant of the samples f_m is sum_p c_p sigma^p with
-        # c_p = sum_m C[m, p] f_m, and int_0^{hr} e^{(hr-s)B} (s/h)^p ds
-        # = h r^{p+1} p! phi_{p+1}(h r B): per output point j, W[:, j] is the
+        # c_p = sum_m C[m, p] f_m, and int_0^{hr} e^{(hr-s)A} (s/h)^p ds
+        # = h r^{p+1} p! phi_{p+1}(h r A): per output point j, W[:, j] is the
         # real (q, q) matrix h coef[m, p] rpow[p, j] times the phi rows, all
         # points in one batched product on the float view of R, the phi rows
         # with the orders moved next to the last axis
-        R = PHI.view(float).reshape((q + 2,) + lead + (len(hrs), -1))
-        R = R.transpose(tuple(range(1, R.ndim - 1)) + (0, R.ndim - 1))
-        W = np.empty(lead + (q,) + PHI.shape[-3:], dtype=complex)
-        np.matmul(wcoef, R[..., 1:q + 1, :],
-                  out=W.view(float).reshape(lead + (q, len(hrs), -1)).swapaxes(-3, -2))
-        G = (gcoef @ R[..., -1, 2:, :]).view(complex)
-        tab = (PHI[0], W, h * PHI[1, ..., -1, :, :], G.reshape(lead + (q,) + PHI.shape[-2:]))
-        if unshifted:
-            self._tables[key] = tab
-        return tab
+        R = PHI.view(float).reshape(q + 2, len(rs), -1).swapaxes(0, 1)
+        W = np.empty((q,) + PHI.shape[1:], dtype=complex)
+        np.matmul(h * coef * rpow.T[:, None, :], R[:, 1:q + 1, :],
+                  out=W.view(float).reshape(q, len(rs), -1).swapaxes(0, 1))
+        G = ((h * h) * coef @ R[-1, 2:, :]).view(complex)
+        self._tables[h] = PHI[0], W, h * PHI[1, -1], G.reshape((q,) + PHI.shape[-2:])
+        return self._tables[h]
 
-    def _propagate(self, shift, F, Y, v0, nodes):
-        """Node values (panel edges only unless nodes) and integral over [0, T]
-        of v' = (A - shift) v + p(t) Y, v(0) = v0, in backend coordinates, for
-        one problem or a batch of them on one leading axis. v0 has shape
-        batch + (dim, c) ((dim, 1) columns in the eigen backend, dim x dim for
-        the identity in the dense one) and the node values batch + (nodes,
-        dim, c), each problem's a contiguous block. F holds the profiles p at
-        the Gauss nodes, batch + (panels, q); Y has v0's shape, or is None for
-        the identity. shift is one number for all problems (the unshifted
-        tables are kept) or an array of one shift per problem. Each table's W
-        and G are multiplied by Y once and laid out as (q, rest), so a run's
-        forcing terms are one (stacked) product with its (run, q) profile
-        blocks, its integral one with their column sums."""
+    def _propagate(self, F, Y, v0):
+        """Node values and integral over [0, T] of u' = Au + p(t) Y,
+        u(0) = v0, in backend coordinates, for one problem or a batch of them
+        on one leading axis. v0 and Y have shape batch + (dim, c) and the node
+        values batch + (nodes, dim, c), each problem's a contiguous block. F
+        holds the profiles p at the Gauss nodes, batch + (panels, q). Each
+        table's W and G are multiplied by Y once and laid out as (q, rest),
+        so a run's forcing terms are one (stacked) product with its (run, q)
+        profile blocks, its integral one with their column sums. It serves
+        the solves; exp_functionals does not propagate."""
         grid = self.grid
-        q = grid.nodes_per_panel
-        step = q + 1 if nodes else 1
+        step = grid.nodes_per_panel + 1
         eigen = self.op.diagonalization is not None
         lead, core = v0.shape[:-2], v0.shape[-2:]
         vals = np.empty(lead + (grid.panels * step + 1,) + core, dtype=complex)
@@ -235,10 +218,9 @@ class CauchySolver:
         tables = {}
         for k, stop, h in self._runs:
             if h not in tables:
-                P, W, H1, G = self._panel_tables(shift, h, nodes)
-                if Y is not None:
-                    YW, YG = Y[..., None, None, :, :], Y[..., None, :, :]
-                    W, G = (W * YW, G * YG) if eigen else (W @ YW, G @ YG)
+                P, W, H1, G = self._panel_tables(h)
+                YW, YG = Y[..., None, None, :, :], Y[..., None, :, :]
+                W, G = (W * YW, G * YG) if eigen else (W @ YW, G @ YG)
                 tables[h] = P, W.reshape(W.shape[:-3] + (-1,)), H1, G.reshape(G.shape[:-2] + (-1,))
             P, W, H1, G = tables[h]
             # out and Fk are views: B_k goes straight into vals, F is not copied
@@ -256,7 +238,7 @@ class CauchySolver:
                 # e_{i+1} = P e_i + b_i as a prefix scan: after the pass with
                 # Q = P^s, ends[i] sums P^(i-j) b_j over the 2s panels j <= i.
                 # Q is squared only for a further pass, so it stays below P^run.
-                Q, s = P[..., -1, :, :], 1
+                Q, s = P[-1], 1
                 ends[:1] += Q * first[:1]
                 while s < run:
                     ends[s:] += Q * ends[:-s]
@@ -265,13 +247,12 @@ class CauchySolver:
                         Q = Q * Q
                 integral += H1 * first.sum(axis=0)
             else:  # a scan would multiply the d^3 products by log(panels)
-                P_end = P[..., -1, :, :]
                 for i in range(run):  # first[i] is ends[i - 1] for i > 0
-                    ends[i] += P_end @ first[i]
+                    ends[i] += P[-1] @ first[i]
                 integral += H1 @ starts.sum(axis=-3)
-            if nodes:  # the interior nodes from their panels' starts, in one product
-                product = np.multiply if eigen else np.matmul
-                out[..., :-1, :, :] += product(P[..., None, :-1, :, :], starts[..., None, :, :])
+            # the interior nodes from their panels' starts, in one product
+            product = np.multiply if eigen else np.matmul
+            out[..., :-1, :, :] += product(P[None, :-1], starts[..., None, :, :])
         return vals, integral
 
     # -- public solves ----------------------------------------------------------
@@ -312,7 +293,7 @@ class CauchySolver:
         Y, v0 = y[..., None], x0[..., None]
         if op.diagonalization is not None:
             Y, v0 = op.diagonalization.adjoint(Y), op.diagonalization.adjoint(v0)
-        v, _ = self._propagate(0.0, F, Y, v0, nodes=True)
+        v, _ = self._propagate(F, Y, v0)
         return _Solution(grid, op, v[..., 0], p[..., None] * Y[..., None, :, 0], p, y, x0)
 
     def exp_functionals(self, mu):
@@ -322,13 +303,11 @@ class CauchySolver:
         on x; EigenMaps in the eigen backend), and vt_norm the E0 operator
         norm of VT: exp_functionals_batch for one mu, without a batch axis.
         v solves v' = (A - mu) v + e^{-2 Re mu t} x, whose smooth profile keeps
-        oscillation in mu from the interpolation; no e^{mu T} is formed. The
-        eigen backend sums each run of equal panels in closed form
-        (_exp_functionals), the dense one propagates the panel edges alone.
+        oscillation in mu from the interpolation; no e^{mu T} is formed.
         Z being unitary, the eigen backend's euclidean vt_norm is the largest
         |eigenvalue| of VT."""
         mu = complex(mu)
-        return self.refined_for(2.0 * mu.real)._exp_functionals(mu)[0]
+        return self.refined_for(2.0 * mu.real)._exp_functionals(np.array([mu]))[0]
 
     def exp_functionals_batch(self, mus):
         """[(W, VT, vt_norm)] of exp_functionals for each mu, from one
@@ -337,9 +316,9 @@ class CauchySolver:
         eigen = self.op.diagonalization is not None
         out = [None] * len(mus)
         for solver, idx in self._groups([2.0 * mu.real for mu in mus]):
-            # a shifted table's transients: phi_scalar's 35-term power table and
-            # its products, or the 25 Taylor powers, then the phi rows, W and G:
-            # about 150 rows, and on the dense backend the edge values
+            # the transients of a shift's phi rows: phi_scalar's 35-term power
+            # table and its products, or the 25 Taylor powers, then the q + 2
+            # rows: about 150 rows, and on the dense backend the edge array
             rows = 150 if eigen else self.dim * (solver.grid.panels + 150)
             for part in chunks(idx, 16 * self.dim * rows):
                 for i, res in zip(part, solver._exp_functionals(np.array([mus[i] for i in part]))):
@@ -347,44 +326,62 @@ class CauchySolver:
         return out
 
     def _exp_functionals(self, m):
-        """[(W, VT, vt_norm)] on this solver's grid for the shift m, or for
-        each shift of the 1-D array m. The dense backend propagates the panel
-        edges of v. In eigen coordinates the response to the profile
-        p(t) = e^{-2 Re m t} times I is diagonal, and a panel's forcing term
-        in a run of width h is rho^i times the run's first, rho = p(h): the
-        run's end edge and integral take the sums of _run_sums, from one
-        table of the right edge per width, so a shift costs O(log panels)
-        elementwise work and no array over the panels (Hochbruck &
-        Ostermann, Acta Numer. 19, 2010)."""
-        grid, op = self.grid, self.op
-        diag = op.diagonalization
-        if diag is None:
-            v0 = np.zeros(np.shape(m) + (self.dim, self.dim), dtype=complex)
-            v, w = self._propagate(m, np.exp(np.multiply.outer(-2.0 * m.real, grid.gl_times)),
-                                   None, v0, nodes=False)
-            VT = v[..., -1, :, :].copy()  # not a view that keeps every edge value
-            norms = op.operator_norm(VT)  # one call for the whole batch
-            return list(zip(w, VT, norms.tolist())) if np.ndim(m) else [(w, VT, norms)]
-        lead, q, tables = np.shape(m), grid.nodes_per_panel, {}
-        decay = -2.0 * np.real(m)  # the profile's rate
+        """[(W, VT, vt_norm)] on this solver's grid for each shift of the 1-D
+        array m, from phi_0..phi_{q+1} of h(A - m) at the right edge of a
+        panel of each width h, with no panel table. The profile
+        p(t) = e^{-2 Re m t} is exponential, so in a run of width h the
+        forcing term of panel i is rho^i times the first panel's, rho = p(h)
+        (Hochbruck & Ostermann, Acta Numer. 19, 2010). Those are beta for v
+        and gamma for its integral, with c = h f coef the first panel's
+        samples f in coefficient space: beta = sum_p c_p phi_{p+1} and
+        gamma = h sum_p c_p phi_{p+2}. The eigen backend sums a run in closed
+        form (_run_sums), O(log panels) elementwise work and no array over
+        the panels. The dense backend marches e_{i+1} = P e_i + rho^i beta
+        over an edge array, since powering a non-normal P squares its
+        transient growth (see the module docstring)."""
+        grid, op, q = self.grid, self.op, self.grid.nodes_per_panel
+        diag, coef = op.diagonalization, _panel_weights(q)[1]
+        decay = -2.0 * m.real  # the profile's rate
+        rows = {}
         VT = w = None  # v at the run's start and its integral up to there; v(0) = 0
         for k, stop, h in self._runs:
-            if h not in tables:  # P, h phi_1 and W, G as rows over the modes
-                P, W, H1, G = self._panel_tables(m, h, nodes=False)
-                tables[h] = (P.reshape(lead + (-1,)), W.reshape(lead + (q, -1)).view(float),
-                             H1.reshape(lead + (-1,)), G.reshape(lead + (q, -1)).view(float))
-            P, W, H1, G = tables[h]
-            # the first panel's forcing terms for v(T) and for the integral
-            f = np.exp(np.multiply.outer(decay, grid.gl_times[k]))[..., None, :]
-            beta, gamma = (f @ W).view(complex)[..., 0, :], (f @ G).view(complex)[..., 0, :]
-            rho = np.exp(decay * h)[..., None]
-            Pn, _, S, D, Q, R = _run_sums(P, rho, stop - k, VT is not None)
-            if VT is None:
-                VT, w = S * beta, H1 * (D * beta) + R * gamma
+            if h not in rows:  # P, h phi_1 and the phi rows with the orders second, per shift
+                if diag is not None:
+                    PHI = phi_scalar(q + 1, h * (diag.d - m[:, None]))
+                else:
+                    PHI = phi_matrices(h * (op.matrix - m[:, None, None] * np.eye(self.dim)), q + 1)
+                R = PHI.view(float).reshape(q + 2, len(m), -1).swapaxes(0, 1)
+                rows[h] = PHI[0], h * PHI[1], R
+            P, H1, R = rows[h]
+            # per-item products: the bits of a shift do not depend on its batch
+            c = h * (np.exp(np.multiply.outer(decay, grid.gl_times[k]))[:, None, :] @ coef)
+            beta = (c @ R[:, 1:q + 1]).view(complex).reshape(P.shape)
+            gamma = h * (c @ R[:, 2:]).view(complex).reshape(P.shape)
+            rho, n = np.exp(decay * h), stop - k
+            if diag is not None:
+                Pn, _, S, D, Q, Rn = _run_sums(P, rho[:, None], n, VT is not None)
+                if VT is None:
+                    VT, w = S * beta, H1 * (D * beta) + Rn * gamma
+                else:
+                    VT, w = Pn * VT + S * beta, w + H1 * (Q * VT + D * beta) + Rn * gamma
             else:
-                VT, w = Pn * VT + S * beta, w + H1 * (Q * VT + D * beta) + R * gamma
+                # the run's edges, the shifts first so that each shift's
+                # forcing terms rho^i beta are one contiguous block, written by
+                # one real product after e_0, then marched in place
+                E = np.empty((len(m), n + 1) + P.shape[1:], dtype=complex)
+                E[:, 0] = 0.0 if VT is None else VT
+                powers = rho[:, None] ** np.arange(n)
+                np.multiply(powers[..., None], beta.reshape(len(m), 1, -1).view(float),
+                            out=E[:, 1:].reshape(len(m), n, -1).view(float))
+                edges = E.swapaxes(0, 1)  # edges[i] is a cheaper view per step than E[:, i]
+                for i in range(n):
+                    edges[i + 1] += P @ edges[i]
+                integral = H1 @ E[:, :-1].sum(axis=1) + powers.sum(axis=1)[:, None, None] * gamma
+                VT, w = E[:, -1].copy(), integral if w is None else w + integral
+        if diag is None:
+            return list(zip(w, VT, op.operator_norm(VT).tolist()))  # one norm call for the batch
         out = []
-        for wj, VTj in zip(w, VT) if np.ndim(m) else [(w, VT)]:
+        for wj, VTj in zip(w, VT):
             VTj = diag.with_values(VTj)
             norm = float(abs(VTj.d).max()) if op.e0_norm == "euclidean" else op.operator_norm(VTj)
             out.append((diag.with_values(wj), VTj, norm))

@@ -290,11 +290,10 @@ class TestBackendsAgree:
 
 
 class TestEdgeFunctionals:
-    """exp_functionals takes no interior node (on the dense backend it
-    propagates panel edges only, checked against all-node tables; the eigen
-    backend sums runs without _propagate) and, for a normal operator in the
-    euclidean norm, reads ||v(T)|| from eigen coordinates; checked against
-    solve and against the SVD / row-sum norm."""
+    """exp_functionals takes no interior node (both backends work from the
+    right-edge phi rows alone) and, for a normal operator in the euclidean
+    norm, reads ||v(T)|| from eigen coordinates; checked against solve and
+    against the SVD / row-sum norm."""
 
     MAKERS = {
         "diag": lambda e0: sl.diagonal_operator([-1.0, -2.0], e0_norm=e0),
@@ -314,22 +313,12 @@ class TestEdgeFunctionals:
 
     @pytest.mark.parametrize("backend", ["eigen", "dense"])
     @pytest.mark.parametrize("name", sorted(MAKERS))
-    def test_edges_match_node_path(self, grid, rng, monkeypatch, name, backend):
+    def test_edges_match_node_path(self, grid, rng, name, backend):
         op = self._op(name, backend)
         x = random_vector(rng, op.dim)
-        edges = [sl.CauchySolver(op, grid).exp_functionals(mu) for mu in self.MUS]
-        # the same functionals from tables at every node, keeping the edges
-        propagate = cauchy.CauchySolver._propagate
-
-        def node_path(self, shift, F, Y, v0, nodes):
-            vals, integral = propagate(self, shift, F, Y, v0, nodes=True)
-            return (vals if nodes else vals[::self.grid.nodes_per_panel + 1]), integral
-
-        monkeypatch.setattr(cauchy.CauchySolver, "_propagate", node_path)
         solver = sl.CauchySolver(op, grid)
-        for mu, (W, VT, vt_norm) in zip(self.MUS, edges):
-            Wn, VTn, vt_norm_n = solver.exp_functionals(mu)
-            assert np.array_equal(W, Wn) and np.array_equal(VT, VTn) and vt_norm == vt_norm_n
+        for mu in self.MUS:
+            _, VT, _ = solver.exp_functionals(mu)
             # against an independent discretization: the untilted solve on
             # its own grid, tilted by e^{-mu T}; both sit within about 2e-12
             # of the closed form
@@ -368,9 +357,9 @@ class TestEdgeFunctionals:
 
 
 class TestScalarProfile:
-    """exp_functionals hands its forcing to the propagator as one scalar
-    profile; checked on both backends against the closed form of a diagonal
-    A, and for the memory of the dense backend."""
+    """exp_functionals takes its forcing as one scalar profile times the
+    identity; checked on both backends against the closed form of a
+    diagonal A, and for the memory of the dense backend's edge march."""
 
     @pytest.mark.parametrize("backend", ["eigen", "dense"])
     def test_closed_form(self, grid, backend):
@@ -467,8 +456,8 @@ class TestOneFactorization:
 
 
 class TestPanelTables:
-    """The solver keeps the unshifted tables that its solves share and drops
-    the shifted ones, which serve one mu each."""
+    """The solver keeps the panel tables that its solves share; the
+    exponential functionals build none."""
 
     @pytest.mark.parametrize("name, kernel",
                              [("lap16", "phi_scalar"), ("jordan8", "phi_matrices")])
@@ -486,7 +475,7 @@ class TestPanelTables:
                              [("lap64", "phi_scalar"), ("jordan8", "phi_matrices")])
     def test_refined_call_builds_one_table(self, corpus, grid, monkeypatch, name, kernel):
         # 32 - 16j splits each of the 16 panels in 7, and the 112 widths
-        # differ in the last bits: one nominal width, so one table
+        # differ in the last bits: one nominal width, so one phi call
         solver = sl.CauchySolver(corpus[name], grid)
         refined = solver.refined_for(64.0).grid
         assert refined.panels == 7 * grid.panels and len(set(np.diff(refined.edges))) > 1
@@ -503,13 +492,32 @@ class TestPanelTables:
             solver.exp_functionals(mu)
         assert solver._tables == {}
         solver.solve(sl.ZeroForcing(solver.dim))
-        assert list(solver._tables) == [(grid.edges[1] - grid.edges[0], True)]
+        assert list(solver._tables) == [grid.edges[1] - grid.edges[0]]
+
+    @pytest.mark.parametrize("name", ["lap16", "jordan8"])
+    def test_exp_functionals_build_no_table(self, corpus, grid, monkeypatch, name):
+        # the 25 mu of identity-check, one at a time and as a batch, on the
+        # base grid and the grids split in 3 and in 7
+        calls = []
+        for method in ("_panel_tables", "_propagate"):
+            fn = getattr(cauchy.CauchySolver, method)
+            monkeypatch.setattr(cauchy.CauchySolver, method,
+                                lambda *a, _fn=fn, _m=method: calls.append(_m) or _fn(*a))
+        solver = sl.CauchySolver(corpus[name], grid)
+        for mu in MU_GRID_25:
+            solver.exp_functionals(mu)
+        solver.exp_functionals_batch(MU_GRID_25)
+        assert calls == []
+        assert len(solver._refined) == 2
+        assert solver._tables == {} and all(s._tables == {} for s in solver._refined.values())
 
 
 class TestPanelTableProducts:
     """W and G are batched real products of the coefficient matrix, with the
     powers r^(p+1) folded in per output point, and the phi rows; checked
-    against the einsum form of the same panel rule on the same phi rows.
+    against the einsum form of the same panel rule on the same phi rows, at
+    every output point or at the right edge alone, of A and of A - (3 - 2i),
+    whose phi rows of a real spectrum gain imaginary parts.
 
     The rule sums q terms whose magnitudes reach 3.5e4 max|W| (coef holds
     entries up to 1.4e7), so any two summation orders differ by up to about
@@ -526,9 +534,13 @@ class TestPanelTableProducts:
 
     @staticmethod
     def reference(solver, shift, h, nodes):
-        """(P, W, H1, G) by einsum, and the magnitude sums of W's and G's terms."""
+        """(P, W, H1, G) of B = A - shift by einsum, at the q nodes and the
+        right edge if nodes, else at the right edge alone, and the magnitude
+        sums of W's and G's terms."""
         q = solver.grid.nodes_per_panel
-        rs, coef, rpow = cauchy._panel_weights(q, nodes)
+        rs, coef, rpow = cauchy._panel_weights(q)
+        if not nodes:
+            rs, rpow = rs[-1:], rpow[:, -1:]
         diag = solver.op.diagonalization
         if diag is not None:
             PHI = cauchy.phi_scalar(q + 1, np.multiply.outer(h * rs, diag.d - shift))[..., None]
@@ -547,14 +559,18 @@ class TestPanelTableProducts:
     @pytest.mark.parametrize("name", sorted(MAKERS))
     def test_matches_einsum(self, grid, name, nodes, shift, refined):
         op = self.MAKERS[name]()
+        if shift:
+            op = sl.OperatorPair(op.matrix - shift * np.eye(op.dim))
         assert (op.diagonalization is None) == (name in ("jordan8", "nonnormal12"))
         solver = sl.CauchySolver(op, grid)
         if refined:
             solver = solver.refined_for(64.0)
         h = solver._runs[0][2]
         assert h == (grid.T / grid.panels / 7 if refined else grid.T / grid.panels)
-        P, W, H1, G = solver._panel_tables(shift, h, nodes)
-        (P0, W0, H10, G0), (W_terms, G_terms) = self.reference(solver, shift, h, nodes)
+        P, W, H1, G = solver._panel_tables(h)
+        if not nodes:  # the right edge's column
+            P, W = P[-1:], W[:, -1:]
+        (P0, W0, H10, G0), (W_terms, G_terms) = self.reference(solver, 0.0, h, nodes)
         assert np.array_equal(P, P0) and np.array_equal(H1, H10)
         assert W.shape == W0.shape and G.shape == G0.shape
         bound = 2 * (grid.nodes_per_panel + 2) * np.finfo(float).eps
@@ -597,7 +613,8 @@ class TestEdgeScan:
     of equal widths; checked against a panel-by-panel loop written here. Both
     take the solver's tables at nominal widths: a panel shares the table of
     the first width within 1e-12 of its own (on lap256, tables at widths one
-    ulp apart move the values by up to 3.5e-13)."""
+    ulp apart move the values by up to 3.5e-13). The loop runs on all nodes
+    or on the panel edges alone, from the tables' right-edge column."""
 
     GRIDS = {"refined": sl.TimeGrid.uniform(1.0, panels=16).refined(7),
              "mixed": TestMixedWidths.GRID}
@@ -605,26 +622,26 @@ class TestEdgeScan:
               "growing": lambda: sl.diagonal_operator([5.0, -1.0])}
 
     @staticmethod
-    def _sequential(solver, shift, F, Y, v0, nodes):
-        """vals and integral of _propagate, one panel at a time."""
-        grid = solver.grid
+    def _sequential(tables, grid, F, Y, v0, nodes, eigen=True):
+        """vals and integral of v' = Bv + p(t) Y, v(0) = v0, on the grid, one
+        panel at a time, with (P, W, H1, G) = tables(h) at every node or at
+        the right edge alone, (dim, 1) columns if eigen, else matrices."""
         q = grid.nodes_per_panel
         step = q + 1 if nodes else 1
-        if Y is None:  # the identity: one column of ones
-            Y = np.ones(v0.shape)
+        times = np.multiply if eigen else np.matmul
         vals = np.empty((grid.panels * step + 1,) + v0.shape, dtype=complex)
         vals[0], integral = v0, np.zeros(v0.shape, dtype=complex)
-        tables = {}  # the tables of each nominal width
+        cache = {}  # the tables of each nominal width
         for i, h in enumerate(np.diff(grid.edges)):
-            h = next((g for g in tables if abs(h - g) <= 1e-12 * g), h)
-            if h not in tables:
-                tables[h] = solver._panel_tables(shift, h, nodes)
-            P, W, H1, G = tables[h]
+            h = next((g for g in cache if abs(h - g) <= 1e-12 * g), h)
+            if h not in cache:
+                cache[h] = tables(h)
+            P, W, H1, G = cache[h]
             start = vals[i * step]
             for j in range(len(P)):
-                vals[i * step + 1 + j] = P[j] * start + sum(W[m, j] * Y * F[i, m]
-                                                            for m in range(q))
-            integral += H1 * start + sum(G[m] * Y * F[i, m] for m in range(q))
+                vals[i * step + 1 + j] = times(P[j], start) + sum(times(W[m, j], Y) * F[i, m]
+                                                                  for m in range(q))
+            integral += times(H1, start) + sum(times(G[m], Y) * F[i, m] for m in range(q))
         return vals, integral
 
     @pytest.mark.parametrize("layout", ["profile", "samples"])
@@ -634,28 +651,35 @@ class TestEdgeScan:
     def test_matches_sequential(self, rng, name, grid_name, nodes, layout):
         op, grid = self.MAKERS[name](), self.GRIDS[grid_name]
         q = grid.nodes_per_panel
-        for shift in (0.0, 2.0 + 4.0j):
-            if layout == "profile":  # exp_functionals' layout: a real profile, Y = I
-                F, Y = np.exp(-2.0 * grid.gl_times), None
-                v0 = np.zeros((op.dim, 1), dtype=complex)
-            else:  # a complex profile times a block Y, with two columns
-                F = rng.standard_normal((grid.panels, q)) + 1j * rng.standard_normal((grid.panels, q))
-                Y, v0 = (rng.standard_normal((op.dim, 2)) + 1j * rng.standard_normal((op.dim, 2))
-                         for _ in range(2))
-            vals, integral = sl.CauchySolver(op, grid)._propagate(shift, F, Y, v0, nodes)
-            ref_vals, ref_integral = self._sequential(sl.CauchySolver(op, grid), shift, F, Y, v0,
-                                                      nodes)
-            for got, ref in ((vals, ref_vals), (integral, ref_integral)):
-                assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref)), shift
+        Y, v0 = (rng.standard_normal((op.dim, 2)) + 1j * rng.standard_normal((op.dim, 2))
+                 for _ in range(2))
+        if layout == "profile":  # a real profile, which takes the real products
+            F = np.exp(-2.0 * grid.gl_times)
+        else:
+            F = rng.standard_normal((grid.panels, q)) + 1j * rng.standard_normal((grid.panels, q))
+        vals, integral = sl.CauchySolver(op, grid)._propagate(F, Y, v0)
+        solver = sl.CauchySolver(op, grid)
+        if nodes:
+            tables = solver._panel_tables
+        else:
+            vals = vals[::q + 1]
+
+            def tables(h):
+                P, W, H1, G = solver._panel_tables(h)
+                return P[-1:], W[:, -1:], H1, G
+        ref_vals, ref_integral = self._sequential(tables, grid, F, Y, v0, nodes)
+        for got, ref in ((vals, ref_vals), (integral, ref_integral)):
+            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 class TestRunSums:
-    """On a normal operator exp_functionals sums each run of equal panels by
-    binary powering (_run_sums); checked against the panel march
-    TestEdgeScan._sequential on the solver's refined grid. The grids: one run
-    of 16, 5, 7, 100 and 112 panels (the last four reach the combine of a set
-    bit), the 112-panel refined(7) grid and the mixed grid of four runs,
-    whose runs after the first start from a nonzero edge."""
+    """exp_functionals sums each run of equal panels, on a normal operator by
+    binary powering (_run_sums) and on a dense one by marching its edges;
+    checked against the panel march TestEdgeScan._sequential on the solver's
+    refined grid, with the right-edge tables of the einsum reference. The
+    grids: one run of 16, 5, 7, 100 and 112 panels (the last four reach the
+    combine of a set bit), the 112-panel refined(7) grid and the mixed grid
+    of four runs, whose runs after the first start from a nonzero edge."""
 
     MAKERS = {
         "diag": lambda e0: sl.diagonal_operator([-1.0, -2.0], e0_norm=e0),
@@ -663,6 +687,8 @@ class TestRunSums:
         "lap256": lambda e0: sl.laplacian_1d(256, e0_norm=e0),
         "lap512": lambda e0: sl.laplacian_1d(512, e0_norm=e0),  # a SineMap
         "normal16": lambda e0: sl.random_normal_operator(16, seed=7, e0_norm=e0),
+        "jordan8": lambda e0: sl.jordan_block(-2.0, 8, e0_norm=e0),  # dense
+        "nonnormal12": lambda e0: sl.OperatorPair(nonnormal_dense(12, seed=5).matrix, e0_norm=e0),
     }
     GRIDS = {"uniform": lambda T: sl.TimeGrid.uniform(T, panels=16),
              "refined": lambda T: sl.TimeGrid.uniform(T, panels=16).refined(7),
@@ -674,10 +700,13 @@ class TestRunSums:
     @pytest.mark.parametrize("name", sorted(MAKERS))
     def test_matches_panel_march(self, name, e0_norm):
         op = self.MAKERS[name](e0_norm)
-        assert op.diagonalization is not None
-        v0 = np.zeros((op.dim, 1), dtype=complex)
+        eigen = op.diagonalization is not None
+        assert eigen == (name not in ("jordan8", "nonnormal12"))
+        # the identity forcing: one column of ones in eigen coordinates
+        Y = np.ones((op.dim, 1)) if eigen else np.eye(op.dim)
+        v0 = np.zeros(Y.shape, dtype=complex)
         for grid_name, make in self.GRIDS.items():
-            for T in (0.01, 1.0, 23.0):
+            for T in (0.01, 1.0, 23.0) if eigen else (0.01, 1.0):
                 solver = sl.CauchySolver(op, make(T))
                 for mu in (1e-6, 0.5, 2.0 + 4.0j, 32.0 - 16.0j):
                     case = (grid_name, T, mu)
@@ -688,18 +717,37 @@ class TestRunSums:
                         continue
                     W, VT, vt_norm = solver.exp_functionals(mu)
                     F = np.exp(-2.0 * mu.real * refined.grid.gl_times)
-                    vals, integral = TestEdgeScan._sequential(refined, complex(mu), F, None, v0,
-                                                              nodes=False)
-                    for got, ref in ((VT.d, vals[-1, :, 0]), (W.d, integral[:, 0])):
-                        scale = np.max(np.abs(ref))
+                    vals, integral = TestEdgeScan._sequential(
+                        lambda h: TestPanelTableProducts.reference(refined, complex(mu), h,
+                                                                   nodes=False)[0],
+                        refined.grid, F, Y, v0, nodes=False, eigen=eigen)
+                    ref = vals[-1]
+                    if eigen:
+                        ref = VT.with_values(vals[-1, :, 0])
+                        W, VT, vals, integral = W.d, VT.d, vals[..., 0], integral[:, 0]
+                    for got, want in ((VT, vals[-1]), (W, integral)):
+                        scale = np.max(np.abs(want))
                         if scale < 1e-300:  # v(T) underflows
                             assert np.max(np.abs(got)) < 1e-300, case
                         else:
-                            assert np.max(np.abs(got - ref)) <= 1e-11 * scale, case
-                    ref = VT.with_values(vals[-1, :, 0])
-                    ref_norm = (np.max(np.abs(ref.d)) if e0_norm == "euclidean"
+                            assert np.max(np.abs(got - want)) <= 1e-11 * scale, case
+                    ref_norm = (np.max(np.abs(ref.d)) if eigen and e0_norm == "euclidean"
                                 else op.operator_norm(ref))
                     assert vt_norm == pytest.approx(ref_norm, rel=1e-11, abs=1e-300), case
+
+    def test_dense_march_keeps_transient_growth(self, rng):
+        # a Q (D + N) Q* of dim 64 whose ||e^{tA}|| peaks near 1.4e4, over the
+        # 10 mu of identity-check with Re mu <= 2: summing its runs by binary
+        # powering, as on a normal operator, squares that growth
+        op = nonnormal_dense(64, seed=5, scale=12)
+        assert op.diagonalization is None
+        solver = sl.CauchySolver(op, sl.TimeGrid.uniform(23.0, panels=16))
+        mus = [mu for mu in MU_GRID_25 if mu.real <= 2]
+        assert len(mus) == 10
+        x = random_vector(rng, op.dim)
+        residuals = [sl.surjectivity_identity_check(op, sd, x)
+                     for sd in sl.assemble_U_V_batch(solver, mus)]
+        assert max(residuals) <= 1e-9
 
     def test_memory_does_not_grow_with_panels(self):
         # the 25 mu of identity-check on lap256: 16 panels (refined to up to
@@ -720,7 +768,7 @@ class TestRunSums:
 
 class TestRefinedSolvers:
     """A solver keeps one refined solver per split count, so their grids and
-    unshifted tables are built once."""
+    panel tables are built once."""
 
     @pytest.mark.parametrize("name", ["lap64", "jordan8"])
     def test_one_refined_solver_per_split(self, corpus, grid, rng, name):
@@ -807,9 +855,10 @@ def counting_propagate(monkeypatch):
 
 
 class TestBatches:
-    """The batched entry points hand whole probe and shift sets to the one
-    propagator, one propagation per refined solver (and per chunk of the
-    byte budget), with the bits of the one-at-a-time calls."""
+    """The batched entry points hand whole probe sets to the one propagator
+    and whole shift sets to one call of the right-edge phi rows, once per
+    refined solver (and per chunk of the byte budget), with the bits of the
+    one-at-a-time calls."""
 
     MAKERS = {
         "diag4": lambda e0: sl.diagonal_operator([-1.0, -2.5, -4.0, -7.0], e0_norm=e0),
@@ -900,20 +949,18 @@ class TestBatches:
     def test_identity_mus_one_propagation_per_refined_grid(self, grid, corpus, monkeypatch,
                                                            name):
         # the 25 mu of identity-check: real parts 0.5 .. 32 on 3 grids, each one
-        # run of equal panels; the eigen backend sums the runs without
-        # propagating, from one phi_scalar call per run and grid
+        # run of equal panels; both backends sum the runs without propagating,
+        # from one phi_scalar or phi_matrices call per run and grid
         op = corpus[name]
         solver = sl.CauchySolver(op, grid)
         calls, phis = counting_propagate(monkeypatch), []
-        phi_scalar = cauchy.phi_scalar
-        monkeypatch.setattr(cauchy, "phi_scalar", lambda *a: phis.append(1) or phi_scalar(*a))
+        kernel = "phi_scalar" if op.diagonalization is not None else "phi_matrices"
+        phi = getattr(cauchy, kernel)
+        monkeypatch.setattr(cauchy, kernel, lambda *a: phis.append(1) or phi(*a))
         sds = sl.assemble_U_V_batch(solver, MU_GRID_25)
         grids = {solver.refined_for(2 * m.real) for m in MU_GRID_25}
         assert len(sds) == 25 and len(grids) == 3
-        if op.diagonalization is None:
-            assert len(calls) == 3
-        else:
-            assert len(calls) == 0 and len(phis) == 3
+        assert len(calls) == 0 and len(phis) == 3
 
     def test_dense_memory_of_many_probes(self, grid):
         # 64 probes on a dense n = 64 operator: the stacks of a chunk stay
@@ -923,7 +970,7 @@ class TestBatches:
         probes = [(sl.ExpForcing(1.0 + 0.1 * k, random_vector(rng, 64)), np.zeros(64, complex))
                   for k in range(64)]
         solver = sl.CauchySolver(op, grid)
-        solver.solve(*probes[0])  # the kept unshifted table is not part of the batch
+        solver.solve(*probes[0])  # the kept panel table is not part of the batch
         nodes = 16 * len(grid.nodes) * op.dim  # bytes of one probe's node values
         tracemalloc.start()
         try:
@@ -964,12 +1011,11 @@ def standard_solve(solver, f, x0):
     diag = op.diagonalization
     Z = None if diag is None else diag.Z
     if Z is None:
-        v, _ = solver._propagate(0.0, F, f.y[:, None], x0[:, None], nodes=True)
+        v, _ = solver._propagate(F, f.y[:, None], x0[:, None])
         values = v[..., 0]
         Au = op.apply(values) if diag is None else diag.d * values
     else:
-        v, _ = solver._propagate(0.0, F, to_eigen(Z, f.y[:, None]), to_eigen(Z, x0[:, None]),
-                                 nodes=True)
+        v, _ = solver._propagate(F, to_eigen(Z, f.y[:, None]), to_eigen(Z, x0[:, None]))
         values = to_standard(Z, v[..., 0])
         values[0] = x0
         Au = op.apply(values)

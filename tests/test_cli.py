@@ -235,15 +235,15 @@ class TestExperiments:
                               ("theta-sweep", "diag -1,-2.5,-4,-7", 3)])
     def test_one_solver_per_run(self, tmp_path, monkeypatch, experiment, matrix, builds):
         # every helper of a run solves through the run's one CauchySolver, and
-        # that keeps one refined solver per split count: an unshifted panel
-        # table is built once per width (h, h/2, h/4), not per helper or probe
+        # that keeps one refined solver per split count: a panel table is
+        # built once per width (h, h/2, h/4), not per helper or probe
         built = []
         tables = CauchySolver._panel_tables
 
-        def counting(self, shift, h, nodes):
-            if shift == 0 and (h, nodes) not in self._tables:
+        def counting(self, h):
+            if h not in self._tables:
                 built.append(h)
-            return tables(self, shift, h, nodes)
+            return tables(self, h)
 
         monkeypatch.setattr(CauchySolver, "_panel_tables", counting)
         f = tmp_path / "op.op"

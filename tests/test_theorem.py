@@ -71,7 +71,7 @@ class TestAssembleUV:
     def test_batch_checks_every_mu_first(self, grid, scalar_zero, monkeypatch):
         # the first bad mu is named, and no solve runs before the check
         solver = sl.CauchySolver(scalar_zero, grid)
-        monkeypatch.setattr(sl.CauchySolver, "_propagate", None)
+        monkeypatch.setattr(sl.CauchySolver, "_exp_functionals", None)
         with pytest.raises(DegenerateReMu, match="Re mu = -1.0"):
             sl.assemble_U_V_batch(solver, [1.0, -1.0 + 2.0j, 1e-300])
         with pytest.raises(DegenerateReMu, match="rounds to 0"):

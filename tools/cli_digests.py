@@ -18,15 +18,17 @@ on the dense 2 x 2 rows ``800 1`` / ``0 -1``, whose u(T) overflows, and
 tridiagonals, rows ``-2 1j 0`` / ``-1j -2 1j`` / ``0 -1j -2``, whose complex
 eigenbasis carries the phases of its off-diagonal, and rows ``-2 -1 0`` /
 ``-1 -2 -1`` / ``0 -1 -2``, whose real eigenbasis flips signs, and
-``resolvent-scan``, ``reconstruct`` and ``verdict`` on jordan64, whose
-euclidean resolvent norms take Golub-Kahan-Lanczos on its Schur factor, and
-``spectrum``, ``maxreg-estimate``, ``identity-check`` and ``verdict`` on
-lap1023, which run from its bands and the DST-I sine basis,
+``resolvent-scan``, ``identity-check``, ``reconstruct`` and ``verdict`` on
+jordan64, whose euclidean resolvent norms take Golub-Kahan-Lanczos on its
+Schur factor and whose exponential functionals march the dense backend's
+edges at dim 64 on runs of up to 112 panels, and ``spectrum``,
+``maxreg-estimate``, ``identity-check`` and ``verdict`` on lap1023, which
+run from its bands and the DST-I sine basis,
 ``maxreg-estimate`` on lap4095, where n + 1 = 2^12 and a stored basis would
 take 134 MB, ``maxreg-estimate`` and ``identity-check`` on lap512 with the
 sup norm, which map the sine basis' solves to the standard basis and form
 V_mu densely, and ``resolvent-scan`` on lap4097 with the sup norm, which
-exits 1 where its dense matrix would pass the size cap: 172 runs.
+exits 1 where its dense matrix would pass the size cap: 173 runs.
 The probe file puts two steep exponential probes on each grid the 16-panel
 solves refine to (panels split in 2, 3 and 4), so the batched solves there
 stack more than one probe, next to two base-grid exponentials, a polynomial
@@ -63,7 +65,7 @@ OPERATORS = {**EUCLIDEAN,
 PROBES = "probes.txt"  # written under the run's root for each operator
 # every experiment with its defaults, then the weighted path below sigma = 1,
 # the omega2 search on a second bracket, [1e-6, 128], a scan of a grid: box, the
-# probe file, a comma-list --mu-grid, T = 16, where unshifted panels reach h = 1,
+# probe file, a comma-list --mu-grid, T = 16, where the panel tables reach h = 1,
 # two runs past Re mu T ~ 709.8, where e^{mu T} would overflow, and runs of 100
 # panels (200 once refined), whose closed-form run sums combine odd bits
 RUNS = [[experiment] for experiment in EXPERIMENTS] + [
@@ -83,7 +85,8 @@ RUNS = [[experiment] for experiment in EXPERIMENTS] + [
 # diagonal, whose solves form A u as lam u, not as the product u A^T; then a
 # Hermitian tridiagonal with a complex and one with a real eigenbasis, and a
 # non-normal operator at _GKL_MIN_DIM, whose scans and resolvent solves run on
-# its Schur factor, and Laplacians stored by their bands, whose factor is the
+# its Schur factor and whose exponential functionals march dim 64 edges, and
+# Laplacians stored by their bands, whose factor is the
 # DST-I sine basis and whose dense matrix no run forms: a sup-norm scan past
 # the dense cap refuses it
 CDIAG = "matrix = diag -1+2i,-0.5-3i,-2+0.25i,-0.1+7i\n"
@@ -96,7 +99,7 @@ LARGE = {"lap256": ("matrix = laplacian1d n=256\n", [["maxreg-estimate"], ["weig
          "phase3": ("row = -2 1j 0\nrow = -1j -2 1j\nrow = 0 -1j -2\n", TRIDIAGONAL_RUNS),
          "signs3": ("row = -2 -1 0\nrow = -1 -2 -1\nrow = 0 -1 -2\n", TRIDIAGONAL_RUNS),
          "jordan64": ("matrix = jordan lambda=-2 size=64\n",
-                      [["resolvent-scan"], ["reconstruct"], ["verdict"]]),
+                      [["resolvent-scan"], ["identity-check"], ["reconstruct"], ["verdict"]]),
          "lap1023": ("matrix = laplacian1d n=1023\n",
                      [["spectrum"], ["maxreg-estimate"], ["identity-check"], ["verdict"]]),
          "lap4095": ("matrix = laplacian1d n=4095\n", [["maxreg-estimate"]]),

@@ -1,6 +1,6 @@
 """List the statements of ``src/semilab`` that no CLI experiment or bench unit runs.
 
-Traces, with ``sys.settrace``, the 172 runs of ``tools/cli_digests.py``
+Traces, with ``sys.settrace``, the 173 runs of ``tools/cli_digests.py``
 (8 experiments, ``weighted --sigma 0.5``, ``reconstruct --T 0.5``,
 ``resolvent-scan`` on a ``grid:`` box, ``maxreg-estimate`` and ``verdict``
 with a probe file, ``identity-check`` on a comma-list ``--mu-grid``,
@@ -12,8 +12,9 @@ files, then
 ``maxreg-estimate`` and ``weighted`` on a complex diagonal with each E0
 norm, then ``maxreg-estimate``, ``identity-check``, ``reconstruct`` and
 ``weighted`` on a 3 x 3 Hermitian tridiagonal with a complex and one with a
-real eigenbasis, and ``resolvent-scan``, ``reconstruct`` and ``verdict`` on
-jordan64, whose euclidean norms take Golub-Kahan-Lanczos, and ``spectrum``,
+real eigenbasis, and ``resolvent-scan``, ``identity-check``, ``reconstruct``
+and ``verdict`` on jordan64, whose euclidean norms take Golub-Kahan-Lanczos,
+and ``spectrum``,
 ``maxreg-estimate``, ``identity-check`` and ``verdict`` on lap1023, and
 ``maxreg-estimate`` on lap4095, ``maxreg-estimate`` and ``identity-check`` on
 lap512 with the sup norm and ``resolvent-scan`` on lap4097 with the sup norm)
